@@ -129,9 +129,8 @@ CompiledLoop Compiler::compile(const isa::LoopDesc& loop) const {
   out.ops = total;
   out.mem_overlap = overlap;
 
-  // Precompute the block event vector: exactly the events (and order) the
-  // per-class execute path would signal, zero counts skipped, with core-0
-  // ids for rebasing at apply time.
+  // The block event vector: every nonzero op class in enum order, then
+  // INSTR_COMPLETED, with core-0 ids for rebasing at apply time.
   out.events.reserve(isa::kNumFpOps + isa::kNumLsOps + isa::kNumIntOps + 1);
   for (std::size_t i = 0; i < isa::kNumFpOps; ++i) {
     if (total.fp[i] != 0) {

@@ -34,17 +34,17 @@ struct CompiledLoop {
   /// Memory-level-parallelism factor for this loop's traffic: the cache
   /// walk's raw latency is divided by this before being charged as stall.
   double mem_overlap = 1.0;
-  /// Precomputed block event vector: the nonzero per-class instruction
-  /// events of one invocation (FPU/LS/integer classes + INSTR_COMPLETED),
-  /// as *core-0* mode-0 ids in legacy signaling order. The compiler only
-  /// knows the ISA, so this is the canonical compile artifact; the
-  /// delivery-ready per-core variants below are derived from it.
+  /// Block event vector: the nonzero per-class instruction events of one
+  /// invocation (FPU, LS and integer classes in enum order, then
+  /// INSTR_COMPLETED), as *core-0* mode-0 ids. This is the one definition
+  /// of which events a bundle signals; the delivery-ready per-core
+  /// variants below are derived from it.
   std::vector<isa::EventCount> events;
   /// Delivery-ready batches, one per core: `events` rebased onto core c's
-  /// mode-0 slice with the bundle's CYCLE_COUNT appended last (matching
-  /// the legacy emit order). Filled by Machine::compile_cached — computing
-  /// the cycle entry needs the CPU timing model, which the compiler layer
-  /// deliberately does not link — and left empty by Compiler::compile().
+  /// mode-0 slice with the bundle's CYCLE_COUNT appended last. Filled by
+  /// Machine::compile_cached — computing the cycle entry needs the CPU
+  /// timing model, which the compiler layer deliberately does not link —
+  /// and left empty by Compiler::compile().
   /// Cached per machine, so Core::execute_block hands the span straight
   /// to the event sink with zero per-call copying or rebasing.
   std::array<std::vector<isa::EventCount>, isa::kCoresPerNode> core_events;

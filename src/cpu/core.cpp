@@ -52,28 +52,6 @@ cycles_t Core::bundle_cycles(const isa::OpMix& mix, const CoreParams& params) {
   return busiest + mispredicts * params.mispredict_penalty + call_cost;
 }
 
-cycles_t Core::execute(const isa::OpMix& mix) {
-  const cycles_t cycles = bundle_cycles(mix, params_);
-  stats_.instructions += mix.total_instructions();
-  stats_.flops += mix.total_flops();
-  stats_.compute_cycles += cycles;
-
-  if (sink_ != nullptr) {
-    for (std::size_t i = 0; i < isa::kNumFpOps; ++i) {
-      mem::emit(sink_, ev::fpu_op(id_, static_cast<isa::FpOp>(i)), mix.fp[i]);
-    }
-    for (std::size_t i = 0; i < isa::kNumLsOps; ++i) {
-      mem::emit(sink_, ev::ls_op(id_, static_cast<isa::LsOp>(i)), mix.ls[i]);
-    }
-    for (std::size_t i = 0; i < isa::kNumIntOps; ++i) {
-      mem::emit(sink_, ev::int_op(id_, static_cast<isa::IntOp>(i)), mix.in[i]);
-    }
-    mem::emit(sink_, ev::instr_completed(id_), mix.total_instructions());
-  }
-  tick(cycles);
-  return cycles;
-}
-
 cycles_t Core::execute_block(const isa::OpMix& mix,
                              std::span<const isa::EventCount> prebased) {
   const cycles_t cycles = bundle_cycles(mix, params_);

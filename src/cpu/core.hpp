@@ -60,17 +60,13 @@ class Core {
   /// the interface library's overhead check compares against it, §IV).
   [[nodiscard]] cycles_t read_timebase() noexcept;
 
-  /// Execute a machine op bundle: charge compute cycles and signal the
-  /// per-op UPC events. Returns the cycles charged.
-  cycles_t execute(const isa::OpMix& mix);
-
-  /// Batched form of execute(): `prebased` is the bundle's delivery-ready
-  /// event batch for THIS core — the compile cache's precomputed vector of
-  /// this core's mode-0 ids with the bundle's CYCLE_COUNT (equal to
+  /// Execute a compiled op bundle: charge its compute cycles and deliver
+  /// its counter events. `prebased` is the bundle's delivery-ready event
+  /// batch for THIS core — the compile cache's per-class counts rebased
+  /// onto this core's mode-0 ids with the bundle's CYCLE_COUNT (equal to
   /// bundle_cycles(mix, params)) appended last; see opt::CompiledLoop::
-  /// core_events. The batch is handed to the sink in one call with zero
-  /// per-call copying or rebasing; counter totals and CoreStats are
-  /// identical to execute(mix).
+  /// core_events. The batch goes to the sink in one call with zero
+  /// per-call copying or rebasing. Returns the cycles charged.
   cycles_t execute_block(const isa::OpMix& mix,
                          std::span<const isa::EventCount> prebased);
 

@@ -98,16 +98,15 @@ class Cache final : public MemLevel {
   /// True if the line holding `addr` is currently resident (no LRU update).
   [[nodiscard]] bool probe(addr_t addr) const noexcept;
 
-  // -- devirtualized walk fast paths (mem/hierarchy.cpp) -------------------
-  // These fold probe + access into one tag search and accumulate counter
-  // increments into an EventBatch instead of per-event virtual calls. They
-  // perform exactly the bookkeeping access() would (stats, LRU clock,
-  // event totals), so either path leaves the cache in the same state.
+  // -- inline L1 paths of the cache walk (mem/hierarchy.cpp) ----------------
+  // These do one tag search and accumulate counter increments into an
+  // EventBatch instead of per-event virtual calls. They perform exactly
+  // the bookkeeping access() would (stats, LRU clock, event totals), so
+  // either path leaves the cache in the same state.
 
-  /// Read fast path: on hit, touch LRU, count the access, and return true;
-  /// on miss return false having changed *nothing* — the caller falls back
-  /// to the virtual access(), which re-counts from the top exactly like
-  /// the legacy probe-then-access pair did.
+  /// Read hit path: on hit, touch LRU, count the access, and return true;
+  /// on miss return false having changed *nothing* — the caller then calls
+  /// the virtual access(), which counts the access from the top.
   [[nodiscard]] bool read_hit_fast(addr_t addr, EventBatch& batch) noexcept {
     const addr_t line = fast_line_of(addr);
     const std::size_t base = std::size_t{fast_set_of(line)} * params_.assoc;
@@ -124,12 +123,12 @@ class Cache final : public MemLevel {
     return false;
   }
 
-  /// Write fast path for write-through / no-allocate caches: does the full
+  /// Store path for write-through / no-allocate caches: does the full
   /// L1-side bookkeeping for a store (access + hit LRU touch or miss
   /// count; neither case allocates) and reports whether it hit. The caller
   /// forwards the write below either way — exactly what access() does for
-  /// this policy. Only call on caches with write_through or
-  /// !write_allocate.
+  /// this policy. Only call on a write-through, no-write-allocate cache
+  /// (MemoryHierarchy rejects any other L1D).
   [[nodiscard]] bool write_note_fast(addr_t addr, EventBatch& batch) noexcept {
     const addr_t line = fast_line_of(addr);
     const std::size_t base = std::size_t{fast_set_of(line)} * params_.assoc;

@@ -1,5 +1,7 @@
 #include "mem/hierarchy.hpp"
 
+#include <stdexcept>
+
 #include "common/strfmt.hpp"
 
 namespace bgp::mem {
@@ -67,6 +69,10 @@ SnoopFilter::EventIds snoop_events() {
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
                                  EventSink* sink)
     : params_(params), sink_(sink) {
+  if (!params_.l1d.write_through || params_.l1d.write_allocate) {
+    throw std::invalid_argument(
+        "L1D must be write-through and no-write-allocate");
+  }
   ddr_ = std::make_unique<DdrSystem>(params_.ddr, sink);
   snoop_ = std::make_unique<SnoopFilter>(16384, sink, snoop_events());
 
@@ -95,23 +101,20 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
   }
 }
 
-// ---- devirtualized fast walk -----------------------------------------------
+// ---- cache walk -------------------------------------------------------------
 // The hot loop of the whole simulator: every simulated load/store lands
-// here. The fast path folds the old probe-then-virtual-access pair into a
-// single inlined tag search per line (Cache::read_hit_fast /
-// write_note_fast) and accumulates counter increments into a per-walk
-// EventBatch flushed once at the end, so an all-hits walk costs zero
-// virtual calls on the cache side and at most one on the sink side.
-// Misses flush the batch (preserving walk-order delivery) and fall back to
-// the unmodified virtual access() chain — miss-path state evolution and
-// event streams are bit-for-bit the legacy ones. Counter *totals* are
-// identical either way; only intra-walk delivery timing changes, which a
-// threshold interrupt could observe mid-walk (none of the shipped
-// samplers arm thresholds on mid-walk events).
+// here. L1 hits are handled inline (Cache::read_hit_fast /
+// write_note_fast: one tag search per line) and their counter increments
+// accumulate in a per-walk EventBatch flushed once at the end, so an
+// all-hits walk costs zero virtual calls on the cache side and at most one
+// on the sink side. A read miss flushes the batch (keeping walk-order
+// delivery) and takes the virtual MemLevel::access() chain below the L1,
+// which reports its events one at a time. Batching moves only the moment
+// an L1-hit count lands within one walk, which an armed threshold
+// interrupt could observe; the totals are those of per-event delivery.
 
 AccessResult MemoryHierarchy::read(unsigned core, addr_t addr, u64 bytes,
                                    cycles_t now) {
-  if (params_.legacy_walk) return read_legacy(core, addr, bytes, now);
   auto& pc = cores_.at(core);
   Cache* const l1 = pc.l1d.get();
   const u32 line = params_.l1d.line_bytes;
@@ -139,13 +142,6 @@ AccessResult MemoryHierarchy::read(unsigned core, addr_t addr, u64 bytes,
 
 AccessResult MemoryHierarchy::write(unsigned core, addr_t addr, u64 bytes,
                                     cycles_t now) {
-  // The store fast path bakes in the PPC450 L1 policy (write-through,
-  // no-allocate). An exotic configuration with an allocating L1 takes the
-  // generic path.
-  if (params_.legacy_walk ||
-      (!params_.l1d.write_through && params_.l1d.write_allocate)) {
-    return write_legacy(core, addr, bytes, now);
-  }
   auto& pc = cores_.at(core);
   Cache* const l1 = pc.l1d.get();
   L2Unit* const l2 = pc.l2.get();
@@ -157,11 +153,10 @@ AccessResult MemoryHierarchy::write(unsigned core, addr_t addr, u64 bytes,
   EventBatch batch(sink_);
   for (; a < end; a += line) {
     snoop_->on_write(core, a / line);
-    // The L1 is write-through / no-allocate: the store retires at L1 speed
-    // whether it hit or not, and the write always goes below. Do the L1
-    // bookkeeping inline and forward straight into the concrete L2 (final,
-    // so the call devirtualizes) — identical state and totals to routing
-    // through the virtual L1 access().
+    // The L1 is write-through / no-allocate (the constructor enforces it):
+    // the store retires at L1 speed whether it hit or not, and the write
+    // always goes below. Do the L1 bookkeeping inline and forward straight
+    // into the concrete L2 (final, so the call devirtualizes).
     const bool hit = l1->write_note_fast(a, batch);
     batch.flush();
     const AccessResult below = l2->access(a, AccessType::kWrite, core, now);
@@ -170,43 +165,6 @@ AccessResult MemoryHierarchy::write(unsigned core, addr_t addr, u64 bytes,
     now += l1_lat;
   }
   batch.flush();
-  return total;
-}
-
-AccessResult MemoryHierarchy::read_legacy(unsigned core, addr_t addr,
-                                          u64 bytes, cycles_t now) {
-  auto& pc = cores_.at(core);
-  const u32 line = params_.l1d.line_bytes;
-  AccessResult total{0, 1};
-  addr_t a = addr & ~addr_t{line - 1};
-  const addr_t end = addr + (bytes == 0 ? 1 : bytes);
-  for (; a < end; a += line) {
-    const bool was_hit = pc.l1d->probe(a);
-    const AccessResult r = pc.l1d->access(a, AccessType::kRead, core, now);
-    if (!was_hit) {
-      snoop_->record_fill(core, a / line);
-    }
-    total.latency += r.latency;
-    total.serviced_by = std::max(total.serviced_by, r.serviced_by);
-    now += r.latency;
-  }
-  return total;
-}
-
-AccessResult MemoryHierarchy::write_legacy(unsigned core, addr_t addr,
-                                           u64 bytes, cycles_t now) {
-  auto& pc = cores_.at(core);
-  const u32 line = params_.l1d.line_bytes;
-  AccessResult total{0, 1};
-  addr_t a = addr & ~addr_t{line - 1};
-  const addr_t end = addr + (bytes == 0 ? 1 : bytes);
-  for (; a < end; a += line) {
-    snoop_->on_write(core, a / line);
-    const AccessResult r = pc.l1d->access(a, AccessType::kWrite, core, now);
-    total.latency += r.latency;
-    total.serviced_by = std::max(total.serviced_by, r.serviced_by);
-    now += r.latency;
-  }
   return total;
 }
 

@@ -45,18 +45,15 @@ struct HierarchyParams {
   u32 l3_assoc = 8;
   cycles_t l3_hit_latency = 46;
   DdrParams ddr{};
-  /// Use the original probe-then-virtual-access walk with per-event sink
-  /// calls instead of the devirtualized fast path. Both walks do identical
-  /// bookkeeping (same stats, LRU evolution and counter totals); the flag
-  /// exists for the identity tests and the before/after perf benches.
-  bool legacy_walk = false;
 };
 
 /// One node's memory system. Thread-compatible: the runtime guarantees only
 /// one rank executes at a time, so no internal locking.
 class MemoryHierarchy {
  public:
-  /// `sink` receives UPC events for every level (may be null).
+  /// `sink` receives UPC events for every level (may be null). Throws
+  /// std::invalid_argument unless `l1d` is write-through and
+  /// no-write-allocate (the PPC450 policy; the store walk assumes it).
   explicit MemoryHierarchy(const HierarchyParams& params,
                            EventSink* sink = nullptr);
 
@@ -94,14 +91,6 @@ class MemoryHierarchy {
     std::unique_ptr<Cache> l1d;
     std::unique_ptr<L2Unit> l2;
   };
-
-  /// Original walks (probe + virtual access per line, per-event sink
-  /// calls); kept verbatim behind HierarchyParams::legacy_walk for the
-  /// batched-vs-legacy identity tests and the before/after benches.
-  AccessResult read_legacy(unsigned core, addr_t addr, u64 bytes,
-                           cycles_t now);
-  AccessResult write_legacy(unsigned core, addr_t addr, u64 bytes,
-                            cycles_t now);
 
   HierarchyParams params_;
   EventSink* sink_;

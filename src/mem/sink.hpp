@@ -2,13 +2,12 @@
 // Every cache / DDR / network model reports through an EventSink so the
 // models stay testable in isolation (tests plug in a recording sink).
 //
-// Two delivery shapes:
-//  * event(id, count)       — one edge-event report (the original path).
-//  * events(vec, n)         — a batch of reports delivered in one virtual
-//    call. Batching is sum-preserving for edge-configured counters (the
-//    UPC adds the counts either way), so a batch of per-block events is
-//    indistinguishable from the per-instruction stream it replaces except
-//    for costing one virtual dispatch instead of n.
+// One entry point: events(batch, n) delivers a batch of edge-event reports
+// in one virtual call. Batching is sum-preserving for edge-configured
+// counters (the UPC adds the counts either way), so a per-block or per-walk
+// batch is indistinguishable from the stream of single reports it replaces
+// except for costing one virtual dispatch instead of n. A single report is
+// a one-entry batch (emit()).
 #pragma once
 
 #include <cstddef>
@@ -24,32 +23,24 @@ inline constexpr isa::EventId kNoEvent = 0xFFFF;
 class EventSink {
  public:
   virtual ~EventSink() = default;
-  /// Report `count` occurrences of edge event `id`.
-  virtual void event(isa::EventId id, u64 count) = 0;
-  /// Report a batch of edge events in one call. The default forwards each
-  /// entry through event() so recording sinks in tests observe the same
-  /// stream either way; the UPC sink overrides it to hoist the run/mode
-  /// checks out of the loop.
-  virtual void events(const isa::EventCount* batch, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (batch[i].id != kNoEvent && batch[i].count != 0) {
-        event(batch[i].id, batch[i].count);
-      }
-    }
-  }
+  /// Report a batch of edge events: `batch[i].count` occurrences of
+  /// `batch[i].id` for each entry, in order. An entry with kNoEvent or a
+  /// zero count changes nothing.
+  virtual void events(const isa::EventCount* batch, std::size_t n) = 0;
 };
 
 /// Sink that drops everything (for unwired unit tests).
 class NullSink final : public EventSink {
  public:
-  void event(isa::EventId, u64) override {}
   void events(const isa::EventCount*, std::size_t) override {}
 };
 
-/// Helper: emit only when the hook is wired.
+/// Report `count` occurrences of `id` as a one-entry batch; only when the
+/// hook is wired.
 inline void emit(EventSink* sink, isa::EventId id, u64 count) {
   if (sink != nullptr && id != kNoEvent && count != 0) {
-    sink->event(id, count);
+    const isa::EventCount one{id, count};
+    sink->events(&one, 1);
   }
 }
 

@@ -96,11 +96,6 @@ struct MachineConfig {
   /// this cap with a pointer at --sched=parallel (which needs one fiber
   /// per rank and worker threads only).
   unsigned max_rank_threads = 4096;
-  /// Deliver per-class instruction events one virtual sink call at a time
-  /// (the original path) instead of the precomputed per-block event
-  /// vector. Identical counter totals; exists for identity tests and the
-  /// before/after perf benches.
-  bool legacy_block_events = false;
 };
 
 class Machine {

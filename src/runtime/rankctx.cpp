@@ -88,11 +88,7 @@ void RankCtx::loop(const isa::LoopDesc& desc,
                    std::span<const MemRange> ranges) {
   machine_.check_fault(rank_);
   const opt::CompiledLoop& cl = machine_.compile_cached(desc);
-  if (machine_.config().legacy_block_events) {
-    core().execute(cl.ops);
-  } else {
-    core().execute_block(cl.ops, cl.core_events[core().id()]);
-  }
+  core().execute_block(cl.ops, cl.core_events[core().id()]);
   for (const MemRange& r : ranges) {
     touch_no_yield(r, cl.mem_overlap);
   }
@@ -142,11 +138,7 @@ void RankCtx::parallel_loop(const isa::LoopDesc& desc,
     slice.trip = desc.trip / nthreads +
                  (t < desc.trip % nthreads ? 1 : 0);
     const opt::CompiledLoop& cl = machine_.compile_cached(slice);
-    if (machine_.config().legacy_block_events) {
-      core.execute(cl.ops);
-    } else {
-      core.execute_block(cl.ops, cl.core_events[core.id()]);
-    }
+    core.execute_block(cl.ops, cl.core_events[core.id()]);
 
     // Static range split: thread t walks its contiguous slice through the
     // *shared* node caches from its own core.

@@ -7,7 +7,6 @@ Node::Node(unsigned id, const BootOptions& boot)
   mem::HierarchyParams hp;
   hp.l3_size_bytes = boot.l3_size_bytes;
   hp.prefetch = boot.prefetch;
-  hp.legacy_walk = boot.legacy_mem_walk;
   mem_ = std::make_unique<mem::MemoryHierarchy>(hp, &sink_);
   for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {
     cores_[c] = std::make_unique<cpu::Core>(c, cpu::CoreParams{}, &sink_);

@@ -26,10 +26,6 @@ struct BootOptions {
   /// Nodes per node card; card parity selects which half of the event space
   /// a node monitors (§IV's 512-events-in-one-run scheme).
   unsigned nodes_per_card = 2;
-  /// Route memory traffic through the original per-event virtual cache
-  /// walk instead of the devirtualized batched one (identical simulated
-  /// behaviour; exists for identity tests and before/after benches).
-  bool legacy_mem_walk = false;
 };
 
 /// One compute node.
@@ -96,7 +92,6 @@ class Node {
   class UpcSink final : public mem::EventSink {
    public:
     explicit UpcSink(upc::UpcUnit& upc) noexcept : upc_(upc) {}
-    void event(isa::EventId id, u64 count) override { upc_.signal(id, count); }
     void events(const isa::EventCount* batch, std::size_t n) override {
       upc_.signal_batch(batch, n);
     }

@@ -21,6 +21,7 @@ CounterConfig CounterConfig::decode(u32 word) noexcept {
 
 UpcUnit::UpcUnit(addr_t mmio_base) noexcept : mmio_base_(mmio_base) {
   masks_.fill(~u64{0});
+  refresh_derived();  // power-on configs count edges
 }
 
 void UpcUnit::set_counter_width(u8 counter, unsigned bits) {
@@ -125,52 +126,46 @@ void UpcUnit::bump(u8 counter, u64 amount) {
 }
 
 void UpcUnit::signal(isa::EventId id, u64 count) {
-  if (!running_ || isa::event_mode(id) != mode_) return;
-  const u8 counter = isa::event_counter(id);
-  const CounterConfig& cfg = configs_[counter];
-  if (!cfg.enabled) return;
-  if (cfg.signal != SignalMode::kEdgeRise &&
-      cfg.signal != SignalMode::kEdgeFall) {
-    return;  // level-configured counters ignore edge reports
-  }
-  bump(counter, count);
+  const isa::EventCount one{id, count};
+  signal_batch(&one, 1);
 }
 
 void UpcUnit::signal_batch(const isa::EventCount* batch, std::size_t n) {
   if (!running_) return;
   const u16 lo = static_cast<u16>(mode_) * isa::kCountersPerUnit;
-  if (armed_thresholds_ == 0) {
-    // No configured counter can fire a threshold interrupt, so a countable
-    // entry reduces to one masked add (counters are kept masked by every
-    // writer, so re-masking an unchanged value is a no-op). This is the
-    // steady-state loop: shipped samplers arm thresholds rarely or never.
-    // restrict-qualified pointers tell the compiler the counter stores
-    // cannot alias the batch, so it need not reload batch[i] after every
-    // store — without them the loop serializes on the aliasing check.
-    const isa::EventCount* __restrict__ b = batch;
-    u64* __restrict__ ctr = counters_.data();
-    const u64* __restrict__ msk = masks_.data();
-    const u8* __restrict__ countable = edge_countable_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      const u16 rel = static_cast<u16>(b[i].id - lo);
-      if (rel >= isa::kCountersPerUnit) continue;  // other mode's event
-      const u8 counter = static_cast<u8>(rel);
-      if (!countable[counter]) continue;
-      ctr[counter] = (ctr[counter] + b[i].count) & msk[counter];
-    }
+  if (armed_thresholds_ != 0) {
+    signal_armed(batch, n, lo);
     return;
   }
-  const u16 hi = static_cast<u16>(lo + isa::kCountersPerUnit);
+  // No configured counter can fire a threshold interrupt, so a countable
+  // entry reduces to one masked add (counters are kept masked by every
+  // writer, so re-masking an unchanged value is a no-op). This is the
+  // steady-state loop: shipped samplers arm thresholds rarely or never.
+  // restrict-qualified pointers tell the compiler the counter stores
+  // cannot alias the batch, so it need not reload batch[i] after every
+  // store — without them the loop serializes on the aliasing check.
+  const isa::EventCount* __restrict__ b = batch;
+  u64* __restrict__ ctr = counters_.data();
+  const u64* __restrict__ msk = masks_.data();
+  const u8* __restrict__ countable = edge_countable_.data();
   for (std::size_t i = 0; i < n; ++i) {
-    const isa::EventId id = batch[i].id;
-    if (id < lo || id >= hi) continue;
-    const u8 counter = static_cast<u8>(id - lo);
-    const CounterConfig& cfg = configs_[counter];
-    if (!cfg.enabled) continue;
-    if (cfg.signal != SignalMode::kEdgeRise &&
-        cfg.signal != SignalMode::kEdgeFall) {
-      continue;
-    }
+    const u16 rel = static_cast<u16>(b[i].id - lo);
+    if (rel >= isa::kCountersPerUnit) continue;  // other mode's event
+    const u8 counter = static_cast<u8>(rel);
+    if (!countable[counter]) continue;  // disabled or level-configured
+    ctr[counter] = (ctr[counter] + b[i].count) & msk[counter];
+  }
+}
+
+void UpcUnit::signal_armed(const isa::EventCount* batch, std::size_t n,
+                           u16 lo) {
+  // A counter may fire (and its handler reconfigure the unit) mid-batch,
+  // so count entry by entry through bump().
+  for (std::size_t i = 0; i < n; ++i) {
+    const u16 rel = static_cast<u16>(batch[i].id - lo);
+    if (rel >= isa::kCountersPerUnit) continue;
+    const u8 counter = static_cast<u8>(rel);
+    if (!edge_countable_[counter]) continue;
     bump(counter, batch[i].count);
   }
 }

@@ -48,9 +48,10 @@ class UpcError : public std::runtime_error {
 
 /// One UPC unit (one per node).
 ///
-/// Hardware units report activity via signal() / signal_level(); whether a
-/// given report increments a physical counter depends on the unit's counter
-/// mode, the counter's enable bit and its signal-mode configuration.
+/// Hardware units report activity via signal_batch() / signal_level();
+/// whether a given report increments a physical counter depends on the
+/// unit's counter mode, the counter's enable bit and its signal-mode
+/// configuration.
 class UpcUnit {
  public:
   static constexpr unsigned kNumCounters = isa::kCountersPerUnit;
@@ -101,16 +102,14 @@ class UpcUnit {
   }
 
   // -- event input from hardware units -------------------------------------
-  /// Report `count` edge events for `id`. Counted iff the unit is running,
-  /// set to the event's mode, the counter is enabled and configured for an
-  /// edge signal mode.
-  void signal(isa::EventId id, u64 count = 1);
-
-  /// Report a batch of edge events in one call; equivalent to signal()ing
-  /// each entry in order (edge counting is sum-preserving), but the
-  /// running check is hoisted out of the loop. The hot path of the block-
-  /// batched event delivery.
+  /// Report a batch of edge events in one call, entry by entry in order.
+  /// An entry is counted iff the unit is running, set to the event's mode,
+  /// and the counter is enabled and configured for an edge signal mode.
+  /// Every event source reaches the unit through here (sys::Node's sink).
   void signal_batch(const isa::EventCount* batch, std::size_t n);
+
+  /// Report `count` edge events for `id`: a one-entry signal_batch().
+  void signal(isa::EventId id, u64 count = 1);
 
   /// Report a level signal observation: the signal was high for
   /// `cycles_high` of a `window`-cycle observation window. LEVEL_HIGH
@@ -145,6 +144,12 @@ class UpcUnit {
 
  private:
   void bump(u8 counter, u64 amount);
+  /// signal_batch() with a threshold armed. Kept out of line so the
+  /// interrupt-free loop stays a leaf call: a one-entry batch is the
+  /// common delivery (the cache miss chain), and it pays no register
+  /// spills for the bump() path it does not take.
+  [[gnu::noinline]] void signal_armed(const isa::EventCount* batch,
+                                      std::size_t n, u16 lo);
   void fire_threshold(u8 counter);
   /// A threshold (re)write that lands at or below the current count raises
   /// the interrupt immediately unless the old configuration had already
@@ -162,8 +167,8 @@ class UpcUnit {
   std::array<u64, kNumCounters> masks_;  ///< per-counter width mask
   std::array<CounterConfig, kNumCounters> configs_{};
   /// Derived from configs_: counter is enabled with an edge signal mode,
-  /// i.e. a signal()/signal_batch() report lands in it. Lets the batch
-  /// fast path reduce a countable entry to one masked add.
+  /// i.e. a signal_batch() report lands in it. Lets the batch loop reduce
+  /// a countable entry to one masked add.
   std::array<u8, kNumCounters> edge_countable_{};
   /// Counters whose config could fire a threshold interrupt
   /// (interrupt_enable with a nonzero threshold). Zero on every shipped

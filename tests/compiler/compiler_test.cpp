@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cpu/core.hpp"
 
 namespace bgp::opt {
@@ -24,6 +26,43 @@ LoopDesc daxpy(u64 trip = 1000) {
   d.body.int_at(IntOp::kBranch) = 1;
   d.vectorizable = 1.0;
   return d;
+}
+
+/// The block event vector is the one definition of what a bundle signals:
+/// every nonzero op class in enum order, then INSTR_COMPLETED, as core-0
+/// mode-0 ids. Expected counts are worked out by hand from daxpy(1000).
+TEST(Compiler, BlockEventsAtBaseline) {
+  const auto out = Compiler(OptConfig::parse("-O")).compile(daxpy());
+  // -O: body x trip, nothing transformed.
+  const std::vector<isa::EventCount> expected = {
+      {isa::ev::fpu_op(0, FpOp::kFma), 1000},
+      {isa::ev::ls_op(0, LsOp::kLoadDouble), 2000},
+      {isa::ev::ls_op(0, LsOp::kStoreDouble), 1000},
+      {isa::ev::int_op(0, IntOp::kAlu), 4000},
+      {isa::ev::int_op(0, IntOp::kBranch), 1000},
+      {isa::ev::instr_completed(0), 9000},
+  };
+  EXPECT_EQ(out.events, expected);
+  for (const auto& batch : out.core_events) EXPECT_TRUE(batch.empty());
+}
+
+TEST(Compiler, BlockEventsAtO5Qarch440d) {
+  const auto out =
+      Compiler(OptConfig::parse("-O5 -qarch440d")).compile(daxpy());
+  // Fully vectorizable at 100% SIMD efficiency: 1000 FMAs pair into 500
+  // SIMD FMAs, 2000 double loads into 1000 quad loads, 1000 double stores
+  // into 500 quad stores. ALU ops scale by 0.62 (4000 -> 2480), 8x
+  // unrolling leaves floor(1007 / 8) = 125 branches, IPA has no calls to
+  // remove. 500 + 1000 + 500 + 2480 + 125 = 4605 instructions.
+  const std::vector<isa::EventCount> expected = {
+      {isa::ev::fpu_op(0, FpOp::kSimdFma), 500},
+      {isa::ev::ls_op(0, LsOp::kLoadQuad), 1000},
+      {isa::ev::ls_op(0, LsOp::kStoreQuad), 500},
+      {isa::ev::int_op(0, IntOp::kAlu), 2480},
+      {isa::ev::int_op(0, IntOp::kBranch), 125},
+      {isa::ev::instr_completed(0), 4605},
+  };
+  EXPECT_EQ(out.events, expected);
 }
 
 TEST(Compiler, BaselineKeepsScalarForm) {

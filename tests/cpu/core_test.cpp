@@ -14,13 +14,17 @@ using isa::OpMix;
 
 class Recorder final : public mem::EventSink {
  public:
-  void event(isa::EventId id, u64 count) override { counts[id] += count; }
+  void events(const isa::EventCount* b, std::size_t n) override {
+    ++calls;
+    for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
+  }
   std::map<isa::EventId, u64> counts;
+  unsigned calls = 0;
 };
 
 TEST(Core, EmptyBundleCostsNothing) {
   Core c(0, CoreParams{});
-  EXPECT_EQ(c.execute(OpMix{}), 0u);
+  EXPECT_EQ(c.execute_block(OpMix{}, {}), 0u);
   EXPECT_EQ(c.now(), 0u);
 }
 
@@ -88,7 +92,7 @@ TEST(Core, ExecuteAccumulatesStatsAndTime) {
   OpMix m;
   m.fp_at(FpOp::kSimdFma) = 10;
   m.ls_at(LsOp::kLoadQuad) = 5;
-  c.execute(m);
+  c.execute_block(m, {});
   EXPECT_EQ(c.stats().instructions, 15u);
   EXPECT_EQ(c.stats().flops, 40u);
   EXPECT_EQ(c.now(), c.stats().compute_cycles);
@@ -100,16 +104,26 @@ TEST(Core, ExecuteAccumulatesStatsAndTime) {
 }
 
 TEST(Core, SignalsFpuAndCycleEvents) {
+  // The block batch (built by the compile cache in a real run) goes to the
+  // sink as-is, in one call, and the core charges the bundle's cycles.
   Recorder rec;
   Core c(2, CoreParams{}, &rec);
   OpMix m;
   m.fp_at(FpOp::kSimdAddSub) = 7;
   m.int_at(IntOp::kAlu) = 3;
-  const cycles_t cycles = c.execute(m);
+  const isa::EventCount batch[] = {
+      {isa::ev::fpu_op(2, FpOp::kSimdAddSub), 7},
+      {isa::ev::int_op(2, IntOp::kAlu), 3},
+      {isa::ev::instr_completed(2), 10},
+      {isa::ev::cycle_count(2), 7},  // FPU-bound: 7 SIMD adds
+  };
+  EXPECT_EQ(c.execute_block(m, batch), 7u);
+  EXPECT_EQ(rec.calls, 1u);
   EXPECT_EQ(rec.counts[isa::ev::fpu_op(2, FpOp::kSimdAddSub)], 7u);
   EXPECT_EQ(rec.counts[isa::ev::int_op(2, IntOp::kAlu)], 3u);
   EXPECT_EQ(rec.counts[isa::ev::instr_completed(2)], 10u);
-  EXPECT_EQ(rec.counts[isa::ev::cycle_count(2)], cycles);
+  EXPECT_EQ(rec.counts[isa::ev::cycle_count(2)], 7u);
+  EXPECT_EQ(c.now(), 7u);
 }
 
 TEST(Core, SyncToOnlyMovesForward) {

@@ -6,7 +6,10 @@
 // compared with host-nanosecond fields zeroed, the one wall-clock channel
 // in the formats). The matrix covers {SMP, DUAL, VNM} x {no fault, kill-2,
 // FT kill-3} with tracing and the flight recorder both attached, plus a
-// 256-rank stress cell on eight workers.
+// 256-rank stress cell on eight workers. Each cell also pins a golden
+// digest of every artifact plus Machine::elapsed() (golden.hpp), so a
+// change to any simulated byte fails here even when both schedulers agree
+// on it.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,6 +20,7 @@
 #include "core/session.hpp"
 #include "fault/fault.hpp"
 #include "ft/ftcomm.hpp"
+#include "golden.hpp"
 #include "nas/kernel.hpp"
 #include "obs/span_io.hpp"
 #include "runtime/machine.hpp"
@@ -33,9 +37,6 @@ struct MatrixCell {
   unsigned deaths = 0;
   bool ft = false;
   unsigned jobs = 4;
-  /// Run with the legacy per-instruction event emission and the legacy
-  /// virtual cache walk instead of the batched/devirtualized fast paths.
-  bool legacy = false;
 };
 
 /// Everything observable a run leaves behind, in comparable form.
@@ -77,8 +78,7 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
   const fs::path dir =
       fs::temp_directory_path() /
       (std::string("bgpc_sched_") + ti->name() +
-       (sched == rt::SchedMode::kParallel ? "_par" : "_ser") +
-       (cell.legacy ? "_legacy" : ""));
+       (sched == rt::SchedMode::kParallel ? "_par" : "_ser"));
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -87,8 +87,6 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
   mc.mode = cell.mode;
   mc.sched = sched;
   mc.jobs = sched == rt::SchedMode::kParallel ? cell.jobs : 0;
-  mc.legacy_block_events = cell.legacy;
-  mc.boot.legacy_mem_walk = cell.legacy;
   rt::Machine machine(mc);
 
   fault::FaultInjector injector{[&] {
@@ -141,9 +139,24 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
   return a;
 }
 
-void expect_identical(const MatrixCell& cell) {
+/// Digest of every artifact (name, size, bytes; in name order) and the
+/// simulated elapsed time.
+u64 digest(const RunArtifacts& a) {
+  u64 h = golden::kSeed;
+  for (const auto& [name, bytes] : a.files) {
+    h = golden::add(h, name);
+    h = golden::add(h, u64{bytes.size()});
+    h = golden::add(h, bytes);
+  }
+  return golden::add(h, a.elapsed);
+}
+
+void expect_identical(const MatrixCell& cell, u64 golden_digest) {
   const RunArtifacts ser = run_cell(cell, rt::SchedMode::kSerial);
   const RunArtifacts par = run_cell(cell, rt::SchedMode::kParallel);
+
+  const u64 got = digest(ser);
+  EXPECT_EQ(got, golden_digest) << "digest is " << golden::hex(got);
 
   EXPECT_EQ(ser.elapsed, par.elapsed);
   EXPECT_EQ(ser.dead_nodes, par.dead_nodes);
@@ -158,79 +171,47 @@ void expect_identical(const MatrixCell& cell) {
 }
 
 TEST(SchedDeterminism, Smp1Plain) {
-  expect_identical({.mode = sys::OpMode::kSmp1});
+  expect_identical({.mode = sys::OpMode::kSmp1}, 0x9d094d7936cb3306);
 }
 TEST(SchedDeterminism, Smp1Kill2) {
-  expect_identical({.mode = sys::OpMode::kSmp1, .deaths = 2});
+  expect_identical({.mode = sys::OpMode::kSmp1, .deaths = 2},
+                   0x2264f2a819730710);
 }
 TEST(SchedDeterminism, Smp1FtKill3) {
   expect_identical({.mode = sys::OpMode::kSmp1, .nodes = 8, .deaths = 3,
-                    .ft = true});
+                    .ft = true},
+                   0x8593434f57b5c428);
 }
 TEST(SchedDeterminism, DualPlain) {
-  expect_identical({.mode = sys::OpMode::kDual});
+  expect_identical({.mode = sys::OpMode::kDual}, 0x021372ecab8c7926);
 }
 TEST(SchedDeterminism, DualKill2) {
-  expect_identical({.mode = sys::OpMode::kDual, .deaths = 2});
+  expect_identical({.mode = sys::OpMode::kDual, .deaths = 2},
+                   0x743d9083d477bd27);
 }
 TEST(SchedDeterminism, DualFtKill3) {
   expect_identical({.mode = sys::OpMode::kDual, .nodes = 8, .deaths = 3,
-                    .ft = true});
+                    .ft = true},
+                   0xcdf4b0a9d5fea377);
 }
 TEST(SchedDeterminism, VnmPlain) {
-  expect_identical({.mode = sys::OpMode::kVnm});
+  expect_identical({.mode = sys::OpMode::kVnm}, 0xd08771ca1f69fb8f);
 }
 TEST(SchedDeterminism, VnmKill2) {
-  expect_identical({.mode = sys::OpMode::kVnm, .deaths = 2});
+  expect_identical({.mode = sys::OpMode::kVnm, .deaths = 2},
+                   0x0b2bd36df90045b2);
 }
 TEST(SchedDeterminism, VnmFtKill3) {
   expect_identical({.mode = sys::OpMode::kVnm, .nodes = 8, .deaths = 3,
-                    .ft = true});
+                    .ft = true},
+                   0x4a68d6e03809f777);
 }
 
 /// 256 ranks (64 VNM nodes) on eight workers: the stress cell where
 /// commit-order races would actually show up.
 TEST(SchedDeterminism, Stress256Ranks) {
-  expect_identical({.mode = sys::OpMode::kVnm, .nodes = 64, .jobs = 8});
-}
-
-/// The batched/devirtualized fast paths against the legacy walk and
-/// per-instruction event delivery: same pinned seed, every artifact
-/// byte-identical. Runs under the named scheduler for both variants.
-void expect_fast_matches_legacy(MatrixCell cell, rt::SchedMode sched) {
-  cell.legacy = true;
-  const RunArtifacts legacy = run_cell(cell, sched);
-  cell.legacy = false;
-  const RunArtifacts fast = run_cell(cell, sched);
-
-  EXPECT_EQ(legacy.elapsed, fast.elapsed);
-  EXPECT_EQ(legacy.dead_nodes, fast.dead_nodes);
-  EXPECT_EQ(legacy.recovery_events, fast.recovery_events);
-  ASSERT_FALSE(legacy.files.empty());
-  ASSERT_EQ(legacy.files.size(), fast.files.size());
-  for (const auto& [name, bytes] : legacy.files) {
-    const auto it = fast.files.find(name);
-    ASSERT_NE(it, fast.files.end()) << name << " missing from fast-path run";
-    EXPECT_EQ(bytes, it->second) << name << " differs legacy vs fast path";
-  }
-}
-
-TEST(SchedDeterminism, FastPathVnmPlainSerial) {
-  expect_fast_matches_legacy({.mode = sys::OpMode::kVnm},
-                             rt::SchedMode::kSerial);
-}
-TEST(SchedDeterminism, FastPathVnmPlainParallel) {
-  expect_fast_matches_legacy({.mode = sys::OpMode::kVnm},
-                             rt::SchedMode::kParallel);
-}
-TEST(SchedDeterminism, FastPathVnmKill2Serial) {
-  expect_fast_matches_legacy({.mode = sys::OpMode::kVnm, .deaths = 2},
-                             rt::SchedMode::kSerial);
-}
-TEST(SchedDeterminism, FastPathDualFtKill3Parallel) {
-  expect_fast_matches_legacy(
-      {.mode = sys::OpMode::kDual, .nodes = 8, .deaths = 3, .ft = true},
-      rt::SchedMode::kParallel);
+  expect_identical({.mode = sys::OpMode::kVnm, .nodes = 64, .jobs = 8},
+                   0x4b99c233bd75c824);
 }
 
 }  // namespace

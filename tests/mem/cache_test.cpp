@@ -151,7 +151,9 @@ TEST(Cache, ThrashingBeyondCapacity) {
 TEST(Cache, EventsEmittedToSink) {
   class Recorder final : public EventSink {
    public:
-    void event(isa::EventId id, u64 count) override { counts[id] += count; }
+    void events(const isa::EventCount* b, std::size_t n) override {
+      for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
+    }
     std::map<isa::EventId, u64> counts;
   } rec;
 

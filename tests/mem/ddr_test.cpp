@@ -89,7 +89,9 @@ TEST(DdrSystem, InterleavingHalvesQueueing) {
 TEST(DdrSystem, EmitsUpcEventsWhenWired) {
   class Recorder final : public EventSink {
    public:
-    void event(isa::EventId id, u64 count) override { total[id] += count; }
+    void events(const isa::EventCount* b, std::size_t n) override {
+      for (std::size_t i = 0; i < n; ++i) total[b[i].id] += b[i].count;
+    }
     std::map<isa::EventId, u64> total;
   } rec;
   DdrParams p;

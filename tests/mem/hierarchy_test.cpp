@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace bgp::mem {
 namespace {
 
@@ -10,6 +12,23 @@ TEST(Hierarchy, BuildsWithDefaults) {
   EXPECT_TRUE(h.has_l3());
   EXPECT_EQ(h.l3().params().size_bytes, 8 * MiB);
   EXPECT_EQ(h.l1d(0).params().size_bytes, 32 * KiB);
+}
+
+TEST(Hierarchy, RejectsAnL1dTheStoreWalkCannotModel) {
+  // The store walk forwards every store below the L1 and never allocates:
+  // the PPC450 policy. A write-back or write-allocate L1D is refused.
+  HierarchyParams write_back;
+  write_back.l1d.write_through = false;
+  write_back.l1d.write_allocate = false;
+  EXPECT_THROW(MemoryHierarchy{write_back}, std::invalid_argument);
+  HierarchyParams allocating;
+  allocating.l1d.write_allocate = true;
+  EXPECT_THROW(MemoryHierarchy{allocating}, std::invalid_argument);
+  HierarchyParams both;
+  both.l1d.write_through = false;
+  both.l1d.write_allocate = true;
+  EXPECT_THROW(MemoryHierarchy{both}, std::invalid_argument);
+  EXPECT_NO_THROW(MemoryHierarchy{HierarchyParams{}});
 }
 
 TEST(Hierarchy, L3DisabledRoutesMissesToDdr) {

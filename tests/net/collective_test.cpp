@@ -25,7 +25,9 @@ TEST(Collective, LatencyGrowsWithNodesAndBytes) {
 TEST(Collective, RecordsOnAllNodes) {
   class Recorder final : public mem::EventSink {
    public:
-    void event(isa::EventId id, u64 count) override { counts[id] += count; }
+    void events(const isa::EventCount* b, std::size_t n) override {
+      for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
+    }
     std::map<isa::EventId, u64> counts;
   };
   CollectiveNet net(4);
@@ -51,7 +53,9 @@ TEST(Barrier, LatencyGrowsSlowlyWithNodes) {
 TEST(Barrier, RecordsEntries) {
   class Recorder final : public mem::EventSink {
    public:
-    void event(isa::EventId id, u64 count) override { counts[id] += count; }
+    void events(const isa::EventCount* b, std::size_t n) override {
+      for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
+    }
     std::map<isa::EventId, u64> counts;
   };
   BarrierNet net(2);

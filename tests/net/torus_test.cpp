@@ -85,7 +85,9 @@ TEST(Torus, NearestNeighbourLatencyIsSubMicrosecond) {
 TEST(Torus, RecordsEventsOnBothEndpoints) {
   class Recorder final : public mem::EventSink {
    public:
-    void event(isa::EventId id, u64 count) override { counts[id] += count; }
+    void events(const isa::EventCount* b, std::size_t n) override {
+      for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
+    }
     std::map<isa::EventId, u64> counts;
   };
   Torus t(Shape{4, 1, 1});

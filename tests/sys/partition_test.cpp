@@ -29,11 +29,11 @@ TEST(Node, HardwareEventsReachTheUpc) {
   Node n(0);
   n.upc().set_mode(0);
   n.upc().start();
-  n.core(2).execute([] {
-    isa::OpMix m;
-    m.fp_at(isa::FpOp::kSimdFma) = 42;
-    return m;
-  }());
+  isa::OpMix m;
+  m.fp_at(isa::FpOp::kSimdFma) = 42;
+  const isa::EventCount batch[] = {
+      {isa::ev::fpu_op(2, isa::FpOp::kSimdFma), 42}};
+  n.core(2).execute_block(m, batch);
   const auto counter = isa::event_counter(isa::ev::fpu_op(2, isa::FpOp::kSimdFma));
   EXPECT_EQ(n.upc().read(counter), 42u);
 }

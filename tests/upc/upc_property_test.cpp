@@ -4,6 +4,10 @@
 // active mode's physical counters.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "upc/upc_unit.hpp"
 
 namespace bgp::upc {
@@ -90,6 +94,109 @@ TEST(UpcProperty, StopStartPairsNeverLoseCounts) {
     u.start();
   }
   EXPECT_EQ(u.read(isa::event_counter(id)), expect);
+}
+
+/// A unit in mode 1 with a mix of counter configurations: level-
+/// configured and disabled counters, optionally armed thresholds (one of
+/// them re-armed by the handler so it fires repeatedly), and one counter
+/// narrowed to 12 bits and preloaded just below its wrap.
+struct BatchFixture {
+  UpcUnit unit;
+  std::vector<std::pair<u8, u64>> interrupts;
+
+  BatchFixture(const BatchFixture&) = delete;  // the handler holds `this`
+  BatchFixture& operator=(const BatchFixture&) = delete;
+
+  explicit BatchFixture(bool armed) {
+    unit.set_mode(1);
+    CounterConfig level;
+    level.signal = SignalMode::kLevelHigh;
+    CounterConfig disabled;
+    disabled.enabled = false;
+    for (u8 c = 0; c < 8; ++c) unit.configure(c, level);
+    for (u8 c = 8; c < 16; ++c) unit.configure(c, disabled);
+    unit.set_counter_width(200, 12);
+    unit.write(200, 4000);  // wraps at 4096
+    if (armed) {
+      for (u8 c : {u8{20}, u8{40}, u8{200}, u8{255}}) {
+        CounterConfig cfg;
+        cfg.interrupt_enable = true;
+        cfg.threshold = c == 200 ? 4090 : 500;
+        unit.configure(c, cfg);
+      }
+    }
+    unit.set_threshold_handler([this](u8 counter, u64 value) {
+      interrupts.emplace_back(counter, value);
+      if (counter == 40) {  // re-arm: fire again 500 counts later
+        CounterConfig cfg = unit.config(counter);
+        cfg.threshold = value + 500;
+        unit.configure(counter, cfg);
+      }
+    });
+    unit.start();
+  }
+};
+
+/// n entries mixing own-mode (1) and other-mode ids, level-configured,
+/// disabled, narrowed and threshold counters, kNoEvent and zero counts.
+std::vector<isa::EventCount> mixed_batch(std::size_t n, u64 seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<isa::EventCount> batch;
+  batch.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 r = rng();
+    isa::EventId id;
+    switch (r % 8) {
+      case 0: id = 0xFFFF; break;  // kNoEvent
+      case 1: id = static_cast<isa::EventId>(rng() % isa::kNumEvents); break;
+      case 2: id = static_cast<isa::EventId>(256 + rng() % 16); break;
+      case 3: id = 256 + 200; break;
+      case 4: id = rng() % 2 == 0 ? 256 + 20 : 256 + 40; break;
+      default: id = static_cast<isa::EventId>(256 + rng() % 256); break;
+    }
+    const u64 count = (r >> 8) % 4 == 0 ? 0 : 1 + (r >> 16) % 90;
+    batch.push_back({id, count});
+  }
+  return batch;
+}
+
+TEST(UpcProperty, OneBatchEqualsTheSameReportsOneByOne) {
+  for (const bool armed : {false, true}) {
+    const auto batch = mixed_batch(2000, armed ? 2 : 1);
+    BatchFixture whole(armed);
+    BatchFixture singles(armed);
+    whole.unit.signal_batch(batch.data(), batch.size());
+    for (const isa::EventCount& e : batch) singles.unit.signal(e.id, e.count);
+
+    EXPECT_EQ(whole.unit.snapshot(), singles.unit.snapshot())
+        << (armed ? "armed" : "unarmed");
+    EXPECT_EQ(whole.interrupts, singles.interrupts)
+        << (armed ? "armed" : "unarmed");
+    EXPECT_EQ(whole.unit.threshold_interrupts(),
+              singles.unit.threshold_interrupts());
+    // The narrowed counter carried across its wrap; the level-configured
+    // and disabled ones never moved.
+    u64 sum200 = 4000;
+    for (const isa::EventCount& e : batch) {
+      if (e.id == 256 + 200) sum200 += e.count;
+    }
+    EXPECT_GT(sum200, 4096u);
+    EXPECT_EQ(whole.unit.read(200), sum200 % 4096);
+    for (u8 c = 0; c < 16; ++c) EXPECT_EQ(whole.unit.read(c), 0u);
+    if (armed) {
+      // Counter 40 fired, was re-armed and fired again; counter 200
+      // crossed 4090 on its way to the wrap.
+      std::size_t fired40 = 0, fired200 = 0;
+      for (const auto& [counter, value] : whole.interrupts) {
+        fired40 += counter == 40;
+        fired200 += counter == 200;
+      }
+      EXPECT_GT(fired40, 1u);
+      EXPECT_GE(fired200, 1u);
+    } else {
+      EXPECT_TRUE(whole.interrupts.empty());
+    }
+  }
 }
 
 }  // namespace
