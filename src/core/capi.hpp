@@ -1,8 +1,8 @@
 // C-flavoured facade mirroring the paper's function names exactly
 // (BGP_Initialize / BGP_Start / BGP_Stop / BGP_Finalize operating on an
 // ambient session, as application code on the real machine would call
-// them). Bind a Session first; the runtime's single-token scheduling makes
-// the ambient pointer safe.
+// them). Bind a Session before Machine::run; ranks only read the ambient
+// pointer, so sharing it across scheduler workers is safe.
 #pragma once
 
 #include "core/session.hpp"

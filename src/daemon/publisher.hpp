@@ -7,7 +7,7 @@
 // at the same cycles and dump identical bytes.
 //
 // Thread safety: a node's pulse hook only ever runs on the thread currently
-// executing that node (both dispatchers guarantee node exclusivity), so
+// executing that node (the scheduler runs one rank per node at a time), so
 // per-node publisher state needs no locks and reading the node's plain
 // counter array is race-free. Cross-thread publication into the mmap goes
 // through SnapshotWriter's seqlocked slots.

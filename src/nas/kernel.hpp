@@ -57,8 +57,8 @@ class Kernel {
  protected:
   explicit Kernel(ProblemClass cls) noexcept : class_(cls) {}
 
-  /// Record the global verification outcome (call from rank 0 only; the
-  /// scheduler token serializes access).
+  /// Record the global verification outcome (call from rank 0 only, the
+  /// single writer; read after Machine::run returns).
   void record(bool ok, std::string detail) {
     result_ = KernelResult{ok, std::move(detail)};
   }

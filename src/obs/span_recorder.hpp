@@ -3,8 +3,8 @@
 // plus instant events, each stamped with both the simulated-cycle clock
 // of the owning core and a host monotonic-nanosecond clock shared by the
 // whole FlightRecorder. One recorder per (node, core); a recorder is only
-// ever mutated from the rank thread that owns that core while it holds
-// the scheduler token, so no synchronization is needed.
+// ever mutated by the rank that owns that core, and the scheduler runs one
+// rank per node at a time, so no synchronization is needed.
 #pragma once
 
 #include <chrono>

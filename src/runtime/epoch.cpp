@@ -12,6 +12,7 @@ namespace {
 
 unsigned worker_count(const MachineConfig& cfg, unsigned num_nodes,
                       unsigned num_ranks) {
+  if (cfg.sched == SchedMode::kSerial) return 1;
   unsigned n = cfg.jobs != 0 ? cfg.jobs
                              : std::max(1u, std::thread::hardware_concurrency());
   // The node is the unit of host parallelism (its ranks share simulated
@@ -35,7 +36,7 @@ EpochScheduler::EpochScheduler(Machine& machine, const RankFn& program)
   for (unsigned r = 0; r < machine_.num_ranks(); ++r) {
     RankCtx& ctx = *machine_.ranks_[r]->ctx;
     states_[r].node = ctx.node_id();
-    states_[r].key = ctx.core().now();  // boot skew: same key pick_next sees
+    states_[r].key = ctx.core().now();  // boot skew
     states_[r].qnode.rank = r;
     nodes_[states_[r].node].residents.push_back(r);
     pending_q_.push(states_[r].key, r);
@@ -59,6 +60,12 @@ int EpochScheduler::pick_local_locked(unsigned node) {
   for (const unsigned r : ns.residents) {
     if (!pending(r)) continue;
     const RankState& s = states_[r];
+    // A rank whose commit ran while it was parked is still mid-segment,
+    // as if the commit had run in place: the greedy order lets it finish
+    // its segment before any other rank of its node starts, even one its
+    // commit woke at an earlier key (that rank's pulse would otherwise
+    // take a trace sample this one is due).
+    if (s.phase == Phase::kReadyResume) return static_cast<int>(r);
     if (best < 0 || SchedKey{s.key, r} <
                         SchedKey{best_key, static_cast<unsigned>(best)}) {
       best = static_cast<int>(r);
@@ -74,18 +81,12 @@ int EpochScheduler::pick_local_locked(unsigned node) {
       // running rank already owns the executor; either way this node's
       // executor has nothing to dispatch right now.
       return -1;
-    case Phase::kReadyResume:
-      // Mid-segment continuation: the serial dispatcher never preempts a
-      // running rank. In strict mode the world must stay frozen around
-      // the single progressing rank, so even resumes gate on global order.
-      if (strict_ && global_min_locked() != best) return -1;
-      return best;
     case Phase::kStartable: {
       if (strict_) {
         return global_min_locked() == best ? best : -1;
       }
       // Hazard gate: a locally-blocked rank could be woken by a commit at
-      // a key below ours, and the serial dispatcher would run it first on
+      // a key below ours, and the greedy order would run it first on
       // these very caches. Blocked clocks are stable under the lock.
       const unsigned br = static_cast<unsigned>(best);
       for (const unsigned w : ns.residents) {
@@ -171,8 +172,7 @@ void EpochScheduler::node_loop(unsigned node) {
     s.phase = Phase::kRunning;
     if (!s.fiber) {
       const unsigned rank = static_cast<unsigned>(r);
-      s.fiber = std::make_unique<Fiber>(machine_.config().fiber_stack_bytes,
-                                        [this, rank] { fiber_main(rank); });
+      s.fiber = std::make_unique<Fiber>([this, rank] { fiber_main(rank); });
     }
     Fiber* fiber = s.fiber.get();
     lock.unlock();
@@ -296,8 +296,7 @@ void EpochScheduler::fiber_main(unsigned rank) {
   } catch (const NodeDeathFault& death) {
     // Death bookkeeping mutates shared lists and obs counters: commit it
     // at this rank's slot (faults imply strict mode, so the slot is
-    // immediate — same point in the order the serial dispatcher records
-    // it at).
+    // immediate).
     const bool inherited = death.inherited;
     run_at_slot(rank,
                 [this, rank, inherited] {

@@ -1,4 +1,5 @@
-// The parallel epoch scheduler (MachineConfig::sched == kParallel).
+// The epoch scheduler: Machine's only dispatcher. MachineConfig::sched
+// and jobs choose its worker count; nothing else depends on them.
 //
 // Model: each rank runs on its own fiber; fibers are multiplexed onto a
 // bounded worker pool with one task per *node* (a node's ranks share the
@@ -6,18 +7,18 @@
 // unit of host parallelism). A rank runs its compute segment lock-free
 // (its core, caches and counters are private while it runs) and parks at
 // every cross-rank interaction; interactions execute as *commits* in
-// ascending (simulated cycle at segment start, rank) order — exactly the
-// order the serial dispatcher's pick_next produces — so same-seed runs
-// are byte-identical to --sched=serial.
+// ascending (simulated cycle at segment start, rank) order, so same-seed
+// runs are byte-identical for every worker count.
 //
-// Why the order matches the serial dispatcher (the commit-order theorem):
-// the serial scheduler is greedy — at each step it runs the minimum
-// (key, rank) over the *dynamic* set of pending ranks, where a rank's key
-// is its core clock frozen at the moment it became ready. Here a commit
-// executes only when its rank is the global minimum over pending ranks,
-// and a rank woken by a commit joins the pending set only at that commit
-// (same as serial). Induction over commits: both schedulers pop the same
-// greedy sequence.
+// The reference order (the commit-order theorem): the *greedy order* runs,
+// at each step, the minimum (key, rank) over the *dynamic* set of pending
+// ranks, where a rank's key is its core clock frozen at the moment it
+// became ready, until that rank reaches its next cross-rank interaction.
+// Here a commit executes only when its rank is the global minimum over
+// pending ranks, and a rank woken by a commit joins the pending set only
+// at that commit, with its clock at that commit as its key. Induction
+// over commits: the commit sequence is the greedy sequence, whatever the
+// worker count and however segments interleave on the host.
 //
 // Concurrency rules that keep compute segments parallel:
 //  * A rank may *start* a segment (kStartable) out of global order when no
@@ -28,14 +29,13 @@
 //    stable while blocked: only commits move them, and commits serialize
 //    under the scheduler lock.)
 //  * A rank *resuming* mid-segment after a commit (kReadyResume) continues
-//    immediately — the serial scheduler never preempts a running rank
-//    either.
+//    immediately and before any other rank of its node, exactly as if its
+//    commit had run in place — the greedy order never preempts a running
+//    rank, not even for a rank its commit woke at an earlier key.
 //  * Strict mode (fault injection or FT enabled): segments read global
 //    state mid-flight (death schedules, revocation flags, group
-//    membership), so both kStartable and kReadyResume gate on the global
-//    minimum — at most one rank progresses at a time, in exactly serial
-//    order, and the world is frozen around it. Same results, no races,
-//    still one fiber per rank instead of one thread.
+//    membership), so kStartable gates on the global minimum — ranks start
+//    one at a time, in exactly the greedy order.
 //  * Segment boundaries are lock-free under contention: a fiber that
 //    fails the scheduler-mutex try_lock publishes its transition to an
 //    MPSC commit queue (runtime/commitq.hpp) and parks instead of
@@ -66,7 +66,7 @@ class EpochScheduler {
   ~EpochScheduler();
 
   /// Drive every rank to a terminal status. Deadlock diagnostics are
-  /// thrown after all fibers unwound, mirroring the serial dispatcher.
+  /// thrown after all fibers unwound.
   void run();
 
   // -- called from rank fibers (via Machine) ------------------------------
@@ -147,8 +147,7 @@ class EpochScheduler {
   std::vector<RankState> states_;
   std::vector<NodeState> nodes_;
   /// Pending ranks by frozen (key, rank); entries stay queued across a
-  /// whole segment (the key is frozen at segment start, exactly like the
-  /// serial dispatcher's pick key).
+  /// whole segment (the key is frozen at segment start).
   ReadyQueue pending_q_;
   /// Lock-free MPSC queue of segment-boundary transitions from fibers
   /// that lost the try_lock race (see runtime/commitq.hpp).

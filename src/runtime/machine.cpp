@@ -31,13 +31,9 @@ Machine::Machine(const MachineConfig& config)
   for (unsigned r = 0; r < num_ranks_; ++r) comm_group_[r] = r;
   in_group_.assign(num_ranks_, true);
   death_detected_.assign(partition_->num_nodes(), false);
-  ready_q_.reset(num_ranks_);
 }
 
-Machine::~Machine() {
-  // If run() threw, rank threads/fibers were already joined there; nothing
-  // holds the token at this point.
-}
+Machine::~Machine() = default;
 
 void Machine::check_fault(unsigned rank) {
   if (fault_ == nullptr) return;
@@ -50,10 +46,9 @@ void Machine::check_fault(unsigned rank) {
 }
 
 void Machine::record_rank_death(unsigned rank, bool inherited) {
-  // Commit context (serial: the dying rank holds the token; parallel: runs
-  // at the rank's slot), so the list pushes are race-free. Injected deaths
-  // and cascade victims are kept apart: only the former mark a node as
-  // genuinely killed.
+  // Commit context (runs at the rank's slot), so the list pushes are
+  // race-free. Injected deaths and cascade victims are kept apart: only the
+  // former mark a node as genuinely killed.
   Rank& self = *ranks_[rank];
   self.status = Status::kDied;
   (inherited ? stranded_ranks_ : dead_ranks_).push_back(rank);
@@ -64,24 +59,6 @@ void Machine::record_rank_death(unsigned rank, bool inherited) {
                  obs::SpanCat::kFault, ctx.core().now());
     (inherited ? fr->wk().ranks_stranded : fr->wk().rank_deaths)->add(1);
   }
-}
-
-void Machine::thread_main(unsigned rank, const RankFn& program) {
-  Rank& self = *ranks_[rank];
-  self.go.acquire();  // wait for the first dispatch
-  try {
-    if (aborting_.load(std::memory_order_relaxed)) throw AbortRun{};
-    program(*self.ctx);
-    self.status = Status::kFinished;
-  } catch (const AbortRun&) {
-    self.status = Status::kFailed;
-  } catch (const NodeDeathFault& death) {
-    record_rank_death(rank, death.inherited);
-  } catch (...) {
-    self.status = Status::kFailed;
-    self.error = std::current_exception();
-  }
-  sched_sem_.release();
 }
 
 void Machine::run(const RankFn& program) {
@@ -95,78 +72,16 @@ void Machine::run(const RankFn& program) {
     ranks_.push_back(std::move(rank));
   }
 
-  if (config_.sched == SchedMode::kParallel) {
-    EpochScheduler epoch(*this, program);
-    epoch_ = &epoch;
-    try {
-      epoch.run();
-    } catch (...) {
-      epoch_ = nullptr;
-      throw;
-    }
+  EpochScheduler epoch(*this, program);
+  epoch_ = &epoch;
+  try {
+    epoch.run();
+  } catch (...) {
     epoch_ = nullptr;
-  } else {
-    if (num_ranks_ > config_.max_rank_threads) {
-      throw std::invalid_argument(strfmt(
-          "serial scheduler would create %u OS threads (cap %u); use "
-          "--sched=parallel (one fiber per rank) or raise max_rank_threads",
-          num_ranks_, config_.max_rank_threads));
-    }
-    run_serial(program);
+    throw;
   }
+  epoch_ = nullptr;
   run_epilogue();
-}
-
-void Machine::run_serial(const RankFn& program) {
-  for (unsigned r = 0; r < num_ranks_; ++r) {
-    ranks_[r]->thread =
-        std::thread([this, r, &program] { thread_main(r, program); });
-  }
-  for (unsigned r = 0; r < num_ranks_; ++r) {
-    ready_q_.push(ranks_[r]->ctx->core().now(), r);
-  }
-  const auto live = [this](unsigned r) {
-    return ranks_[r]->status == Status::kReady;
-  };
-
-  // Dispatch loop: hand the token to the most-behind ready rank.
-  for (;;) {
-    service_stop();
-    unsigned next = 0;
-    if (!ready_q_.pop_min(next, live)) {
-      std::string diag;
-      const StallOutcome out = resolve_stall(diag);
-      if (out == StallOutcome::kAllDone) break;
-      if (out == StallOutcome::kProgress) continue;
-      // Abort paths (deadlock or rank failure): every surviving rank only
-      // checks aborting_ and unwinds via AbortRun, touching nothing
-      // shared — so release them all at once and collect the returns in
-      // one sweep instead of a semaphore round-trip per rank.
-      unsigned released = 0;
-      for (auto& rank : ranks_) {
-        if (rank->status == Status::kReady) {
-          rank->go.release();
-          ++released;
-        }
-      }
-      for (unsigned i = 0; i < released; ++i) sched_sem_.acquire();
-      if (out == StallOutcome::kDeadlock) {
-        for (auto& rank : ranks_) rank->thread.join();
-        throw std::runtime_error(diag);
-      }
-      continue;  // kAbortFailure: the epilogue rethrows the rank error
-    }
-    Rank& rank = *ranks_[next];
-    rank.go.release();
-    sched_sem_.acquire();
-    if (rank.status == Status::kReady) {
-      // Yielded mid-program: back in the queue at its advanced clock.
-      ready_q_.invalidate(next);
-      ready_q_.push(rank.ctx->core().now(), next);
-    }
-  }
-
-  for (auto& rank : ranks_) rank->thread.join();
 }
 
 Machine::StallOutcome Machine::resolve_stall(std::string& diag) {
@@ -307,12 +222,7 @@ std::vector<unsigned> Machine::dead_nodes() const {
 
 void Machine::make_ready(unsigned rank) {
   ranks_[rank]->status = Status::kReady;
-  if (epoch_ != nullptr) {
-    epoch_->on_ready(rank);
-  } else {
-    ready_q_.invalidate(rank);
-    ready_q_.push(ranks_[rank]->ctx->core().now(), rank);
-  }
+  epoch_->on_ready(rank);
 }
 
 void Machine::consume_wake_flags(unsigned rank) {
@@ -333,37 +243,18 @@ void Machine::consume_wake_flags(unsigned rank) {
   }
 }
 
-void Machine::yield_from(unsigned rank) {
-  Rank& self = *ranks_[rank];
-  sched_sem_.release();
-  self.go.acquire();
+void Machine::yield_rank(unsigned rank) {
+  epoch_->yield_segment(rank);
   consume_wake_flags(rank);
 }
 
-void Machine::yield_rank(unsigned rank) {
-  if (epoch_ != nullptr) {
-    epoch_->yield_segment(rank);
-    consume_wake_flags(rank);
-  } else {
-    yield_from(rank);
-  }
-}
-
 void Machine::block_rank(unsigned rank) {
-  if (epoch_ != nullptr) {
-    epoch_->block_fiber(rank);
-    consume_wake_flags(rank);
-  } else {
-    yield_from(rank);
-  }
+  epoch_->block_fiber(rank);
+  consume_wake_flags(rank);
 }
 
 void Machine::run_at_slot(unsigned rank, const std::function<void()>& fn) {
-  if (epoch_ != nullptr) {
-    epoch_->run_at_slot(rank, fn);
-  } else {
-    fn();  // the token already serializes everything
-  }
+  epoch_->run_at_slot(rank, fn);
 }
 
 const opt::CompiledLoop& Machine::compile_cached(const isa::LoopDesc& desc) {
@@ -466,9 +357,8 @@ void Machine::note_detection(unsigned rank, unsigned node) {
 }
 
 void Machine::revoke_comm(unsigned rank, cycles_t cost) {
-  // The wake-ups mutate scheduler state, so the body runs as a commit
-  // (inline in serial mode; FT implies strict mode, so the parallel slot
-  // is immediate as well).
+  // The wake-ups mutate scheduler state, so the body runs as a commit (FT
+  // implies strict mode, so the slot is immediate).
   run_at_slot(rank, [this, rank, cost] {
     if (revoked_) return;  // an already-revoked communicator stays revoked
     revoked_ = true;

@@ -2,29 +2,23 @@
 // message-passing runtime ("MiniMPI") with the semantics the NAS kernels
 // need — blocking send/recv and the usual collectives.
 //
-// Two dispatchers produce bit-identical runs (MachineConfig::sched):
-//
-//  * kSerial — one OS thread per rank, exactly one running at any moment
-//    (token passing through semaphores). The token always goes to the
-//    runnable rank whose (core clock, rank) key is smallest, via a lazy
-//    min-heap ready queue.
-//  * kParallel — one *fiber* per rank multiplexed onto a bounded worker
-//    pool (runtime/pool.*, runtime/epoch.*). Rank compute segments run
-//    concurrently; every cross-rank interaction executes as an ordered
-//    commit in exactly the serial dispatcher's (cycle, rank) order, so
-//    simulated clocks, dumps and traces stay byte-identical.
+// One dispatcher runs every program (runtime/epoch.*): one *fiber* per rank
+// multiplexed onto a bounded worker pool (runtime/pool.*). Rank compute
+// segments may run concurrently; every cross-rank interaction executes as
+// an ordered commit in the greedy (core clock, rank) order, so simulated
+// clocks, dumps and traces are the same for any worker count
+// (MachineConfig::sched / jobs).
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <semaphore>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -83,19 +77,13 @@ struct MachineConfig {
   /// Use fewer ranks than the partition supports (e.g. the paper's 121-rank
   /// SP/BT runs on 32 nodes). 0 = all.
   unsigned num_ranks_override = 0;
-  /// Dispatcher selection; both produce byte-identical runs.
+  /// Worker count selection; every choice produces byte-identical runs.
+  /// kSerial runs one worker, kParallel runs `jobs`.
   SchedMode sched = SchedMode::kSerial;
-  /// Parallel mode: worker-pool size cap. 0 = min(hardware_concurrency,
-  /// nodes). The pool never exceeds the node count (the unit of
-  /// parallelism is a node: its ranks share caches, so they execute
-  /// exclusively).
+  /// kParallel: worker-pool size cap. 0 = hardware_concurrency. The pool
+  /// never exceeds the node count (the unit of parallelism is a node: its
+  /// ranks share caches, so they execute exclusively).
   unsigned jobs = 0;
-  /// Parallel mode: stack bytes per rank fiber.
-  std::size_t fiber_stack_bytes = 1024 * 1024;
-  /// Serial mode spawns one OS thread per rank; refuse configurations past
-  /// this cap with a pointer at --sched=parallel (which needs one fiber
-  /// per rank and worker threads only).
-  unsigned max_rank_threads = 4096;
 };
 
 class Machine {
@@ -216,14 +204,11 @@ class Machine {
     cycles_t ready_time = 0;
   };
 
-  /// Per-rank bookkeeping (scheduling state, mailbox; the thread is only
-  /// used by the serial dispatcher — the parallel one runs fibers).
+  /// Per-rank bookkeeping (scheduling state, mailbox).
   struct Rank {
     std::unique_ptr<RankCtx> ctx;
-    std::thread thread;
-    std::binary_semaphore go{0};
-    /// Atomic because the parallel dispatcher's commits write statuses
-    /// under its lock while rank fibers read them lock-free (e.g.
+    /// Atomic because commits write statuses under the scheduler lock
+    /// while rank fibers on other workers read them lock-free (e.g.
     /// rank_died() on the send path).
     std::atomic<Status> status{Status::kReady};
     // recv match spec while blocked
@@ -278,31 +263,27 @@ class Machine {
     kAbortFailure,  ///< a rank failed; blocked ranks woken to unwind
   };
 
-  // -- scheduler internals (called from rank threads/fibers via RankCtx) --
-  /// Give the token back to the scheduler and wait to be resumed
-  /// (serial dispatcher only).
-  void yield_from(unsigned rank);
+  // -- scheduler internals (called from rank fibers via RankCtx) ----------
   /// End-of-segment yield: re-key this rank at its current clock and let
   /// the dispatcher run whoever is next.
   void yield_rank(unsigned rank);
   /// Park after a commit left this rank in a blocked status; returns when
   /// a later commit makes it ready again.
   void block_rank(unsigned rank);
-  /// Execute `fn` at this rank's deterministic commit slot: the serial
-  /// dispatcher runs it inline (the token already serializes); the
-  /// parallel one parks the fiber until every earlier (cycle, rank) slot
-  /// has committed. Exceptions from `fn` resurface on the calling rank.
+  /// Execute `fn` at this rank's deterministic commit slot: the fiber
+  /// parks until every earlier (cycle, rank) slot has committed.
+  /// Exceptions from `fn` resurface on the calling rank.
   void run_at_slot(unsigned rank, const std::function<void()>& fn);
   /// Abort/death/revocation flags left on this rank by the scheduler while
   /// it was parked; throws the corresponding error.
   void consume_wake_flags(unsigned rank);
-  /// Transition `rank` to kReady and tell the active dispatcher.
+  /// Transition `rank` to kReady and queue it with the scheduler.
   void make_ready(unsigned rank);
   /// Record a rank lost to a node death (status, death lists, obs instant).
   void record_rank_death(unsigned rank, bool inherited);
   /// True when global state may be read mid-segment (fault injection or FT
-  /// recovery): the parallel dispatcher then runs at most one rank at a
-  /// time, in exactly serial order.
+  /// recovery): the scheduler then runs at most one rank at a time, in
+  /// exactly the greedy commit order.
   [[nodiscard]] bool strict_sched() const noexcept {
     return fault_ != nullptr || ft_params_.enabled;
   }
@@ -311,8 +292,8 @@ class Machine {
   StallOutcome resolve_stall(std::string& diag);
   /// Honor a pending request_stop(): flip the machine into the abort path
   /// and wake blocked ranks so they unwind. Returns true when a stop was
-  /// serviced. Dispatcher context only (serial loop, or under the epoch
-  /// scheduler's lock — make_ready has the same requirement).
+  /// serviced. Scheduler context only (under the epoch scheduler's lock —
+  /// make_ready has the same requirement).
   bool service_stop();
 
   /// Deposit a message; wakes a matching blocked receiver. Commit context.
@@ -366,9 +347,7 @@ class Machine {
     return ranks_[rank]->status == Status::kDied;
   }
 
-  void thread_main(unsigned rank, const RankFn& program);
-  void run_serial(const RankFn& program);
-  /// Shared run() tail: rethrow rank errors / aborts, log degraded runs.
+  /// run() tail: rethrow rank errors / aborts, log degraded runs.
   void run_epilogue();
 
   MachineConfig config_;
@@ -377,14 +356,7 @@ class Machine {
   MpiHooks hooks_;
   unsigned num_ranks_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  /// Serial dispatcher: rank threads hand the token back through this.
-  /// Counting (not binary) so the abort path can batch-release every
-  /// waiter and collect the returns in one sweep.
-  std::counting_semaphore<1 << 20> sched_sem_{0};
-  /// Serial dispatcher's ready queue (satellite of the same (cycle, rank)
-  /// order the parallel dispatcher commits in).
-  ReadyQueue ready_q_;
-  /// Parallel dispatcher, non-null only inside run().
+  /// The dispatcher, non-null only inside run().
   EpochScheduler* epoch_ = nullptr;
   Collective collective_;
   fault::FaultInjector* fault_ = nullptr;
@@ -410,7 +382,7 @@ class Machine {
   std::mutex loop_cache_mu_;
 };
 
-/// Thrown inside rank threads to unwind them when another rank failed.
+/// Thrown inside rank fibers to unwind them when another rank failed.
 struct AbortRun {};
 
 /// Thrown out of Machine::run() when the program was cancelled through
@@ -418,7 +390,7 @@ struct AbortRun {};
 /// decides whether to checkpoint-dump the partial run.
 struct RunStopped {};
 
-/// Thrown inside a rank thread when its node suffers an injected death (or,
+/// Thrown inside a rank fiber when its node suffers an injected death (or,
 /// with `inherited`, when the rank was blocked on a dead peer and the death
 /// cascaded to it — FT mode converts that case into ft::ProcFailedError).
 struct NodeDeathFault {

@@ -1,5 +1,8 @@
 #include "runtime/pool.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <stdexcept>
 
@@ -12,22 +15,26 @@
 
 namespace bgp::rt {
 
-namespace {
-/// Minimum usable fiber stack: SIGSTKSZ-ish plus room for the simulator's
-/// deepest call chains (kernel bodies, dump serialization, printf).
-constexpr std::size_t kMinStackBytes = 64 * 1024;
-}  // namespace
-
-Fiber::Fiber(std::size_t stack_bytes, std::function<void()> entry)
-    : entry_(std::move(entry)),
-      stack_bytes_(stack_bytes < kMinStackBytes ? kMinStackBytes
-                                                : stack_bytes) {
-  stack_ = std::make_unique<std::byte[]>(stack_bytes_);
+Fiber::Fiber(std::function<void()> entry) : entry_(std::move(entry)) {
+  // Stacks grow down, so the guard page sits at the low end.
+  const auto guard = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  mapping_bytes_ = guard + kStackBytes;
+  mapping_ = mmap(nullptr, mapping_bytes_, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (mapping_ == MAP_FAILED) {
+    throw std::runtime_error("fiber: stack mmap failed");
+  }
+  if (mprotect(mapping_, guard, PROT_NONE) != 0) {
+    munmap(mapping_, mapping_bytes_);
+    throw std::runtime_error("fiber: guard page mprotect failed");
+  }
+  stack_ = static_cast<std::byte*>(mapping_) + guard;
   if (getcontext(&ctx_) != 0) {
+    munmap(mapping_, mapping_bytes_);
     throw std::runtime_error("fiber: getcontext failed");
   }
-  ctx_.uc_stack.ss_sp = stack_.get();
-  ctx_.uc_stack.ss_size = stack_bytes_;
+  ctx_.uc_stack.ss_sp = stack_;
+  ctx_.uc_stack.ss_size = kStackBytes;
   ctx_.uc_link = nullptr;  // termination switches back manually
   const auto self = reinterpret_cast<std::uintptr_t>(this);
   makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
@@ -42,6 +49,7 @@ Fiber::~Fiber() {
 #ifdef BGP_TSAN_FIBERS
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
+  munmap(mapping_, mapping_bytes_);
 }
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
@@ -78,8 +86,7 @@ void Fiber::resume() {
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
 #ifdef BGP_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&host_fake_stack_, stack_.get(),
-                                 stack_bytes_);
+  __sanitizer_start_switch_fiber(&host_fake_stack_, stack_, kStackBytes);
 #endif
   swapcontext(&ret_ctx_, &ctx_);
 #ifdef BGP_ASAN_FIBERS

@@ -1,6 +1,6 @@
-// Execution resources for the parallel epoch scheduler: ucontext fibers
-// (one per rank, so 4096 ranks no longer means 4096 OS threads) and a
-// bounded worker pool they are multiplexed onto.
+// Execution resources for the epoch scheduler: ucontext fibers (one per
+// rank, so 4096 ranks never means 4096 OS threads) and a bounded worker
+// pool they are multiplexed onto.
 //
 // A Fiber is resumed from a worker thread and runs until it parks (or its
 // entry function returns); parking switches straight back into resume()'s
@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,11 +42,18 @@
 namespace bgp::rt {
 
 /// A cooperatively-scheduled execution context with its own stack.
+///
+/// The stack is a private anonymous mapping of kStackBytes below one
+/// PROT_NONE guard page: pages are faulted in only as the fiber touches
+/// them, so an idle fiber costs a few KiB of RSS, and an overflow faults
+/// on the guard instead of silently corrupting whatever lies below.
 class Fiber {
  public:
+  static constexpr std::size_t kStackBytes = 1024 * 1024;
+
   /// `entry` runs on the fiber's stack at the first resume(); when it
   /// returns the fiber is finished and resume() must not be called again.
-  Fiber(std::size_t stack_bytes, std::function<void()> entry);
+  explicit Fiber(std::function<void()> entry);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -66,8 +72,9 @@ class Fiber {
   void run_entry();
 
   std::function<void()> entry_;
-  std::unique_ptr<std::byte[]> stack_;
-  std::size_t stack_bytes_;
+  void* mapping_ = nullptr;  ///< guard page + stack, one mmap
+  std::size_t mapping_bytes_ = 0;
+  void* stack_ = nullptr;  ///< lowest usable stack byte
   ucontext_t ctx_{};      ///< the fiber's suspended context
   ucontext_t ret_ctx_{};  ///< where park() returns to (set per resume)
   bool started_ = false;

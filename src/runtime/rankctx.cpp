@@ -251,8 +251,7 @@ void RankCtx::send(unsigned dst, std::span<const std::byte> data, int tag) {
   msg.ready_time = core().now() + transfer_cycles(peer.node, data.size());
 
   // Link accounting and the deposit (which may wake the receiver) touch
-  // cross-rank state: one commit, in the same order the serial dispatcher
-  // interleaves them.
+  // cross-rank state: one commit, so they land together in commit order.
   machine_.run_at_slot(rank_, [&] {
     if (peer.node != placement_.node) {
       machine_.partition().torus().record_transfer(placement_.node, peer.node,
@@ -272,8 +271,7 @@ void RankCtx::recv(unsigned src, std::span<std::byte> out, int tag) {
     // Match-or-block is one commit: if a concurrent sender's deposit could
     // slip between a failed match and the transition to kBlockedRecv, the
     // wake would be missed. The tracing pulse is billed inside the commit
-    // too so the frozen blocked clock includes it, exactly as the serial
-    // dispatcher sees it.
+    // too so the frozen blocked clock includes it.
     std::optional<Machine::Message> msg;
     bool blocked = false;
     machine_.run_at_slot(rank_, [&] {

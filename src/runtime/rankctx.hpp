@@ -1,9 +1,8 @@
 // RankCtx: everything a rank program can do — allocate simulated memory,
 // execute compiled loops against its core and the node's caches, and
 // communicate through MiniMPI. One RankCtx per rank, used only from that
-// rank's thread (serial dispatcher) or fiber (parallel dispatcher); all
-// cross-rank effects go through Machine commits, so rank programs need no
-// locking of their own.
+// rank's fiber; all cross-rank effects go through Machine commits, so rank
+// programs need no locking of their own.
 #pragma once
 
 #include <initializer_list>

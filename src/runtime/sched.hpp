@@ -1,12 +1,11 @@
-// Shared scheduling primitives for the two Machine dispatchers.
+// Scheduling primitives for the Machine's epoch scheduler.
 //
-// Both the serial token-passing scheduler and the parallel epoch scheduler
-// order work by the same key: (simulated cycle at segment start, rank),
-// lowest first with the lower rank winning ties — exactly what the old
-// O(ranks) pick_next scan computed. ReadyQueue packages that order as a
-// lazy-deletion binary min-heap: pushes are O(log n), stale entries (a
-// rank that was re-keyed or is no longer ready) are skipped at pop time
-// by checking a per-rank sequence number stamped into each entry.
+// Work is ordered by one key: (simulated cycle at segment start, rank),
+// lowest first with the lower rank winning ties. ReadyQueue packages that
+// order as a lazy-deletion binary min-heap: pushes are O(log n), stale
+// entries (a rank that was re-keyed or is no longer pending) are skipped
+// at peek time by checking a per-rank sequence number stamped into each
+// entry.
 #pragma once
 
 #include <cstddef>
@@ -17,10 +16,11 @@
 
 namespace bgp::rt {
 
-/// Dispatcher selection (MachineConfig::sched).
+/// Worker count selection (MachineConfig::sched). Both modes run the same
+/// dispatcher and produce byte-identical runs.
 enum class SchedMode : u8 {
-  kSerial,    ///< one thread per rank, token passing (the oracle)
-  kParallel,  ///< bounded worker pool + fibers, ordered interaction commits
+  kSerial,    ///< one worker
+  kParallel,  ///< MachineConfig::jobs workers (0 = hardware concurrency)
 };
 
 /// The dispatch key: ranks run in ascending (cycle, rank) order.
@@ -31,25 +31,15 @@ struct SchedKey {
   friend bool operator<(const SchedKey& a, const SchedKey& b) noexcept {
     return a.cycle != b.cycle ? a.cycle < b.cycle : a.rank < b.rank;
   }
-  friend bool operator<=(const SchedKey& a, const SchedKey& b) noexcept {
-    return !(b < a);
-  }
 };
 
-/// Lazy-deletion min-heap over (cycle, rank). The caller owns a per-rank
+/// Lazy-deletion min-heap over (cycle, rank). The queue keeps a per-rank
 /// sequence counter: push() stamps the current sequence into the entry and
-/// pop_min() hands back candidates for validation — an entry whose stamp
-/// no longer matches the rank's sequence is dead and silently dropped.
+/// peek_min() validates candidates — an entry whose stamp no longer
+/// matches the rank's sequence is dead and silently dropped.
 class ReadyQueue {
  public:
-  ReadyQueue() = default;
   explicit ReadyQueue(std::size_t num_ranks) : seq_(num_ranks, 0) {}
-
-  /// (Re)size for `num_ranks` ranks, dropping any queued entries.
-  void reset(std::size_t num_ranks) {
-    seq_.assign(num_ranks, 0);
-    heap_ = {};
-  }
 
   /// Invalidate every queued entry for `rank` and stamp the next push.
   void invalidate(unsigned rank) noexcept { ++seq_[rank]; }
@@ -59,18 +49,10 @@ class ReadyQueue {
     heap_.push(Entry{SchedKey{cycle, rank}, seq_[rank]});
   }
 
-  /// Pop the minimal live entry; returns false when the queue is empty of
-  /// live entries. `live` is the caller's validity check (e.g. "status is
-  /// still kReady") applied on top of the sequence stamp.
-  template <typename LiveFn>
-  bool pop_min(unsigned& rank_out, LiveFn&& live) {
-    if (!peek_min(rank_out, live)) return false;
-    heap_.pop();
-    return true;
-  }
-
-  /// Like pop_min but leaves the minimal live entry queued (stale entries
-  /// above it are still discarded).
+  /// Find the minimal live entry and leave it queued (stale entries above
+  /// it are discarded); returns false when no live entry is queued. `live`
+  /// is the caller's validity check (e.g. "still pending") applied on top
+  /// of the sequence stamp.
   template <typename LiveFn>
   bool peek_min(unsigned& rank_out, LiveFn&& live) {
     while (!heap_.empty()) {
@@ -84,8 +66,6 @@ class ReadyQueue {
     }
     return false;
   }
-
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
  private:
   struct Entry {

@@ -2,7 +2,7 @@
 // without disturbing running sessions, kill lands in kKilled with
 // checkpoint dumps, and — the core daemon guarantee — a finished daemon
 // session's artifacts are byte-identical to a same-seed batch run with the
-// same snapshot configuration, under both schedulers.
+// same snapshot configuration, on one scheduler worker and on two.
 #include <gtest/gtest.h>
 
 #include <chrono>

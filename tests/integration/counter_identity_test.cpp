@@ -12,12 +12,12 @@
 //     default even/odd card split): reads = hits + misses at L2 and L3,
 //     L3 writes = hits + misses, L1D misses <= accesses, L3 fills = L3
 //     misses, DDR bytes = line x L3 fills (reads) and x L3 writebacks
-//     (writes). CG additionally checks them in every counter mode under
-//     both schedulers.
+//     (writes). CG additionally checks them in every counter mode on one
+//     scheduler worker and on two.
 //
 //  3. Golden digests (golden.hpp) of the serialized counter dumps plus
-//     Machine::elapsed() for the four counter-mode CG runs (serial and
-//     parallel) and one hybrid SMP/4 parallel_loop run. A change to any
+//     Machine::elapsed() for the four counter-mode CG runs (on one and on
+//     two workers) and one hybrid SMP/4 parallel_loop run. A change to any
 //     simulated counter or cycle shows up here; the failure message prints
 //     the new value.
 #include <gtest/gtest.h>

@@ -1,17 +1,22 @@
-// Serial-vs-parallel determinism matrix (docs/parallel-scheduler.md): the
-// parallel epoch scheduler must be bit-for-bit indistinguishable from the
-// serial dispatcher. Every cell runs the same instrumented benchmark twice
-// — once per scheduler — and byte-compares all artifacts: counter dumps
-// (.bgpc), sealed and partial trace files (.bgpt*), and span files (.bgps,
-// compared with host-nanosecond fields zeroed, the one wall-clock channel
-// in the formats). The matrix covers {SMP, DUAL, VNM} x {no fault, kill-2,
-// FT kill-3} with tracing and the flight recorder both attached, plus a
+// Worker-count determinism matrix (docs/parallel-scheduler.md): the epoch
+// scheduler must produce the same bytes on one worker as on many. Every
+// cell runs the same instrumented benchmark twice — --sched=serial (one
+// worker) and --sched=parallel (the cell's worker count) — and
+// byte-compares all artifacts: counter dumps (.bgpc), sealed and partial
+// trace files (.bgpt*), and span files (.bgps, compared with
+// host-nanosecond fields zeroed, the one wall-clock channel in the
+// formats). The matrix covers {SMP, DUAL, VNM} x {no fault, kill-2, FT
+// kill-3} with tracing and the flight recorder both attached, plus a
 // 256-rank stress cell on eight workers. Each cell also pins a golden
 // digest of every artifact plus Machine::elapsed() (golden.hpp), so a
-// change to any simulated byte fails here even when both schedulers agree
-// on it.
+// change to any simulated byte fails here even when both runs agree on it.
+//
+// With BGPC_SCHED_ARTIFACT_DIR set, both runs' artifact directories are
+// kept there (<test>_j1, <test>_j<N>) for triage instead of deleted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -41,7 +46,8 @@ struct MatrixCell {
 
 /// Everything observable a run leaves behind, in comparable form.
 struct RunArtifacts {
-  std::map<std::string, std::string> files;  ///< name -> raw bytes
+  /// name -> raw bytes (span files: the normalized listing below)
+  std::map<std::string, std::string> files;
   cycles_t elapsed = 0;
   std::size_t dead_nodes = 0;
   std::size_t recovery_events = 0;
@@ -72,13 +78,26 @@ std::string normalized_spans(const fs::path& p) {
   return out;
 }
 
-RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
+/// Where BGPC_SCHED_ARTIFACT_DIR asks for artifacts to be kept, or empty.
+fs::path kept_artifact_root() {
+  const char* dir = std::getenv("BGPC_SCHED_ARTIFACT_DIR");
+  return dir != nullptr ? fs::path(dir) : fs::path();
+}
+
+/// The artifact directory of this test's run on `jobs` workers.
+fs::path run_dir(unsigned jobs) {
   const ::testing::TestInfo* ti =
       ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir =
-      fs::temp_directory_path() /
-      (std::string("bgpc_sched_") + ti->name() +
-       (sched == rt::SchedMode::kParallel ? "_par" : "_ser"));
+  const std::string name =
+      std::string(ti->name()) + "_j" + std::to_string(jobs);
+  const fs::path kept = kept_artifact_root();
+  return kept.empty() ? fs::temp_directory_path() / ("bgpc_sched_" + name)
+                      : kept / name;
+}
+
+RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
+  const unsigned jobs = sched == rt::SchedMode::kParallel ? cell.jobs : 1;
+  const fs::path dir = run_dir(jobs);
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -86,7 +105,7 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
   mc.num_nodes = cell.nodes;
   mc.mode = cell.mode;
   mc.sched = sched;
-  mc.jobs = sched == rt::SchedMode::kParallel ? cell.jobs : 0;
+  mc.jobs = jobs;
   rt::Machine machine(mc);
 
   fault::FaultInjector injector{[&] {
@@ -135,7 +154,7 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
                         ? normalized_spans(entry.path())
                         : slurp(entry.path());
   }
-  fs::remove_all(dir);
+  if (kept_artifact_root().empty()) fs::remove_all(dir);
   return a;
 }
 
@@ -151,22 +170,41 @@ u64 digest(const RunArtifacts& a) {
   return golden::add(h, a.elapsed);
 }
 
-void expect_identical(const MatrixCell& cell, u64 golden_digest) {
-  const RunArtifacts ser = run_cell(cell, rt::SchedMode::kSerial);
-  const RunArtifacts par = run_cell(cell, rt::SchedMode::kParallel);
+/// Byte offset of the first difference between `a` and `b` (the shorter
+/// length when one is a prefix of the other).
+std::size_t first_difference(const std::string& a, const std::string& b) {
+  return static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+      a.begin());
+}
 
-  const u64 got = digest(ser);
+void expect_identical(const MatrixCell& cell, u64 golden_digest) {
+  const RunArtifacts one = run_cell(cell, rt::SchedMode::kSerial);
+  const RunArtifacts many = run_cell(cell, rt::SchedMode::kParallel);
+
+  const u64 got = digest(one);
   EXPECT_EQ(got, golden_digest) << "digest is " << golden::hex(got);
 
-  EXPECT_EQ(ser.elapsed, par.elapsed);
-  EXPECT_EQ(ser.dead_nodes, par.dead_nodes);
-  EXPECT_EQ(ser.recovery_events, par.recovery_events);
-  ASSERT_FALSE(ser.files.empty());
-  ASSERT_EQ(ser.files.size(), par.files.size());
-  for (const auto& [name, bytes] : ser.files) {
-    const auto it = par.files.find(name);
-    ASSERT_NE(it, par.files.end()) << name << " missing from parallel run";
-    EXPECT_EQ(bytes, it->second) << name << " differs between schedulers";
+  EXPECT_EQ(one.elapsed, many.elapsed);
+  EXPECT_EQ(one.dead_nodes, many.dead_nodes);
+  EXPECT_EQ(one.recovery_events, many.recovery_events);
+  ASSERT_FALSE(one.files.empty());
+  ASSERT_EQ(one.files.size(), many.files.size());
+  for (const auto& [name, bytes] : one.files) {
+    const auto it = many.files.find(name);
+    ASSERT_NE(it, many.files.end())
+        << name << " missing from the " << cell.jobs << "-worker run";
+    const std::string& other = it->second;
+    if (bytes != other) {
+      ADD_FAILURE() << name << " differs between 1 and " << cell.jobs
+                    << " workers: " << bytes.size() << " vs " << other.size()
+                    << " bytes, first difference at byte offset "
+                    << first_difference(bytes, other)
+                    << (kept_artifact_root().empty()
+                            ? ""
+                            : "; both runs kept under " +
+                                  kept_artifact_root().string());
+    }
   }
 }
 

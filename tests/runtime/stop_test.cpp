@@ -1,5 +1,5 @@
 // Cooperative stop: request_stop() mid-run makes Machine::run() throw
-// RunStopped under both dispatchers, after which the session layer can
+// RunStopped on one worker and on four, after which the session layer can
 // seal traces and write checkpoint dumps through the atomic paths — the
 // mechanism behind bgpc_run's SIGTERM handling and the daemon's kill.
 #include <gtest/gtest.h>

@@ -333,14 +333,13 @@ struct SchedArgs {
   unsigned jobs = 0;
 };
 
-/// Declare --sched/--jobs once. Both dispatchers produce byte-identical
-/// results; parallel trades the serial oracle's one-thread-per-rank for a
-/// bounded worker pool running rank fibers concurrently.
+/// Declare --sched/--jobs once. One dispatcher runs rank fibers on a worker
+/// pool; the flags only size the pool, and every size produces
+/// byte-identical results.
 inline void add_sched_flags(FlagSet& fs, SchedArgs& a) {
   fs.value("sched", "MODE",
-           "dispatcher: 'serial' (token passing, one thread per rank) or "
-           "'parallel' (epoch scheduler: rank fibers on a bounded worker "
-           "pool, byte-identical results)",
+           "worker pool for the rank fibers: 'serial' (one worker) or "
+           "'parallel' (--jobs workers); byte-identical results",
            [&a](const char* v) {
              if (std::strcmp(v, "serial") == 0) {
                a.sched = rt::SchedMode::kSerial;
@@ -352,7 +351,7 @@ inline void add_sched_flags(FlagSet& fs, SchedArgs& a) {
              }
            });
   fs.unsigned_value("jobs", "N",
-                    "parallel scheduler worker threads (0 = hardware "
+                    "worker threads under --sched=parallel (0 = hardware "
                     "concurrency; never more than the node count)",
                     &a.jobs);
 }
