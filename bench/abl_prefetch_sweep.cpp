@@ -28,13 +28,9 @@ int main(int argc, char** argv) {
     unsigned best_depth = 0;
     double depth0 = 0;
     for (unsigned d : depths) {
-      nas::RunConfig cfg;
-      cfg.bench = b;
-      cfg.cls = args.cls;
-      cfg.num_nodes = args.nodes;
-      cfg.mode = sys::OpMode::kVnm;
-      cfg.boot.prefetch.enabled = d > 0;
-      cfg.boot.prefetch.depth = d;
+      nas::RunSpec cfg = args.spec(b);
+      cfg.machine.boot.prefetch.enabled = d > 0;
+      cfg.machine.boot.prefetch.depth = d;
       const auto out = nas::run_benchmark(cfg);
       ok = ok && out.result.verified;
       row.push_back(bench::fmt_double(out.record.exec_cycles / 1e6));

@@ -27,13 +27,9 @@ inline int run_exec_time_sweep(const char* figure,
   for (const auto& cfg_opt : opt::OptConfig::paper_set()) {
     std::vector<double> per_app;
     for (nas::Benchmark b : apps) {
-      nas::RunConfig cfg;
-      cfg.bench = b;
-      cfg.cls = args.cls;
-      cfg.num_nodes = args.nodes;
-      cfg.mode = sys::OpMode::kVnm;
-      cfg.opt = cfg_opt;
-      cfg.ranks_override = ranks_for(b, args.nodes, cfg.mode);
+      nas::RunSpec cfg = args.spec(b);
+      cfg.machine.opt = cfg_opt;
+      cfg.machine.num_ranks_override = ranks_for(cfg);
       const auto out = nas::run_benchmark(cfg);
       all_ok = all_ok && out.result.verified;
       per_app.push_back(out.record.exec_cycles);

@@ -18,22 +18,15 @@ int main(int argc, char** argv) {
                   "simd add-sub", "simd mult", "simd fma", "verified"});
   bool all_ok = true;
   for (nas::Benchmark b : nas::all_benchmarks()) {
-    nas::RunConfig cfg;
-    cfg.bench = b;
-    cfg.cls = args.cls;
-    cfg.num_nodes = args.nodes;
-    cfg.mode = sys::OpMode::kVnm;
-    cfg.ranks_override = bench::ranks_for(b, args.nodes, cfg.mode);
+    nas::RunSpec cfg = args.spec(b);
+    cfg.machine.num_ranks_override = bench::ranks_for(cfg);
     const auto out = nas::run_benchmark(cfg);
     all_ok = all_ok && out.result.verified;
     const auto& fp = out.record.fp;
     auto frac = [&](isa::FpOp op) {
       return strfmt("%5.1f%%", 100.0 * fp.fraction(op));
     };
-    const unsigned ranks = cfg.ranks_override
-                               ? cfg.ranks_override
-                               : args.nodes * sys::processes_per_node(cfg.mode);
-    t.row({std::string(nas::name(b)), strfmt("%u", ranks),
+    t.row({std::string(nas::name(b)), strfmt("%u", cfg.effective_ranks()),
            frac(isa::FpOp::kAddSub), frac(isa::FpOp::kMult),
            frac(isa::FpOp::kFma), frac(isa::FpOp::kDiv),
            frac(isa::FpOp::kSimdAddSub), frac(isa::FpOp::kSimdMult),

@@ -26,13 +26,9 @@ int main(int argc, char** argv) {
     std::vector<double> traffic;
     double miss_at_4mb = 0;
     for (u64 mb : sizes_mb) {
-      nas::RunConfig cfg;
-      cfg.bench = b;
-      cfg.cls = args.cls;
-      cfg.num_nodes = args.nodes;
-      cfg.mode = sys::OpMode::kVnm;
-      cfg.boot.l3_size_bytes = mb * MiB;
-      cfg.ranks_override = bench::ranks_for(b, args.nodes, cfg.mode);
+      nas::RunSpec cfg = args.spec(b);
+      cfg.machine.boot.l3_size_bytes = mb * MiB;
+      cfg.machine.num_ranks_override = bench::ranks_for(cfg);
       const auto out = nas::run_benchmark(cfg);
       traffic.push_back(out.record.ddr_traffic_bytes);
       row.push_back(bench::fmt_double(out.record.ddr_traffic_bytes / 1e6));

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
                 "~3x on average; memory-intensive apps with cache "
                 "interference (FT, IS in the paper) approach or exceed 4x");
 
-  const auto pairs = bench::run_mode_comparison(args.nodes, args.cls);
+  const auto pairs = bench::run_mode_comparison(args);
   bench::Table t({"app", "VNM MB", "SMP MB", "ratio", "verified"});
   double ratio_sum = 0;
   unsigned counted = 0;

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
                 "sharing the chip costs ~30% on average — far below the 4x "
                 "worst case, confirming the CMP architecture's effectiveness");
 
-  const auto pairs = bench::run_mode_comparison(args.nodes, args.cls);
+  const auto pairs = bench::run_mode_comparison(args);
   bench::Table t({"app", "VNM Mcyc", "SMP Mcyc", "increase", "verified"});
   double sum_incr = 0;
   bool all_ok = true;

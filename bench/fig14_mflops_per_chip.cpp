@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
                 "~2.5x more MFLOPS per chip with all four cores (the paper's "
                 "evidence that VNM sharply increases resource utilization)");
 
-  const auto pairs = bench::run_mode_comparison(args.nodes, args.cls);
+  const auto pairs = bench::run_mode_comparison(args);
   bench::Table t({"app", "VNM MFLOPS/chip", "SMP MFLOPS/chip", "ratio",
                   "verified"});
   double ratio_sum = 0;

@@ -20,65 +20,24 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/util.hpp"
-#include "core/session.hpp"
-#include "nas/kernel.hpp"
-#include "runtime/machine.hpp"
-#include "runtime/rankctx.hpp"
 
 using namespace bgp;
 
 namespace {
-
-struct RunResult {
-  double wall_ms = 0;
-  cycles_t sim_cycles = 0;
-  bool verified = false;
-};
-
-RunResult one_run(nas::Benchmark bench, nas::ProblemClass cls, unsigned nodes,
-                  unsigned jobs) {
-  rt::MachineConfig mc;
-  mc.num_nodes = nodes;
-  mc.mode = sys::OpMode::kVnm;
-  mc.sched = rt::SchedMode::kParallel;
-  mc.jobs = jobs;
-  rt::Machine machine(mc);
-
-  pc::Options opts;
-  opts.app_name = std::string(nas::name(bench));
-  opts.write_dumps = false;
-  pc::Session session(machine, opts);
-  session.link_with_mpi();
-
-  auto kernel = nas::make_kernel(bench, cls);
-  const auto t0 = std::chrono::steady_clock::now();
-  machine.run([&](rt::RankCtx& ctx) {
-    ctx.mpi_init();
-    kernel->run(ctx);
-    ctx.mpi_finalize();
-  });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  RunResult r;
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.sim_cycles = machine.elapsed();
-  r.verified = kernel->result().verified;
-  return r;
-}
 
 std::vector<unsigned> parse_jobs_list(const char* v) {
   std::vector<unsigned> jobs;
   for (const char* p = v; *p != '\0';) {
     char* end = nullptr;
     const unsigned long j = std::strtoul(p, &end, 10);
-    if (end == p || j == 0) {
-      std::fprintf(stderr, "bad --jobs list: %s\n", v);
-      std::exit(2);
+    if (end == p || j == 0 || j > ~0u) {
+      throw std::invalid_argument(strfmt("bad --jobs list: %s", v));
     }
     jobs.push_back(static_cast<unsigned>(j));
     p = *end == ',' ? end + 1 : end;
@@ -89,30 +48,26 @@ std::vector<unsigned> parse_jobs_list(const char* v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nas::Benchmark bench = nas::Benchmark::kCG;
-  nas::ProblemClass cls = nas::ProblemClass::kA;
-  unsigned nodes = 64;
+  nas::RunSpec spec;
+  spec.cls = nas::ProblemClass::kA;
+  spec.machine.num_nodes = 64;
+  spec.machine.sched = rt::SchedMode::kParallel;
   bool allow_oversub = false;
   std::vector<unsigned> jobs_list = {1, 2, 4, 8};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      nodes = static_cast<unsigned>(std::atoi(argv[i] + 8));
-    } else if (std::strncmp(argv[i], "--class=", 8) == 0) {
-      cls = nas::parse_class(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--bench=", 8) == 0) {
-      bench = nas::parse_benchmark(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs_list = parse_jobs_list(argv[i] + 7);
-    } else if (std::strcmp(argv[i], "--allow-oversubscribed") == 0) {
-      allow_oversub = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--bench=B] [--nodes=N] [--class=S|W|A] "
-                   "[--jobs=1,2,4,8] [--allow-oversubscribed]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  cli::FlagSet fs(argv[0]);
+  fs.value("bench", "B", "NAS benchmark (default CG)",
+           [&](const char* v) { spec.bench = nas::parse_benchmark(v); });
+  fs.positive_value("nodes", "N", "VNM partition size (default 64)",
+                    &spec.machine.num_nodes);
+  fs.value("class", "C", "problem class S|W|A (default A)",
+           [&](const char* v) { spec.cls = nas::parse_class(v); });
+  fs.value("jobs", "LIST", "worker counts to time (default 1,2,4,8)",
+           [&](const char* v) { jobs_list = parse_jobs_list(v); });
+  fs.toggle("allow-oversubscribed",
+            "run worker counts above the host core count (flagged)",
+            &allow_oversub);
+  if (const auto rc = fs.parse(argc, argv, 1)) return *rc;
+  const unsigned nodes = spec.machine.num_nodes;
 
   const unsigned host_cores = std::thread::hardware_concurrency();
 
@@ -137,8 +92,9 @@ int main(int argc, char** argv) {
                 "simulated cycles identical on every row; wall-clock falls "
                 "with --jobs up to min(host cores, nodes)");
   std::printf("%s class %s | %u VNM nodes (%u ranks) | host cores %u\n",
-              std::string(nas::name(bench)).c_str(),
-              std::string(nas::name(cls)).c_str(), nodes, ranks, host_cores);
+              std::string(nas::name(spec.bench)).c_str(),
+              std::string(nas::name(spec.cls)).c_str(), nodes, ranks,
+              host_cores);
   for (const unsigned j : skipped_jobs) {
     std::printf("skipping jobs=%u: oversubscribed (host has %u cores; "
                 "--allow-oversubscribed to run anyway)\n",
@@ -151,11 +107,22 @@ int main(int argc, char** argv) {
   }
 
   bench::Table t({"jobs", "wall ms", "speedup vs jobs=1", "sim cycles"});
-  std::vector<RunResult> rows;
+  struct Row {
+    double wall_ms;
+    cycles_t sim_cycles;
+    bool verified;
+  };
+  std::vector<Row> rows;
   for (const unsigned j : jobs_list) {
-    rows.push_back(one_run(bench, cls, nodes, j));
+    spec.machine.jobs = j;
+    nas::Run run(spec);
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool ok = run.execute().ok();
+    const auto t1 = std::chrono::steady_clock::now();
+    rows.push_back({std::chrono::duration<double, std::milli>(t1 - t0).count(),
+                    run.machine().elapsed(), ok});
   }
-  const RunResult& base = rows.front();
+  const Row& base = rows.front();
 
   bool cycles_ok = true;
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -176,9 +143,9 @@ int main(int argc, char** argv) {
 
   std::string json = "{\n";
   json += strfmt("  \"bench\": \"%s\",\n",
-                 std::string(nas::name(bench)).c_str());
+                 std::string(nas::name(spec.bench)).c_str());
   json += strfmt("  \"class\": \"%s\",\n",
-                 std::string(nas::name(cls)).c_str());
+                 std::string(nas::name(spec.cls)).c_str());
   json += strfmt("  \"nodes\": %u,\n  \"ranks\": %u,\n  \"host_cores\": %u,\n",
                  nodes, ranks, host_cores);
   json += "  \"parallel\": [\n";

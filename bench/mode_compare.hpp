@@ -15,33 +15,26 @@ struct ModePair {
   nas::RunOutput smp;
 };
 
-/// Run every benchmark in both configurations. `vnm_nodes` VNM nodes host
-/// 4x as many ranks; the SMP side gets 4x the node count so the rank count
-/// matches.
-inline std::vector<ModePair> run_mode_comparison(unsigned vnm_nodes,
-                                                 nas::ProblemClass cls) {
+/// Run every benchmark in both configurations. `args.nodes` VNM nodes
+/// host 4x as many ranks; the SMP side gets 4x the node count so the rank
+/// count matches.
+inline std::vector<ModePair> run_mode_comparison(const HarnessArgs& args) {
   std::vector<ModePair> out;
   for (nas::Benchmark b : nas::all_benchmarks()) {
     ModePair mp;
     mp.bench = b;
 
-    nas::RunConfig vnm;
-    vnm.bench = b;
-    vnm.cls = cls;
-    vnm.num_nodes = vnm_nodes;
-    vnm.mode = sys::OpMode::kVnm;
-    vnm.ranks_override = ranks_for(b, vnm_nodes, vnm.mode);
+    nas::RunSpec vnm = args.spec(b);
+    vnm.machine.num_ranks_override = ranks_for(vnm);
     mp.vnm = nas::run_benchmark(vnm);
 
-    nas::RunConfig smp;
-    smp.bench = b;
-    smp.cls = cls;
-    smp.num_nodes = vnm_nodes * 4;
-    smp.mode = sys::OpMode::kSmp1;
+    nas::RunSpec smp = args.spec(b);
+    smp.machine.num_nodes *= 4;
+    smp.machine.mode = sys::OpMode::kSmp1;
     // Paper §VIII: "we reduced the L3 cache size to 2 MB per node using the
     // svchost options" so one process sees the same cache as a VNM share.
-    smp.boot.l3_size_bytes = 2 * MiB;
-    smp.ranks_override = ranks_for(b, smp.num_nodes, smp.mode);
+    smp.machine.boot.l3_size_bytes = 2 * MiB;
+    smp.machine.num_ranks_override = ranks_for(smp);
     mp.smp = nas::run_benchmark(smp);
 
     out.push_back(std::move(mp));

@@ -25,12 +25,8 @@ inline int run_simd_sweep(const char* figure, nas::Benchmark b, int argc,
   bool all_ok = true;
   double simd_without_440d = 0, best_simd = 0;
   for (const auto& cfg_opt : opt::OptConfig::paper_set()) {
-    nas::RunConfig cfg;
-    cfg.bench = b;
-    cfg.cls = args.cls;
-    cfg.num_nodes = args.nodes;
-    cfg.mode = sys::OpMode::kVnm;
-    cfg.opt = cfg_opt;
+    nas::RunSpec cfg = args.spec(b);
+    cfg.machine.opt = cfg_opt;
     const auto out = nas::run_benchmark(cfg);
     all_ok = all_ok && out.result.verified;
     const auto& fp = out.record.fp;

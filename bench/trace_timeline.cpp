@@ -4,55 +4,11 @@
 // whole-run aggregates; the time-series layer shows the same metrics
 // resolved over execution time.
 #include <filesystem>
-#include <memory>
 
 #include "bench/util.hpp"
-#include "core/session.hpp"
 #include "postproc/timeline.hpp"
-#include "runtime/rankctx.hpp"
 
 using namespace bgp;
-
-namespace {
-
-struct TimelineOutcome {
-  post::TimelineReport report;
-  bool verified = false;
-};
-
-TimelineOutcome trace_one(nas::Benchmark bench, nas::ProblemClass cls,
-                          unsigned nodes, const std::filesystem::path& dir) {
-  rt::MachineConfig mc;
-  mc.num_nodes = nodes;
-  mc.mode = sys::OpMode::kSmp1;
-  rt::Machine machine(mc);
-
-  pc::Options opts;
-  opts.app_name = std::string(nas::name(bench));
-  opts.dump_dir = dir;
-  opts.write_dumps = false;
-  opts.trace.enabled = true;
-  opts.trace.interval_cycles = 4'000;
-  opts.trace.trace_dir = dir;
-  pc::Session session(machine, opts);
-  session.link_with_mpi();
-
-  auto kernel = nas::make_kernel(bench, cls);
-  machine.run([&](rt::RankCtx& ctx) {
-    ctx.mpi_init();
-    kernel->run(ctx);
-    ctx.mpi_finalize();
-  });
-
-  post::TimelineOptions mine;
-  mine.expected_nodes = nodes;
-  TimelineOutcome out;
-  out.report = post::mine_timeline(dir, opts.app_name, mine);
-  out.verified = kernel->result().verified;
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto args = bench::HarnessArgs::parse(argc, argv, 8,
@@ -63,24 +19,34 @@ int main(int argc, char** argv) {
                 "change-point miner should recover a multi-phase timeline "
                 "with full coverage and plausible per-phase MFLOPS");
 
+  nas::RunSpec spec;
+  spec.cls = args.cls;
+  spec.machine.num_nodes = args.nodes;
+  spec.machine.mode = sys::OpMode::kSmp1;
+  spec.trace.enabled = true;
+  spec.trace.interval_cycles = 4'000;
+  post::TimelineOptions mine;
+  mine.expected_nodes = args.nodes;
   int rc = 0;
   for (const nas::Benchmark b : {nas::Benchmark::kFT, nas::Benchmark::kCG}) {
+    const std::string app(nas::name(b));
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
-        strfmt("bgpc_trace_timeline_bench_%s", std::string(nas::name(b)).c_str());
+        ("bgpc_trace_timeline_bench_" + app);
     std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const TimelineOutcome out = trace_one(b, args.cls, args.nodes, dir);
+    spec.bench = b;
+    nas::Run run(spec, dir);
+    const bool verified = run.execute().ok();
+    const post::TimelineReport report = post::mine_timeline(dir, app, mine);
     std::filesystem::remove_all(dir);
 
     std::printf("\n%s class %s, %u nodes SMP/1, interval 4000 cycles:\n",
-                std::string(nas::name(b)).c_str(),
-                std::string(nas::name(args.cls)).c_str(), args.nodes);
-    std::fputs(post::render_timeline(out.report).c_str(), stdout);
+                app.c_str(), std::string(nas::name(args.cls)).c_str(),
+                args.nodes);
+    std::fputs(post::render_timeline(report).c_str(), stdout);
 
-    const bool shape_ok = out.report.ok && out.report.phases.size() >= 2 &&
-                          out.report.coverage.mined == args.nodes &&
-                          out.verified;
+    const bool shape_ok = report.ok && report.phases.size() >= 2 &&
+                          report.coverage.mined == args.nodes && verified;
     if (!shape_ok) {
       std::printf("FAIL: expected a verified run mining to >= 2 phases with "
                   "full coverage\n");

@@ -5,12 +5,13 @@
 #pragma once
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/strfmt.hpp"
 #include "nas/runner.hpp"
+#include "tools/cli.hpp"
 
 namespace bgp::bench {
 
@@ -65,28 +66,31 @@ class Table {
 
 /// Command-line scaling: --nodes=N, --class=S|W|A. Defaults keep each
 /// harness in the tens-of-seconds range; pass bigger values to approach the
-/// paper's 32-node/128-rank configuration.
+/// paper's 32-node/128-rank configuration. A bad value or an unknown flag
+/// prints usage and exits 2.
 struct HarnessArgs {
   unsigned nodes = 4;
   nas::ProblemClass cls = nas::ProblemClass::kW;
 
   static HarnessArgs parse(int argc, char** argv, unsigned default_nodes,
                            nas::ProblemClass default_cls) {
-    HarnessArgs a;
-    a.nodes = default_nodes;
-    a.cls = default_cls;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-        a.nodes = static_cast<unsigned>(std::atoi(argv[i] + 8));
-      } else if (std::strncmp(argv[i], "--class=", 8) == 0) {
-        a.cls = nas::parse_class(argv[i] + 8);
-      } else {
-        std::fprintf(stderr, "usage: %s [--nodes=N] [--class=S|W|A]\n",
-                     argv[0]);
-        std::exit(2);
-      }
-    }
+    HarnessArgs a{default_nodes, default_cls};
+    cli::FlagSet fs(argv[0]);
+    fs.positive_value("nodes", "N", "partition size", &a.nodes);
+    fs.value("class", "C", "problem class S|W|A",
+             [&a](const char* v) { a.cls = nas::parse_class(v); });
+    if (const auto rc = fs.parse(argc, argv, 1)) std::exit(*rc);
     return a;
+  }
+
+  /// A VNM run of `b` at the harness's class and partition size.
+  [[nodiscard]] nas::RunSpec spec(nas::Benchmark b) const {
+    nas::RunSpec s;
+    s.bench = b;
+    s.cls = cls;
+    s.machine.num_nodes = nodes;
+    s.machine.mode = sys::OpMode::kVnm;
+    return s;
   }
 };
 
@@ -97,10 +101,11 @@ inline unsigned square_ranks(unsigned total) {
   return s * s;
 }
 
-/// Rank override for a benchmark under the paper's conventions.
-inline unsigned ranks_for(nas::Benchmark b, unsigned nodes, sys::OpMode mode) {
-  const unsigned total = nodes * sys::processes_per_node(mode);
-  if (b == nas::Benchmark::kSP || b == nas::Benchmark::kBT) {
+/// Rank override for a run under the paper's conventions.
+inline unsigned ranks_for(const nas::RunSpec& s) {
+  const unsigned total =
+      s.machine.num_nodes * sys::processes_per_node(s.machine.mode);
+  if (s.bench == nas::Benchmark::kSP || s.bench == nas::Benchmark::kBT) {
     return square_ranks(total);
   }
   return 0;  // all

@@ -23,12 +23,12 @@ int main(int argc, char** argv) {
   std::printf("%-14s %14s %14s %12s\n", "L3 size", "DDR traffic", "exec Mcyc",
               "L3 miss%");
   for (u64 mb : {0, 1, 2, 4, 8}) {
-    nas::RunConfig cfg;
+    nas::RunSpec cfg;
     cfg.bench = bench;
     cfg.cls = nas::ProblemClass::kW;
-    cfg.num_nodes = nodes;
-    cfg.mode = sys::OpMode::kVnm;
-    cfg.boot.l3_size_bytes = mb * MiB;
+    cfg.machine.num_nodes = nodes;
+    cfg.machine.mode = sys::OpMode::kVnm;
+    cfg.machine.boot.l3_size_bytes = mb * MiB;
     const auto out = nas::run_benchmark(cfg);
     std::printf("%-14s %14s %14.2f %11.1f%%\n",
                 mb ? strfmt("%llu MiB", (unsigned long long)mb).c_str()
@@ -41,13 +41,13 @@ int main(int argc, char** argv) {
   std::printf("\n%-14s %14s %14s\n", "L2 prefetch", "DDR traffic",
               "exec Mcyc");
   for (unsigned depth : {0u, 2u, 8u}) {
-    nas::RunConfig cfg;
+    nas::RunSpec cfg;
     cfg.bench = bench;
     cfg.cls = nas::ProblemClass::kW;
-    cfg.num_nodes = nodes;
-    cfg.mode = sys::OpMode::kVnm;
-    cfg.boot.prefetch.enabled = depth > 0;
-    cfg.boot.prefetch.depth = depth;
+    cfg.machine.num_nodes = nodes;
+    cfg.machine.mode = sys::OpMode::kVnm;
+    cfg.machine.boot.prefetch.enabled = depth > 0;
+    cfg.machine.boot.prefetch.depth = depth;
     const auto out = nas::run_benchmark(cfg);
     std::printf("%-14s %14s %14.2f\n",
                 depth ? strfmt("depth %u", depth).c_str() : "off",

@@ -28,11 +28,11 @@ int main(int argc, char** argv) {
   for (const ModeRun m : {ModeRun{sys::OpMode::kVnm, kRanks / 4},
                           ModeRun{sys::OpMode::kDual, kRanks / 2},
                           ModeRun{sys::OpMode::kSmp1, kRanks}}) {
-    nas::RunConfig cfg;
+    nas::RunSpec cfg;
     cfg.bench = bench;
     cfg.cls = nas::ProblemClass::kA;
-    cfg.num_nodes = m.nodes;
-    cfg.mode = m.mode;
+    cfg.machine.num_nodes = m.nodes;
+    cfg.machine.mode = m.mode;
     const auto out = nas::run_benchmark(cfg);
     std::printf("%-8s %8u %8u %14.2f %14.1f %14s %s\n",
                 std::string(sys::to_string(m.mode)).c_str(), m.nodes, kRanks,

@@ -16,45 +16,28 @@
 using namespace bgp;
 
 int main(int argc, char** argv) {
-  const nas::Benchmark bench =
-      argc > 1 ? nas::parse_benchmark(argv[1]) : nas::Benchmark::kCG;
-  const unsigned nodes = argc > 2 ? std::atoi(argv[2]) : 4;
-  const sys::OpMode mode =
-      argc > 3 ? sys::parse_mode(argv[3]) : sys::OpMode::kVnm;
-  const nas::ProblemClass cls =
-      argc > 4 ? nas::parse_class(argv[4]) : nas::ProblemClass::kW;
+  nas::RunSpec spec;
+  spec.bench = argc > 1 ? nas::parse_benchmark(argv[1]) : nas::Benchmark::kCG;
+  spec.machine.num_nodes = argc > 2 ? std::atoi(argv[2]) : 4;
+  spec.machine.mode = argc > 3 ? sys::parse_mode(argv[3]) : sys::OpMode::kVnm;
+  spec.cls = argc > 4 ? nas::parse_class(argv[4]) : nas::ProblemClass::kW;
 
+  // Build the machine, instrument "MPI" with the interface library, run.
   const auto dump_dir = std::filesystem::path("bgpc_dumps");
-  std::filesystem::create_directories(dump_dir);
-
-  // Build the machine and instrument "MPI" with the interface library.
-  rt::MachineConfig mc;
-  mc.num_nodes = nodes;
-  mc.mode = mode;
-  rt::Machine machine(mc);
-  pc::Options opts;
-  opts.app_name = std::string(nas::name(bench));
-  opts.dump_dir = dump_dir;
-  pc::Session session(machine, opts);
-  session.link_with_mpi();
-
-  auto kernel = nas::make_kernel(bench, cls);
+  nas::Run run(spec, dump_dir);
+  const std::string& app = run.session().options().app_name;
   std::printf("running %s class %s on %u nodes (%s, %u ranks)...\n",
-              std::string(nas::name(bench)).c_str(),
-              std::string(nas::name(cls)).c_str(), nodes,
-              std::string(sys::to_string(mode)).c_str(),
-              machine.num_ranks());
-  machine.run([&](rt::RankCtx& ctx) {
-    ctx.mpi_init();
-    kernel->run(ctx);
-    ctx.mpi_finalize();
-  });
+              app.c_str(), std::string(nas::name(spec.cls)).c_str(),
+              spec.machine.num_nodes,
+              std::string(sys::to_string(spec.machine.mode)).c_str(),
+              run.machine().num_ranks());
+  const nas::RunResult result = run.execute();
   std::printf("verification: %s (%s)\n",
-              kernel->result().verified ? "PASSED" : "FAILED",
-              kernel->result().detail.c_str());
+              result.kernel.verified ? "PASSED" : "FAILED",
+              result.kernel.detail.c_str());
 
   // Post-process the dump files exactly like the paper's tools.
-  const auto dumps = post::load_dumps(dump_dir, opts.app_name);
+  const auto dumps = post::load_dumps(dump_dir, app);
   std::printf("loaded %zu per-node dump files from %s\n", dumps.size(),
               dump_dir.string().c_str());
   const auto sanity = post::check(dumps);
@@ -65,7 +48,7 @@ int main(int argc, char** argv) {
   }
 
   const post::Aggregate agg(dumps, 0);
-  const auto rec = post::make_record(opts.app_name, agg);
+  const auto rec = post::make_record(app, agg);
 
   CsvWriter metrics;
   post::write_metrics_csv(metrics, {rec});
@@ -83,5 +66,5 @@ int main(int argc, char** argv) {
               human_bytes(rec.ddr_traffic_bytes).c_str());
   std::printf("wrote %s and %s\n", (dump_dir / "metrics.csv").string().c_str(),
               (dump_dir / "counter_stats.csv").string().c_str());
-  return kernel->result().verified ? 0 : 1;
+  return result.ok() ? 0 : 1;
 }

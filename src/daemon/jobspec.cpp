@@ -17,6 +17,12 @@ unsigned get_unsigned(const json::Value& v, const char* key) {
   return static_cast<unsigned>(n);
 }
 
+unsigned get_positive(const json::Value& v, const char* key) {
+  const unsigned n = get_unsigned(v, key);
+  if (n == 0) throw json::JsonError(strfmt("'%s' must be positive", key));
+  return n;
+}
+
 /// The wire token parse_mode() accepts (sys::to_string's display form,
 /// "SMP/1", is not parseable).
 const char* mode_token(sys::OpMode m) {
@@ -36,6 +42,7 @@ JobSpec JobSpec::from_json(const json::Value& v) {
     throw json::JsonError("job spec must be a JSON object");
   }
   JobSpec spec;
+  rt::MachineConfig& mc = spec.machine;
   for (const auto& [key, val] : v.members()) {
     try {
       if (key == "session") {
@@ -50,43 +57,49 @@ JobSpec JobSpec::from_json(const json::Value& v) {
       } else if (key == "class") {
         spec.cls = nas::parse_class(val.as_string());
       } else if (key == "nodes") {
-        spec.nodes = get_unsigned(val, key.c_str());
-        if (spec.nodes == 0) throw json::JsonError("'nodes' must be positive");
+        mc.num_nodes = get_positive(val, key.c_str());
       } else if (key == "mode") {
-        spec.mode = sys::parse_mode(val.as_string());
+        mc.mode = sys::parse_mode(val.as_string());
       } else if (key == "ranks") {
-        spec.ranks = get_unsigned(val, key.c_str());
+        mc.num_ranks_override = get_unsigned(val, key.c_str());
+      } else if (key == "l3") {
+        const u64 mib = val.as_u64();
+        if (mib > ~u64{0} / MiB) throw json::JsonError("'l3' is out of range");
+        mc.boot.l3_size_bytes = mib * MiB;
+      } else if (key == "prefetch") {
+        const unsigned depth = get_unsigned(val, key.c_str());
+        mc.boot.prefetch.enabled = depth > 0;
+        mc.boot.prefetch.depth = depth;
+      } else if (key == "opt") {
+        mc.opt = opt::OptConfig::parse(val.as_string());
       } else if (key == "sched") {
-        const std::string& s = val.as_string();
-        if (s == "serial") {
-          spec.sched = rt::SchedMode::kSerial;
-        } else if (s == "parallel") {
-          spec.sched = rt::SchedMode::kParallel;
-        } else {
-          throw json::JsonError("'sched' must be \"serial\" or \"parallel\"");
-        }
+        mc.sched = rt::parse_sched_mode(val.as_string());
       } else if (key == "jobs") {
-        spec.jobs = get_unsigned(val, key.c_str());
+        mc.jobs = get_unsigned(val, key.c_str());
       } else if (key == "deaths") {
         spec.deaths = get_unsigned(val, key.c_str());
       } else if (key == "fault_seed") {
         spec.fault_seed = val.as_u64();
       } else if (key == "ft") {
-        spec.ftp.enabled = val.as_bool();
+        spec.ft.enabled = val.as_bool();
       } else if (key == "ft_detect_latency") {
-        spec.ftp.detect_latency = val.as_u64();
+        spec.ft.detect_latency = val.as_u64();
       } else if (key == "trace") {
-        spec.trace = val.as_bool();
+        spec.trace.enabled = val.as_bool();
       } else if (key == "interval_cycles") {
-        spec.interval_cycles = val.as_u64();
-        if (spec.interval_cycles == 0) {
+        spec.trace.interval_cycles = val.as_u64();
+        if (spec.trace.interval_cycles == 0) {
           throw json::JsonError("'interval_cycles' must be positive");
         }
       } else if (key == "preset") {
-        spec.preset = val.as_string();
-        (void)trace::preset_trace_events(spec.preset, 0);
+        spec.trace.preset = val.as_string();
+        (void)trace::preset_trace_events(spec.trace.preset, 0);
+      } else if (key == "buffer") {
+        spec.trace.buffer_capacity = get_positive(val, key.c_str());
       } else if (key == "obs") {
-        spec.obs = val.as_bool();
+        spec.obs.enabled = val.as_bool();
+      } else if (key == "obs_span_capacity") {
+        spec.obs.span_capacity = get_positive(val, key.c_str());
       } else if (key == "snapshot_period_cycles") {
         spec.snapshot_period_cycles = val.as_u64();
       } else {
@@ -100,58 +113,82 @@ JobSpec JobSpec::from_json(const json::Value& v) {
       throw json::JsonError(strfmt("'%s': %s", key.c_str(), e.what()));
     }
   }
-  if (spec.ranks != 0 &&
-      spec.ranks > spec.nodes * sys::processes_per_node(spec.mode)) {
+  const unsigned capacity = mc.num_nodes * sys::processes_per_node(mc.mode);
+  if (mc.num_ranks_override > capacity) {
     throw json::JsonError(
-        strfmt("'ranks' %u exceeds the partition capacity %u", spec.ranks,
-               spec.nodes * sys::processes_per_node(spec.mode)));
+        strfmt("'ranks' %u exceeds the partition capacity %u",
+               mc.num_ranks_override, capacity));
   }
   return spec;
 }
 
 json::Value JobSpec::to_json() const {
+  const rt::MachineConfig& mc = machine;
+  const rt::MachineConfig dflt;
   json::Value v = json::Value::object();
   if (!session.empty()) v.set("session", json::Value(session));
   v.set("bench", json::Value(std::string(nas::name(bench))));
   v.set("class", json::Value(std::string(nas::name(cls))));
-  v.set("nodes", json::Value(u64{nodes}));
-  v.set("mode", json::Value(mode_token(mode)));
-  if (ranks != 0) v.set("ranks", json::Value(u64{ranks}));
-  v.set("sched", json::Value(sched == rt::SchedMode::kParallel
-                                 ? std::string("parallel")
-                                 : std::string("serial")));
-  if (jobs != 0) v.set("jobs", json::Value(u64{jobs}));
+  v.set("nodes", json::Value(u64{mc.num_nodes}));
+  v.set("mode", json::Value(mode_token(mc.mode)));
+  if (mc.num_ranks_override != 0) {
+    v.set("ranks", json::Value(u64{mc.num_ranks_override}));
+  }
+  if (mc.boot.l3_size_bytes != dflt.boot.l3_size_bytes) {
+    v.set("l3", json::Value(mc.boot.l3_size_bytes / MiB));
+  }
+  const unsigned depth = mc.boot.prefetch.enabled ? mc.boot.prefetch.depth : 0;
+  if (depth != dflt.boot.prefetch.depth) {
+    v.set("prefetch", json::Value(u64{depth}));
+  }
+  if (mc.opt != dflt.opt) v.set("opt", json::Value(mc.opt.name()));
+  v.set("sched", json::Value(mc.sched == rt::SchedMode::kParallel
+                                 ? "parallel"
+                                 : "serial"));
+  if (mc.jobs != 0) v.set("jobs", json::Value(u64{mc.jobs}));
   if (deaths != 0) {
     v.set("deaths", json::Value(u64{deaths}));
     v.set("fault_seed", json::Value(fault_seed));
   }
-  if (ftp.enabled) {
+  if (ft.enabled) {
     v.set("ft", json::Value(true));
-    v.set("ft_detect_latency", json::Value(ftp.detect_latency));
+    v.set("ft_detect_latency", json::Value(ft.detect_latency));
   }
-  if (trace) {
+  if (trace.enabled) {
     v.set("trace", json::Value(true));
-    v.set("interval_cycles", json::Value(interval_cycles));
-    v.set("preset", json::Value(preset));
+    v.set("interval_cycles", json::Value(trace.interval_cycles));
+    v.set("preset", json::Value(trace.preset));
+    if (trace.buffer_capacity != trace::TraceConfig{}.buffer_capacity) {
+      v.set("buffer", json::Value(u64{trace.buffer_capacity}));
+    }
   }
-  if (obs) v.set("obs", json::Value(true));
+  if (obs.enabled) {
+    v.set("obs", json::Value(true));
+    if (obs.span_capacity != obs::ObsConfig{}.span_capacity) {
+      v.set("obs_span_capacity", json::Value(u64{obs.span_capacity}));
+    }
+  }
   if (snapshot_period_cycles.has_value()) {
     v.set("snapshot_period_cycles", json::Value(*snapshot_period_cycles));
   }
   return v;
 }
 
-u64 estimate_resident_bytes(const JobSpec& spec) {
-  // Per node: the modeled L3 array dominates (8 MiB default) plus DDR/
-  // snoop/core structures; round to 10 MiB. Per rank: a fiber or thread
+u64 estimate_resident_bytes(const nas::RunSpec& spec) {
+  // Per node: the modeled L3 array dominates (its simulated size, 8 MiB by
+  // default) plus 2 MiB of DDR/snoop/core structures. Per rank: a fiber
   // stack plus mailbox slack; 1 MiB covers the default fiber stack. The
-  // snapshot mapping adds two full counter slots per node plus the
-  // metrics text (~4.2 KiB + 128 KiB).
-  const u64 per_node = 10 * MiB;
-  const u64 per_rank = 1 * MiB;
-  const u64 snapshot = u64{spec.nodes} * 4352 + 160 * 1024;
-  return u64{spec.nodes} * per_node + u64{spec.effective_ranks()} * per_rank +
-         snapshot;
+  // snapshot mapping adds two full counter slots per node plus the metrics
+  // text (~4.2 KiB + 128 KiB). Saturates instead of wrapping, so an
+  // outsized L3 lands over any byte quota.
+  using u128 = unsigned __int128;
+  const u128 nodes = spec.machine.num_nodes;
+  const u128 per_node = 2 * MiB + u128{spec.machine.boot.l3_size_bytes};
+  const u128 per_rank = 1 * MiB;
+  const u128 snapshot = nodes * 4352 + 160 * 1024;
+  const u128 total =
+      nodes * per_node + spec.effective_ranks() * per_rank + snapshot;
+  return total > ~u64{0} ? ~u64{0} : static_cast<u64>(total);
 }
 
 bool valid_session_name(const std::string& name) {

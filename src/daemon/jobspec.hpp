@@ -1,56 +1,36 @@
-// A job submission on the daemon's control channel: machine configuration,
-// workload, fault/FT/trace/obs options — the same knob set bgpc_run exposes
-// as flags, so a daemon-hosted session can reproduce a batch run exactly.
-// Parsed from the NDJSON control protocol with strict validation: unknown
-// keys and malformed values are structured errors, never silent defaults.
+// A job submission on the daemon's control channel: a nas::RunSpec plus
+// the session name and the snapshot period. The JSON form has one key per
+// run flag that bgpc_run and bgpc_trace share (docs/bgpcd.md lists the
+// pairs), and a submitted job runs through the same nas::Run as a batch
+// run, so a daemon-hosted session reproduces a batch run exactly.
+// Parsing is strict: unknown keys and malformed values are structured
+// errors, never silent defaults.
 #pragma once
 
 #include <optional>
 #include <string>
 
 #include "daemon/json.hpp"
-#include "ft/ftypes.hpp"
-#include "nas/kernel.hpp"
-#include "runtime/sched.hpp"
-#include "sys/mode.hpp"
+#include "nas/runner.hpp"
 
 namespace bgp::daemon {
 
-struct JobSpec {
+struct JobSpec : nas::RunSpec {
   /// Session name (path-safe: [A-Za-z0-9._-]); empty = daemon assigns one.
   std::string session;
-  nas::Benchmark bench = nas::Benchmark::kCG;
-  nas::ProblemClass cls = nas::ProblemClass::kS;
-  unsigned nodes = 4;
-  sys::OpMode mode = sys::OpMode::kVnm;
-  unsigned ranks = 0;  ///< 0 = all the partition hosts
-  rt::SchedMode sched = rt::SchedMode::kSerial;
-  unsigned jobs = 0;
-
-  unsigned deaths = 0;
-  u64 fault_seed = 1;
-  ft::FtParams ftp;
-
-  bool trace = false;
-  cycles_t interval_cycles = 10'000;
-  std::string preset = "default";
-
-  bool obs = false;
 
   /// Periodic snapshot publication period in simulated cycles; nullopt =
   /// the daemon's default, 0 = final-only snapshots.
   std::optional<cycles_t> snapshot_period_cycles;
 
-  /// Ranks this job will run (after mode/override resolution).
-  [[nodiscard]] unsigned effective_ranks() const {
-    const unsigned capacity = nodes * sys::processes_per_node(mode);
-    return ranks == 0 ? capacity : ranks;
-  }
-
   /// Strict parse of a control-protocol submit object. Throws
   /// json::JsonError (with a human detail) on unknown keys or bad values.
   [[nodiscard]] static JobSpec from_json(const json::Value& v);
-  /// The wire form (round-trips through from_json).
+  /// The wire form (round-trips through from_json). `bench`, `class`,
+  /// `nodes`, `mode` and `sched` are always written; any other key only
+  /// when it differs from its default (the fault, FT and tracing keys only
+  /// while their feature is on), so bodies journaled by older daemons
+  /// re-serialize to the same bytes.
   [[nodiscard]] json::Value to_json() const;
 };
 
@@ -62,10 +42,10 @@ struct Quotas {
 };
 
 /// Deterministic resident-memory model for admission control: the simulated
-/// L3 + DDR structures per node, fiber/thread stacks per rank, and the
-/// snapshot file mapping. Intentionally a coarse upper-bound model — the
-/// point is a stable, explainable admission decision.
-[[nodiscard]] u64 estimate_resident_bytes(const JobSpec& spec);
+/// L3 + DDR structures per node, a fiber stack per rank, and the snapshot
+/// file mapping. Intentionally a coarse upper-bound model — the point is a
+/// stable, explainable admission decision.
+[[nodiscard]] u64 estimate_resident_bytes(const nas::RunSpec& spec);
 
 /// True when `name` is a safe session name (nonempty, [A-Za-z0-9._-],
 /// no leading dot, at most 64 chars).

@@ -7,13 +7,7 @@
 #include "common/binio.hpp"
 #include "common/strfmt.hpp"
 #include "core/node_monitor.hpp"
-#include "core/session.hpp"
 #include "daemon/attach.hpp"
-#include "fault/fault.hpp"
-#include "ft/ftcomm.hpp"
-#include "nas/kernel.hpp"
-#include "runtime/machine.hpp"
-#include "runtime/obs_scope.hpp"
 
 namespace bgp::daemon {
 
@@ -494,7 +488,8 @@ SubmitResult Service::submit(const JobSpec& spec, const std::string& req_id) {
   }
   const u64 want = estimate_resident_bytes(spec);
   const u64 have = resident_now_locked();
-  if (have + want > config_.quotas.max_resident_bytes) {
+  const u64 budget = config_.quotas.max_resident_bytes;
+  if (want > budget || have > budget - want) {
     return reject(
         "over_quota_bytes",
         strfmt("job needs ~%llu bytes, %llu of the %llu-byte budget in use",
@@ -540,7 +535,7 @@ SubmitResult Service::submit(const JobSpec& spec, const std::string& req_id) {
                       .str("req", req_id)
                       .str("session", name)
                       .str("bench", std::string(nas::name(ref.spec.bench)))
-                      .num("nodes", u64{ref.spec.nodes})
+                      .num("nodes", u64{ref.spec.machine.num_nodes})
                       .num("resident_bytes", ref.resident_bytes));
   ref.thread = std::thread([this, &ref] { run_session(ref); });
 
@@ -599,59 +594,32 @@ void Service::run_session(ActiveSession& s) {
                       .str("session", s.name)
                       .num("queue_wait_s", waited));
   try {
-    std::filesystem::create_directories(s.dir);
-
-    // The construction below mirrors bgpc_run exactly: a finished daemon
-    // session's dump files are byte-identical to a same-seed batch run with
-    // the same snapshot configuration.
-    rt::MachineConfig mc;
-    mc.num_nodes = spec.nodes;
-    mc.mode = spec.mode;
-    mc.num_ranks_override = spec.ranks;
-    mc.sched = spec.sched;
-    mc.jobs = spec.jobs;
-    rt::Machine machine(mc);
-
-    fault::FaultInjector injector{[&] {
-      fault::FaultSpec fsp;
-      fsp.node_deaths = spec.deaths;
-      return fault::FaultPlan::random(spec.fault_seed, spec.nodes, fsp);
-    }()};
-    if (spec.deaths > 0) machine.set_fault_injector(&injector);
-    machine.set_ft_params(spec.ftp);
-
-    pc::Options opts;
-    opts.app_name = std::string(nas::name(spec.bench));
-    opts.dump_dir = s.dir;
-    opts.trace.enabled = spec.trace;
-    opts.trace.interval_cycles = spec.interval_cycles;
-    opts.trace.preset = spec.preset;
-    opts.trace.trace_dir = s.dir;
-    opts.obs.enabled = spec.obs;
-    pc::Session session(machine, opts);
-    session.link_with_mpi();
-
+    // The same nas::Run as bgpc_run: a finished daemon session's dump
+    // files are byte-identical to a same-seed batch run with the same
+    // snapshot configuration.
+    nas::Run run(spec, s.dir);
     PublisherConfig pub_cfg = config_.snapshot;
     if (spec.snapshot_period_cycles.has_value()) {
       pub_cfg.period_cycles = *spec.snapshot_period_cycles;
     }
     pub_cfg.faults = config_.faults;
     pub_cfg.host_publish_seconds = host_obs_->snapshot_publish;
-    SnapshotPublisher publisher(machine, s.snapshot_path, opts.app_name,
-                                s.name, pub_cfg);
-    if (session.flight_recorder() != nullptr) {
-      publisher.set_metrics_source(&session.flight_recorder()->metrics());
+    SnapshotPublisher publisher(run.machine(), s.snapshot_path,
+                                run.session().options().app_name, s.name,
+                                pub_cfg);
+    if (run.session().flight_recorder() != nullptr) {
+      publisher.set_metrics_source(&run.session().flight_recorder()->metrics());
     }
 
     {
       std::lock_guard<std::mutex> lk(s.mu);
-      s.machine = &machine;
+      s.machine = &run.machine();
       // A kill that arrived between thread start and here must not be lost.
-      if (s.kill_requested) machine.request_stop();
+      if (s.kill_requested) run.machine().request_stop();
     }
     // Null the machine handle before the Machine object dies — on every
     // exit path, including unwinding — so kill() never chases a dangling
-    // pointer. Declared after `machine`, so it runs first.
+    // pointer. Declared after `run`, so it runs first.
     struct MachineHandleGuard {
       ActiveSession* s;
       ~MachineHandleGuard() {
@@ -660,37 +628,13 @@ void Service::run_session(ActiveSession& s) {
       }
     } unpublish{&s};
 
-    auto kernel = nas::make_kernel(spec.bench, spec.cls);
-    const std::string region = "region." + opts.app_name;
-    bool stopped = false;
-    try {
-      if (spec.ftp.enabled) {
-        machine.run([&](rt::RankCtx& ctx) {
-          ft::run_guarded(ctx, [&](rt::RankCtx& c) {
-            c.mpi_init();
-            rt::ObsScope span(c, region, obs::SpanCat::kRegion);
-            kernel->run(c);
-          });
-          ft::finalize_guarded(ctx);
-        });
-      } else {
-        machine.run([&](rt::RankCtx& ctx) {
-          ctx.mpi_init();
-          {
-            rt::ObsScope span(ctx, region, obs::SpanCat::kRegion);
-            kernel->run(ctx);
-          }
-          ctx.mpi_finalize();
-        });
-      }
-    } catch (const rt::RunStopped&) {
-      // Kill/drain checkpoint: seal in-flight traces, dump every node that
-      // never reached its finalize — all through the atomic write paths.
-      stopped = true;
-      session.seal_all_traces();
-      session.checkpoint_dump();
+    const nas::RunResult result = run.execute();
+    const pc::Session& session = run.session();
+    if (result.stopped) {
+      // Kill/drain checkpoint: execute() sealed the in-flight traces and
+      // dumped every node that never reached its finalize.
       json::Value ckpt = json::Value::object();
-      ckpt.set("sim_cycles", json::Value(machine.elapsed()));
+      ckpt.set("sim_cycles", json::Value(run.machine().elapsed()));
       ckpt.set("dump_files", json::Value(u64{session.dump_files().size()}));
       journal_append(journal_op::kCheckpoint, s.name, std::move(ckpt));
     }
@@ -698,30 +642,21 @@ void Service::run_session(ActiveSession& s) {
     snapshots_->add(publisher.publishes());
 
     std::lock_guard<std::mutex> lk(s.mu);
-    s.sim_cycles = machine.elapsed();
+    s.sim_cycles = run.machine().elapsed();
     s.dump_files = session.dump_files().size();
     s.trace_files = session.trace_files().size();
-    if (stopped) {
+    if (result.stopped) {
       s.state = SessionState::kKilled;
       s.detail = strfmt("stopped mid-run; %zu checkpoint dump(s) written",
                         s.dump_files);
       killed_->add();
     } else {
-      const std::vector<unsigned> dead = machine.dead_nodes();
-      if (spec.ftp.enabled && !dead.empty()) {
-        bool writes_ok = true;
-        for (const pc::DumpWriteOutcome& o : session.write_outcomes()) {
-          writes_ok = writes_ok && o.ok;
-        }
-        s.verified =
-            writes_ok && s.dump_files == std::size_t{spec.nodes} - dead.size();
-        s.detail = strfmt("degraded FT run: %zu node death(s), %zu survivor "
-                          "dump(s)",
-                          dead.size(), s.dump_files);
-      } else {
-        s.verified = kernel->result().verified;
-        s.detail = kernel->result().detail;
-      }
+      s.verified = result.ok();
+      s.detail = result.degraded
+                     ? strfmt("degraded FT run: %zu node death(s), %zu "
+                              "survivor dump(s)",
+                              result.dead_nodes.size(), s.dump_files)
+                     : result.kernel.detail;
       s.state = SessionState::kFinished;
       finished_->add();
     }

@@ -1,7 +1,7 @@
 // The daemon's session manager: admits jobs under quota, runs each session
-// on its own thread (Machine + pc::Session + SnapshotPublisher, exactly the
-// bgpc_run construction so finished dumps are byte-identical to batch
-// runs), exposes list/status/kill, and drains gracefully — stop admissions,
+// on its own thread (a nas::Run plus a SnapshotPublisher; the nas::Run is
+// bgpc_run's, so finished dumps are byte-identical to batch runs),
+// exposes list/status/kill, and drains gracefully — stop admissions,
 // let running sessions finish, checkpoint nothing by force (kill is
 // explicit). The daemon's own health metrics live in a private
 // MetricsRegistry rendered by the /metrics endpoint.

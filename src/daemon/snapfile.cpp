@@ -130,25 +130,31 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
       metrics_capacity_(round8(metrics_capacity)),
       faults_(faults) {
   const Geometry g = make_geometry(num_nodes, metrics_capacity);
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw std::runtime_error(
-        strfmt("cannot create snapshot file %s: %s", path.c_str(),
-               std::strerror(errno)));
-  }
+  // Build the file under a temporary name and rename it into place once the
+  // header and the idle slots are written: an attacher never maps a file
+  // without its magic, and a reader still attached to an earlier run's
+  // file at `path` keeps that file instead of seeing it truncated.
+  std::filesystem::path tmp = path;
+  tmp += ".tmp";
+  const auto fail = [&](const char* what, int err) {
+    if (map_ != nullptr) ::munmap(map_, map_bytes_);
+    map_ = nullptr;
+    ::unlink(tmp.c_str());
+    throw std::runtime_error(strfmt("cannot %s snapshot file %s: %s", what,
+                                    path.c_str(), std::strerror(err)));
+  };
+  const int fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) fail("create", errno);
   if (::ftruncate(fd, static_cast<off_t>(g.total)) != 0) {
     const int err = errno;
     ::close(fd);
-    throw std::runtime_error(strfmt("cannot size snapshot file %s: %s",
-                                    path.c_str(), std::strerror(err)));
+    fail("size", err);
   }
   void* map = ::mmap(nullptr, g.total, PROT_READ | PROT_WRITE, MAP_SHARED,
                      fd, 0);
+  const int map_err = errno;
   ::close(fd);
-  if (map == MAP_FAILED) {
-    throw std::runtime_error(strfmt("cannot mmap snapshot file %s: %s",
-                                    path.c_str(), std::strerror(errno)));
-  }
+  if (map == MAP_FAILED) fail("mmap", map_err);
   map_ = static_cast<std::byte*>(map);
   map_bytes_ = g.total;
 
@@ -173,6 +179,7 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
   for (unsigned node = 0; node < num_nodes_; ++node) {
     publish_node(node, node, 0, 0, SnapState::kIdle, 0, zeros);
   }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) fail("publish", errno);
 }
 
 SnapshotWriter::~SnapshotWriter() {

@@ -58,10 +58,11 @@ struct NodeSnapshot {
   std::array<u64, isa::kCountersPerUnit> counters{};
 };
 
-/// Writer side: creates (or truncates) the file, maps it shared, and
-/// publishes slots. One writer per file; publish_node for different nodes
-/// may run concurrently (each node block is independent), publish_metrics
-/// must come from one thread at a time.
+/// Writer side: builds the file under a temporary name, renames it over
+/// `path` once the header and idle slots are in place, keeps it mapped
+/// shared, and publishes slots. One writer per file; publish_node for
+/// different nodes may run concurrently (each node block is independent),
+/// publish_metrics must come from one thread at a time.
 class SnapshotWriter {
  public:
   SnapshotWriter(const std::filesystem::path& path, const std::string& app,

@@ -31,6 +31,8 @@ struct FtParams {
   /// the heartbeat/timeout latency of a real detector, billed to the
   /// detecting core.
   cycles_t detect_latency = 2000;
+
+  bool operator==(const FtParams&) const = default;
 };
 
 /// One step of a recovery episode, in simulated time.

@@ -20,6 +20,8 @@ struct PrefetchParams {
   unsigned streams = 8;
   /// Lines fetched ahead of a confirmed stream.
   unsigned depth = 2;
+
+  bool operator==(const PrefetchParams&) const = default;
 };
 
 struct PrefetchStats {

@@ -37,6 +37,8 @@ struct ObsConfig {
   /// Write per-node .bgps span files next to the dumps at finalize (read
   /// back by bgpc_obs).
   bool write_spans = true;
+
+  bool operator==(const ObsConfig&) const = default;
 };
 
 /// Collective kinds with a dedicated latency histogram.

@@ -84,6 +84,8 @@ struct MachineConfig {
   /// never exceeds the node count (the unit of parallelism is a node: its
   /// ranks share caches, so they execute exclusively).
   unsigned jobs = 0;
+
+  bool operator==(const MachineConfig&) const = default;
 };
 
 class Machine {

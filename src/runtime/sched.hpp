@@ -10,6 +10,9 @@
 
 #include <cstddef>
 #include <queue>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -22,6 +25,14 @@ enum class SchedMode : u8 {
   kSerial,    ///< one worker
   kParallel,  ///< MachineConfig::jobs workers (0 = hardware concurrency)
 };
+
+/// "serial" or "parallel": the --sched flag and the job-spec key.
+[[nodiscard]] inline SchedMode parse_sched_mode(std::string_view s) {
+  if (s == "serial") return SchedMode::kSerial;
+  if (s == "parallel") return SchedMode::kParallel;
+  throw std::invalid_argument("unknown scheduler '" + std::string(s) +
+                              "' (serial or parallel)");
+}
 
 /// The dispatch key: ranks run in ascending (cycle, rank) order.
 struct SchedKey {

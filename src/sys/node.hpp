@@ -26,6 +26,8 @@ struct BootOptions {
   /// Nodes per node card; card parity selects which half of the event space
   /// a node monitors (§IV's 512-events-in-one-run scheme).
   unsigned nodes_per_card = 2;
+
+  bool operator==(const BootOptions&) const = default;
 };
 
 /// One compute node.

@@ -30,6 +30,8 @@ struct TraceConfig {
   std::string preset = "default";
   /// Where trace files land (next to the .bgpc dumps by default).
   std::filesystem::path trace_dir = ".";
+
+  bool operator==(const TraceConfig&) const = default;
 };
 
 /// Event-preset names accepted by preset_trace_events (and the CLIs).

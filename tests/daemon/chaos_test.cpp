@@ -120,14 +120,14 @@ void graceful_stop(const fs::path& sock, pid_t pid, int expect_code) {
 std::vector<JobSpec> workload() {
   std::vector<JobSpec> specs(4);
   specs[0].bench = nas::Benchmark::kEP;
-  specs[0].nodes = 2;
+  specs[0].machine.num_nodes = 2;
   specs[1].bench = nas::Benchmark::kEP;
-  specs[1].nodes = 1;
-  specs[1].trace = true;
+  specs[1].machine.num_nodes = 1;
+  specs[1].trace.enabled = true;
   specs[2].bench = nas::Benchmark::kIS;
-  specs[2].nodes = 2;
+  specs[2].machine.num_nodes = 2;
   specs[3].bench = nas::Benchmark::kIS;
-  specs[3].nodes = 1;
+  specs[3].machine.num_nodes = 1;
   for (JobSpec& s : specs) s.cls = nas::ProblemClass::kS;
   return specs;
 }

@@ -80,36 +80,42 @@ TEST(JobSpec, RoundTripsThroughJson) {
   spec.session = "night-run.7";
   spec.bench = nas::Benchmark::kLU;
   spec.cls = nas::ProblemClass::kW;
-  spec.nodes = 8;
-  spec.mode = sys::OpMode::kDual;
-  spec.ranks = 12;
-  spec.sched = rt::SchedMode::kParallel;
-  spec.jobs = 4;
+  rt::MachineConfig& mc = spec.machine;
+  mc.num_nodes = 8;
+  mc.mode = sys::OpMode::kDual;
+  mc.num_ranks_override = 12;
+  mc.boot.l3_size_bytes = 2 * MiB;
+  mc.boot.prefetch.depth = 4;
+  mc.opt = opt::OptConfig::parse("-O3 -qarch440d");
+  mc.sched = rt::SchedMode::kParallel;
+  mc.jobs = 4;
   spec.deaths = 2;
   spec.fault_seed = 99;
-  spec.ftp.enabled = true;
-  spec.trace = true;
-  spec.interval_cycles = 5000;
-  spec.obs = true;
+  spec.ft.enabled = true;
+  spec.ft.detect_latency = 3000;
+  spec.trace.enabled = true;
+  spec.trace.interval_cycles = 5000;
+  spec.trace.preset = "mem";
+  spec.trace.buffer_capacity = 128;
+  spec.obs.enabled = true;
+  spec.obs.span_capacity = 1024;
   spec.snapshot_period_cycles = 100'000;
 
   const JobSpec back = JobSpec::from_json(spec.to_json());
   EXPECT_EQ(back.session, spec.session);
-  EXPECT_EQ(back.bench, spec.bench);
-  EXPECT_EQ(back.cls, spec.cls);
-  EXPECT_EQ(back.nodes, spec.nodes);
-  EXPECT_EQ(back.mode, spec.mode);
-  EXPECT_EQ(back.ranks, spec.ranks);
-  EXPECT_EQ(back.sched, spec.sched);
-  EXPECT_EQ(back.jobs, spec.jobs);
-  EXPECT_EQ(back.deaths, spec.deaths);
-  EXPECT_EQ(back.fault_seed, spec.fault_seed);
-  EXPECT_EQ(back.ftp.enabled, spec.ftp.enabled);
+  EXPECT_TRUE(static_cast<const nas::RunSpec&>(back) == spec);
+  EXPECT_EQ(back.machine, spec.machine);
   EXPECT_EQ(back.trace, spec.trace);
-  EXPECT_EQ(back.interval_cycles, spec.interval_cycles);
   EXPECT_EQ(back.obs, spec.obs);
+  EXPECT_EQ(back.ft, spec.ft);
   ASSERT_TRUE(back.snapshot_period_cycles.has_value());
   EXPECT_EQ(*back.snapshot_period_cycles, *spec.snapshot_period_cycles);
+
+  // The off forms: L3 and prefetch disabled.
+  mc.boot.l3_size_bytes = 0;
+  mc.boot.prefetch.enabled = false;
+  mc.boot.prefetch.depth = 0;
+  EXPECT_EQ(JobSpec::from_json(spec.to_json()).machine, spec.machine);
 }
 
 TEST(JobSpec, RejectsUnknownKeysAndBadValues) {
@@ -117,35 +123,103 @@ TEST(JobSpec, RejectsUnknownKeysAndBadValues) {
     return JobSpec::from_json(json::Value::parse(text));
   };
   EXPECT_THROW((void)parse(R"({"bennch":"CG"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"session":5})"), json::JsonError);
   EXPECT_THROW((void)parse(R"({"bench":"XX"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"class":"Z"})"), json::JsonError);
   EXPECT_THROW((void)parse(R"({"nodes":0})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"nodes":-1})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"mode":"quad"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"ranks":1.5})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"l3":-8})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"l3":"8MB"})"), json::JsonError);
+  // 2^44 MiB is 2^64 bytes: rejected, not wrapped to an L3 of zero.
+  EXPECT_THROW((void)parse(R"({"l3":17592186044416})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"prefetch":-1})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"prefetch":true})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"opt":"-O9"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"opt":5})"), json::JsonError);
   EXPECT_THROW((void)parse(R"({"sched":"turbo"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"jobs":"two"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"deaths":-1})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"fault_seed":1.5})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"ft":"yes"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"ft_detect_latency":-5})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"trace":1})"), json::JsonError);
   EXPECT_THROW((void)parse(R"({"session":".hidden"})"), json::JsonError);
   EXPECT_THROW((void)parse(R"({"session":"a/b"})"), json::JsonError);
   EXPECT_THROW((void)parse(R"({"interval_cycles":0})"), json::JsonError);
   EXPECT_THROW((void)parse(R"({"preset":"nope"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"buffer":0})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"obs":"on"})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"obs_span_capacity":0})"), json::JsonError);
+  EXPECT_THROW((void)parse(R"({"snapshot_period_cycles":-1})"),
+               json::JsonError);
   // Ranks beyond the partition's capacity (4 nodes VNM = 16).
   EXPECT_THROW((void)parse(R"({"nodes":4,"ranks":17})"), json::JsonError);
   EXPECT_THROW((void)parse(R"(["not","an","object"])"), json::JsonError);
+  try {
+    (void)parse(R"({"opt":"-O9"})");
+    FAIL();
+  } catch (const json::JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("'opt'"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Bodies in the shape older daemons journaled: each parses, and
+// re-serializes to the same bytes, so a journal replays unchanged and new
+// keys appear only where a field differs from its default.
+TEST(JobSpec, OlderJournalBodiesRoundTripByteForByte) {
+  const char* const corpus[] = {
+      R"({"bench":"CG","class":"S","nodes":4,"mode":"vnm","sched":"serial"})",
+      R"({"session":"p1","bench":"EP","class":"S","nodes":2,"mode":"vnm",)"
+      R"("sched":"parallel","jobs":2})",
+      R"({"bench":"CG","class":"W","nodes":8,"mode":"vnm","sched":"serial",)"
+      R"("deaths":2,"fault_seed":7})",
+      R"({"bench":"MG","class":"S","nodes":4,"mode":"dual","ranks":6,)"
+      R"("sched":"serial","deaths":1,"fault_seed":3,"ft":true,)"
+      R"("ft_detect_latency":2000})",
+      R"({"bench":"FT","class":"S","nodes":2,"mode":"smp1",)"
+      R"("sched":"serial","trace":true,"interval_cycles":5000,)"
+      R"("preset":"mem"})",
+      R"({"bench":"LU","class":"A","nodes":16,"mode":"smp4",)"
+      R"("sched":"serial","obs":true,"snapshot_period_cycles":85000})",
+      R"({"session":"all.1","bench":"BT","class":"W","nodes":32,)"
+      R"("mode":"vnm","ranks":121,"sched":"parallel","jobs":4,"deaths":1,)"
+      R"("fault_seed":11,"ft":true,"ft_detect_latency":1500,"trace":true,)"
+      R"("interval_cycles":10000,"preset":"default","obs":true,)"
+      R"("snapshot_period_cycles":0})",
+  };
+  for (const char* body : corpus) {
+    EXPECT_EQ(JobSpec::from_json(json::Value::parse(body)).to_json().dump(),
+              body);
+  }
 }
 
 TEST(JobSpec, EffectiveRanksFollowsModeAndOverride) {
   JobSpec spec;
-  spec.nodes = 4;
-  spec.mode = sys::OpMode::kVnm;
+  spec.machine.num_nodes = 4;
+  spec.machine.mode = sys::OpMode::kVnm;
   EXPECT_EQ(spec.effective_ranks(), 16u);
-  spec.mode = sys::OpMode::kSmp1;
+  spec.machine.mode = sys::OpMode::kSmp1;
   EXPECT_EQ(spec.effective_ranks(), 4u);
-  spec.ranks = 3;
+  spec.machine.num_ranks_override = 3;
   EXPECT_EQ(spec.effective_ranks(), 3u);
 }
 
 TEST(JobSpec, ResidentEstimateScalesWithPartition) {
   JobSpec small, big;
-  small.nodes = 2;
-  big.nodes = 32;
+  small.machine.num_nodes = 2;
+  big.machine.num_nodes = 32;
   EXPECT_LT(estimate_resident_bytes(small), estimate_resident_bytes(big));
   EXPECT_GT(estimate_resident_bytes(small), 0u);
+  // The simulated L3 is counted at its configured size, saturating.
+  JobSpec big_l3 = small;
+  big_l3.machine.boot.l3_size_bytes = 64 * MiB;
+  EXPECT_GE(estimate_resident_bytes(big_l3),
+            estimate_resident_bytes(small) + 2 * 56 * MiB);
+  big_l3.machine.boot.l3_size_bytes = ~u64{0} / MiB * MiB;
+  EXPECT_EQ(estimate_resident_bytes(big_l3), ~u64{0});
 }
 
 TEST(JobSpec, SessionNameValidation) {

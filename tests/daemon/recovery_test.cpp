@@ -34,7 +34,7 @@ JobSpec quick_spec() {
   JobSpec spec;
   spec.bench = nas::Benchmark::kEP;
   spec.cls = nas::ProblemClass::kS;
-  spec.nodes = 2;
+  spec.machine.num_nodes = 2;
   return spec;
 }
 

@@ -1,24 +1,30 @@
 // Session-manager behavior: admission control returns structured codes
 // without disturbing running sessions, kill lands in kKilled with
 // checkpoint dumps, and — the core daemon guarantee — a finished daemon
-// session's artifacts are byte-identical to a same-seed batch run with the
-// same snapshot configuration, on one scheduler worker and on two.
+// session's artifacts are byte-identical to the built bgpc_run binary run
+// with the matching flags and snapshot configuration, on one scheduler
+// worker and on two. bgpc_trace and bgpc_run are held to the same
+// identity.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <thread>
 
-#include "core/session.hpp"
 #include "daemon/service.hpp"
 #include "daemon/snapfile.hpp"
-#include "fault/fault.hpp"
-#include "nas/kernel.hpp"
-#include "runtime/machine.hpp"
-#include "runtime/obs_scope.hpp"
-#include "runtime/rankctx.hpp"
+
+#if !defined(BGPC_RUN_BINARY) || !defined(BGPC_TRACE_BINARY)
+#error "service_test needs -DBGPC_RUN_BINARY=... and -DBGPC_TRACE_BINARY=..."
+#endif
 
 namespace fs = std::filesystem;
 
@@ -39,16 +45,63 @@ std::string slurp(const fs::path& p) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
+/// A span file without its host-clock columns: each `S` line ends in the
+/// host begin/end ns and each `I` line in the host ns, which no two
+/// processes share. Every simulated field stays.
+std::string simulated_spans(const std::string& text) {
+  std::istringstream in(text);
+  std::string out, line;
+  while (std::getline(in, line)) {
+    const int host_cols = line.starts_with("S ")   ? 2
+                          : line.starts_with("I ") ? 1
+                                                   : 0;
+    for (int i = 0; i < host_cols; ++i) line.erase(line.rfind(' '));
+    out += line + '\n';
+  }
+  return out;
+}
+
 /// All artifact bytes except the snapshot file (whose header carries the
-/// session name; it is compared semantically instead).
+/// session name; it is compared semantically instead). Span files keep
+/// their simulated fields only.
 std::map<std::string, std::string> artifact_bytes(const fs::path& dir) {
   std::map<std::string, std::string> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     if (name == "counters.bgpsnap") continue;
-    files[name] = slurp(entry.path());
+    files[name] = entry.path().extension() == ".bgps"
+                      ? simulated_spans(slurp(entry.path()))
+                      : slurp(entry.path());
   }
   return files;
+}
+
+void expect_same_artifacts(const fs::path& want_dir, const fs::path& got_dir) {
+  const auto want = artifact_bytes(want_dir);
+  const auto got = artifact_bytes(got_dir);
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, bytes] : want) {
+    const auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << name << " missing from " << got_dir;
+    EXPECT_EQ(bytes, it->second) << name << " differs";
+  }
+}
+
+/// Run a built tool with `args`; returns its combined output and sets
+/// `*exit_code`.
+std::string run_tool(const char* binary, const std::string& args,
+                     int* exit_code) {
+  const std::string cmd = std::string(binary) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr);
+  std::string out;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) out.append(buf, n);
+  const int status = ::pclose(pipe);
+  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return out;
 }
 
 SessionStatus wait_terminal(const Service& svc, const std::string& name) {
@@ -65,77 +118,19 @@ SessionStatus wait_terminal(const Service& svc, const std::string& name) {
   return st;
 }
 
-struct BatchRun {
-  std::map<std::string, std::string> files;
-  cycles_t elapsed = 0;
-};
-
-/// The bgpc_run / Service::run_session construction, inline: same machine,
-/// fault plan, session options and (optionally) snapshot publisher.
-BatchRun run_batch(const JobSpec& spec, const fs::path& dir,
-                   const PublisherConfig* pub_cfg) {
-  rt::MachineConfig mc;
-  mc.num_nodes = spec.nodes;
-  mc.mode = spec.mode;
-  mc.num_ranks_override = spec.ranks;
-  mc.sched = spec.sched;
-  mc.jobs = spec.jobs;
-  rt::Machine machine(mc);
-
-  fault::FaultInjector injector{[&] {
-    fault::FaultSpec fsp;
-    fsp.node_deaths = spec.deaths;
-    return fault::FaultPlan::random(spec.fault_seed, spec.nodes, fsp);
-  }()};
-  if (spec.deaths > 0) machine.set_fault_injector(&injector);
-  machine.set_ft_params(spec.ftp);
-
-  pc::Options opts;
-  opts.app_name = std::string(nas::name(spec.bench));
-  opts.dump_dir = dir;
-  opts.trace.enabled = spec.trace;
-  opts.trace.interval_cycles = spec.interval_cycles;
-  opts.trace.preset = spec.preset;
-  opts.trace.trace_dir = dir;
-  opts.obs.enabled = spec.obs;
-  pc::Session session(machine, opts);
-  session.link_with_mpi();
-
-  std::unique_ptr<SnapshotPublisher> publisher;
-  if (pub_cfg != nullptr) {
-    publisher = std::make_unique<SnapshotPublisher>(
-        machine, dir / "counters.bgpsnap", opts.app_name, "batch", *pub_cfg);
-  }
-
-  auto kernel = nas::make_kernel(spec.bench, spec.cls);
-  const std::string region = "region." + opts.app_name;
-  machine.run([&](rt::RankCtx& ctx) {
-    ctx.mpi_init();
-    {
-      rt::ObsScope span(ctx, region, obs::SpanCat::kRegion);
-      kernel->run(ctx);
-    }
-    ctx.mpi_finalize();
-  });
-  if (publisher != nullptr) publisher->publish_final();
-
-  BatchRun out;
-  out.elapsed = machine.elapsed();
-  out.files = artifact_bytes(dir);
-  return out;
+JobSpec job(const char* json_text) {
+  return JobSpec::from_json(json::Value::parse(json_text));
 }
 
-JobSpec quick_spec(rt::SchedMode sched) {
-  JobSpec spec;
-  spec.bench = nas::Benchmark::kEP;
-  spec.cls = nas::ProblemClass::kS;
-  spec.nodes = 2;
-  spec.sched = sched;
-  spec.jobs = sched == rt::SchedMode::kParallel ? 2 : 0;
-  spec.trace = true;
-  spec.snapshot_period_cycles = 100'000;
-  return spec;
-}
+/// EP class S on two nodes, traced, snapshots every 85,000 cycles — the
+/// period bgpc_run spells --snapshot-period=100us.
+constexpr const char* kQuickJob =
+    R"({"bench":"EP","class":"S","nodes":2,"trace":true,)"
+    R"("snapshot_period_cycles":85000})";
+constexpr const char* kQuickFlags =
+    "EP --class=S --nodes=2 --trace --snapshot-period=100us";
+
+JobSpec quick_spec() { return job(kQuickJob); }
 
 /// A session long enough (seconds of wall time) to kill or reject against
 /// while it is reliably still running.
@@ -143,52 +138,57 @@ JobSpec slow_spec() {
   JobSpec spec;
   spec.bench = nas::Benchmark::kCG;
   spec.cls = nas::ProblemClass::kW;
-  spec.nodes = 4;
+  spec.machine.num_nodes = 4;
   return spec;
 }
 
-void expect_daemon_matches_batch(rt::SchedMode sched) {
-  const JobSpec spec = quick_spec(sched);
-
+/// Submit `job_json` to a daemon and run bgpc_run with `flags` (the same
+/// run spelled as flags); the two must write the same artifacts, cycles
+/// and snapshot contents.
+void expect_daemon_matches_batch(const char* job_json,
+                                 const std::string& flags) {
+  JobSpec spec = job(job_json);
+  spec.session = "det";
   ServiceConfig cfg;
   cfg.work_dir = test_dir("daemon");
   Service svc(cfg);
-  JobSpec submitted = spec;
-  submitted.session = "det";
-  const SubmitResult res = svc.submit(submitted);
+  const SubmitResult res = svc.submit(spec);
   ASSERT_TRUE(res.ok) << res.error_code << ": " << res.detail;
   const SessionStatus st = wait_terminal(svc, "det");
   ASSERT_EQ(st.state, SessionState::kFinished) << st.detail;
   EXPECT_TRUE(st.verified) << st.detail;
-  EXPECT_EQ(st.dump_files, 2u);
-  EXPECT_EQ(st.trace_files, 2u);
+  EXPECT_EQ(st.dump_files, spec.machine.num_nodes);
+  EXPECT_EQ(st.trace_files, spec.trace.enabled ? spec.machine.num_nodes : 0);
 
-  PublisherConfig pub_cfg = cfg.snapshot;
-  pub_cfg.period_cycles = *spec.snapshot_period_cycles;
+  const bool snapshots = spec.snapshot_period_cycles != 0;
   const fs::path batch_dir = test_dir("batch");
-  const BatchRun batch = run_batch(spec, batch_dir, &pub_cfg);
-
-  EXPECT_EQ(st.sim_cycles, batch.elapsed);
-  const auto daemon_files = artifact_bytes(st.dump_dir);
-  ASSERT_FALSE(daemon_files.empty());
-  ASSERT_EQ(daemon_files.size(), batch.files.size());
-  for (const auto& [name, bytes] : batch.files) {
-    const auto it = daemon_files.find(name);
-    ASSERT_NE(it, daemon_files.end()) << name << " missing from daemon run";
-    EXPECT_EQ(bytes, it->second) << name << " differs daemon vs batch";
-  }
+  const fs::path batch_snap = batch_dir / "counters.bgpsnap";
+  std::string args = flags + " --dumps=" + batch_dir.string();
+  if (snapshots) args += " --snapshot-file=" + batch_snap.string();
+  int code = -1;
+  const std::string out = run_tool(BGPC_RUN_BINARY, args, &code);
+  ASSERT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("(" + std::to_string(st.sim_cycles) +
+                     " cycles on the slowest node)"),
+            std::string::npos)
+      << out;
+  expect_same_artifacts(batch_dir, st.dump_dir);
 
   // The snapshot file: same node states, cycles and counter words (the
-  // header's session name legitimately differs).
+  // header's session name legitimately differs). With final-only
+  // snapshots the batch run had no publisher at all, and the daemon's
+  // final snapshot must still have landed.
   SnapshotReader dr = SnapshotReader::open_file(st.snapshot_path);
-  SnapshotReader br = SnapshotReader::open_file(batch_dir / "counters.bgpsnap");
-  ASSERT_EQ(dr.num_nodes(), br.num_nodes());
-  EXPECT_EQ(dr.app(), br.app());
+  std::optional<SnapshotReader> br;
+  if (snapshots) br.emplace(SnapshotReader::open_file(batch_snap));
   for (unsigned node = 0; node < dr.num_nodes(); ++node) {
     NodeSnapshot a, b;
     ASSERT_TRUE(dr.read_node(node, a));
-    ASSERT_TRUE(br.read_node(node, b));
     EXPECT_EQ(a.state, SnapState::kFinal);
+    if (!br) continue;
+    ASSERT_EQ(dr.num_nodes(), br->num_nodes());
+    EXPECT_EQ(dr.app(), br->app());
+    ASSERT_TRUE(br->read_node(node, b));
     EXPECT_EQ(a.state, b.state);
     EXPECT_EQ(a.published_cycle, b.published_cycle);
     EXPECT_EQ(a.card_id, b.card_id);
@@ -198,45 +198,55 @@ void expect_daemon_matches_batch(rt::SchedMode sched) {
 }
 
 TEST(ServiceDeterminism, DaemonDumpMatchesBatchSerial) {
-  expect_daemon_matches_batch(rt::SchedMode::kSerial);
+  expect_daemon_matches_batch(kQuickJob, kQuickFlags);
 }
 
 TEST(ServiceDeterminism, DaemonDumpMatchesBatchParallel) {
-  expect_daemon_matches_batch(rt::SchedMode::kParallel);
+  expect_daemon_matches_batch(
+      R"({"bench":"EP","class":"S","nodes":2,"trace":true,)"
+      R"("snapshot_period_cycles":85000,"sched":"parallel","jobs":2})",
+      std::string(kQuickFlags) + " --sched=parallel --jobs=2");
+}
+
+// The machine knobs (L3 size, prefetch depth, compiler options) reach a
+// daemon session exactly as they reach bgpc_run.
+TEST(ServiceDeterminism, MachineKnobsMatchBatch) {
+  expect_daemon_matches_batch(
+      R"({"bench":"CG","class":"S","nodes":2,"l3":4,"prefetch":0,)"
+      R"("opt":"-O3","snapshot_period_cycles":85000})",
+      "CG --class=S --nodes=2 --l3=4 --prefetch=0 --opt=-O3 "
+      "--snapshot-period=100us");
 }
 
 // snapshot_period_cycles = 0 publishes only the final snapshot and installs
 // no pulse hooks: the run must be byte- and cycle-identical to a batch run
 // with no publisher at all.
 TEST(ServiceDeterminism, FinalOnlySnapshotsPerturbNothing) {
-  JobSpec spec = quick_spec(rt::SchedMode::kSerial);
-  spec.snapshot_period_cycles = 0;
+  expect_daemon_matches_batch(
+      R"({"bench":"EP","class":"S","nodes":2,"trace":true,)"
+      R"("snapshot_period_cycles":0})",
+      "EP --class=S --nodes=2 --trace");
+}
 
-  ServiceConfig cfg;
-  cfg.work_dir = test_dir("daemon");
-  Service svc(cfg);
-  JobSpec submitted = spec;
-  submitted.session = "final-only";
-  ASSERT_TRUE(svc.submit(submitted).ok);
-  const SessionStatus st = wait_terminal(svc, "final-only");
-  ASSERT_EQ(st.state, SessionState::kFinished) << st.detail;
-
-  JobSpec plain = spec;
-  const BatchRun batch = run_batch(plain, test_dir("batch"), nullptr);
-  EXPECT_EQ(st.sim_cycles, batch.elapsed);
-  const auto daemon_files = artifact_bytes(st.dump_dir);
-  ASSERT_EQ(daemon_files.size(), batch.files.size());
-  for (const auto& [name, bytes] : batch.files) {
-    ASSERT_TRUE(daemon_files.count(name)) << name;
-    EXPECT_EQ(bytes, daemon_files.at(name)) << name;
-  }
-  // And the final-only snapshot still landed, with every node final.
-  SnapshotReader r = SnapshotReader::open_file(st.snapshot_path);
-  NodeSnapshot snap;
-  for (unsigned node = 0; node < r.num_nodes(); ++node) {
-    ASSERT_TRUE(r.read_node(node, snap));
-    EXPECT_EQ(snap.state, SnapState::kFinal);
-  }
+// bgpc_trace runs the same nas::Run as bgpc_run: with the flight recorder
+// on, the dumps and traces match byte for byte and the span files in every
+// simulated field.
+TEST(ServiceDeterminism, BgpcTraceMatchesBgpcRun) {
+  const fs::path run_dir = test_dir("run");
+  const fs::path trace_dir = test_dir("trace");
+  int code = -1;
+  std::string out = run_tool(
+      BGPC_RUN_BINARY,
+      "EP --class=S --nodes=2 --trace --obs --dumps=" + run_dir.string(),
+      &code);
+  ASSERT_EQ(code, 0) << out;
+  out = run_tool(BGPC_TRACE_BINARY,
+                 "EP --class=S --nodes=2 --obs --quiet --dumps=" +
+                     trace_dir.string(),
+                 &code);
+  ASSERT_EQ(code, 0) << out;
+  EXPECT_EQ(artifact_bytes(run_dir).size(), 6u);  // dump, trace, spans x2
+  expect_same_artifacts(run_dir, trace_dir);
 }
 
 TEST(Service, RejectionsAreStructuredAndLeaveRunningSessionsAlone) {
@@ -251,20 +261,20 @@ TEST(Service, RejectionsAreStructuredAndLeaveRunningSessionsAlone) {
   ASSERT_TRUE(svc.submit(runner).ok);
 
   {  // session quota: the runner occupies the only slot
-    const SubmitResult r = svc.submit(quick_spec(rt::SchedMode::kSerial));
+    const SubmitResult r = svc.submit(quick_spec());
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.error_code, "over_quota_sessions");
     EXPECT_NE(r.detail.find("quota is 1"), std::string::npos);
   }
   {  // duplicate name
-    JobSpec dup = quick_spec(rt::SchedMode::kSerial);
+    JobSpec dup = quick_spec();
     dup.session = "runner";
     const SubmitResult r = svc.submit(dup);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.error_code, "duplicate_session");
   }
   {  // invalid name (checked before anything else)
-    JobSpec bad = quick_spec(rt::SchedMode::kSerial);
+    JobSpec bad = quick_spec();
     bad.session = ".hidden";
     EXPECT_EQ(svc.submit(bad).error_code, "invalid_session");
   }
@@ -282,8 +292,8 @@ TEST(Service, RejectionsAreStructuredAndLeaveRunningSessionsAlone) {
   EXPECT_EQ(st.state, SessionState::kKilled);
 
   {  // rank quota (no live session needed)
-    JobSpec wide = quick_spec(rt::SchedMode::kSerial);
-    wide.nodes = 32;  // 128 VNM ranks > 64
+    JobSpec wide = quick_spec();
+    wide.machine.num_nodes = 32;  // 128 VNM ranks > 64
     const SubmitResult r = svc.submit(wide);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.error_code, "over_quota_ranks");
@@ -291,7 +301,7 @@ TEST(Service, RejectionsAreStructuredAndLeaveRunningSessionsAlone) {
 
   svc.begin_drain();
   {  // draining refuses everything
-    const SubmitResult r = svc.submit(quick_spec(rt::SchedMode::kSerial));
+    const SubmitResult r = svc.submit(quick_spec());
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.error_code, "draining");
   }
@@ -315,6 +325,13 @@ TEST(Service, ByteQuotaCountsOnlyLiveSessions) {
   EXPECT_EQ(r.error_code, "over_quota_bytes");
   EXPECT_NE(r.detail.find("budget"), std::string::npos);
 
+  // An outsized L3 is counted too: its estimate saturates rather than
+  // wrapping the budget check.
+  JobSpec huge = slow_spec();
+  huge.session = "huge";
+  huge.machine.boot.l3_size_bytes = ~u64{0} / MiB * MiB;
+  EXPECT_EQ(svc.submit(huge).error_code, "over_quota_bytes");
+
   std::string err;
   ASSERT_TRUE(svc.kill("first", &err)) << err;
   (void)wait_terminal(svc, "first");
@@ -332,7 +349,7 @@ TEST(Service, KillCheckpointsAndSealsMidRun) {
 
   JobSpec spec = slow_spec();
   spec.session = "victim";
-  spec.trace = true;
+  spec.trace.enabled = true;
   spec.snapshot_period_cycles = 50'000;
   ASSERT_TRUE(svc.submit(spec).ok);
 
@@ -382,8 +399,8 @@ TEST(Service, AutoNamesAndMetricsAccounting) {
   cfg.work_dir = test_dir("work");
   Service svc(cfg);
 
-  const SubmitResult a = svc.submit(quick_spec(rt::SchedMode::kSerial));
-  const SubmitResult b = svc.submit(quick_spec(rt::SchedMode::kSerial));
+  const SubmitResult a = svc.submit(quick_spec());
+  const SubmitResult b = svc.submit(quick_spec());
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(a.session, "s0000");

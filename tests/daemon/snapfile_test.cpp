@@ -7,6 +7,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <thread>
 
 #include "daemon/snapfile.hpp"
@@ -75,6 +76,34 @@ TEST(Snapfile, RepublishOverwritesTheActiveSlot) {
   ASSERT_TRUE(r.read_node(0, snap));
   EXPECT_EQ(snap.published_cycle, 500u);
   EXPECT_EQ(snap.counters[17], 5u);
+}
+
+// A new writer at the same path builds its file aside and renames it into
+// place: a reader still attached to the earlier run's file keeps reading
+// that run's final word, not the new run's idle slots.
+TEST(Snapfile, NewWriterLeavesAttachedReaderOnTheOldFile) {
+  const fs::path path = temp_path("reuse.bgpsnap");
+  std::optional<SnapshotWriter> first(std::in_place, path, "CG", "one", 1);
+  first->publish_node(0, 0, 0, 0, SnapState::kFinal, 123, stamped(42));
+  first.reset();
+  const SnapshotReader old_reader = SnapshotReader::open_file(path);
+
+  const SnapshotWriter second(path, "CG", "two", 1);
+  NodeSnapshot snap;
+  ASSERT_TRUE(old_reader.read_node(0, snap));
+  EXPECT_EQ(snap.state, SnapState::kFinal);
+  EXPECT_EQ(snap.published_cycle, 123u);
+  EXPECT_EQ(snap.counters[0], 42u);
+  EXPECT_EQ(old_reader.session(), "one");
+
+  // A fresh attach sees the new run, and no temporary file is left behind.
+  const SnapshotReader new_reader = SnapshotReader::open_file(path);
+  EXPECT_EQ(new_reader.session(), "two");
+  ASSERT_TRUE(new_reader.read_node(0, snap));
+  EXPECT_EQ(snap.state, SnapState::kIdle);
+  for (const auto& entry : fs::directory_iterator(path.parent_path())) {
+    EXPECT_EQ(entry.path().extension(), ".bgpsnap") << entry.path();
+  }
 }
 
 TEST(Snapfile, MetricsTextTruncatesToSlotCapacity) {

@@ -102,11 +102,11 @@ TEST(Kernels, BlockDecompositionCoversEverythingOnce) {
 }
 
 TEST(Runner, ProducesVerifiedInstrumentedRun) {
-  RunConfig cfg;
+  RunSpec cfg;
   cfg.bench = Benchmark::kCG;
   cfg.cls = ProblemClass::kS;
-  cfg.num_nodes = 2;
-  cfg.mode = sys::OpMode::kVnm;
+  cfg.machine.num_nodes = 2;
+  cfg.machine.mode = sys::OpMode::kVnm;
   const RunOutput out = run_benchmark(cfg);
   EXPECT_TRUE(out.result.verified) << out.result.detail;
   EXPECT_EQ(out.dumps.size(), 2u);
@@ -117,10 +117,10 @@ TEST(Runner, ProducesVerifiedInstrumentedRun) {
 }
 
 TEST(Runner, DeterministicAcrossRuns) {
-  RunConfig cfg;
+  RunSpec cfg;
   cfg.bench = Benchmark::kMG;
   cfg.cls = ProblemClass::kS;
-  cfg.num_nodes = 2;
+  cfg.machine.num_nodes = 2;
   const RunOutput a = run_benchmark(cfg);
   const RunOutput b = run_benchmark(cfg);
   EXPECT_EQ(a.elapsed, b.elapsed);
@@ -129,13 +129,13 @@ TEST(Runner, DeterministicAcrossRuns) {
 }
 
 TEST(Runner, SimdMixRespondsToCompilerConfig) {
-  RunConfig cfg;
+  RunSpec cfg;
   cfg.bench = Benchmark::kFT;
   cfg.cls = ProblemClass::kS;
-  cfg.num_nodes = 1;
-  cfg.opt = opt::OptConfig::parse("-O -qstrict");
+  cfg.machine.num_nodes = 1;
+  cfg.machine.opt = opt::OptConfig::parse("-O -qstrict");
   const RunOutput base = run_benchmark(cfg);
-  cfg.opt = opt::OptConfig::parse("-O5 -qarch440d");
+  cfg.machine.opt = opt::OptConfig::parse("-O5 -qarch440d");
   const RunOutput simd = run_benchmark(cfg);
   EXPECT_EQ(base.record.fp.simd_instructions(), 0.0);
   EXPECT_GT(simd.record.fp.simd_instructions(), 0.0);

@@ -1,9 +1,14 @@
 // The shared CLI helpers: duration parsing with mandatory unit suffixes,
-// the exact ns -> simulated-cycles conversion, and FlagSet's typed flag
-// table (duration flags, repeated flags, error exits).
+// the exact ns -> simulated-cycles conversion, FlagSet's typed flag table
+// (duration flags, repeated flags, error exits), the run-flag binding's
+// parity with the job-spec keys, and the harnesses' strict flags.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "bench/util.hpp"
 #include "cli.hpp"
+#include "daemon/jobspec.hpp"
 
 namespace bgp::cli {
 namespace {
@@ -103,6 +108,114 @@ TEST(FlagSet, BadDurationValueExitsTwo) {
   const char* unknown[] = {"t", "--frobnicate"};
   EXPECT_EQ(fs.parse(2, const_cast<char**>(unknown), 1),
             std::optional<int>{2});
+}
+
+/// argv for `args`, which must outlive it.
+std::vector<char*> argv_of(std::vector<std::string>& args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return argv;
+}
+
+/// Parse one argument list with the run flags bound to a fresh RunSpec.
+nas::RunSpec parse_run_flags(std::vector<std::string> args) {
+  nas::RunSpec spec;
+  ObsOutputs out;
+  FlagSet fs("t");
+  add_run_flags(fs, spec, out);
+  args.insert(args.begin(), "t");
+  std::vector<char*> argv = argv_of(args);
+  EXPECT_EQ(fs.parse(static_cast<int>(argv.size()), argv.data(), 1),
+            std::nullopt);
+  return spec;
+}
+
+nas::RunSpec parse_job(const char* text) {
+  return daemon::JobSpec::from_json(daemon::json::Value::parse(text));
+}
+
+// Setting a field with its flag and with its job-spec key gives the same
+// RunSpec, for every key the two surfaces share.
+TEST(RunFlags, EveryFlagMatchesItsJobSpecKey) {
+  const std::pair<const char*, const char*> pairs[] = {
+      {"--nodes=8", R"({"nodes":8})"},
+      {"--mode=dual", R"({"mode":"dual"})"},
+      {"--class=W", R"({"class":"W"})"},
+      {"--ranks=3", R"({"ranks":3})"},
+      {"--l3=2", R"({"l3":2})"},
+      {"--l3=0", R"({"l3":0})"},
+      {"--prefetch=4", R"({"prefetch":4})"},
+      {"--prefetch=0", R"({"prefetch":0})"},
+      {"--opt=-O3 -qarch440d", R"({"opt":"-O3 -qarch440d"})"},
+      {"--sched=parallel", R"({"sched":"parallel"})"},
+      {"--jobs=2", R"({"jobs":2})"},
+      {"--deaths=2", R"({"deaths":2})"},
+      {"--fault-seed=9", R"({"fault_seed":9})"},
+      {"--ft", R"({"ft":true})"},
+      {"--ft-detect-latency=3000", R"({"ft_detect_latency":3000})"},
+      {"--trace", R"({"trace":true})"},
+      {"--interval-cycles=5000", R"({"interval_cycles":5000})"},
+      {"--events=mem", R"({"preset":"mem"})"},
+      {"--buffer=128", R"({"buffer":128})"},
+      {"--obs", R"({"obs":true})"},
+      {"--obs-span-capacity=1024", R"({"obs_span_capacity":1024})"},
+  };
+  for (const auto& [flag, key] : pairs) {
+    const nas::RunSpec from_flag = parse_run_flags({flag});
+    EXPECT_FALSE(from_flag == nas::RunSpec{}) << flag << " changed nothing";
+    EXPECT_TRUE(from_flag == parse_job(key)) << flag << " vs " << key;
+  }
+  // And all of them at once.
+  std::vector<std::string> flags;
+  std::string body = "{";
+  for (const auto& [flag, key] : pairs) {
+    flags.push_back(flag);
+    const std::string k(key);
+    body += (body.size() > 1 ? "," : "") + k.substr(1, k.size() - 2);
+  }
+  body += "}";
+  EXPECT_TRUE(parse_run_flags(flags) == parse_job(body.c_str())) << body;
+}
+
+TEST(RunFlags, L3SizeThatOverflowsBytesIsRejected) {
+  nas::RunSpec spec;
+  ObsOutputs out;
+  FlagSet fs("t");
+  add_run_flags(fs, spec, out);
+  std::vector<std::string> args{"t", "--l3=17592186044416"};
+  std::vector<char*> argv = argv_of(args);
+  EXPECT_EQ(fs.parse(2, argv.data(), 1), std::optional<int>{2});
+  EXPECT_EQ(spec.machine.boot.l3_size_bytes, 8 * MiB);
+}
+
+TEST(RunFlags, DurationIntervalIsTheCycleFlagsTwin) {
+  EXPECT_EQ(parse_run_flags({"--interval=100us"}).trace.interval_cycles,
+            85'000u);
+  EXPECT_TRUE(parse_run_flags({"--obs-metrics=m.prom"}).obs.enabled);
+}
+
+bench::HarnessArgs parse_harness(std::vector<std::string> args) {
+  args.insert(args.begin(), "fig");
+  std::vector<char*> argv = argv_of(args);
+  return bench::HarnessArgs::parse(static_cast<int>(argv.size()), argv.data(),
+                                   4, nas::ProblemClass::kS);
+}
+
+TEST(HarnessArgsDeathTest, BadValuesExitTwoWithUsage) {
+  EXPECT_EXIT(parse_harness({"--nodes=abc"}), ::testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(parse_harness({"--nodes=-1"}), ::testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(parse_harness({"--nodes=0"}), ::testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(parse_harness({"--class=Q"}), ::testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(parse_harness({"--frobnicate"}), ::testing::ExitedWithCode(2),
+              "usage");
+  const bench::HarnessArgs ok = parse_harness({"--nodes=8", "--class=A"});
+  EXPECT_EQ(ok.nodes, 8u);
+  EXPECT_EQ(ok.cls, nas::ProblemClass::kA);
+  EXPECT_EQ(parse_harness({}).nodes, 4u);
 }
 
 }  // namespace

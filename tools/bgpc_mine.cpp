@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
   std::string metrics_file, stats_file, full_file;
   std::filesystem::path attach_path;
   bool quiet = false;
-  cli::ObsArgs obs_args;
+  obs::ObsConfig obs_cfg;
+  cli::ObsOutputs obs_out;
 
   cli::FlagSet fs("bgpc_mine", "DIR APP");
   fs.path_value("attach", "SNAPFILE",
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
             "expected casualties, not problems",
             &opts.ft);
   fs.toggle("quiet", "suppress the stdout summary", &quiet);
-  cli::add_obs_flags(fs, obs_args);
+  cli::add_obs_flags(fs, obs_cfg, obs_out);
 
   if (argc >= 2 && argv[1][0] == '-') {
     if (const auto rc = fs.parse(argc, argv, 1)) return *rc;
@@ -140,14 +141,14 @@ int main(int argc, char** argv) {
   // flight recorder's metrics registry when one is installed (how many
   // mines ran, problems found, last coverage). A 1x1 recorder is enough.
   std::unique_ptr<obs::FlightRecorder> recorder;
-  if (obs_args.config.enabled) {
-    recorder = std::make_unique<obs::FlightRecorder>(1, 1, obs_args.config);
+  if (obs_cfg.enabled) {
+    recorder = std::make_unique<obs::FlightRecorder>(1, 1, obs_cfg);
     obs::set_recorder(recorder.get());
   }
 
   const post::MineResult res = post::mine(dir, app, opts);
 
-  const int obs_rc = cli::write_obs_outputs(obs_args, recorder.get(), app,
+  const int obs_rc = cli::write_obs_outputs(obs_out, recorder.get(), app,
                                             quiet);
   obs::set_recorder(nullptr);
 

@@ -13,20 +13,12 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 
 #include "cli.hpp"
 #include "common/strfmt.hpp"
 #include "daemon/publisher.hpp"
-#include "fault/fault.hpp"
-#include "ft/ftcomm.hpp"
-#include "nas/kernel.hpp"
-#include "core/session.hpp"
-#include "postproc/report.hpp"
-#include "postproc/sanity.hpp"
-#include "runtime/obs_scope.hpp"
 
 using namespace bgp;
 
@@ -48,101 +40,20 @@ void on_stop_signal(int sig) {
   }
 }
 
-int list_choices() {
-  std::printf("benchmarks:");
-  for (const nas::Benchmark b : nas::all_benchmarks()) {
-    std::printf(" %s", std::string(nas::name(b)).c_str());
-  }
-  std::printf("\nmodes: smp1 smp4 dual vnm\nclasses: S W A\nevent presets:");
-  for (const std::string& p : trace::trace_preset_names()) {
-    std::printf(" %s", p.c_str());
-  }
-  std::printf("\nfault tolerance: --deaths=K --fault-seed=S inject K node "
-              "deaths;\n  --ft enables ULFM-style survivor recovery "
-              "(revoke/agree/shrink),\n  --ft-detect-latency=N sets the "
-              "failure-detection latency in cycles (default %llu)\n",
-              static_cast<unsigned long long>(ft::FtParams{}.detect_latency));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned nodes = 4, ranks = 0;
-  sys::OpMode mode = sys::OpMode::kVnm;
-  nas::ProblemClass cls = nas::ProblemClass::kW;
-  sys::BootOptions boot;
-  opt::OptConfig optcfg{opt::OptLevel::kO5, false, true};
+  nas::RunSpec spec;
+  spec.cls = nas::ProblemClass::kW;
   std::filesystem::path dump_dir = "bgpc_dumps";
-  trace::TraceConfig tc;
-  unsigned deaths = 0;
-  u64 fault_seed = 1;
-  ft::FtParams ftp;
-  cli::ObsArgs obs_args;
-  cli::SchedArgs sched_args;
+  cli::ObsOutputs obs_out;
   std::filesystem::path snapshot_file;
   daemon::PublisherConfig snap_cfg;
 
   cli::FlagSet fs("bgpc_run", "BENCH");
-  fs.flag("list", "list benchmarks, modes, classes and event presets",
-          [] { std::exit(list_choices()); });
-  fs.positive_value("nodes", "N", "partition size (default 4)", &nodes);
-  fs.value("mode", "M", "smp1|smp4|dual|vnm (default vnm)",
-           [&](const char* v) { mode = sys::parse_mode(v); });
-  fs.value("class", "C", "problem class S|W|A (default W)",
-           [&](const char* v) { cls = nas::parse_class(v); });
-  fs.value("l3", "MB", "L3 size in MiB, 0 disables (default 8)",
-           [&](const char* v) {
-             boot.l3_size_bytes = cli::parse_u64("--l3", v) * MiB;
-           });
-  fs.value("prefetch", "D", "L2 prefetch depth, 0 disables (default 2)",
-           [&](const char* v) {
-             const unsigned d = cli::parse_unsigned("--prefetch", v);
-             boot.prefetch.enabled = d > 0;
-             boot.prefetch.depth = d;
-           });
-  fs.value("opt", "FLAGS", "compiler options, e.g. \"-O5 -qarch440d\"",
-           [&](const char* v) { optcfg = opt::OptConfig::parse(v); });
-  fs.unsigned_value("ranks", "N", "use fewer ranks than the partition hosts",
-                    &ranks);
+  cli::add_run_flags(fs, spec, obs_out);
   fs.path_value("dumps", "DIR", "dump directory (default bgpc_dumps)",
                 &dump_dir);
-  fs.toggle("trace", "enable time-series tracing", &tc.enabled);
-  fs.value("interval-cycles", "N", "trace sampling interval (default 10000)",
-           [&](const char* v) {
-             tc.interval_cycles = cli::parse_u64("--interval-cycles", v);
-             if (tc.interval_cycles == 0) {
-               throw std::invalid_argument("--interval-cycles must be positive");
-             }
-           });
-  fs.value("events", "PRESET", "trace event preset (see --list)",
-           [&](const char* v) {
-             tc.preset = v;
-             (void)trace::preset_trace_events(tc.preset, 0);
-           });
-  fs.unsigned_value("deaths", "K",
-                    "inject K random node deaths (see --fault-seed)", &deaths);
-  fs.u64_value("fault-seed", "S",
-               "seed for the deterministic fault plan (default 1)",
-               &fault_seed);
-  fs.toggle("ft",
-            "ULFM-style survivor recovery: detect the deaths, "
-            "revoke/agree/shrink, survivors finalize and dump",
-            &ftp.enabled);
-  fs.u64_value("ft-detect-latency", "N",
-               "failure-detection latency in cycles (default 2000)",
-               &ftp.detect_latency);
-  fs.value("interval", "DUR",
-           "trace sampling interval as simulated time with a unit suffix "
-           "(e.g. 12us); the duration twin of --interval-cycles",
-           [&](const char* v) {
-             tc.interval_cycles =
-                 cli::duration_to_cycles(cli::parse_duration_ns("--interval", v));
-             if (tc.interval_cycles == 0) {
-               throw std::invalid_argument(
-                   "--interval is shorter than one 850 MHz cycle");
-             }
-           });
   fs.path_value("snapshot-file", "PATH",
                 "publish live counter snapshots to this mmap-able file "
                 "(attach with bgpc_mine/bgpc_obs --attach)",
@@ -152,87 +63,45 @@ int main(int argc, char** argv) {
       "snapshot publication period as simulated time with a unit suffix "
       "(default 500us; needs --snapshot-file)",
       &snap_cfg.period_cycles);
-  cli::add_obs_flags(fs, obs_args);
-  cli::add_sched_flags(fs, sched_args);
+  if (const auto rc = cli::parse_run_command(fs, argc, argv, spec)) return *rc;
 
-  if (argc < 2) {
-    fs.print_usage(stderr);
-    return 2;
-  }
-  if (argv[1][0] == '-') {
-    // No benchmark given: --list/--help/--version are still fine; anything
-    // else is an error (parse_one reports it).
-    if (const auto rc = fs.parse(argc, argv, 1)) return *rc;
-    fs.print_usage(stderr);
-    return 2;
-  }
-
-  nas::Benchmark bench;
-  try {
-    bench = nas::parse_benchmark(argv[1]);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bgpc_run: %s\n", e.what());
-    fs.print_usage(stderr);
-    return 2;
-  }
-  if (const auto rc = fs.parse(argc, argv, 2)) return *rc;
-
-  std::filesystem::create_directories(dump_dir);
-  tc.trace_dir = dump_dir;
-
-  rt::MachineConfig mc;
-  mc.num_nodes = nodes;
-  mc.mode = mode;
-  mc.boot = boot;
-  mc.opt = optcfg;
-  mc.num_ranks_override = ranks;
-  cli::apply_sched_args(sched_args, mc);
-  rt::Machine machine(mc);
-
-  fault::FaultInjector injector{[&] {
-    fault::FaultSpec spec;
-    spec.node_deaths = deaths;
-    return fault::FaultPlan::random(fault_seed, nodes, spec);
-  }()};
-  if (deaths > 0) machine.set_fault_injector(&injector);
-  machine.set_ft_params(ftp);
-
-  pc::Options opts;
-  opts.app_name = std::string(nas::name(bench));
-  opts.dump_dir = dump_dir;
-  opts.trace = tc;
-  opts.obs = obs_args.config;
-  pc::Session session(machine, opts);
-  session.link_with_mpi();
+  nas::Run run(spec, dump_dir);
+  rt::Machine& machine = run.machine();
+  pc::Session& session = run.session();
+  const std::string& app = session.options().app_name;
+  const rt::MachineConfig& mc = spec.machine;
+  const unsigned nodes = mc.num_nodes;
 
   std::printf("%s class %s | %u nodes %s (%u ranks) | L3 %s | prefetch %s | "
               "%s%s\n",
-              opts.app_name.c_str(), std::string(nas::name(cls)).c_str(),
-              nodes, std::string(sys::to_string(mode)).c_str(),
+              app.c_str(), std::string(nas::name(spec.cls)).c_str(), nodes,
+              std::string(sys::to_string(mc.mode)).c_str(),
               machine.num_ranks(),
-              boot.l3_size_bytes ? human_bytes((double)boot.l3_size_bytes).c_str()
-                                 : "off",
-              boot.prefetch.enabled
-                  ? strfmt("depth %u", boot.prefetch.depth).c_str()
+              mc.boot.l3_size_bytes
+                  ? human_bytes((double)mc.boot.l3_size_bytes).c_str()
                   : "off",
-              optcfg.name().c_str(),
-              tc.enabled
+              mc.boot.prefetch.enabled
+                  ? strfmt("depth %u", mc.boot.prefetch.depth).c_str()
+                  : "off",
+              mc.opt.name().c_str(),
+              spec.trace.enabled
                   ? strfmt(" | tracing every %llu cycles (%s)",
-                           static_cast<unsigned long long>(tc.interval_cycles),
-                           tc.preset.c_str())
+                           static_cast<unsigned long long>(
+                               spec.trace.interval_cycles),
+                           spec.trace.preset.c_str())
                         .c_str()
                   : "");
 
-  if (deaths > 0) {
+  if (spec.deaths > 0) {
     std::printf("fault plan (seed %llu): %u node death(s)%s\n",
-                static_cast<unsigned long long>(fault_seed), deaths,
-                ftp.enabled ? ", FT recovery enabled" : "");
+                static_cast<unsigned long long>(spec.fault_seed), spec.deaths,
+                spec.ft.enabled ? ", FT recovery enabled" : "");
   }
 
   std::unique_ptr<daemon::SnapshotPublisher> publisher;
   if (!snapshot_file.empty()) {
     publisher = std::make_unique<daemon::SnapshotPublisher>(
-        machine, snapshot_file, opts.app_name, opts.app_name, snap_cfg);
+        machine, snapshot_file, app, app, snap_cfg);
     if (session.flight_recorder() != nullptr) {
       publisher->set_metrics_source(&session.flight_recorder()->metrics());
     }
@@ -246,41 +115,11 @@ int main(int argc, char** argv) {
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
   g_machine.store(&machine, std::memory_order_relaxed);
-
-  auto kernel = nas::make_kernel(bench, cls);
-  const std::string region = "region." + opts.app_name;
-  bool stopped = false;
-  try {
-    if (ftp.enabled) {
-      machine.run([&](rt::RankCtx& ctx) {
-        ft::run_guarded(ctx, [&](rt::RankCtx& c) {
-          c.mpi_init();
-          rt::ObsScope span(c, region, obs::SpanCat::kRegion);
-          kernel->run(c);
-        });
-        ft::finalize_guarded(ctx);
-      });
-    } else {
-      machine.run([&](rt::RankCtx& ctx) {
-        ctx.mpi_init();
-        {
-          rt::ObsScope span(ctx, region, obs::SpanCat::kRegion);
-          kernel->run(ctx);
-        }
-        ctx.mpi_finalize();
-      });
-    }
-  } catch (const rt::RunStopped&) {
-    stopped = true;
-  }
+  const nas::RunResult result = run.execute();
   g_machine.store(nullptr, std::memory_order_relaxed);
+  if (publisher) publisher->publish_final();
 
-  if (stopped) {
-    // Interrupted: seal what was recording and checkpoint-dump every
-    // initialized node so the partial run stays minable.
-    session.seal_all_traces();
-    session.checkpoint_dump();
-    if (publisher) publisher->publish_final();
+  if (result.stopped) {
     std::printf("interrupted at %llu cycles: sealed %zu trace(s), wrote %zu "
                 "checkpoint dump(s) to %s\n",
                 static_cast<unsigned long long>(machine.elapsed()),
@@ -288,17 +127,16 @@ int main(int argc, char** argv) {
                 dump_dir.string().c_str());
     return 128 + static_cast<int>(g_signal);
   }
-  if (publisher) publisher->publish_final();
 
-  const std::vector<unsigned> dead = machine.dead_nodes();
-  if (ftp.enabled && !dead.empty()) {
+  const std::vector<unsigned>& dead = result.dead_nodes;
+  if (result.degraded) {
     std::printf("verification: SKIPPED (degraded FT run: %zu node(s) died, "
                 "the dead ranks never contributed)\n",
                 dead.size());
   } else {
     std::printf("verification: %s (%s)\n",
-                kernel->result().verified ? "PASSED" : "FAILED",
-                kernel->result().detail.c_str());
+                result.kernel.verified ? "PASSED" : "FAILED",
+                result.kernel.detail.c_str());
   }
   if (!machine.recovery_log().empty()) {
     std::printf("recovery log (%zu events):\n", machine.recovery_log().size());
@@ -317,35 +155,23 @@ int main(int argc, char** argv) {
   std::printf("wrote %zu dump files to %s — mine them with:\n"
               "  bgpc_mine %s %s --metrics=metrics.csv%s\n",
               session.dump_files().size(), dump_dir.string().c_str(),
-              dump_dir.string().c_str(), opts.app_name.c_str(),
-              ftp.enabled ? strfmt(" --ft --expected-nodes=%u", nodes).c_str()
-                          : "");
-  if (tc.enabled) {
+              dump_dir.string().c_str(), app.c_str(),
+              spec.ft.enabled
+                  ? strfmt(" --ft --expected-nodes=%u", nodes).c_str()
+                  : "");
+  if (spec.trace.enabled) {
     std::printf("wrote %zu trace files — mine them with:\n"
                 "  bgpc_trace --mine-only %s %s --phases=phases.csv\n",
                 session.trace_files().size(), dump_dir.string().c_str(),
-                opts.app_name.c_str());
+                app.c_str());
   }
   const int obs_rc =
-      cli::write_obs_outputs(obs_args, session.flight_recorder(),
-                             opts.app_name);
-  if (obs_args.config.enabled && !session.span_files().empty()) {
+      cli::write_obs_outputs(obs_out, session.flight_recorder(), app);
+  if (spec.obs.enabled && !session.span_files().empty()) {
     std::printf("wrote %zu span files — inspect them with:\n"
                 "  bgpc_obs %s %s\n",
                 session.span_files().size(), dump_dir.string().c_str(),
-                opts.app_name.c_str());
+                app.c_str());
   }
-  if (ftp.enabled && !dead.empty()) {
-    // An FT run with casualties cannot verify (the dead ranks never
-    // contributed); it succeeded when every survivor wrote a clean dump.
-    bool writes_ok = true;
-    for (const pc::DumpWriteOutcome& o : session.write_outcomes()) {
-      writes_ok = writes_ok && o.ok;
-    }
-    const std::size_t survivors = nodes - dead.size();
-    return writes_ok && session.dump_files().size() == survivors && obs_rc == 0
-               ? 0
-               : 1;
-  }
-  return kernel->result().verified && obs_rc == 0 ? 0 : 1;
+  return result.ok() && obs_rc == 0 ? 0 : 1;
 }

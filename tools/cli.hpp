@@ -3,8 +3,9 @@
 // a useful message instead of silently falling back to 0, and a typed
 // flag table (FlagSet) that generates --help, answers --version with the
 // git describe baked in at build time, and exits 2 with usage on unknown
-// flags. The --obs-* observability flags are declared once here
-// (add_obs_flags) and reused by every tool that runs a Machine.
+// flags. The run flags (add_run_flags) and the --obs-* observability
+// flags (add_obs_flags) are declared once here and reused by every tool
+// that runs or mines a run.
 #pragma once
 
 #include <cerrno>
@@ -20,10 +21,10 @@
 
 #include "common/strfmt.hpp"
 #include "common/types.hpp"
+#include "nas/runner.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
 #include "obs/promtext.hpp"
-#include "runtime/sched.hpp"
 
 namespace bgp::cli {
 
@@ -286,6 +287,8 @@ class FlagSet {
     return 2;
   }
 
+  [[nodiscard]] const std::string& prog() const noexcept { return prog_; }
+
   void print_usage(std::FILE* out) const {
     std::string line = "usage: " + prog_;
     if (!positionals_.empty()) line += " " + positionals_;
@@ -327,80 +330,180 @@ class FlagSet {
   std::vector<Flag> flags_;
 };
 
-/// Scheduler selection shared by the run-a-Machine tools.
-struct SchedArgs {
-  rt::SchedMode sched = rt::SchedMode::kSerial;
-  unsigned jobs = 0;
-};
-
-/// Declare --sched/--jobs once. One dispatcher runs rank fibers on a worker
-/// pool; the flags only size the pool, and every size produces
-/// byte-identical results.
-inline void add_sched_flags(FlagSet& fs, SchedArgs& a) {
-  fs.value("sched", "MODE",
-           "worker pool for the rank fibers: 'serial' (one worker) or "
-           "'parallel' (--jobs workers); byte-identical results",
-           [&a](const char* v) {
-             if (std::strcmp(v, "serial") == 0) {
-               a.sched = rt::SchedMode::kSerial;
-             } else if (std::strcmp(v, "parallel") == 0) {
-               a.sched = rt::SchedMode::kParallel;
-             } else {
-               throw std::invalid_argument(
-                   strfmt("--sched must be serial or parallel, got '%s'", v));
-             }
-           });
-  fs.unsigned_value("jobs", "N",
-                    "worker threads under --sched=parallel (0 = hardware "
-                    "concurrency; never more than the node count)",
-                    &a.jobs);
-}
-
-/// Copy the parsed scheduler selection into a MachineConfig.
-template <typename MachineConfigT>
-inline void apply_sched_args(const SchedArgs& a, MachineConfigT& mc) {
-  mc.sched = a.sched;
-  mc.jobs = a.jobs;
-}
-
-/// The observability surface shared by the run-a-Machine tools.
-struct ObsArgs {
-  obs::ObsConfig config;
+/// Where the --obs-trace / --obs-metrics exports go.
+struct ObsOutputs {
   std::filesystem::path trace_file;    ///< Chrome trace-event JSON
   std::filesystem::path metrics_file;  ///< Prometheus text exposition
 };
 
 /// Declare the --obs-* flags once (bgpc_run, bgpc_trace, bgpc_mine all
 /// accept the same set). Either output flag implies --obs.
-inline void add_obs_flags(FlagSet& fs, ObsArgs& a) {
+inline void add_obs_flags(FlagSet& fs, obs::ObsConfig& config,
+                          ObsOutputs& out) {
   fs.toggle("obs",
             "enable the flight recorder (spans + metrics; writes per-node "
             ".bgps span files next to the dumps)",
-            &a.config.enabled);
+            &config.enabled);
   fs.value("obs-trace", "FILE",
            "write a Chrome trace-event JSON of the run (implies --obs); "
            "open in Perfetto or chrome://tracing",
-           [&a](const char* v) {
-             a.trace_file = v;
-             a.config.enabled = true;
+           [&config, &out](const char* v) {
+             out.trace_file = v;
+             config.enabled = true;
            });
   fs.value("obs-metrics", "FILE",
            "write the metrics registry in Prometheus text format "
            "(implies --obs)",
-           [&a](const char* v) {
-             a.metrics_file = v;
-             a.config.enabled = true;
+           [&config, &out](const char* v) {
+             out.metrics_file = v;
+             config.enabled = true;
            });
   fs.value("obs-span-capacity", "N",
            "per-rank span ring capacity (oldest spans dropped beyond this)",
-           [&a](const char* v) {
-             a.config.span_capacity = parse_positive("--obs-span-capacity", v);
+           [&config](const char* v) {
+             config.span_capacity = parse_positive("--obs-span-capacity", v);
            });
+}
+
+/// The --list text: benchmarks, modes, classes, presets and the fault
+/// flags.
+inline int list_choices() {
+  std::printf("benchmarks:");
+  for (const nas::Benchmark b : nas::all_benchmarks()) {
+    std::printf(" %s", std::string(nas::name(b)).c_str());
+  }
+  std::printf("\nmodes: smp1 smp4 dual vnm\nclasses: S W A\nevent presets:");
+  for (const std::string& p : trace::trace_preset_names()) {
+    std::printf(" %s", p.c_str());
+  }
+  std::printf("\nfault tolerance: --deaths=K --fault-seed=S inject K node "
+              "deaths;\n  --ft enables ULFM-style survivor recovery "
+              "(revoke/agree/shrink),\n  --ft-detect-latency=N sets the "
+              "failure-detection latency in cycles (default %llu)\n",
+              static_cast<unsigned long long>(ft::FtParams{}.detect_latency));
+  return 0;
+}
+
+/// Declare every run flag once. bgpc_run and bgpc_trace take the same set,
+/// and each flag sets the same RunSpec field as its job-spec key
+/// (docs/bgpcd.md lists the pairs). Help texts show the defaults `spec`
+/// holds when the flags are declared.
+inline void add_run_flags(FlagSet& fs, nas::RunSpec& spec, ObsOutputs& obs) {
+  rt::MachineConfig& mc = spec.machine;
+  trace::TraceConfig& tc = spec.trace;
+  fs.flag("list", "list benchmarks, modes, classes and event presets",
+          [] { std::exit(list_choices()); });
+  fs.positive_value("nodes", "N",
+                    strfmt("partition size (default %u)", mc.num_nodes),
+                    &mc.num_nodes);
+  fs.value("mode", "M", "smp1|smp4|dual|vnm (default vnm)",
+           [&mc](const char* v) { mc.mode = sys::parse_mode(v); });
+  fs.value("class", "C",
+           strfmt("problem class S|W|A (default %s)",
+                  std::string(nas::name(spec.cls)).c_str()),
+           [&spec](const char* v) { spec.cls = nas::parse_class(v); });
+  fs.value("l3", "MB", "L3 size in MiB, 0 disables (default 8)",
+           [&mc](const char* v) {
+             const u64 mib = parse_u64("--l3", v);
+             if (mib > ~u64{0} / MiB) {
+               throw std::invalid_argument(
+                   strfmt("--l3: %s is out of range", v));
+             }
+             mc.boot.l3_size_bytes = mib * MiB;
+           });
+  fs.value("prefetch", "D", "L2 prefetch depth, 0 disables (default 2)",
+           [&mc](const char* v) {
+             const unsigned d = parse_unsigned("--prefetch", v);
+             mc.boot.prefetch.enabled = d > 0;
+             mc.boot.prefetch.depth = d;
+           });
+  fs.value("opt", "FLAGS", "compiler options, e.g. \"-O5 -qarch440d\"",
+           [&mc](const char* v) { mc.opt = opt::OptConfig::parse(v); });
+  fs.unsigned_value("ranks", "N", "use fewer ranks than the partition hosts",
+                    &mc.num_ranks_override);
+  fs.value("sched", "MODE",
+           "worker pool for the rank fibers: 'serial' (one worker) or "
+           "'parallel' (--jobs workers); byte-identical results",
+           [&mc](const char* v) { mc.sched = rt::parse_sched_mode(v); });
+  fs.unsigned_value("jobs", "N",
+                    "worker threads under --sched=parallel (0 = hardware "
+                    "concurrency; never more than the node count)",
+                    &mc.jobs);
+  fs.toggle("trace", "enable time-series tracing", &tc.enabled);
+  fs.value("interval-cycles", "N", "trace sampling interval (default 10000)",
+           [&tc](const char* v) {
+             tc.interval_cycles = parse_u64("--interval-cycles", v);
+             if (tc.interval_cycles == 0) {
+               throw std::invalid_argument(
+                   "--interval-cycles must be positive");
+             }
+           });
+  fs.value("interval", "DUR",
+           "trace sampling interval as simulated time with a unit suffix "
+           "(e.g. 12us); the duration twin of --interval-cycles",
+           [&tc](const char* v) {
+             tc.interval_cycles =
+                 duration_to_cycles(parse_duration_ns("--interval", v));
+             if (tc.interval_cycles == 0) {
+               throw std::invalid_argument(
+                   "--interval is shorter than one 850 MHz cycle");
+             }
+           });
+  fs.value("events", "PRESET", "trace event preset (see --list)",
+           [&tc](const char* v) {
+             tc.preset = v;
+             (void)trace::preset_trace_events(tc.preset, 0);
+           });
+  fs.value("buffer", "N",
+           "per-node trace ring capacity in intervals (default 4096)",
+           [&tc](const char* v) {
+             tc.buffer_capacity = parse_positive("--buffer", v);
+           });
+  fs.unsigned_value("deaths", "K",
+                    "inject K random node deaths (see --fault-seed)",
+                    &spec.deaths);
+  fs.u64_value("fault-seed", "S",
+               "seed for the deterministic fault plan (default 1)",
+               &spec.fault_seed);
+  fs.toggle("ft",
+            "ULFM-style survivor recovery: detect the deaths, "
+            "revoke/agree/shrink, survivors finalize and dump",
+            &spec.ft.enabled);
+  fs.u64_value("ft-detect-latency", "N",
+               "failure-detection latency in cycles (default 2000)",
+               &spec.ft.detect_latency);
+  add_obs_flags(fs, spec.obs, obs);
+}
+
+/// Parse `PROG BENCH [flags]`: BENCH sets spec.bench, the flags whatever
+/// `fs` declares. Returns the exit code when parsing settled the run
+/// (--help/--version/--list -> 0, usage errors -> 2), nullopt to proceed.
+[[nodiscard]] inline std::optional<int> parse_run_command(
+    const FlagSet& fs, int argc, char** argv, nas::RunSpec& spec) {
+  if (argc < 2) {
+    fs.print_usage(stderr);
+    return 2;
+  }
+  if (argv[1][0] == '-') {
+    // No benchmark given: --list/--help/--version are still fine; anything
+    // else is an error (parse_one reports it).
+    if (const auto rc = fs.parse(argc, argv, 1)) return rc;
+    fs.print_usage(stderr);
+    return 2;
+  }
+  try {
+    spec.bench = nas::parse_benchmark(argv[1]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", fs.prog().c_str(), e.what());
+    fs.print_usage(stderr);
+    return 2;
+  }
+  return fs.parse(argc, argv, 2);
 }
 
 /// Export the requested observability outputs after a run; returns 0, or
 /// 1 when a file could not be written.
-inline int write_obs_outputs(const ObsArgs& a, obs::FlightRecorder* fr,
+inline int write_obs_outputs(const ObsOutputs& a, obs::FlightRecorder* fr,
                              const std::string& app, bool quiet = false) {
   if (fr == nullptr) return 0;
   fr->update_self_metrics();
