@@ -75,10 +75,11 @@ BENCHMARK(BM_DdrContention);
 
 void BM_SnoopWrite(benchmark::State& state) {
   SnoopFilter f;
+  EventBatch unwired(nullptr);
   f.record_fill(1, 7);
   addr_t line = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.on_write(0, line++ % 1024));
+    benchmark::DoNotOptimize(f.on_write(0, line++ % 1024, unwired));
   }
 }
 BENCHMARK(BM_SnoopWrite);

@@ -1,165 +1,171 @@
 #include "mem/cache.hpp"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 namespace bgp::mem {
 
+namespace {
+
+/// The high bit of the lowest zero byte of `v` is set (higher bytes may
+/// be flagged spuriously, never lower ones).
+constexpr u64 zero_bytes(u64 v) noexcept {
+  constexpr u64 kOnes = 0x0101010101010101ull;
+  return (v - kOnes) & ~v & (kOnes << 7);
+}
+
+}  // namespace
+
 Cache::Cache(std::string name, const CacheParams& params, MemLevel* next,
              EventSink* sink, const CacheEventIds& events)
-    : name_(std::move(name)),
+    : MemLevel(sink),
+      name_(std::move(name)),
       params_(params),
       next_(next),
-      sink_(sink),
       events_(events),
       sets_(params.num_sets()),
-      lines_(static_cast<std::size_t>(sets_) * params.assoc) {
-  if (params_.size_bytes % (u64{params_.line_bytes} * params_.assoc) != 0 ||
+      line_shift_(static_cast<u32>(std::countr_zero(params.line_bytes))),
+      pow2_sets_(std::has_single_bit(sets_)),
+      set_mask_(sets_ - 1),
+      rank_words_((params.assoc + 7) / 8) {
+  // At most 64 ways: dirty_ holds one bit per way in a u64.
+  if (params_.assoc == 0 || params_.assoc > 64 ||
+      !std::has_single_bit(params_.line_bytes) ||
+      params_.size_bytes % (u64{params_.line_bytes} * params_.assoc) != 0 ||
       sets_ == 0) {
-    throw std::invalid_argument("cache size must be sets*assoc*line");
+    throw std::invalid_argument("cache size must be sets*assoc*line, with "
+                                "a power-of-two line and at most 64 ways");
   }
-  const auto is_pow2 = [](u64 v) { return v != 0 && (v & (v - 1)) == 0; };
-  if (is_pow2(params_.line_bytes) && is_pow2(sets_)) {
-    pow2_geometry_ = true;
-    for (u32 v = params_.line_bytes; v > 1; v >>= 1) ++line_shift_;
-    set_mask_ = sets_ - 1;
-  }
+  tags_.assign(std::size_t{sets_} * params_.assoc, kNoTag);
+  ranks_.assign(std::size_t{sets_} * rank_words_, kOnes * kIdle);
+  dirty_.assign(sets_, 0);
 }
 
-int Cache::find(u32 set, addr_t line) const noexcept {
-  const std::size_t base = std::size_t{set} * params_.assoc;
-  for (u32 w = 0; w < params_.assoc; ++w) {
-    const Line& l = lines_[base + w];
-    if (l.valid && l.tag == line) return static_cast<int>(w);
-  }
-  return -1;
-}
-
-int Cache::victim(u32 set) const noexcept {
-  const std::size_t base = std::size_t{set} * params_.assoc;
-  int best = 0;
-  u64 best_lru = ~0ull;
-  for (u32 w = 0; w < params_.assoc; ++w) {
-    const Line& l = lines_[base + w];
-    if (!l.valid) return static_cast<int>(w);
-    if (l.lru < best_lru) {
-      best_lru = l.lru;
-      best = static_cast<int>(w);
+u32 Cache::victim(u32 set) const noexcept {
+  const std::size_t base = std::size_t{set} * rank_words_;
+  // Only a full set holds rank assoc-1, and that way is the least recently
+  // used. A set with room has an idle byte, and since valid ways are a
+  // prefix, the first idle byte is the first invalid way.
+  for (const u64 rank : {u64{params_.assoc} - 1, kIdle}) {
+    for (u32 i = 0; i < rank_words_; ++i) {
+      const u64 m = zero_bytes(ranks_[base + i] ^ (kOnes * rank));
+      if (m != 0) return 8 * i + static_cast<u32>(std::countr_zero(m)) / 8;
     }
   }
-  return best;
+  return 0;  // unreachable: a set with room has an idle way
 }
 
-void Cache::fill(addr_t line, bool dirty, unsigned core, cycles_t now) {
-  const u32 set = set_of(line);
-  const int w = victim(set);
-  Line& slot = lines_[std::size_t{set} * params_.assoc + w];
-  if (slot.valid) {
+void Cache::fill(u32 set, addr_t line, bool dirty, unsigned core,
+                 cycles_t now, EventBatch& batch) {
+  const u32 w = victim(set);
+  const std::size_t slot = std::size_t{set} * params_.assoc + w;
+  const u64 bit = u64{1} << w;
+  if (tags_[slot] != kNoTag) {
     ++stats_.evictions;
-    emit(sink_, events_.evict, 1);
-    if (slot.dirty) {
+    batch.append(events_.evict, 1);
+    if (dirty_[set] & bit) {
       ++stats_.writebacks;
-      emit(sink_, events_.writeback, 1);
-      // Reconstruct the victim's address from its tag (tags store the full
-      // line number, so this is exact).
+      batch.append(events_.writeback, 1);
+      // Tags store the full line number, so the victim's address is exact.
       if (next_ != nullptr) {
-        next_->access(slot.tag * params_.line_bytes, AccessType::kWrite, core,
-                      now);
+        next_->access(tags_[slot] << line_shift_, AccessType::kWrite, core,
+                      now, batch);
       }
     }
   }
-  slot = Line{line, ++tick_, /*valid=*/true, dirty};
+  tags_[slot] = line;
+  dirty_[set] = dirty ? dirty_[set] | bit : dirty_[set] & ~bit;
+  touch(set, w);
   ++stats_.line_fills;
-  emit(sink_, events_.line_fill, 1);
+  batch.append(events_.line_fill, 1);
 }
 
-AccessResult Cache::access(addr_t addr, AccessType type, unsigned core,
-                           cycles_t now) {
-  const addr_t line = line_of(addr);
-  const u32 set = set_of(line);
-  const bool is_read = type == AccessType::kRead;
-
-  if (is_read) {
-    ++stats_.read_access;
-    emit(sink_, events_.read_access, 1);
-  } else {
-    ++stats_.write_access;
-    emit(sink_, events_.write_access, 1);
-  }
-
-  const int w = find(set, line);
-  if (w >= 0) {
-    Line& l = lines_[std::size_t{set} * params_.assoc + w];
-    l.lru = ++tick_;
-    emit(sink_, is_read ? events_.read_hit : events_.write_hit, 1);
-    cycles_t latency = params_.hit_latency;
-    if (!is_read) {
-      if (params_.write_through) {
-        // Write-through: the write also goes below, but the store itself
-        // retires at L1 speed (the store queue hides the downstream time).
-        assert(next_ != nullptr);
-        next_->access(addr, AccessType::kWrite, core, now);
-      } else {
-        l.dirty = true;
-      }
-    }
-    return {latency, params_.level_tag};
-  }
-
-  // Miss.
-  if (is_read) {
-    ++stats_.read_miss;
-    emit(sink_, events_.read_miss, 1);
-  } else {
-    ++stats_.write_miss;
-    emit(sink_, events_.write_miss, 1);
-  }
-
+AccessResult Cache::read_miss(addr_t line, unsigned core, cycles_t now,
+                              EventBatch& batch) {
+  ++stats_.read_access;
+  batch.append(events_.read_access, 1);
+  ++stats_.read_miss;
+  batch.append(events_.read_miss, 1);
   if (next_ == nullptr) {
     // No backing level configured (L3-disabled bypass handles this above
     // the cache, so reaching here is a wiring bug).
     throw std::logic_error(name_ + ": miss with no next level");
   }
-
-  if (!is_read && (params_.write_through || !params_.write_allocate)) {
-    // No-allocate write miss: forward the write below; its latency is
-    // absorbed by the store queue.
-    AccessResult below = next_->access(addr, AccessType::kWrite, core, now);
-    return {params_.hit_latency, below.serviced_by};
-  }
-
-  // Read miss or allocating write miss: fetch the line from below.
-  AccessResult below = next_->access(addr, AccessType::kRead, core, now);
-  fill(line, /*dirty=*/!is_read, core, now);
+  const AccessResult below = next_->access(line << line_shift_,
+                                           AccessType::kRead, core, now, batch);
+  fill(set_of(line), line, /*dirty=*/false, core, now, batch);
   return {params_.hit_latency + below.latency, below.serviced_by};
 }
 
-bool Cache::probe(addr_t addr) const noexcept {
+AccessResult Cache::access(addr_t addr, AccessType type, unsigned core,
+                           cycles_t now, EventBatch& batch) {
   const addr_t line = line_of(addr);
-  return find(set_of(line), line) >= 0;
-}
+  if (type == AccessType::kRead) {
+    if (!read_hit(line)) return read_miss(line, core, now, batch);
+    count_read_hits(1, batch);
+    return {params_.hit_latency, params_.level_tag, /*hit=*/true};
+  }
 
-bool Cache::install(addr_t addr, unsigned core, cycles_t now) {
-  const addr_t line = line_of(addr);
-  if (find(set_of(line), line) >= 0) return false;
-  fill(line, /*dirty=*/false, core, now);
-  return true;
+  ++stats_.write_access;
+  batch.append(events_.write_access, 1);
+  const u32 set = set_of(line);
+  const int w = find(set, line);
+  if (w >= 0) {
+    touch(set, static_cast<u32>(w));
+    batch.append(events_.write_hit, 1);
+    if (params_.write_through) {
+      // Write-through: the write also goes below, but the store itself
+      // retires at L1 speed (the store queue hides the downstream time).
+      assert(next_ != nullptr);
+      next_->access(addr, AccessType::kWrite, core, now, batch);
+    } else {
+      dirty_[set] |= u64{1} << w;
+    }
+    return {params_.hit_latency, params_.level_tag, /*hit=*/true};
+  }
+
+  ++stats_.write_miss;
+  batch.append(events_.write_miss, 1);
+  if (next_ == nullptr) {
+    throw std::logic_error(name_ + ": miss with no next level");
+  }
+  if (params_.write_through || !params_.write_allocate) {
+    // No-allocate write miss: forward the write below; its latency is
+    // absorbed by the store queue.
+    const AccessResult below =
+        next_->access(addr, AccessType::kWrite, core, now, batch);
+    return {params_.hit_latency, below.serviced_by};
+  }
+  // Allocating write miss: fetch the line from below, then dirty it.
+  const AccessResult below =
+      next_->access(addr, AccessType::kRead, core, now, batch);
+  fill(set, line, /*dirty=*/true, core, now, batch);
+  return {params_.hit_latency + below.latency, below.serviced_by};
 }
 
 void Cache::flush(unsigned core, cycles_t now) {
-  for (auto& l : lines_) {
-    if (l.valid && l.dirty && next_ != nullptr) {
-      ++stats_.writebacks;
-      emit(sink_, events_.writeback, 1);
-      next_->access(l.tag * params_.line_bytes, AccessType::kWrite, core, now);
+  EventBatch batch(sink_);
+  for (u32 set = 0; set < sets_; ++set) {
+    for (u32 w = 0; w < params_.assoc; ++w) {
+      const addr_t tag = tags_[std::size_t{set} * params_.assoc + w];
+      if (tag != kNoTag && (dirty_[set] >> w & 1) && next_ != nullptr) {
+        ++stats_.writebacks;
+        batch.append(events_.writeback, 1);
+        next_->access(tag << line_shift_, AccessType::kWrite, core, now,
+                      batch);
+      }
     }
-    l = Line{};
   }
+  batch.flush();
+  tags_.assign(tags_.size(), kNoTag);
+  ranks_.assign(ranks_.size(), kOnes * kIdle);
+  dirty_.assign(dirty_.size(), 0);
 }
 
 u64 Cache::resident_lines() const noexcept {
   u64 n = 0;
-  for (const auto& l : lines_) n += l.valid ? 1 : 0;
+  for (const addr_t tag : tags_) n += tag != kNoTag ? 1 : 0;
   return n;
 }
 

@@ -17,17 +17,36 @@ enum class AccessType : u8 { kRead, kWrite };
 struct AccessResult {
   cycles_t latency = 0;
   u8 serviced_by = 0;
+  /// The cache that was asked held the line.
+  bool hit = false;
 };
 
-/// Interface to "whatever is below" a cache level.
+/// Interface to "whatever is below" a cache level. Every level of a walk
+/// appends its reports to the walk's batch, so they reach the sink of the
+/// level the walk entered at (in the hierarchy, the node's one sink).
 class MemLevel {
  public:
+  explicit MemLevel(EventSink* sink = nullptr) noexcept : sink_(sink) {}
   virtual ~MemLevel() = default;
 
-  /// Access one line-aligned block. `core` identifies the requesting core,
-  /// `now` is the requester's current cycle time (used by queueing models).
+  /// Access one line-aligned block as part of a walk. `core` identifies
+  /// the requesting core, `now` is the requester's current cycle time
+  /// (used by queueing models); events append to `batch`.
   virtual AccessResult access(addr_t line_addr, AccessType type,
-                              unsigned core, cycles_t now) = 0;
+                              unsigned core, cycles_t now,
+                              EventBatch& batch) = 0;
+
+  /// One access as a walk of its own: one delivery to this level's sink.
+  AccessResult access(addr_t line_addr, AccessType type, unsigned core,
+                      cycles_t now) {
+    EventBatch batch(sink_);
+    const AccessResult r = access(line_addr, type, core, now, batch);
+    batch.flush();
+    return r;
+  }
+
+ protected:
+  EventSink* sink_;
 };
 
 /// Static cache geometry and policy.
@@ -45,7 +64,8 @@ struct CacheParams {
   u8 level_tag = 1;
 
   [[nodiscard]] u32 num_sets() const noexcept {
-    return static_cast<u32>(size_bytes / (u64{line_bytes} * assoc));
+    const u64 way_bytes = u64{line_bytes} * assoc;  // 0: no sets, no UB
+    return way_bytes == 0 ? 0 : static_cast<u32>(size_bytes / way_bytes);
   }
 };
 
@@ -88,122 +108,120 @@ class Cache final : public MemLevel {
  public:
   /// `next` must outlive the cache and services misses (and write-through /
   /// writeback traffic). It may be null only for caches that never miss
-  /// (not the usual case; tests use a Backstop).
+  /// (not the usual case; tests use a Backstop). Line sizes must be powers
+  /// of two and associativity at most 64; the set count may be anything.
   Cache(std::string name, const CacheParams& params, MemLevel* next,
         EventSink* sink = nullptr, const CacheEventIds& events = {});
 
+  using MemLevel::access;
   AccessResult access(addr_t addr, AccessType type, unsigned core,
-                      cycles_t now) override;
+                      cycles_t now, EventBatch& batch) override;
 
   /// True if the line holding `addr` is currently resident (no LRU update).
-  [[nodiscard]] bool probe(addr_t addr) const noexcept;
-
-  // -- inline L1 paths of the cache walk (mem/hierarchy.cpp) ----------------
-  // These do one tag search and accumulate counter increments into an
-  // EventBatch instead of per-event virtual calls. They perform exactly
-  // the bookkeeping access() would (stats, LRU clock, event totals), so
-  // either path leaves the cache in the same state.
-
-  /// Read hit path: on hit, touch LRU, count the access, and return true;
-  /// on miss return false having changed *nothing* — the caller then calls
-  /// the virtual access(), which counts the access from the top.
-  [[nodiscard]] bool read_hit_fast(addr_t addr, EventBatch& batch) noexcept {
-    const addr_t line = fast_line_of(addr);
-    const std::size_t base = std::size_t{fast_set_of(line)} * params_.assoc;
-    for (u32 w = 0; w < params_.assoc; ++w) {
-      Line& l = lines_[base + w];
-      if (l.valid && l.tag == line) {
-        l.lru = ++tick_;
-        ++stats_.read_access;
-        batch.add(events_.read_access, 1);
-        batch.add(events_.read_hit, 1);
-        return true;
-      }
-    }
-    return false;
+  [[nodiscard]] bool probe(addr_t addr) const noexcept {
+    const addr_t line = line_of(addr);
+    return find(set_of(line), line) >= 0;
   }
 
-  /// Store path for write-through / no-allocate caches: does the full
-  /// L1-side bookkeeping for a store (access + hit LRU touch or miss
-  /// count; neither case allocates) and reports whether it hit. The caller
-  /// forwards the write below either way — exactly what access() does for
-  /// this policy. Only call on a write-through, no-write-allocate cache
-  /// (MemoryHierarchy rejects any other L1D).
-  [[nodiscard]] bool write_note_fast(addr_t addr, EventBatch& batch) noexcept {
-    const addr_t line = fast_line_of(addr);
-    const std::size_t base = std::size_t{fast_set_of(line)} * params_.assoc;
-    ++stats_.write_access;
-    batch.add(events_.write_access, 1);
-    for (u32 w = 0; w < params_.assoc; ++w) {
-      Line& l = lines_[base + w];
-      if (l.valid && l.tag == line) {
-        l.lru = ++tick_;
-        batch.add(events_.write_hit, 1);
-        return true;
-      }
-    }
-    ++stats_.write_miss;
-    batch.add(events_.write_miss, 1);
-    return false;
+  /// Insert the line holding `addr`, which probe() has just reported
+  /// absent, without charging latency (the prefetch fill path).
+  void install(addr_t addr, unsigned core, cycles_t now, EventBatch& batch) {
+    const addr_t line = line_of(addr);
+    fill(set_of(line), line, /*dirty=*/false, core, now, batch);
   }
 
-  /// Insert a line without charging latency (prefetch fill path). Returns
-  /// false if the line was already resident.
-  bool install(addr_t addr, unsigned core, cycles_t now);
+  // -- the L1 read side of the cache walk (mem/hierarchy.cpp) ---------------
+  [[nodiscard]] addr_t line_of(addr_t addr) const noexcept {
+    return addr >> line_shift_;
+  }
+
+  /// One tag search for a read of line number `line`. A hit makes the line
+  /// most recently used and returns true; the walk counts its hits and
+  /// reports them in bulk with count_read_hits(). A miss changes nothing,
+  /// and the walk goes on with read_miss(), which does not search again.
+  [[nodiscard]] bool read_hit(addr_t line) noexcept {
+    const u32 set = set_of(line);
+    const int w = find(set, line);
+    if (w < 0) return false;
+    touch(set, static_cast<u32>(w));
+    return true;
+  }
+  void count_read_hits(u64 n, EventBatch& batch) {
+    stats_.read_access += n;
+    batch.append(events_.read_access, n);
+    batch.append(events_.read_hit, n);
+  }
+  /// The rest of a read that read_hit() found missing: count it, fetch the
+  /// line from below and fill it.
+  AccessResult read_miss(addr_t line, unsigned core, cycles_t now,
+                         EventBatch& batch);
 
   /// Drop every line, writing back dirty ones.
   void flush(unsigned core, cycles_t now);
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] u64 resident_lines() const noexcept;
 
  private:
-  struct Line {
-    addr_t tag = 0;
-    u64 lru = 0;
-    bool valid = false;
-    bool dirty = false;
-  };
-
-  [[nodiscard]] addr_t line_of(addr_t addr) const noexcept {
-    return addr / params_.line_bytes;
-  }
   [[nodiscard]] u32 set_of(addr_t line) const noexcept {
-    return static_cast<u32>(line % sets_);
+    return pow2_sets_ ? static_cast<u32>(line) & set_mask_
+                      : static_cast<u32>(line % sets_);
   }
-  // Shift/mask forms of line_of/set_of for the fast paths: the divisors
-  // are runtime values the compiler cannot strength-reduce, so power-of-
-  // two geometries (every real BG/P cache) precompute shifts in the
-  // constructor. Non-pow2 test geometries fall back to the division.
-  [[nodiscard]] addr_t fast_line_of(addr_t addr) const noexcept {
-    return pow2_geometry_ ? addr >> line_shift_ : line_of(addr);
-  }
-  [[nodiscard]] u32 fast_set_of(addr_t line) const noexcept {
-    return pow2_geometry_ ? static_cast<u32>(line) & set_mask_ : set_of(line);
-  }
-
   /// Find the way holding `line` in `set`, or -1.
-  [[nodiscard]] int find(u32 set, addr_t line) const noexcept;
-  /// Choose a victim way in `set` (invalid first, else LRU).
-  [[nodiscard]] int victim(u32 set) const noexcept;
+  [[nodiscard]] int find(u32 set, addr_t line) const noexcept {
+    const std::size_t base = std::size_t{set} * params_.assoc;
+    for (u32 w = 0; w < params_.assoc; ++w) {
+      if (tags_[base + w] == line) return static_cast<int>(w);
+    }
+    return -1;
+  }
+  /// Make way `w` of `set` the most recently used: every way more recent
+  /// than it ages by one, and it becomes rank 0. Touching an invalid way
+  /// (a fill, x = kIdle) ages every valid way.
+  void touch(u32 set, u32 w) noexcept {
+    const std::size_t base = std::size_t{set} * rank_words_;
+    const u32 shift = 8 * (w % 8);
+    const u64 x = (ranks_[base + w / 8] >> shift) & 0xFF;
+    // Per byte, (0x7F + x) - rank has its high bit set iff rank < x; no
+    // byte borrows from its neighbour, as ranks and kIdle are <= 0x7F.
+    const u64 bound = kOnes * (0x7F + x);
+    for (u32 i = 0; i < rank_words_; ++i) {
+      u64& r = ranks_[base + i];
+      r += ((bound - r) & kHigh) >> 7;
+    }
+    ranks_[base + w / 8] &= ~(u64{0xFF} << shift);
+  }
+  /// The way a fill of `set` replaces: the first invalid way, else the
+  /// least recently used.
+  [[nodiscard]] u32 victim(u32 set) const noexcept;
+  /// Fill `line` into `set`, evicting (and writing back) as needed.
+  void fill(u32 set, addr_t line, bool dirty, unsigned core, cycles_t now,
+            EventBatch& batch);
 
-  /// Fill `line` into the cache, evicting as needed; returns extra latency
-  /// charged for the fill bookkeeping (0 — fill latency is the miss path).
-  void fill(addr_t line, bool dirty, unsigned core, cycles_t now);
+  static constexpr addr_t kNoTag = ~addr_t{0};  // no line number is ~0
+  static constexpr u64 kOnes = 0x0101010101010101ull;  // 1 in every byte
+  static constexpr u64 kHigh = kOnes << 7;
+  static constexpr u64 kIdle = 0x7F;  // the rank byte of an invalid way
 
   std::string name_;
   CacheParams params_;
   MemLevel* next_;
-  EventSink* sink_;
   CacheEventIds events_;
   u32 sets_;
-  bool pow2_geometry_ = false;
-  u32 line_shift_ = 0;
-  u32 set_mask_ = 0;
-  std::vector<Line> lines_;  // sets_ * assoc, row-major by set
-  u64 tick_ = 0;             // LRU clock
+  u32 line_shift_;
+  bool pow2_sets_;
+  u32 set_mask_;
+  u32 rank_words_;  // ceil(assoc / 8)
+  /// sets_ * assoc line numbers, row-major by set; kNoTag marks an invalid
+  /// way. Nothing invalidates a single line (only flush() empties the
+  /// cache), so a set's valid ways are always a prefix.
+  std::vector<addr_t> tags_;
+  /// Exact LRU state, kept apart from the tags: one recency rank byte per
+  /// way (0 = most recently used, kIdle = invalid), eight to a word,
+  /// rank_words_ words per set.
+  std::vector<u64> ranks_;
+  std::vector<u64> dirty_;  // one bit per way, per set
   CacheStats stats_;
 };
 
@@ -214,7 +232,9 @@ class Backstop final : public MemLevel {
   explicit Backstop(cycles_t latency = 100, u8 level_tag = 4) noexcept
       : latency_(latency), level_tag_(level_tag) {}
 
-  AccessResult access(addr_t, AccessType type, unsigned, cycles_t) override {
+  using MemLevel::access;
+  AccessResult access(addr_t, AccessType type, unsigned, cycles_t,
+                      EventBatch&) override {
     ++accesses_;
     if (type == AccessType::kWrite) ++writes_;
     return {latency_, level_tag_};

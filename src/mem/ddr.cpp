@@ -1,48 +1,46 @@
 #include "mem/ddr.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 namespace bgp::mem {
 
 AccessResult DdrController::access(addr_t, AccessType type, unsigned,
-                                   cycles_t now) {
-  const auto service =
-      static_cast<cycles_t>(std::llround(static_cast<double>(params_.line_bytes) /
-                                         params_.bytes_per_cycle));
+                                   cycles_t now, EventBatch& batch) {
   const cycles_t start = std::max(now, busy_until_);
   cycles_t queue_wait = start - now;
   queue_wait = std::min<cycles_t>(queue_wait,
-                                  u64{params_.max_queue_services} * service);
-  busy_until_ = std::max(now, busy_until_) + service;
+                                  u64{params_.max_queue_services} * service_);
+  busy_until_ = start + service_;
 
-  stats_.busy_cycles += service;
+  stats_.busy_cycles += service_;
   stats_.queue_stall_cycles += queue_wait;
-  emit(sink_, events_.busy_cycles, service);
-  emit(sink_, events_.queue_stall_cycles, queue_wait);
+  batch.append(events_.busy_cycles, service_);
+  batch.append(events_.queue_stall_cycles, queue_wait);
 
   if (type == AccessType::kRead) {
     ++stats_.read_reqs;
     stats_.bytes_read += params_.line_bytes;
-    emit(sink_, events_.read_req, 1);
-    emit(sink_, events_.bytes_read_16b, params_.line_bytes / 16);
+    batch.append(events_.read_req, 1);
+    batch.append(events_.bytes_read_16b, params_.line_bytes / 16);
   } else {
     ++stats_.write_reqs;
     stats_.bytes_written += params_.line_bytes;
-    emit(sink_, events_.write_req, 1);
-    emit(sink_, events_.bytes_written_16b, params_.line_bytes / 16);
+    batch.append(events_.write_req, 1);
+    batch.append(events_.bytes_written_16b, params_.line_bytes / 16);
   }
 
   const cycles_t latency =
-      (type == AccessType::kRead) ? queue_wait + params_.base_latency + service
+      (type == AccessType::kRead) ? queue_wait + params_.base_latency + service_
                                   // Writes are posted; only queue pressure
                                   // shows up on the requester's path.
-                                  : std::min<cycles_t>(queue_wait, service);
+                                  : std::min<cycles_t>(queue_wait, service_);
   return {latency, /*serviced_by=*/4};
 }
 
 DdrSystem::DdrSystem(const DdrParams& params, EventSink* sink)
-    : params_(params) {
+    : MemLevel(sink),
+      line_shift_(static_cast<u32>(std::countr_zero(params.line_bytes))) {
   for (unsigned i = 0; i < isa::kNumDdrControllers; ++i) {
     DdrController::EventIds ids{
         .read_req = isa::ev::ddr(i, isa::DdrEvent::kReadReq),
@@ -54,13 +52,6 @@ DdrSystem::DdrSystem(const DdrParams& params, EventSink* sink)
     };
     ctrls_[i] = std::make_unique<DdrController>(params, sink, ids);
   }
-}
-
-AccessResult DdrSystem::access(addr_t addr, AccessType type, unsigned core,
-                               cycles_t now) {
-  const unsigned ctrl =
-      static_cast<unsigned>((addr / params_.line_bytes) % ctrls_.size());
-  return ctrls_[ctrl]->access(addr, type, core, now);
 }
 
 DdrStats DdrSystem::total() const noexcept {

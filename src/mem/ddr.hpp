@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <memory>
 
 #include "mem/cache.hpp"
@@ -20,7 +21,7 @@ struct DdrParams {
   /// controllers together deliver 13.6 GB/s at an 850 MHz core clock:
   /// 16 B/cycle total, 8 per controller.
   double bytes_per_cycle = 8.0;
-  /// Transfer granularity (the L3 line size).
+  /// Transfer granularity (the L3 line size); a power of two.
   u32 line_bytes = 128;
   /// Cap on modelled queueing delay, as a multiple of the service time, to
   /// keep transient inter-core time skew from exploding the model.
@@ -56,18 +57,22 @@ class DdrController final : public MemLevel {
 
   DdrController(const DdrParams& params, EventSink* sink = nullptr,
                 const EventIds& events = {}) noexcept
-      : params_(params), sink_(sink), events_(events) {}
+      : MemLevel(sink),
+        params_(params),
+        events_(events),
+        service_(static_cast<cycles_t>(
+            std::llround(params.line_bytes / params.bytes_per_cycle))) {}
 
+  using MemLevel::access;
   AccessResult access(addr_t addr, AccessType type, unsigned core,
-                      cycles_t now) override;
+                      cycles_t now, EventBatch& batch) override;
 
   [[nodiscard]] const DdrStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const DdrParams& params() const noexcept { return params_; }
 
  private:
   DdrParams params_;
-  EventSink* sink_;
   EventIds events_;
+  cycles_t service_;  ///< cycles to stream one line
   cycles_t busy_until_ = 0;
   DdrStats stats_;
 };
@@ -77,8 +82,12 @@ class DdrSystem final : public MemLevel {
  public:
   explicit DdrSystem(const DdrParams& params, EventSink* sink = nullptr);
 
+  using MemLevel::access;
   AccessResult access(addr_t addr, AccessType type, unsigned core,
-                      cycles_t now) override;
+                      cycles_t now, EventBatch& batch) override {
+    const auto ctrl = static_cast<std::size_t>(addr >> line_shift_);
+    return ctrls_[ctrl % ctrls_.size()]->access(addr, type, core, now, batch);
+  }
 
   [[nodiscard]] const DdrController& controller(unsigned i) const {
     return *ctrls_.at(i);
@@ -87,7 +96,7 @@ class DdrSystem final : public MemLevel {
   [[nodiscard]] DdrStats total() const noexcept;
 
  private:
-  DdrParams params_;
+  u32 line_shift_;
   std::array<std::unique_ptr<DdrController>, isa::kNumDdrControllers> ctrls_;
 };
 

@@ -74,7 +74,7 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
         "L1D must be write-through and no-write-allocate");
   }
   ddr_ = std::make_unique<DdrSystem>(params_.ddr, sink);
-  snoop_ = std::make_unique<SnoopFilter>(16384, sink, snoop_events());
+  snoop_ = std::make_unique<SnoopFilter>(16384, snoop_events());
 
   MemLevel* below_l2 = ddr_.get();
   if (params_.l3_size_bytes > 0) {
@@ -103,66 +103,58 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
 
 // ---- cache walk -------------------------------------------------------------
 // The hot loop of the whole simulator: every simulated load/store lands
-// here. L1 hits are handled inline (Cache::read_hit_fast /
-// write_note_fast: one tag search per line) and their counter increments
-// accumulate in a per-walk EventBatch flushed once at the end, so an
-// all-hits walk costs zero virtual calls on the cache side and at most one
-// on the sink side. A read miss flushes the batch (keeping walk-order
-// delivery) and takes the virtual MemLevel::access() chain below the L1,
-// which reports its events one at a time. Batching moves only the moment
-// an L1-hit count lands within one walk, which an armed threshold
-// interrupt could observe; the totals are those of per-event delivery.
+// here. Each level searches its tags once per access (the L1 read hit
+// check is inline, and Cache::read_miss carries on without searching
+// again), and every level, the snoop filter included, appends its counter
+// reports to the walk's one EventBatch: one events() call per walk, plus
+// one per full batch. L1 read hits go in as one entry per event just
+// before the next miss and at the end of the walk, so the sink sees the
+// (id, count) sequence of per-report delivery (docs/perf.md).
 
 AccessResult MemoryHierarchy::read(unsigned core, addr_t addr, u64 bytes,
                                    cycles_t now) {
-  auto& pc = cores_.at(core);
-  Cache* const l1 = pc.l1d.get();
-  const u32 line = params_.l1d.line_bytes;
+  Cache& l1 = *cores_.at(core).l1d;
   const cycles_t l1_lat = params_.l1d.hit_latency;
   AccessResult total{0, 1};
-  addr_t a = addr & ~addr_t{line - 1};
-  const addr_t end = addr + (bytes == 0 ? 1 : bytes);
+  const addr_t last = l1.line_of(addr + (bytes == 0 ? 0 : bytes - 1));
   EventBatch batch(sink_);
-  for (; a < end; a += line) {
-    if (l1->read_hit_fast(a, batch)) {
+  u64 hits = 0;
+  for (addr_t line = l1.line_of(addr); line <= last; ++line) {
+    if (l1.read_hit(line)) {
+      ++hits;
       total.latency += l1_lat;
       now += l1_lat;
       continue;
     }
-    batch.flush();
-    const AccessResult r = l1->access(a, AccessType::kRead, core, now);
-    snoop_->record_fill(core, a / line);
+    l1.count_read_hits(hits, batch);
+    hits = 0;
+    const AccessResult r = l1.read_miss(line, core, now, batch);
+    snoop_->record_fill(core, line);
     total.latency += r.latency;
     total.serviced_by = std::max(total.serviced_by, r.serviced_by);
     now += r.latency;
   }
+  l1.count_read_hits(hits, batch);
   batch.flush();
   return total;
 }
 
 AccessResult MemoryHierarchy::write(unsigned core, addr_t addr, u64 bytes,
                                     cycles_t now) {
-  auto& pc = cores_.at(core);
-  Cache* const l1 = pc.l1d.get();
-  L2Unit* const l2 = pc.l2.get();
-  const u32 line = params_.l1d.line_bytes;
-  const cycles_t l1_lat = params_.l1d.hit_latency;
+  Cache& l1 = *cores_.at(core).l1d;
   AccessResult total{0, 1};
-  addr_t a = addr & ~addr_t{line - 1};
-  const addr_t end = addr + (bytes == 0 ? 1 : bytes);
+  const addr_t last = l1.line_of(addr + (bytes == 0 ? 0 : bytes - 1));
   EventBatch batch(sink_);
-  for (; a < end; a += line) {
-    snoop_->on_write(core, a / line);
+  for (addr_t line = l1.line_of(addr); line <= last; ++line) {
+    snoop_->on_write(core, line, batch);
     // The L1 is write-through / no-allocate (the constructor enforces it):
     // the store retires at L1 speed whether it hit or not, and the write
-    // always goes below. Do the L1 bookkeeping inline and forward straight
-    // into the concrete L2 (final, so the call devirtualizes).
-    const bool hit = l1->write_note_fast(a, batch);
-    batch.flush();
-    const AccessResult below = l2->access(a, AccessType::kWrite, core, now);
-    total.latency += l1_lat;
-    if (!hit) total.serviced_by = std::max(total.serviced_by, below.serviced_by);
-    now += l1_lat;
+    // always goes below.
+    const AccessResult r = l1.access(line * params_.l1d.line_bytes,
+                                     AccessType::kWrite, core, now, batch);
+    total.latency += r.latency;
+    total.serviced_by = std::max(total.serviced_by, r.serviced_by);
+    now += r.latency;
   }
   batch.flush();
   return total;

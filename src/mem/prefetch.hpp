@@ -7,7 +7,6 @@
 #pragma once
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hpp"
@@ -42,6 +41,36 @@ struct L2EventIds {
   isa::EventId stream_detected = kNoEvent;
 };
 
+/// Lines brought in by prefetch and not yet demanded, each with the cycle
+/// its fill completes: an open-addressed map (linear probing, backward-
+/// shift deletion) from line number to cycle. It starts empty and doubles
+/// when three quarters full, so an L2 that never prefetches much stays
+/// small; clear() empties it in place.
+class PendingPrefetches {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// If `line` is pending, remove it and return true with its ready cycle.
+  bool take(addr_t line, cycles_t& ready) noexcept;
+  /// Insert `line`, or replace its ready cycle.
+  void put(addr_t line, cycles_t ready);
+  void clear() noexcept;
+
+ private:
+  static constexpr addr_t kEmpty = ~addr_t{0};  // no line number
+  struct Slot {
+    addr_t line = kEmpty;
+    cycles_t ready = 0;
+  };
+  [[nodiscard]] std::size_t home(addr_t line) const noexcept {
+    return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  void grow();
+
+  std::vector<Slot> slots_;  // a power of two, or empty
+  std::size_t size_ = 0;
+  unsigned shift_ = 0;  // 64 - log2(slots_.size())
+};
+
 /// Per-core L2: small cache + stream prefetcher.
 class L2Unit final : public MemLevel {
  public:
@@ -51,17 +80,15 @@ class L2Unit final : public MemLevel {
          const PrefetchParams& pf, MemLevel* next, EventSink* sink = nullptr,
          const EventIds& events = {});
 
+  using MemLevel::access;
   AccessResult access(addr_t addr, AccessType type, unsigned core,
-                      cycles_t now) override;
+                      cycles_t now, EventBatch& batch) override;
 
   [[nodiscard]] const CacheStats& cache_stats() const noexcept {
     return cache_.stats();
   }
   [[nodiscard]] const PrefetchStats& prefetch_stats() const noexcept {
     return pf_stats_;
-  }
-  [[nodiscard]] const PrefetchParams& prefetch_params() const noexcept {
-    return pf_;
   }
 
  private:
@@ -72,12 +99,11 @@ class L2Unit final : public MemLevel {
   };
 
   /// Issue prefetches for lines [line+1, line+depth] along a stream.
-  void run_ahead(addr_t line, unsigned core, cycles_t now);
+  void run_ahead(addr_t line, unsigned core, cycles_t now, EventBatch& batch);
 
   Cache cache_;
   PrefetchParams pf_;
   MemLevel* next_;
-  EventSink* sink_;
   EventIds events_;
   std::vector<Stream> streams_;
   static constexpr addr_t kNoLine = ~addr_t{0};
@@ -88,10 +114,9 @@ class L2Unit final : public MemLevel {
   unsigned miss_history_pos_ = 0;
   u64 use_tick_ = 0;
   PrefetchStats pf_stats_;
-  /// Lines brought in by prefetch and not yet demanded, with the cycle at
-  /// which their fill completes (a demand before that pays the residue —
-  /// this is why deeper prefetch hides more latency).
-  std::unordered_map<addr_t, cycles_t> pending_prefetched_;
+  /// A demand before a pending line's fill completes pays the residue;
+  /// this is why deeper prefetch hides more latency.
+  PendingPrefetches pending_;
 };
 
 }  // namespace bgp::mem

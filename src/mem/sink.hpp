@@ -3,11 +3,11 @@
 // models stay testable in isolation (tests plug in a recording sink).
 //
 // One entry point: events(batch, n) delivers a batch of edge-event reports
-// in one virtual call. Batching is sum-preserving for edge-configured
-// counters (the UPC adds the counts either way), so a per-block or per-walk
-// batch is indistinguishable from the stream of single reports it replaces
-// except for costing one virtual dispatch instead of n. A single report is
-// a one-entry batch (emit()).
+// in one virtual call. The UPC counts a batch entry by entry, threshold
+// interrupts included, so a per-block or per-walk batch is
+// indistinguishable from the stream of single reports it replaces except
+// for costing one virtual dispatch instead of n. A single report is a
+// one-entry batch (emit()).
 #pragma once
 
 #include <cstddef>
@@ -44,47 +44,42 @@ inline void emit(EventSink* sink, isa::EventId id, u64 count) {
   }
 }
 
-/// Fixed-capacity accumulator for the devirtualized cache walk: levels add
-/// their counter increments here during a walk and the whole batch is
-/// flushed through one events() call at the end. Capacity covers a full
-/// miss chain's distinct ids (L1 + L2 + L3 + both DDR controllers + snoop
-/// is under 48); a fuller batch self-flushes, so counts are never dropped.
+/// One walk's event reports, in the order the levels make them. Every
+/// level of a walk appends to the same batch (passed down the chain by
+/// reference), and the walk ends with one flush(): one events() call per
+/// walk instead of one per report. A full batch flushes itself first, so
+/// a long walk makes one more call per kCapacity entries. The sink sees
+/// exactly the sequence of single reports it replaces, cut into calls.
 class EventBatch {
  public:
-  static constexpr std::size_t kCapacity = 48;
+  static constexpr std::size_t kCapacity = 64;
 
   explicit EventBatch(EventSink* sink) noexcept : sink_(sink) {}
+  EventBatch(const EventBatch&) = delete;
+  EventBatch& operator=(const EventBatch&) = delete;
 
-  /// Add `count` to `id`'s pending total. Duplicate ids coalesce via a
-  /// tail-first linear scan (a walk re-reports the same few ids per line,
-  /// so the match is almost always near the end) — allocation-free.
-  void add(isa::EventId id, u64 count) {
-    if (id == kNoEvent || count == 0 || sink_ == nullptr) return;
-    for (std::size_t i = n_; i-- > 0;) {
-      if (ev_[i].id == id) {
-        ev_[i].count += count;
-        return;
-      }
-    }
-    if (n_ == kCapacity) flush();
-    ev_[n_] = {id, count};
-    ++n_;
+  /// Append `count` occurrences of `id`; an unwired hook or a zero count
+  /// appends nothing, as with emit().
+  void append(isa::EventId id, u64 count) {
+    if (id == kNoEvent || count == 0) return;
+    if (end_ == ev_ + kCapacity) flush();
+    *end_++ = {id, count};
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
-  [[nodiscard]] const isa::EventCount* data() const noexcept { return ev_; }
-
-  /// Deliver everything accumulated so far and reset.
+  /// Deliver everything appended so far and reset.
   void flush() {
-    if (n_ == 0) return;
-    sink_->events(ev_, n_);
-    n_ = 0;
+    if (end_ != ev_ && sink_ != nullptr) {
+      sink_->events(ev_, static_cast<std::size_t>(end_ - ev_));
+    }
+    end_ = ev_;
   }
 
  private:
   EventSink* sink_;
+  // A pointer, not a count: the levels' u64 statistics updates between
+  // appends cannot alias it, so it stays in a register.
+  isa::EventCount* end_ = ev_;
   isa::EventCount ev_[kCapacity];
-  std::size_t n_ = 0;
 };
 
 }  // namespace bgp::mem

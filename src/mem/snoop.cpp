@@ -14,22 +14,23 @@ void SnoopFilter::record_fill(unsigned core, addr_t line) noexcept {
   e.sharers |= static_cast<u8>(1u << core);
 }
 
-unsigned SnoopFilter::on_write(unsigned core, addr_t line) noexcept {
+unsigned SnoopFilter::on_write(unsigned core, addr_t line,
+                               EventBatch& batch) {
   ++stats_.requests;
-  emit(sink_, events_.requests, 1);
+  batch.append(events_.requests, 1);
 
   Entry& e = slot(line);
   const u8 self = static_cast<u8>(1u << core);
   if (!e.valid || e.line != line || (e.sharers & ~self) == 0) {
     ++stats_.filter_hits;
-    emit(sink_, events_.filter_hits, 1);
+    batch.append(events_.filter_hits, 1);
     return 0;
   }
   const unsigned others =
       static_cast<unsigned>(std::popcount(static_cast<unsigned>(e.sharers & ~self)));
   stats_.invalidates_sent += others;
-  emit(sink_, events_.invalidates_sent, others);
-  emit(sink_, events_.invalidates_received, others);
+  batch.append(events_.invalidates_sent, others);
+  batch.append(events_.invalidates_received, others);
   e.sharers = self;
   return others;
 }

@@ -5,6 +5,7 @@
 // cheap enough to sit on the store path.
 #pragma once
 
+#include <bit>
 #include <vector>
 
 #include "mem/sink.hpp"
@@ -29,16 +30,17 @@ class SnoopFilter {
  public:
   using EventIds = SnoopEventIds;
 
+  /// The table has `table_entries` rounded up to a power of two.
   explicit SnoopFilter(std::size_t table_entries = 16384,
-                       EventSink* sink = nullptr, const EventIds& events = {})
-      : sink_(sink), events_(events), table_(table_entries) {}
+                       const EventIds& events = {})
+      : events_(events), table_(std::bit_ceil(table_entries)) {}
 
   /// Record that `core` now holds a copy of `line` (L1 fill path).
   void record_fill(unsigned core, addr_t line) noexcept;
 
-  /// A store by `core` to `line`: returns the number of *other* cores whose
-  /// copies had to be invalidated.
-  unsigned on_write(unsigned core, addr_t line) noexcept;
+  /// A store by `core` to `line`, reported into `batch`: returns the number
+  /// of *other* cores whose copies had to be invalidated.
+  unsigned on_write(unsigned core, addr_t line, EventBatch& batch);
 
   [[nodiscard]] const SnoopStats& stats() const noexcept { return stats_; }
 
@@ -50,10 +52,9 @@ class SnoopFilter {
   };
 
   [[nodiscard]] Entry& slot(addr_t line) noexcept {
-    return table_[static_cast<std::size_t>(line) % table_.size()];
+    return table_[static_cast<std::size_t>(line) & (table_.size() - 1)];
   }
 
-  EventSink* sink_;
   EventIds events_;
   std::vector<Entry> table_;
   SnoopStats stats_;

@@ -267,6 +267,11 @@ void EpochScheduler::block_fiber(unsigned rank) {
   // kRunning and drop the wake, stranding the fiber. Blocks are rare
   // (recv/collective waits) — the mutex stays.
   std::unique_lock<std::mutex> lock(mu_);
+  // A stop serviced since this rank set its blocked status woke it while
+  // it still looked runnable, and no later wake will come: do not park,
+  // let the caller unwind on the abort flag. (service_stop runs under
+  // mu_, so it either comes before this check or finds the rank kBlocked.)
+  if (machine_.aborting_.load(std::memory_order_relaxed)) return;
   s.phase = Phase::kBlocked;
   pending_q_.invalidate(rank);
   drain_commits_locked();  // we left the pending set; commits may proceed

@@ -132,11 +132,11 @@ void UpcUnit::signal(isa::EventId id, u64 count) {
 
 void UpcUnit::signal_batch(const isa::EventCount* batch, std::size_t n) {
   if (!running_) return;
-  const u16 lo = static_cast<u16>(mode_) * isa::kCountersPerUnit;
   if (armed_thresholds_ != 0) {
-    signal_armed(batch, n, lo);
+    signal_armed(batch, n);
     return;
   }
+  const u16 lo = static_cast<u16>(mode_) * isa::kCountersPerUnit;
   // No configured counter can fire a threshold interrupt, so a countable
   // entry reduces to one masked add (counters are kept masked by every
   // writer, so re-masking an unchanged value is a no-op). This is the
@@ -157,11 +157,13 @@ void UpcUnit::signal_batch(const isa::EventCount* batch, std::size_t n) {
   }
 }
 
-void UpcUnit::signal_armed(const isa::EventCount* batch, std::size_t n,
-                           u16 lo) {
-  // A counter may fire (and its handler reconfigure the unit) mid-batch,
-  // so count entry by entry through bump().
-  for (std::size_t i = 0; i < n; ++i) {
+void UpcUnit::signal_armed(const isa::EventCount* batch, std::size_t n) {
+  // A counter may fire mid-batch, and its handler may stop the unit,
+  // switch its mode or reconfigure counters. So count entry by entry
+  // through bump(), re-reading that state for every entry: the batch
+  // counts exactly what the same reports delivered one by one would.
+  for (std::size_t i = 0; i < n && running_; ++i) {
+    const u16 lo = static_cast<u16>(mode_) * isa::kCountersPerUnit;
     const u16 rel = static_cast<u16>(batch[i].id - lo);
     if (rel >= isa::kCountersPerUnit) continue;
     const u8 counter = static_cast<u8>(rel);

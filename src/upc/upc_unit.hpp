@@ -104,8 +104,11 @@ class UpcUnit {
   // -- event input from hardware units -------------------------------------
   /// Report a batch of edge events in one call, entry by entry in order.
   /// An entry is counted iff the unit is running, set to the event's mode,
-  /// and the counter is enabled and configured for an edge signal mode.
-  /// Every event source reaches the unit through here (sys::Node's sink).
+  /// and the counter is enabled and configured for an edge signal mode, at
+  /// that entry: a threshold handler that stops the unit or switches its
+  /// mode mid-batch acts on the entries after it, so a batch counts
+  /// exactly as the same reports one by one. Every event source reaches
+  /// the unit through here (sys::Node's sink).
   void signal_batch(const isa::EventCount* batch, std::size_t n);
 
   /// Report `count` edge events for `id`: a one-entry signal_batch().
@@ -145,11 +148,10 @@ class UpcUnit {
  private:
   void bump(u8 counter, u64 amount);
   /// signal_batch() with a threshold armed. Kept out of line so the
-  /// interrupt-free loop stays a leaf call: a one-entry batch is the
-  /// common delivery (the cache miss chain), and it pays no register
-  /// spills for the bump() path it does not take.
+  /// interrupt-free loop stays a leaf call that pays no register spills
+  /// for the bump() path it does not take.
   [[gnu::noinline]] void signal_armed(const isa::EventCount* batch,
-                                      std::size_t n, u16 lo);
+                                      std::size_t n);
   void fire_threshold(u8 counter);
   /// A threshold (re)write that lands at or below the current count raises
   /// the interrupt immediately unless the old configuration had already

@@ -353,14 +353,29 @@ TEST(Service, KillCheckpointsAndSealsMidRun) {
   spec.snapshot_period_cycles = 50'000;
   ASSERT_TRUE(svc.submit(spec).ok);
 
-  // Let it get properly underway (class W runs for seconds).
+  // Kill only once every node is counting, so that each one checkpoints
+  // mid-run: watch the session's snapshot file rather than a clock.
   SessionStatus st;
-  for (int i = 0; i < 1000; ++i) {
+  bool all_counting = false;
+  for (int i = 0; i < 10'000 && !all_counting; ++i) {
     ASSERT_TRUE(svc.status("victim", &st));
-    if (st.state == SessionState::kRunning) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(st.state == SessionState::kQueued ||
+                st.state == SessionState::kRunning)
+        << "the victim ended before every node was counting";
+    if (fs::exists(st.snapshot_path)) {  // renamed into place when complete
+      const SnapshotReader r = SnapshotReader::open_file(st.snapshot_path);
+      NodeSnapshot snap;
+      all_counting = r.num_nodes() == 4;
+      for (unsigned node = 0; node < r.num_nodes() && all_counting; ++node) {
+        all_counting =
+            r.read_node(node, snap) && snap.state == SnapState::kCounting;
+      }
+    }
+    if (!all_counting) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(all_counting) << "never saw all four nodes counting";
 
   std::string err;
   ASSERT_TRUE(svc.kill("victim", &err)) << err;

@@ -50,6 +50,7 @@ struct PathConfig {
   int mode = 0;
   rt::SchedMode sched = rt::SchedMode::kSerial;
   nas::Benchmark bench = nas::Benchmark::kCG;
+  u64 l3_size_bytes = 8 * MiB;
 };
 
 struct RunResult {
@@ -72,6 +73,7 @@ RunResult run_cg(const PathConfig& cfg) {
   mc.mode = sys::OpMode::kVnm;
   mc.sched = cfg.sched;
   mc.jobs = cfg.sched == rt::SchedMode::kParallel ? 2 : 0;
+  mc.boot.l3_size_bytes = cfg.l3_size_bytes;
   rt::Machine machine(mc);
 
   pc::Options opts;
@@ -483,6 +485,36 @@ TEST(CounterGolden, CgAllModesBothSchedulers) {
           << "mode " << unsigned(mode) << " " << sched_name(sched)
           << ": digest is " << golden::hex(got);
     }
+  }
+}
+
+/// L3 sizes whose set count is not a power of two, so the set index is a
+/// division rather than a mask: Fig 11's 6 MiB (6,144 sets), which CG
+/// class S never fills, and 384 KiB (384 sets), small enough to evict.
+TEST(CounterGolden, CgWithL3SetCountsThatAreNotAPowerOfTwo) {
+  struct Case {
+    u64 l3_size_bytes;
+    u64 golden;
+  };
+  constexpr Case kCases[] = {{6 * MiB, 0xd14ddb627a1f3f06},
+                             {384 * KiB, 0xc1374d628f3b6a76}};
+  for (const Case& c : kCases) {
+    PathConfig cfg;
+    cfg.mode = kDefaultSplit;
+    cfg.l3_size_bytes = c.l3_size_bytes;
+    const RunResult run = run_cg(cfg);
+    const std::string what = std::to_string(c.l3_size_bytes / KiB) + " KiB L3";
+    u64 evictions = 0;
+    for (const auto& d : run.dumps) {
+      EXPECT_TRUE(check_paper_identities(
+          d, what + " node " + std::to_string(d.node_id)));
+      evictions += delta(d, ev::l3(isa::L3Event::kEvict));
+    }
+    if (c.l3_size_bytes < MiB) {
+      EXPECT_GT(evictions, 0u) << what;
+    }
+    const u64 got = digest(run);
+    EXPECT_EQ(got, c.golden) << what << ": digest is " << golden::hex(got);
   }
 }
 

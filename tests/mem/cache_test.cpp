@@ -23,6 +23,17 @@ TEST(Cache, GeometryValidation) {
   CacheParams bad = small_wb();
   bad.size_bytes = 500;  // not sets*assoc*line
   EXPECT_THROW(Cache("bad", bad, &mem), std::invalid_argument);
+  CacheParams odd_line = small_wb();
+  odd_line.line_bytes = 48;  // sets*assoc*line, but not a power of two
+  odd_line.size_bytes = 4 * 2 * 48;
+  EXPECT_THROW(Cache("odd line", odd_line, &mem), std::invalid_argument);
+  CacheParams too_wide = small_wb();
+  too_wide.assoc = 128;
+  too_wide.size_bytes = 128 * 64;
+  EXPECT_THROW(Cache("too wide", too_wide, &mem), std::invalid_argument);
+  CacheParams no_ways = small_wb();
+  no_ways.assoc = 0;
+  EXPECT_THROW(Cache("no ways", no_ways, &mem), std::invalid_argument);
   EXPECT_EQ(small_wb().num_sets(), 4u);
 }
 
@@ -107,12 +118,18 @@ TEST(Cache, WriteBackAbsorbsWriteHits) {
 }
 
 TEST(Cache, InstallDoesNotDoubleInsert) {
+  // The prefetch path probes before it installs, so a line goes in once
+  // and installing charges nothing below.
   Backstop mem;
   Cache c("c", small_wb(), &mem);
-  EXPECT_TRUE(c.install(0x1000, 0, 0));
-  EXPECT_FALSE(c.install(0x1000, 0, 0));
+  EventBatch unwired(nullptr);
+  EXPECT_FALSE(c.probe(0x1000));
+  c.install(0x1000, 0, 0, unwired);
   EXPECT_TRUE(c.probe(0x1000));
+  EXPECT_EQ(c.resident_lines(), 1u);
+  EXPECT_EQ(c.stats().line_fills, 1u);
   EXPECT_EQ(c.access(0x1000, AccessType::kRead, 0, 0).latency, 3u);
+  EXPECT_EQ(mem.accesses(), 0u);
 }
 
 TEST(Cache, FlushWritesBackDirtyLines) {
@@ -195,8 +212,9 @@ TEST_P(CacheSweep, MissRateNeverExceedsOneAndFitsWhenSized) {
   EXPECT_EQ(m1, span / 64);  // cold misses exactly once per line
 }
 
+// 48 KiB gives 48 to 768 sets: set counts that are not a power of two.
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheSweep,
-                         ::testing::Combine(::testing::Values(4, 32, 256),
+                         ::testing::Combine(::testing::Values(4, 32, 48, 256),
                                             ::testing::Values(1, 2, 8, 16)));
 
 }  // namespace

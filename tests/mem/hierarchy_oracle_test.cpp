@@ -8,7 +8,9 @@
 
 #include <array>
 #include <random>
+#include <vector>
 
+#include "../integration/golden.hpp"
 #include "mem/hierarchy.hpp"
 
 namespace bgp::mem {
@@ -155,11 +157,14 @@ TEST(HierarchyOracle, PrefetchesAreL3Reads) {
   EXPECT_EQ(rec[ev::l3(L3Event::kReadAccess)], expected);
 }
 
-TEST(HierarchyOracle, FillAndDdrIdentitiesOnMixedTraffic) {
-  HierarchyParams p;  // prefetch on
-  p.l3_size_bytes = 512 * KiB;  // small enough to evict dirty lines
-  Recorder rec;
-  MemoryHierarchy h(p, &rec);
+/// Mixed traffic: prefetch on, a 512 KiB L3 small enough to evict dirty
+/// lines, and 40000 random reads and writes of 1-512 B from all four
+/// cores. `after_walk()` runs after every walk.
+template <class AfterWalk>
+void mixed_traffic(EventSink& sink, AfterWalk after_walk) {
+  HierarchyParams p;
+  p.l3_size_bytes = 512 * KiB;
+  MemoryHierarchy h(p, &sink);
   std::mt19937_64 rng(14);
   cycles_t now = 0;
   for (int i = 0; i < 40000; ++i) {
@@ -169,7 +174,13 @@ TEST(HierarchyOracle, FillAndDdrIdentitiesOnMixedTraffic) {
     const AccessResult r = (rng() % 3 == 0) ? h.write(core, a, bytes, now)
                                             : h.read(core, a, bytes, now);
     now += r.latency;
+    after_walk();
   }
+}
+
+TEST(HierarchyOracle, FillAndDdrIdentitiesOnMixedTraffic) {
+  Recorder rec;
+  mixed_traffic(rec, [] {});
   const u64 fills = rec[ev::l3(L3Event::kFillFromDdr)];
   const u64 writebacks = rec[ev::l3(L3Event::kWritebackToDdr)];
   EXPECT_GT(writebacks, 0u);
@@ -183,6 +194,47 @@ TEST(HierarchyOracle, FillAndDdrIdentitiesOnMixedTraffic) {
   EXPECT_EQ(ddr_bytes(rec, isa::DdrEvent::kBytesRead16B), 128 * fills);
   EXPECT_EQ(ddr_bytes(rec, isa::DdrEvent::kBytesWritten16B),
             128 * writebacks);
+}
+
+/// Folds every delivered (id, count) entry, in order, into one digest and
+/// keeps the entry count of each events() call.
+class SequenceRecorder final : public EventSink {
+ public:
+  void events(const isa::EventCount* batch, std::size_t n) override {
+    calls.push_back(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      digest = golden::add(digest, u64{batch[i].id});
+      digest = golden::add(digest, batch[i].count);
+    }
+  }
+  u64 digest = golden::kSeed;
+  std::vector<std::size_t> calls;  ///< entries per call since the last walk
+};
+
+// The order in which a walk reports its events is observable: a threshold
+// interrupt on a memory event fires at one entry of the sequence. The
+// digest pins the concatenated sequence of the mixed traffic above; it
+// was recorded with one events() call per report, and a walk must deliver
+// the same sequence in one call, plus one per full batch.
+TEST(HierarchyOracle, DeliveryOrderIsPinnedAndEachWalkDeliversOnce) {
+  constexpr u64 kGolden = 0xfdedc110bb62a13d;
+  SequenceRecorder rec;
+  u64 walks = 0, bad_walks = 0, split_walks = 0;
+  mixed_traffic(rec, [&] {
+    // One call per walk, plus one per batch that filled before the end.
+    bool ok = !rec.calls.empty() && rec.calls.back() <= EventBatch::kCapacity;
+    for (std::size_t i = 0; i + 1 < rec.calls.size(); ++i) {
+      ok = ok && rec.calls[i] == EventBatch::kCapacity;
+    }
+    ++walks;
+    bad_walks += ok ? 0 : 1;
+    split_walks += rec.calls.size() > 1 ? 1 : 0;
+    rec.calls.clear();
+  });
+  EXPECT_EQ(walks, 40000u);
+  EXPECT_EQ(bad_walks, 0u);
+  EXPECT_GT(split_walks, 0u) << "no walk filled a batch";
+  EXPECT_EQ(rec.digest, kGolden) << "digest is " << golden::hex(rec.digest);
 }
 
 }  // namespace

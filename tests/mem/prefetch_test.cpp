@@ -108,5 +108,53 @@ TEST(L2Prefetch, WritesBypassPrefetcher) {
   EXPECT_EQ(mem.writes(), 32u);
 }
 
+// The prefetcher tracks at most 8193 undemanded prefetches: an insert
+// that finds more than 8192 pending clears the whole table first. That is
+// simulated behaviour (it decides whether a demand counts as a prefetch
+// hit and pays the residual fill latency), so the exact boundary is pinned.
+TEST(L2Prefetch, PendingTableClearsWhenMoreThan8192ArePending) {
+  constexpr unsigned kDepth = 16;
+  constexpr cycles_t kStep = 1000;
+  Backstop mem(100);
+  PrefetchParams pf{.enabled = true, .streams = 8, .depth = kDepth};
+  L2Unit l2("l2", l2_params(), pf, &mem);
+  // Region r: demand misses on lines L and L+1 establish a stream, whose
+  // run-ahead prefetches L+2 .. L+17. Nothing prefetched is demanded, so
+  // after 512 regions exactly 8192 prefetches are pending.
+  const auto region = [&](unsigned r) {
+    const addr_t line = addr_t{r} * 64;
+    l2.access(line * 128, AccessType::kRead, 0, r * kStep);
+    l2.access((line + 1) * 128, AccessType::kRead, 0, r * kStep);
+    return line;
+  };
+  for (unsigned r = 0; r < 512; ++r) region(r);
+  ASSERT_EQ(l2.prefetch_stats().issued, 512u * kDepth);
+  ASSERT_EQ(l2.prefetch_stats().hits, 0u);
+  // Region 512's first prefetch (L+2) makes 8193 pending; its second
+  // finds more than 8192 and clears the table, so only L+3 .. L+17 remain.
+  const addr_t line = region(512);
+  const cycles_t issued_at = 512 * kStep;
+  const u64 issued = l2.prefetch_stats().issued;
+  ASSERT_EQ(issued, 513u * kDepth);
+
+  // L+2 is still resident but no longer pending: a plain L2 hit, with no
+  // prefetch hit and no run-ahead.
+  const AccessResult plain =
+      l2.access((line + 2) * 128, AccessType::kRead, 0, issued_at + 30);
+  EXPECT_EQ(plain.latency, 12u);
+  EXPECT_EQ(plain.serviced_by, 2);
+  EXPECT_EQ(l2.prefetch_stats().hits, 0u);
+  EXPECT_EQ(l2.prefetch_stats().issued, issued);
+
+  // L+3 was prefetched after the clear: a prefetch hit that pays the rest
+  // of its 100-cycle fill and keeps the stream running (L+18, L+19).
+  const AccessResult pending =
+      l2.access((line + 3) * 128, AccessType::kRead, 0, issued_at + 30);
+  EXPECT_EQ(pending.latency, 12u + 70u);
+  EXPECT_EQ(pending.serviced_by, 2);
+  EXPECT_EQ(l2.prefetch_stats().hits, 1u);
+  EXPECT_EQ(l2.prefetch_stats().issued, issued + 2);
+}
+
 }  // namespace
 }  // namespace bgp::mem

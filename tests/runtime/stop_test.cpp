@@ -4,7 +4,9 @@
 // mechanism behind bgpc_run's SIGTERM handling and the daemon's kill.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <thread>
 
 #include "core/session.hpp"
@@ -100,6 +102,49 @@ TEST(RequestStop, StopBeforeRunThrowsImmediately) {
     ctx.mpi_finalize();
   }),
                rt::RunStopped);
+}
+
+// A stop serviced after a rank's blocking recv commit but before the rank
+// parks must still unwind it. On two nodes and one executor: rank 1 (node
+// 0) reaches its recv at a later clock than rank 4 (node 1) is pending
+// at, so its commit waits. Rank 4's yield past that clock commits the
+// recv (no message: blocked) and, still its node's next rank, rank 4 runs
+// on and requests the stop, which its executor services before rank 1
+// parks. If that wake were lost, the run would spin forever.
+TEST(RequestStop, StopBetweenABlockingCommitAndItsParkUnwinds) {
+  rt::MachineConfig mc;
+  mc.num_nodes = 2;  // VNM: ranks 0-3 on node 0, 4-7 on node 1
+  mc.sched = rt::SchedMode::kSerial;
+  rt::Machine machine(mc);
+  auto run = std::async(std::launch::async, [&] {
+    try {
+      machine.run([&](rt::RankCtx& ctx) {
+        // A one-element touch ends the rank's segment (a yield).
+        const auto buf = ctx.alloc<double>(1);
+        const rt::MemRange one{buf.addr(), buf.bytes(), false};
+        if (ctx.rank() == 1) {
+          ctx.core().advance(1000);
+          ctx.touch(one, 1.0);
+          std::byte b{};
+          ctx.recv(0, std::span<std::byte>(&b, 1));  // rank 0 never sends
+        } else if (ctx.rank() == 4) {
+          ctx.core().advance(10);
+          ctx.touch(one, 1.0);  // ranks 5-7 finish meanwhile
+          ctx.core().advance(100'000);
+          ctx.touch(one, 1.0);  // commits rank 1's recv, keeps running
+          machine.request_stop();
+        }
+      });
+    } catch (const rt::RunStopped&) {
+      return true;
+    }
+    return false;
+  });
+  if (run.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "the stopped run never finished";
+    std::_Exit(1);  // the run thread spins forever; nothing can join it
+  }
+  EXPECT_TRUE(run.get()) << "the run finished without RunStopped";
 }
 
 }  // namespace

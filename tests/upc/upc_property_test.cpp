@@ -160,7 +160,65 @@ std::vector<isa::EventCount> mixed_batch(std::size_t n, u64 seed) {
   return batch;
 }
 
+/// A unit in mode 1 whose counter 5 interrupts at 10, with a handler that
+/// either stops the unit or switches it to mode 2: the rest of a batch
+/// must then count as the same reports would one by one.
+struct ControlFixture {
+  enum class OnFire { kStop, kSetMode2 };
+  UpcUnit unit;
+  std::vector<std::pair<u8, u64>> interrupts;
+
+  ControlFixture(const ControlFixture&) = delete;  // the handler holds `this`
+  ControlFixture& operator=(const ControlFixture&) = delete;
+
+  explicit ControlFixture(OnFire on_fire) {
+    unit.set_mode(1);
+    CounterConfig cfg;
+    cfg.interrupt_enable = true;
+    cfg.threshold = 10;
+    unit.configure(5, cfg);
+    unit.set_threshold_handler([this, on_fire](u8 counter, u64 value) {
+      interrupts.emplace_back(counter, value);
+      if (on_fire == OnFire::kStop) {
+        unit.stop();
+      } else {
+        unit.set_mode(2);
+      }
+    });
+    unit.start();
+  }
+};
+
+/// 20 x {counter 5, 1} + {counter 7, 3} in mode 1, then the same shape in
+/// mode 2.
+std::vector<isa::EventCount> control_batch() {
+  std::vector<isa::EventCount> batch;
+  for (const isa::EventId base : {isa::EventId{256}, isa::EventId{512}}) {
+    for (int i = 0; i < 20; ++i) batch.push_back({isa::EventId(base + 5), 1});
+    batch.push_back({isa::EventId(base + 7), 3});
+  }
+  return batch;
+}
+
 TEST(UpcProperty, OneBatchEqualsTheSameReportsOneByOne) {
+  for (const auto on_fire :
+       {ControlFixture::OnFire::kStop, ControlFixture::OnFire::kSetMode2}) {
+    const char* what =
+        on_fire == ControlFixture::OnFire::kStop ? "stop" : "set_mode";
+    const auto batch = control_batch();
+    ControlFixture whole(on_fire);
+    ControlFixture singles(on_fire);
+    whole.unit.signal_batch(batch.data(), batch.size());
+    for (const isa::EventCount& e : batch) singles.unit.signal(e.id, e.count);
+    EXPECT_EQ(whole.unit.snapshot(), singles.unit.snapshot()) << what;
+    EXPECT_EQ(whole.interrupts, singles.interrupts) << what;
+    // One report at a time, the interrupt lands on the tenth count of
+    // counter 5; only a unit switched to mode 2 counts the rest.
+    const bool stopped = on_fire == ControlFixture::OnFire::kStop;
+    EXPECT_EQ(whole.unit.read(5), stopped ? 10u : 30u) << what;
+    EXPECT_EQ(whole.unit.read(7), stopped ? 0u : 3u) << what;
+  }
+
   for (const bool armed : {false, true}) {
     const auto batch = mixed_batch(2000, armed ? 2 : 1);
     BatchFixture whole(armed);
