@@ -1,23 +1,8 @@
-// Binary layout of the per-node dump files written by BGP_Finalize() and
-// read by the post-processing tools (paper §IV). Little-endian throughout.
-//
-//   header:  magic "BGPC" (u32) | version (u32) | node id (u32)
-//            | card id (u32) | counter mode (u32) | app name (string)
-//            | set count (u32) | [v2: header CRC32 (u32)]
-//   per set: set id (u32) | start/stop pair count (u32)
-//            | first start cycle (u64) | last stop cycle (u64)
-//            | 256 counter deltas (u64 each) | [v2: set CRC32 (u32)]
-//   v3 only: recovery event count (u32)
-//            | per event: kind (u32) | node (u32) | rank (u32)
-//            | cycle (u64) | cost (u64) | aux (u64)
-//            | recovery section CRC32 (u32)
-//
-// Version 2 adds a CRC32 after each section (header and every set),
-// computed over that section's bytes (the header CRC excludes the
-// magic/version words). Version 3 appends the fault-tolerance recovery
-// log (who died, when detected, what the revoke/agree/shrink steps cost);
-// writers emit it only when a run actually recovered, so fault-free and
-// non-FT runs stay byte-identical to v2. Readers accept all versions.
+// The per-node dump files written by BGP_Finalize() and read by the
+// post-processing tools (paper §IV). Layout, in the record codec's terms,
+// and version history: docs/formats.md. Version 2 seals the header and
+// every set; version 3 appends the fault-tolerance recovery log and is
+// written only when a run recovered. Readers accept all versions.
 #pragma once
 
 #include <array>

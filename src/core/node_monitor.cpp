@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/binio.hpp"
-#include "common/crc.hpp"
 #include "common/strfmt.hpp"
 #include "fault/fault.hpp"
 
@@ -115,6 +114,7 @@ namespace {
 /// Serialized size of one set record, excluding the v2 CRC word.
 constexpr std::size_t kSetRecordBytes =
     sizeof(u32) * 2 + sizeof(u64) * 2 + sizeof(u64) * isa::kCountersPerUnit;
+constexpr std::size_t kRecoveryRecordBytes = sizeof(u32) * 3 + sizeof(u64) * 3;
 
 }  // namespace
 
@@ -134,31 +134,26 @@ std::vector<std::byte> NodeMonitor::serialize(const NodeDump& dump,
         strfmt("dump version %u cannot carry %zu recovery event(s)", version,
                dump.recovery.size()));
   }
+  const bool sealed = version >= kDumpVersion;
   BinaryWriter w;
   w.put<u32>(kDumpMagic);
   w.put<u32>(version);
-  const std::size_t header_begin = w.size();
+  w.begin_section();
   w.put<u32>(dump.node_id);
   w.put<u32>(dump.card_id);
   w.put<u32>(dump.counter_mode);
   w.put_string(dump.app_name);
   w.put<u32>(static_cast<u32>(dump.sets.size()));
-  if (version >= 2) {
-    w.put<u32>(crc32(std::span(w.buffer()).subspan(header_begin)));
-  }
+  if (sealed) w.seal();
   for (const SetDump& s : dump.sets) {
-    const std::size_t set_begin = w.size();
     w.put<u32>(s.set_id);
     w.put<u32>(s.pairs);
     w.put<u64>(s.first_start_cycle);
     w.put<u64>(s.last_stop_cycle);
-    for (u64 d : s.deltas) w.put<u64>(d);
-    if (version >= 2) {
-      w.put<u32>(crc32(std::span(w.buffer()).subspan(set_begin)));
-    }
+    w.put_array(std::span(s.deltas));
+    if (sealed) w.seal();
   }
   if (version >= kDumpVersionFt) {
-    const std::size_t rec_begin = w.size();
     w.put<u32>(static_cast<u32>(dump.recovery.size()));
     for (const ft::RecoveryEvent& e : dump.recovery) {
       w.put<u32>(static_cast<u32>(e.kind));
@@ -168,7 +163,7 @@ std::vector<std::byte> NodeMonitor::serialize(const NodeDump& dump,
       w.put<u64>(e.cost);
       w.put<u64>(e.aux);
     }
-    w.put<u32>(crc32(std::span(w.buffer()).subspan(rec_begin)));
+    w.seal();
   }
   return w.buffer();
 }
@@ -183,21 +178,9 @@ NodeDump NodeMonitor::parse(std::span<const std::byte> bytes) {
       version != kDumpVersionFt) {
     throw BinIoError(strfmt("unsupported BGPC dump version %u", version));
   }
-  const bool checksummed = version >= 2;
-  const auto verify_crc = [&r](const char* what, std::size_t begin) {
-    const u32 computed = crc32(r.window(begin, r.position()));
-    const std::size_t crc_at = r.position();
-    const u32 stored = r.get<u32>();
-    if (stored != computed) {
-      throw BinIoError(
-          strfmt("%s CRC mismatch over bytes %zu..%zu (stored %08X, "
-                 "computed %08X)",
-                 what, begin, crc_at, stored, computed));
-    }
-  };
-
+  const bool sealed = version >= kDumpVersion;
+  r.begin_section();
   NodeDump dump;
-  const std::size_t header_begin = r.position();
   dump.node_id = r.get<u32>();
   dump.card_id = r.get<u32>();
   dump.counter_mode = r.get<u32>();
@@ -206,39 +189,20 @@ NodeDump NodeMonitor::parse(std::span<const std::byte> bytes) {
   }
   dump.app_name = r.get_string();
   const u32 nsets = r.get<u32>();
-  if (checksummed) verify_crc("header", header_begin);
-
-  const std::size_t per_set =
-      kSetRecordBytes + (checksummed ? sizeof(u32) : 0);
-  if (static_cast<u64>(nsets) * per_set > r.remaining()) {
-    throw BinIoError(
-        strfmt("corrupt dump: header claims %u sets (%llu bytes) but only "
-               "%zu bytes remain",
-               nsets, static_cast<unsigned long long>(u64{nsets} * per_set),
-               r.remaining()));
-  }
-  dump.sets.resize(nsets);
+  if (sealed) r.check_seal("header");
+  dump.sets.resize(r.counted(
+      nsets, kSetRecordBytes + (sealed ? sizeof(u32) : 0), "sets"));
   for (SetDump& s : dump.sets) {
-    const std::size_t set_begin = r.position();
     s.set_id = r.get<u32>();
     s.pairs = r.get<u32>();
     s.first_start_cycle = r.get<u64>();
     s.last_stop_cycle = r.get<u64>();
-    for (u64& d : s.deltas) d = r.get<u64>();
-    if (checksummed) verify_crc("set", set_begin);
+    r.get_array(std::span(s.deltas));
+    if (sealed) r.check_seal("set");
   }
   if (version >= kDumpVersionFt) {
-    constexpr std::size_t kRecoveryRecordBytes =
-        sizeof(u32) * 3 + sizeof(u64) * 3;
-    const std::size_t rec_begin = r.position();
-    const u32 nrec = r.get<u32>();
-    if (u64{nrec} * kRecoveryRecordBytes + sizeof(u32) > r.remaining()) {
-      throw BinIoError(
-          strfmt("corrupt dump: recovery section claims %u events but only "
-                 "%zu bytes remain",
-                 nrec, r.remaining()));
-    }
-    dump.recovery.resize(nrec);
+    dump.recovery.resize(
+        r.counted(r.get<u32>(), kRecoveryRecordBytes, "recovery events"));
     for (ft::RecoveryEvent& e : dump.recovery) {
       const u32 kind = r.get<u32>();
       if (kind > static_cast<u32>(ft::RecoveryKind::kShrink)) {
@@ -252,7 +216,7 @@ NodeDump NodeMonitor::parse(std::span<const std::byte> bytes) {
       e.cost = r.get<u64>();
       e.aux = r.get<u64>();
     }
-    verify_crc("recovery", rec_begin);
+    r.check_seal("recovery");
   }
   if (!r.at_end()) {
     throw BinIoError("corrupt dump: trailing bytes");

@@ -197,9 +197,7 @@ DumpWriteOutcome Session::write_dump_file(const NodeDump& dump,
         throw BinIoError(
             strfmt("injected I/O error writing %s", tmp.string().c_str()));
       }
-      BinaryWriter w;
-      w.put_bytes(bytes);
-      w.write_file(tmp);
+      write_file_bytes(tmp, bytes);
       std::filesystem::rename(tmp, outcome.path);
       outcome.ok = true;
       outcome.error.clear();

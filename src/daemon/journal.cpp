@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "common/binio.hpp"
-#include "common/crc.hpp"
 #include "common/strfmt.hpp"
 #include "fault/fault.hpp"
 #include "obs/host_clock.hpp"
@@ -19,11 +18,10 @@ namespace bgp::daemon {
 namespace {
 
 std::vector<std::byte> journal_header_bytes() {
-  std::vector<std::byte> out(kJournalHeaderBytes);
-  std::memcpy(out.data(), kJournalMagic, sizeof(kJournalMagic));
-  const u32 version = kJournalVersion;
-  std::memcpy(out.data() + sizeof(kJournalMagic), &version, sizeof(version));
-  return out;
+  BinaryWriter w;
+  w.put_array(std::span(kJournalMagic));
+  w.put<u32>(kJournalVersion);
+  return w.buffer();
 }
 
 /// write() the whole buffer, retrying short writes and real EINTR.
@@ -66,14 +64,9 @@ JournalRecord JournalRecord::from_json(const json::Value& v) {
 
 std::vector<std::byte> encode_journal_frame(const JournalRecord& rec) {
   const std::string payload = rec.to_json().dump();
-  const auto* p = reinterpret_cast<const std::byte*>(payload.data());
-  const u32 len = static_cast<u32>(payload.size());
-  const u32 crc = crc32({p, payload.size()});
-  std::vector<std::byte> frame(8 + payload.size());
-  std::memcpy(frame.data(), &len, 4);
-  std::memcpy(frame.data() + 4, &crc, 4);
-  std::memcpy(frame.data() + 8, p, payload.size());
-  return frame;
+  BinaryWriter w;
+  w.put_frame(std::as_bytes(std::span(payload)));
+  return w.buffer();
 }
 
 JournalReplay replay_journal(const std::filesystem::path& path) {
@@ -99,37 +92,26 @@ JournalReplay replay_journal(const std::filesystem::path& path) {
     out.tail_error = "torn header";
     return out;
   }
-  u32 version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kJournalMagic), sizeof(version));
+  const u32 version =
+      BinaryReader(std::span(bytes).subspan(sizeof(kJournalMagic))).get<u32>();
   if (version != kJournalVersion) {
     throw JournalError(strfmt("journal %s has unsupported version %u",
                               path.c_str(), version));
   }
 
   std::size_t off = kJournalHeaderBytes;
-  while (off + 8 <= bytes.size()) {
-    u32 len = 0;
-    u32 crc = 0;
-    std::memcpy(&len, bytes.data() + off, 4);
-    std::memcpy(&crc, bytes.data() + off + 4, 4);
-    if (len == 0 || len > kJournalMaxRecordBytes) {
-      out.tail_error = strfmt("bad frame length %u at offset %zu", len, off);
-      break;
-    }
-    if (off + 8 + len > bytes.size()) {
-      out.tail_error = strfmt("torn frame at offset %zu (%zu of %u payload "
-                              "bytes present)",
-                              off, bytes.size() - off - 8, len);
-      break;
-    }
-    const std::span<const std::byte> payload{bytes.data() + off + 8, len};
-    if (crc32(payload) != crc) {
-      out.tail_error = strfmt("frame checksum mismatch at offset %zu", off);
+  while (off < bytes.size()) {
+    const Frame frame = decode_frame(std::span(bytes).subspan(off),
+                                     kJournalMaxRecordBytes);
+    if (frame.status != FrameStatus::kOk) {
+      out.tail_error = strfmt("%s (length %u) at offset %zu",
+                              to_string(frame.status), frame.length, off);
       break;
     }
     try {
       const std::string_view text{
-          reinterpret_cast<const char*>(payload.data()), payload.size()};
+          reinterpret_cast<const char*>(frame.payload.data()),
+          frame.payload.size()};
       out.records.push_back(JournalRecord::from_json(json::Value::parse(text)));
     } catch (const json::JsonError& e) {
       // A CRC-valid frame with unparseable JSON can only be corruption that
@@ -138,10 +120,7 @@ JournalReplay replay_journal(const std::filesystem::path& path) {
           strfmt("unparseable record at offset %zu: %s", off, e.what());
       break;
     }
-    off += 8 + len;
-  }
-  if (off + 8 > bytes.size() && off < bytes.size() && out.tail_error.empty()) {
-    out.tail_error = strfmt("torn frame header at offset %zu", off);
+    off += kFrameHeaderBytes + frame.length;
   }
   out.valid_bytes = off;
   out.dropped_bytes = bytes.size() - off;

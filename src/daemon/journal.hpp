@@ -5,17 +5,13 @@
 // and to find orphans — sessions that were in flight when the process died —
 // whose last BGPSNAP checkpoint it salvages into minable dumps.
 //
-// On-disk layout (single file, append-only):
-//
-//   header   magic "BGPJRNL\0" + u32 version
-//   frame[]  u32 payload_len | u32 crc32(payload) | payload
-//
-// where each payload is one compact JSON object ({"op","session","body"}).
-// A crash can tear the final frame (short write) or leave garbage past the
-// last fsync — replay walks frames until the first one whose length or CRC
-// fails, keeps everything before it, and reports the dropped tail. The
-// writer truncates the torn tail on reopen so post-crash appends always
-// land on a frame boundary and stay readable.
+// On disk (docs/formats.md): a magic and version header, then one codec
+// frame per record, each payload one compact JSON object
+// ({"op","session","body"}). A crash can tear the final frame (short
+// write) or leave garbage past the last fsync — replay walks frames until
+// the first one whose length or CRC fails, keeps everything before it, and
+// reports the dropped tail. The writer truncates the torn tail on reopen so
+// post-crash appends always land on a frame boundary and stay readable.
 #pragma once
 
 #include <filesystem>

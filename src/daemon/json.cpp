@@ -181,8 +181,15 @@ class Parser {
   Value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail(strfmt("nesting deeper than %u", kMaxDepth).c_str());
+      }
+      ++depth_;
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Value(parse_string());
     if (consume_word("true")) return Value(true);
     if (consume_word("false")) return Value(false);
@@ -299,6 +306,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

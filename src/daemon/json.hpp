@@ -17,6 +17,11 @@
 
 namespace bgp::daemon::json {
 
+/// Deepest array/object nesting Value::parse accepts. Nothing the daemon
+/// writes comes close; the bound keeps a hostile request from exhausting
+/// the recursive parser's stack.
+inline constexpr unsigned kMaxDepth = 64;
+
 /// Malformed input (parse) or type mismatch (as_* accessors).
 struct JsonError : std::runtime_error {
   using std::runtime_error::runtime_error;
@@ -77,7 +82,8 @@ class Value {
   /// Compact one-line serialization (the wire format — one value per line).
   [[nodiscard]] std::string dump() const;
 
-  /// Parse a complete JSON document; trailing junk is an error.
+  /// Parse a complete JSON document; trailing junk, and nesting deeper than
+  /// kMaxDepth, are errors.
   [[nodiscard]] static Value parse(std::string_view text);
 
  private:

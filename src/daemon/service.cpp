@@ -242,9 +242,7 @@ unsigned Service::salvage_session(ActiveSession& s) {
       // Same atomic temp+rename publication as the live dump path.
       std::filesystem::path tmp = path;
       tmp += ".tmp";
-      BinaryWriter w;
-      w.put_bytes(bytes);
-      w.write_file(tmp);
+      write_file_bytes(tmp, bytes);
       std::filesystem::rename(tmp, path);
       ++written;
       salvaged_dumps_->add();

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/binio.hpp"
 #include "common/crc.hpp"
 #include "common/strfmt.hpp"
 #include "fault/fault.hpp"
@@ -17,42 +18,9 @@ namespace bgp::daemon {
 
 namespace {
 
-// ---- fixed layout (all offsets u64-aligned so atomic_ref is legal) --------
-//
-// Header:
-//   0   char     magic[8]
-//   8   u32      version
-//   12  u32      num_nodes
-//   16  u64      node0_offset
-//   24  u64      node_block_bytes
-//   32  u64      metrics_offset
-//   40  u64      metrics_capacity      (per-slot text bytes, 8-aligned)
-//   48  char     app[kSnapNameBytes]
-//   168 char     session[kSnapNameBytes]
-//   288 = kHeaderBytes
-//
-// NodeBlock (per node):
-//   +0   u64 seq           seqlock: odd while a publish is in flight
-//   +8   u64 active_slot   0/1, index of the last published slot
-//   +16  Slot[2]
-// Slot:
-//   +0   u64 published_cycle
-//   +8   u64 mode
-//   +16  u64 state
-//   +24  u64 node_id
-//   +32  u64 card_id
-//   +40  u64 counters[kCountersPerUnit]
-//   +40+8*256 u64 crc32    (of the preceding slot bytes)
-//
-// MetricsBlock:
-//   +0   u64 seq
-//   +8   u64 active_slot
-//   +16  MSlot[2]
-// MSlot:
-//   +0   u64 len
-//   +8   u64 crc32         (of text[0..len))
-//   +16  char text[metrics_capacity]
-
+// Fixed layout, every offset u64-aligned so atomic_ref is legal
+// (docs/formats.md): the header, node blocks of a seq word, an active-slot
+// word and two slots, then the metrics block in the same shape.
 constexpr std::size_t kHeaderBytes = 48 + 2 * kSnapNameBytes;
 constexpr std::size_t kSlotWords = 5 + isa::kCountersPerUnit + 1;
 constexpr std::size_t kSlotBytes = kSlotWords * sizeof(u64);
@@ -79,6 +47,49 @@ void load_words_relaxed(u64* dst, const std::byte* src, std::size_t n) {
   }
 }
 
+/// Each completed publish adds 2 to a block's sequence word and flips its
+/// active slot, which starts at 0: the slot a stable sequence points at.
+constexpr u64 active_slot_of(u64 seq) { return (seq >> 1) & 1; }
+
+/// Publish `n` staged words into the inactive slot of the seqlocked block
+/// at `block`. With `torn` only half of them land and the sequence stays
+/// odd: a writer that died mid-publish.
+void publish_slot(std::byte* block, std::size_t slot_bytes, const u64* staged,
+                  std::size_t n, bool torn) {
+  auto seq = word_ref(block);
+  auto active = word_ref(block + 8);
+  const u64 next = 1 - active.load(std::memory_order_relaxed);
+  seq.fetch_add(1, std::memory_order_acq_rel);  // odd: publish in flight
+  store_words_relaxed(block + 16 + next * slot_bytes, staged,
+                      torn ? n / 2 : n);
+  if (torn) return;
+  active.store(next, std::memory_order_release);
+  seq.fetch_add(1, std::memory_order_release);  // even: stable again
+}
+
+/// Copy the active slot of the seqlocked block at `block` into `staged`,
+/// retrying while a writer races. kCorrupt when a stable sequence points
+/// at a slot it never published.
+SnapReadStatus copy_slot(const std::byte* block, std::size_t slot_bytes,
+                         u64* staged, std::size_t n, unsigned max_retries) {
+  auto seq = word_ref(block);
+  auto active = word_ref(block + 8);
+  for (unsigned attempt = 0; attempt <= max_retries; ++attempt) {
+    const u64 s1 = seq.load(std::memory_order_acquire);
+    if (s1 % 2 != 0) continue;  // publish in flight
+    const u64 idx = active.load(std::memory_order_acquire);
+    load_words_relaxed(staged, block + 16 + (idx & 1) * slot_bytes, n);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (seq.load(std::memory_order_acquire) != s1) continue;  // torn, retry
+    return idx == active_slot_of(s1) ? SnapReadStatus::kOk
+                                     : SnapReadStatus::kCorrupt;
+  }
+  // The sequence never stabilized: either a live writer is publishing
+  // faster than we can copy (transient) or the writer died mid-publish
+  // and the lock is held forever (stale). The caller decides via retry.
+  return SnapReadStatus::kBusy;
+}
+
 struct Geometry {
   std::size_t node0_offset = kHeaderBytes;
   std::size_t node_block_bytes = kNodeBlockBytes;
@@ -96,17 +107,19 @@ Geometry make_geometry(unsigned num_nodes, std::size_t metrics_capacity) {
   return g;
 }
 
-void write_name(std::byte* dst, const std::string& name) {
-  char buf[kSnapNameBytes] = {};
-  std::memcpy(buf, name.data(), std::min(name.size(), kSnapNameBytes - 1));
-  std::memcpy(dst, buf, kSnapNameBytes);
+/// A name field: zero-padded, truncated to leave a terminating NUL.
+void put_name(BinaryWriter& w, const std::string& name) {
+  std::array<char, kSnapNameBytes> buf{};
+  std::memcpy(buf.data(), name.data(),
+              std::min(name.size(), kSnapNameBytes - 1));
+  w.put_array(std::span(buf));
 }
 
-std::string read_name(const std::byte* src) {
-  char buf[kSnapNameBytes];
-  std::memcpy(buf, src, kSnapNameBytes);
-  buf[kSnapNameBytes - 1] = '\0';
-  return std::string(buf);
+std::string get_name(BinaryReader& r) {
+  std::array<char, kSnapNameBytes> buf;
+  r.get_array(std::span(buf));
+  buf.back() = '\0';
+  return std::string(buf.data());
 }
 
 }  // namespace
@@ -160,17 +173,21 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
 
   // Names and geometry first, magic last: a reader that mmaps a file whose
   // magic is present can trust the header fields.
-  u32 version = kSnapVersion;
-  u32 nodes32 = num_nodes;
-  std::memcpy(map_ + 8, &version, sizeof(version));
-  std::memcpy(map_ + 12, &nodes32, sizeof(nodes32));
-  const u64 geom[4] = {g.node0_offset, g.node_block_bytes, g.metrics_offset,
-                       g.metrics_capacity};
-  std::memcpy(map_ + 16, geom, sizeof(geom));
-  write_name(map_ + 48, app);
-  write_name(map_ + 48 + kSnapNameBytes, session);
+  BinaryWriter header;
+  header.put_array(std::span(kSnapMagic));
+  header.put<u32>(kSnapVersion);
+  header.put<u32>(num_nodes);
+  for (const u64 word : {g.node0_offset, g.node_block_bytes, g.metrics_offset,
+                         g.metrics_capacity}) {
+    header.put<u64>(word);
+  }
+  put_name(header, app);
+  put_name(header, session);
+  const std::size_t magic = sizeof(kSnapMagic);
+  std::memcpy(map_ + magic, header.buffer().data() + magic,
+              header.size() - magic);
   std::atomic_thread_fence(std::memory_order_release);
-  std::memcpy(map_, kSnapMagic, sizeof(kSnapMagic));
+  std::memcpy(map_, header.buffer().data(), magic);
 
   // Seed every node with a readable kIdle slot: an attach racing session
   // startup must distinguish "not started yet" from corruption, and an
@@ -192,10 +209,6 @@ void SnapshotWriter::publish_node(
   if (node >= num_nodes_) {
     throw std::out_of_range(strfmt("snapshot node %u out of range", node));
   }
-  std::byte* block = map_ + kHeaderBytes + node * kNodeBlockBytes;
-  auto seq = word_ref(block);
-  auto active = word_ref(block + 8);
-
   u64 staged[kSlotWords];
   staged[0] = now;
   staged[1] = mode;
@@ -207,37 +220,22 @@ void SnapshotWriter::publish_node(
       crc32({reinterpret_cast<const std::byte*>(staged),
              (kSlotWords - 1) * sizeof(u64)});
 
-  const u64 next = 1 - active.load(std::memory_order_relaxed);
-  seq.fetch_add(1, std::memory_order_acq_rel);  // odd: publish in flight
-  if (faults_ != nullptr && faults_->next_snapshot_publish_torn()) {
-    // A crash mid-publish: half the slot lands, the seqlock stays odd.
-    // Readers must classify this as writer-gone, never spin forever.
-    store_words_relaxed(block + 16 + next * kSlotBytes, staged,
-                        kSlotWords / 2);
-    return;
-  }
-  store_words_relaxed(block + 16 + next * kSlotBytes, staged, kSlotWords);
-  active.store(next, std::memory_order_release);
-  seq.fetch_add(1, std::memory_order_release);  // even: stable again
+  // An injected crash mid-publish leaves the seqlock odd: readers must
+  // classify it as writer-gone, never spin forever.
+  publish_slot(map_ + kHeaderBytes + node * kNodeBlockBytes, kSlotBytes,
+               staged, kSlotWords,
+               faults_ != nullptr && faults_->next_snapshot_publish_torn());
 }
 
 void SnapshotWriter::publish_metrics(std::string_view text) {
-  std::byte* block = map_ + map_bytes_ - (16 + 2 * (16 + metrics_capacity_));
-  auto seq = word_ref(block);
-  auto active = word_ref(block + 8);
-
   const std::size_t len = std::min(text.size(), metrics_capacity_);
   std::vector<u64> staged(2 + metrics_capacity_ / sizeof(u64), 0);
   staged[0] = len;
   staged[1] = crc32({reinterpret_cast<const std::byte*>(text.data()), len});
   std::memcpy(&staged[2], text.data(), len);
 
-  const u64 next = 1 - active.load(std::memory_order_relaxed);
-  seq.fetch_add(1, std::memory_order_acq_rel);
-  store_words_relaxed(block + 16 + next * (16 + metrics_capacity_),
-                      staged.data(), staged.size());
-  active.store(next, std::memory_order_release);
-  seq.fetch_add(1, std::memory_order_release);
+  publish_slot(map_ + map_bytes_ - (16 + 2 * (16 + metrics_capacity_)),
+               16 + metrics_capacity_, staged.data(), staged.size(), false);
 }
 
 SnapshotReader SnapshotReader::open_file(const std::filesystem::path& path) {
@@ -301,28 +299,30 @@ void SnapshotReader::init(const std::byte* data, std::size_t size) {
       std::memcmp(data, kSnapMagic, sizeof(kSnapMagic)) != 0) {
     throw std::runtime_error("not a BGPSNAP snapshot (bad magic)");
   }
-  u32 version = 0;
-  u32 nodes32 = 0;
-  std::memcpy(&version, data + 8, sizeof(version));
-  std::memcpy(&nodes32, data + 12, sizeof(nodes32));
+  BinaryReader r(std::span(data, size).subspan(sizeof(kSnapMagic)));
+  const u32 version = r.get<u32>();
+  const u32 nodes32 = r.get<u32>();
   if (version != kSnapVersion) {
     throw std::runtime_error(
         strfmt("unsupported snapshot version %u", version));
   }
-  u64 geom[4];
-  std::memcpy(geom, data + 16, sizeof(geom));
-  const Geometry expect = make_geometry(nodes32, geom[3]);
-  if (geom[0] != expect.node0_offset ||
-      geom[1] != expect.node_block_bytes ||
-      geom[2] != expect.metrics_offset || size < expect.total) {
+  std::array<u64, 4> geom;
+  r.get_array(std::span(geom));
+  // Bound the metrics capacity by the file before any arithmetic on it
+  // (the node count cannot overflow); the writer sizes the file exactly.
+  const bool bounded = geom[3] <= size;
+  const Geometry g = make_geometry(nodes32, bounded ? geom[3] : 0);
+  if (!bounded || size != g.total ||
+      geom != std::array<u64, 4>{g.node0_offset, g.node_block_bytes,
+                                 g.metrics_offset, g.metrics_capacity}) {
     throw std::runtime_error("corrupt snapshot header (bad geometry)");
   }
   base_ = data;
   bytes_ = size;
   num_nodes_ = nodes32;
   metrics_capacity_ = geom[3];
-  app_ = read_name(data + 48);
-  session_ = read_name(data + 48 + kSnapNameBytes);
+  app_ = get_name(r);
+  session_ = get_name(r);
 }
 
 bool SnapshotReader::read_node(unsigned node, NodeSnapshot& out,
@@ -334,63 +334,40 @@ SnapReadStatus SnapshotReader::read_node_status(unsigned node,
                                                 NodeSnapshot& out,
                                                 unsigned max_retries) const {
   if (node >= num_nodes_) return SnapReadStatus::kCorrupt;
-  const std::byte* block = base_ + kHeaderBytes + node * kNodeBlockBytes;
-  auto seq = word_ref(block);
-  auto active = word_ref(block + 8);
   u64 staged[kSlotWords];
-  for (unsigned attempt = 0; attempt <= max_retries; ++attempt) {
-    const u64 s1 = seq.load(std::memory_order_acquire);
-    if (s1 % 2 != 0) continue;  // publish in flight
-    const u64 idx = active.load(std::memory_order_acquire) & 1;
-    load_words_relaxed(staged, block + 16 + idx * kSlotBytes, kSlotWords);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (seq.load(std::memory_order_acquire) != s1) continue;  // torn, retry
-    const u32 crc = crc32({reinterpret_cast<const std::byte*>(staged),
-                           (kSlotWords - 1) * sizeof(u64)});
-    if (staged[kSlotWords - 1] != crc) {
-      // Stable sequence but bad checksum: foreign corruption, not a race.
-      return SnapReadStatus::kCorrupt;
-    }
-    out.published_cycle = staged[0];
-    out.mode = static_cast<u32>(staged[1]);
-    out.state = static_cast<SnapState>(staged[2]);
-    out.node_id = static_cast<u32>(staged[3]);
-    out.card_id = static_cast<u32>(staged[4]);
-    std::memcpy(out.counters.data(), &staged[5],
-                sizeof(u64) * out.counters.size());
-    return SnapReadStatus::kOk;
+  const SnapReadStatus status =
+      copy_slot(base_ + kHeaderBytes + node * kNodeBlockBytes, kSlotBytes,
+                staged, kSlotWords, max_retries);
+  if (status != SnapReadStatus::kOk) return status;
+  if (staged[kSlotWords - 1] !=
+      crc32({reinterpret_cast<const std::byte*>(staged),
+             (kSlotWords - 1) * sizeof(u64)})) {
+    // Stable sequence but bad checksum: foreign corruption, not a race.
+    return SnapReadStatus::kCorrupt;
   }
-  // The sequence never stabilized: either a live writer is publishing
-  // faster than we can copy (transient) or the writer died mid-publish
-  // and the lock is held forever (stale). The caller decides via retry.
-  return SnapReadStatus::kBusy;
+  out.published_cycle = staged[0];
+  out.mode = static_cast<u32>(staged[1]);
+  out.state = static_cast<SnapState>(staged[2]);
+  out.node_id = static_cast<u32>(staged[3]);
+  out.card_id = static_cast<u32>(staged[4]);
+  std::memcpy(out.counters.data(), &staged[5],
+              sizeof(u64) * out.counters.size());
+  return SnapReadStatus::kOk;
 }
 
 bool SnapshotReader::read_metrics(std::string& out,
                                   unsigned max_retries) const {
-  const std::byte* block =
-      base_ + bytes_ - (16 + 2 * (16 + metrics_capacity_));
-  auto seq = word_ref(block);
-  auto active = word_ref(block + 8);
   std::vector<u64> staged(2 + metrics_capacity_ / sizeof(u64));
-  for (unsigned attempt = 0; attempt <= max_retries; ++attempt) {
-    const u64 s1 = seq.load(std::memory_order_acquire);
-    if (s1 % 2 != 0) continue;
-    const u64 idx = active.load(std::memory_order_acquire) & 1;
-    load_words_relaxed(staged.data(),
-                       block + 16 + idx * (16 + metrics_capacity_),
-                       staged.size());
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (seq.load(std::memory_order_acquire) != s1) continue;
-    const u64 len = staged[0];
-    if (len > metrics_capacity_) return false;
-    out.assign(reinterpret_cast<const char*>(&staged[2]), len);
-    const u32 crc =
-        crc32({reinterpret_cast<const std::byte*>(out.data()), out.size()});
-    if (s1 != 0 && staged[1] != crc) return false;
-    return true;
+  if (copy_slot(base_ + bytes_ - (16 + 2 * (16 + metrics_capacity_)),
+                16 + metrics_capacity_, staged.data(), staged.size(),
+                max_retries) != SnapReadStatus::kOk ||
+      staged[0] > metrics_capacity_) {
+    return false;
   }
-  return false;
+  // Never published: an empty text whose CRC32 is 0, like any other.
+  out.assign(reinterpret_cast<const char*>(&staged[2]), staged[0]);
+  return staged[1] ==
+         crc32({reinterpret_cast<const std::byte*>(out.data()), out.size()});
 }
 
 }  // namespace bgp::daemon

@@ -1,12 +1,9 @@
 // The per-session snapshot file: an mmap-able view of a running session's
 // UPC counters and metrics registry, modeled on Open MPI's SPC mmap design
-// (mpi_spc_mmap_enabled / orte_spc_snapshot_period). Layout:
-//
-//   Header      magic, version, geometry, app/session names
-//   NodeBlock[] one per node: seqlock word + two slots, each holding the
-//               publish cycle, counter mode, lifecycle state and the full
-//               256-counter snapshot, CRC-protected
-//   MetricsBlock seqlock word + two slots of Prometheus exposition text
+// (mpi_spc_mmap_enabled / orte_spc_snapshot_period). A header (magic,
+// version, geometry, app/session names), one node block per node and a
+// metrics block; each block is a seqlock word and two CRC-protected slots
+// (layout: docs/formats.md).
 //
 // Writers double-buffer: stage a slot locally, copy it into the inactive
 // slot, then bump the seqlock (odd while switching, even when stable) and

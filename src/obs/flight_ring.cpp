@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,30 +11,20 @@
 #include <span>
 #include <system_error>
 
-#include "common/crc.hpp"
+#include "common/binio.hpp"
 
 namespace bgp::obs {
 
 namespace {
 
-// Header field offsets (see the layout comment in the header file).
-constexpr std::size_t kOffMagic = 0;
-constexpr std::size_t kOffVersion = 8;
-constexpr std::size_t kOffSlotBytes = 12;
-constexpr std::size_t kOffNumSlots = 16;
+// Offsets of the header words written in place (docs/formats.md).
 constexpr std::size_t kOffClean = 20;
 constexpr std::size_t kOffHead = 24;
 constexpr std::size_t kHeaderBytes = 32;
 
-// Slot frame: u64 seq, u32 len, u32 crc, then text.
-constexpr std::size_t kSlotFrameBytes = 16;
-
-template <typename T>
-T load_raw(const std::byte* base, std::size_t off) noexcept {
-  T v;
-  std::memcpy(&v, base + off, sizeof(T));
-  return v;
-}
+// Slot: u64 seq, then one frame of the record text.
+constexpr std::size_t kSeqBytes = 8;
+constexpr std::size_t kSlotFrameBytes = kSeqBytes + kFrameHeaderBytes;
 
 template <typename T>
 void store_raw(std::byte* base, std::size_t off, T v) noexcept {
@@ -46,23 +35,49 @@ void store_raw(std::byte* base, std::size_t off, T v) noexcept {
   return std::atomic_ref<u64>(*reinterpret_cast<u64*>(slot));
 }
 
-/// Validate one slot frame without allocating (async-signal-safe).
+/// Validate slot `index` of a ring whose head is `head` without allocating
+/// (async-signal-safe). A record is a whole frame whose sequence number is
+/// one the writer gave this slot: claim `seq - 1` maps to slot
+/// `(seq - 1) % num_slots`, and the ring holds the last `num_slots` claims.
 /// On success points `text`/`len` into the mapping.
-bool slot_ok(const std::byte* slot, u32 slot_bytes, u64& seq,
-             const char*& text, u32& len) noexcept {
+bool slot_ok(const std::byte* slot, u64 index, u32 slot_bytes, u32 num_slots,
+             u64 head, u64& seq, const char*& text, u32& len) noexcept {
   seq = std::atomic_ref<const u64>(*reinterpret_cast<const u64*>(slot))
             .load(std::memory_order_acquire);
-  if (seq == 0) return false;
-  len = load_raw<u32>(slot, 8);
-  if (len > slot_bytes - kSlotFrameBytes) return false;
-  const u32 crc = load_raw<u32>(slot, 12);
-  const auto* body = slot + kSlotFrameBytes;
-  if (crc32(std::span<const std::byte>(body, len)) != crc) return false;
-  text = reinterpret_cast<const char*>(body);
+  if (seq == 0 || seq > head || head - seq >= num_slots ||
+      (seq - 1) % num_slots != index) {
+    return false;
+  }
+  const Frame frame =
+      decode_frame({slot + kSeqBytes, slot_bytes - kSeqBytes},
+                   slot_bytes - static_cast<u32>(kSlotFrameBytes));
+  if (frame.status != FrameStatus::kOk) return false;
+  text = reinterpret_cast<const char*>(frame.payload.data());
+  len = frame.length;
   return true;
 }
 
 [[nodiscard]] u32 round_up8(u32 v) noexcept { return (v + 7u) & ~7u; }
+
+/// The records of the ring laid out at `base`, in sequence order.
+std::vector<std::string> collect(const std::byte* base, u32 slot_bytes,
+                                 u32 num_slots, u64 head) {
+  std::vector<std::pair<u64, std::string>> found;
+  for (u32 i = 0; i < num_slots; ++i) {
+    u64 seq = 0;
+    u32 len = 0;
+    const char* text = nullptr;
+    if (slot_ok(base + kHeaderBytes + std::size_t{i} * slot_bytes, i,
+                slot_bytes, num_slots, head, seq, text, len)) {
+      found.emplace_back(seq, std::string(text, len));
+    }
+  }
+  std::sort(found.begin(), found.end());
+  std::vector<std::string> out;
+  out.reserve(found.size());
+  for (auto& [seq, text] : found) out.push_back(std::move(text));
+  return out;
+}
 
 void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
@@ -72,56 +87,31 @@ void throw_errno(const char* what) {
 
 std::vector<std::string> salvage_flight_ring(
     const std::filesystem::path& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return {};
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 ||
-      st.st_size < static_cast<off_t>(kHeaderBytes)) {
-    ::close(fd);
-    return {};
-  }
-  std::vector<std::byte> buf(static_cast<std::size_t>(st.st_size));
-  std::size_t got = 0;
-  while (got < buf.size()) {
-    const ssize_t n = ::pread(fd, buf.data() + got, buf.size() - got,
-                              static_cast<off_t>(got));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  if (got < kHeaderBytes) return {};
-
-  const std::byte* base = buf.data();
-  if (std::memcmp(base, kFlightMagic, sizeof(kFlightMagic)) != 0) return {};
-  if (load_raw<u32>(base, kOffVersion) != kFlightVersion) return {};
-  const u32 slot_bytes = load_raw<u32>(base, kOffSlotBytes);
-  const u32 num_slots = load_raw<u32>(base, kOffNumSlots);
-  if (slot_bytes < kSlotFrameBytes + 1 || slot_bytes > (1u << 20) ||
-      num_slots == 0 || num_slots > (1u << 20)) {
-    return {};
-  }
-  if (load_raw<u32>(base, kOffClean) != 0) return {};  // clean close: no crash
-  const std::size_t need =
-      kHeaderBytes + static_cast<std::size_t>(slot_bytes) * num_slots;
-  if (got < need) return {};
-
-  std::vector<std::pair<u64, std::string>> found;
-  for (u32 i = 0; i < num_slots; ++i) {
-    const std::byte* slot = base + kHeaderBytes +
-                            static_cast<std::size_t>(i) * slot_bytes;
-    u64 seq = 0;
-    u32 len = 0;
-    const char* text = nullptr;
-    if (slot_ok(slot, slot_bytes, seq, text, len)) {
-      found.emplace_back(seq, std::string(text, len));
+  try {
+    const std::vector<std::byte> buf = read_file_bytes(path);
+    BinaryReader r(buf);
+    char magic[sizeof(kFlightMagic)];
+    r.get_array(std::span(magic));
+    const u32 version = r.get<u32>();
+    const u32 slot_bytes = r.get<u32>();
+    const u32 num_slots = r.get<u32>();
+    const u32 clean = r.get<u32>();
+    const u64 head = r.get<u64>();
+    // A foreign file, a clean close (no crash to explain), or a geometry
+    // the writer cannot have made or the file does not match exactly:
+    // nothing to salvage.
+    if (std::memcmp(magic, kFlightMagic, sizeof(kFlightMagic)) != 0 ||
+        version != kFlightVersion || clean != 0 ||
+        slot_bytes < kSlotFrameBytes + 1 || slot_bytes > (1u << 20) ||
+        slot_bytes % 8 != 0 ||
+        num_slots == 0 || num_slots > (1u << 20) ||
+        buf.size() != kHeaderBytes + std::size_t{slot_bytes} * num_slots) {
+      return {};
     }
+    return collect(buf.data(), slot_bytes, num_slots, head);
+  } catch (const BinIoError&) {
+    return {};  // missing or shorter than a header
   }
-  std::sort(found.begin(), found.end());
-  std::vector<std::string> out;
-  out.reserve(found.size());
-  for (auto& [seq, text] : found) out.push_back(std::move(text));
-  return out;
 }
 
 FlightRing::FlightRing(FlightRingConfig cfg) : cfg_(std::move(cfg)) {
@@ -154,12 +144,14 @@ FlightRing::FlightRing(FlightRingConfig cfg) : cfg_(std::move(cfg)) {
 
   // Reset: fresh header, dirty while open, all slots empty.
   std::memset(map_, 0, map_bytes_);
-  std::memcpy(map_ + kOffMagic, kFlightMagic, sizeof(kFlightMagic));
-  store_raw<u32>(map_, kOffVersion, kFlightVersion);
-  store_raw<u32>(map_, kOffSlotBytes, cfg_.slot_bytes);
-  store_raw<u32>(map_, kOffNumSlots, cfg_.num_slots);
-  store_raw<u32>(map_, kOffClean, 0);
-  store_raw<u64>(map_, kOffHead, 0);
+  BinaryWriter header;
+  header.put_array(std::span(kFlightMagic));
+  header.put<u32>(kFlightVersion);
+  header.put<u32>(cfg_.slot_bytes);
+  header.put<u32>(cfg_.num_slots);
+  header.put<u32>(0);  // clean flag
+  header.put<u64>(0);  // head
+  std::memcpy(map_, header.buffer().data(), header.size());
 }
 
 FlightRing::~FlightRing() {
@@ -182,6 +174,8 @@ u64 FlightRing::head() const noexcept {
 }
 
 void FlightRing::append(std::string_view line) noexcept {
+  // An empty frame is not a record: there is nothing to append.
+  if (line.empty()) return;
   const u32 capacity = cfg_.slot_bytes - kSlotFrameBytes;
   const u32 len =
       static_cast<u32>(std::min<std::size_t>(line.size(), capacity));
@@ -191,42 +185,19 @@ void FlightRing::append(std::string_view line) noexcept {
   const u64 claim = head.load(std::memory_order_relaxed);
   std::byte* slot = slot_base(claim);
 
-  // Invalidate -> body -> publish: a crash at any point leaves either the
-  // old record (CRC-valid), an empty slot, or a CRC-invalid torn body —
+  // Invalidate -> frame -> publish: a crash at any point leaves either the
+  // old record (CRC-valid), an empty slot, or a CRC-invalid torn frame —
   // never a wrong-but-valid record.
   seq_ref(slot).store(0, std::memory_order_release);
-  store_raw<u32>(slot, 8, len);
-  store_raw<u32>(
-      slot, 12,
-      crc32(std::span<const std::byte>(
-          reinterpret_cast<const std::byte*>(line.data()), len)));
-  std::memcpy(slot + kSlotFrameBytes, line.data(), len);
+  encode_frame(slot + kSeqBytes,
+               {reinterpret_cast<const std::byte*>(line.data()), len});
   seq_ref(slot).store(claim + 1, std::memory_order_release);
   head.store(claim + 1, std::memory_order_release);
 }
 
-bool FlightRing::read_slot(u64 index, u64& seq, std::string& text) const {
-  const std::byte* slot = slot_base(index);
-  u32 len = 0;
-  const char* body = nullptr;
-  if (!slot_ok(slot, cfg_.slot_bytes, seq, body, len)) return false;
-  text.assign(body, len);
-  return true;
-}
-
 std::vector<std::string> FlightRing::records() const {
   std::lock_guard lk(mu_);
-  std::vector<std::pair<u64, std::string>> found;
-  for (u32 i = 0; i < cfg_.num_slots; ++i) {
-    u64 seq = 0;
-    std::string text;
-    if (read_slot(i, seq, text)) found.emplace_back(seq, std::move(text));
-  }
-  std::sort(found.begin(), found.end());
-  std::vector<std::string> out;
-  out.reserve(found.size());
-  for (auto& [seq, text] : found) out.push_back(std::move(text));
-  return out;
+  return collect(map_, cfg_.slot_bytes, cfg_.num_slots, head());
 }
 
 void FlightRing::dump_signal_safe(int fd) const noexcept {
@@ -240,7 +211,8 @@ void FlightRing::dump_signal_safe(int fd) const noexcept {
     u64 seq = 0;
     u32 len = 0;
     const char* text = nullptr;
-    if (slot_ok(slot_base(i), cfg_.slot_bytes, seq, text, len)) {
+    if (slot_ok(slot_base(i), i, cfg_.slot_bytes, cfg_.num_slots, head(),
+                seq, text, len)) {
       lo = std::min(lo, seq);
       hi = std::max(hi, seq);
     }
@@ -252,7 +224,10 @@ void FlightRing::dump_signal_safe(int fd) const noexcept {
       u64 seq = 0;
       u32 len = 0;
       const char* text = nullptr;
-      if (!slot_ok(slot_base(i), cfg_.slot_bytes, seq, text, len)) continue;
+      if (!slot_ok(slot_base(i), i, cfg_.slot_bytes, cfg_.num_slots, head(),
+                   seq, text, len)) {
+        continue;
+      }
       if (seq != s) continue;
       std::size_t off = 0;
       while (off < len) {

@@ -5,13 +5,8 @@
 // monotonically increasing sequence number and a CRC over its text, so a
 // reader (live /debug/events, the SIGSEGV dump handler, or restart
 // recovery salvaging after a crash) can reconstruct the event tail in
-// order while skipping at most the one record that was mid-write.
-//
-// Layout (little-endian, u64-aligned):
-//   Header  magic "BGPFRNG\0", version, slot_bytes, num_slots,
-//           clean flag (1 after a clean close), head sequence
-//   Slot[]  { u64 seq (0 = empty, else claim+1), u32 len, u32 crc32,
-//             char text[slot_bytes - 16] }
+// order while skipping at most the one record that was mid-write. Each
+// slot is a sequence word and one codec frame (layout: docs/formats.md).
 #pragma once
 
 #include <filesystem>
@@ -75,8 +70,6 @@ class FlightRing {
 
  private:
   [[nodiscard]] std::byte* slot_base(u64 index) const noexcept;
-  /// Validate + copy out one slot; empty string when invalid/empty.
-  [[nodiscard]] bool read_slot(u64 index, u64& seq, std::string& text) const;
 
   FlightRingConfig cfg_;
   std::byte* map_ = nullptr;

@@ -69,6 +69,15 @@ LabelSet with_le(const LabelSet& labels, const std::string& le) {
   return out;
 }
 
+/// A bucket or _count sample's value as a count: a whole number that fits
+/// a u64, or a malformed exposition.
+u64 count_of(const PromSample& s, std::string_view line) {
+  if (!(s.value >= 0) || s.value >= 0x1p64 || s.value != std::floor(s.value)) {
+    throw std::runtime_error("malformed count sample: " + std::string(line));
+  }
+  return static_cast<u64>(s.value);
+}
+
 }  // namespace
 
 std::string prometheus_key(std::string_view name, const LabelSet& labels) {
@@ -251,14 +260,13 @@ std::map<std::string, ParsedHistogram> parse_prometheus_histograms(
         }
       }
       if (!have_le) continue;  // a counter that merely ends in _bucket
-      out[prometheus_key(*base, rest)].buckets[le] =
-          static_cast<u64>(s.value);
+      out[prometheus_key(*base, rest)].buckets[le] = count_of(s, line);
     } else if (const auto base_sum = strip_suffix("_sum")) {
       auto it = out.find(prometheus_key(*base_sum, s.labels));
       if (it != out.end()) it->second.sum = s.value;
     } else if (const auto base_count = strip_suffix("_count")) {
       auto it = out.find(prometheus_key(*base_count, s.labels));
-      if (it != out.end()) it->second.count = static_cast<u64>(s.value);
+      if (it != out.end()) it->second.count = count_of(s, line);
     }
   }
   return out;

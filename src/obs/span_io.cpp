@@ -1,11 +1,11 @@
 #include "obs/span_io.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <charconv>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/binio.hpp"
 #include "common/strfmt.hpp"
 #include "obs/obs.hpp"
 
@@ -28,6 +28,30 @@ std::string sanitize(std::string_view name) {
       strfmt("%s: malformed span file (%s)", path.string().c_str(), what));
 }
 
+/// The space-separated fields of one line.
+std::vector<std::string_view> fields(std::string_view line) {
+  std::vector<std::string_view> out;
+  std::size_t pos = 0;
+  while (pos <= line.size()) {
+    const std::size_t end = std::min(line.find(' ', pos), line.size());
+    out.push_back(line.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return out;
+}
+
+/// A whole field as an unsigned decimal that fits T, or a malformed file.
+template <typename T>
+T number(const std::filesystem::path& path, std::string_view field) {
+  T v = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  if (field.empty() || ec != std::errc() || ptr != end) {
+    malformed(path, "bad number");
+  }
+  return v;
+}
+
 }  // namespace
 
 std::filesystem::path span_file_path(const std::filesystem::path& dir,
@@ -38,30 +62,29 @@ std::filesystem::path span_file_path(const std::filesystem::path& dir,
 void write_span_file(const std::filesystem::path& path, std::string_view app,
                      unsigned node, std::span<const SpanRec> spans,
                      std::span<const InstantRec> instants, u64 dropped) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << strfmt("bgpspans %u %s node=%u spans=%zu instants=%zu dropped=%llu\n",
-                kSpanFormatVersion, sanitize(app).c_str(), node, spans.size(),
-                instants.size(), static_cast<unsigned long long>(dropped));
+  std::string text =
+      strfmt("bgpspans %u %s node=%u spans=%zu instants=%zu dropped=%llu\n",
+             kSpanFormatVersion, sanitize(app).c_str(), node, spans.size(),
+             instants.size(), static_cast<unsigned long long>(dropped));
   for (const SpanRec& s : spans) {
-    out << strfmt("S %s %s %u %u %llu %llu %llu %llu\n",
-                  sanitize(s.name).c_str(),
-                  std::string(to_string(s.cat)).c_str(), s.core, s.depth,
-                  static_cast<unsigned long long>(s.begin_cycles),
-                  static_cast<unsigned long long>(s.end_cycles),
-                  static_cast<unsigned long long>(s.begin_host_ns),
-                  static_cast<unsigned long long>(s.end_host_ns));
+    text += strfmt("S %s %s %u %u %llu %llu %llu %llu\n",
+                   sanitize(s.name).c_str(),
+                   std::string(to_string(s.cat)).c_str(), s.core, s.depth,
+                   static_cast<unsigned long long>(s.begin_cycles),
+                   static_cast<unsigned long long>(s.end_cycles),
+                   static_cast<unsigned long long>(s.begin_host_ns),
+                   static_cast<unsigned long long>(s.end_host_ns));
   }
   for (const InstantRec& i : instants) {
-    out << strfmt("I %s %s %u %llu %llu\n", sanitize(i.name).c_str(),
-                  std::string(to_string(i.cat)).c_str(), i.core,
-                  static_cast<unsigned long long>(i.cycles),
-                  static_cast<unsigned long long>(i.host_ns));
+    text += strfmt("I %s %s %u %llu %llu\n", sanitize(i.name).c_str(),
+                   std::string(to_string(i.cat)).c_str(), i.core,
+                   static_cast<unsigned long long>(i.cycles),
+                   static_cast<unsigned long long>(i.host_ns));
   }
-  out.flush();
-  if (!out) {
-    throw std::runtime_error(
-        strfmt("failed to write %s", path.string().c_str()));
-  }
+  BinaryWriter w;
+  w.put_array(std::span<const char>(text));
+  w.seal();
+  w.write_file(path);
 }
 
 void write_span_file(const std::filesystem::path& path, std::string_view app,
@@ -77,63 +100,61 @@ void write_span_file(const std::filesystem::path& path, std::string_view app,
 }
 
 SpanFile load_span_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error(
-        strfmt("cannot open %s", path.string().c_str()));
+  // The whole file is one sealed section: the text, then its CRC32.
+  BinaryReader r(path);
+  std::string text(r.remaining() < sizeof(u32) ? 0
+                                                : r.remaining() - sizeof(u32),
+                   '\0');
+  r.get_array(std::span(text));
+  if (!text.starts_with("bgpspans ")) malformed(path, "bad header");
+  if (!text.starts_with(strfmt("bgpspans %u ", kSpanFormatVersion))) {
+    malformed(path, "unsupported version");
   }
+  r.check_seal("span file");
+
   SpanFile out;
-  std::string line;
-  if (!std::getline(in, line)) malformed(path, "empty file");
-  {
-    std::istringstream hdr(line);
-    std::string magic;
-    unsigned version = 0;
-    std::string node_kv, spans_kv, instants_kv, dropped_kv;
-    hdr >> magic >> version >> out.app >> node_kv >> spans_kv >> instants_kv >>
-        dropped_kv;
-    if (!hdr || magic != "bgpspans") malformed(path, "bad header");
-    if (version != kSpanFormatVersion) malformed(path, "unknown version");
-    if (node_kv.rfind("node=", 0) != 0 || dropped_kv.rfind("dropped=", 0) != 0) {
-      malformed(path, "bad header fields");
+  std::size_t claimed_spans = 0;
+  std::size_t claimed_instants = 0;
+  std::size_t pos = 0;
+  for (bool header = true; pos < text.size(); header = false) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) malformed(path, "unterminated line");
+    const std::vector<std::string_view> f =
+        fields(std::string_view(text).substr(pos, eol - pos));
+    pos = eol + 1;
+    if (header) {
+      if (f.size() != 7 || !f[3].starts_with("node=") ||
+          !f[4].starts_with("spans=") || !f[5].starts_with("instants=") ||
+          !f[6].starts_with("dropped=")) {
+        malformed(path, "bad header fields");
+      }
+      out.app = f[2];
+      out.node = number<u32>(path, f[3].substr(5));
+      claimed_spans = number<std::size_t>(path, f[4].substr(6));
+      claimed_instants = number<std::size_t>(path, f[5].substr(9));
+      out.dropped = number<u64>(path, f[6].substr(8));
+      continue;
     }
-    out.node = static_cast<unsigned>(std::stoul(node_kv.substr(5)));
-    out.dropped = std::stoull(dropped_kv.substr(8));
-  }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream rec(line);
-    std::string tag, name, cat_text;
-    rec >> tag >> name >> cat_text;
     SpanCat cat;
-    if (!rec || !parse_span_cat(cat_text, cat)) malformed(path, "bad record");
-    if (tag == "S") {
-      SpanRec s;
-      s.name = name;
-      s.cat = cat;
-      s.node = out.node;
-      unsigned long long bc = 0, ec = 0, bns = 0, ens = 0;
-      rec >> s.core >> s.depth >> bc >> ec >> bns >> ens;
-      if (!rec) malformed(path, "bad span record");
-      s.begin_cycles = bc;
-      s.end_cycles = ec;
-      s.begin_host_ns = bns;
-      s.end_host_ns = ens;
-      out.spans.push_back(std::move(s));
-    } else if (tag == "I") {
-      InstantRec i;
-      i.name = name;
-      i.cat = cat;
-      i.node = out.node;
-      unsigned long long c = 0, ns = 0;
-      rec >> i.core >> c >> ns;
-      if (!rec) malformed(path, "bad instant record");
-      i.cycles = c;
-      i.host_ns = ns;
-      out.instants.push_back(std::move(i));
-    } else {
-      malformed(path, "unknown record tag");
+    if (f.size() < 3 || !parse_span_cat(f[2], cat)) {
+      malformed(path, "bad record");
     }
+    if (f[0] == "S" && f.size() == 9) {
+      out.spans.push_back({std::string(f[1]), cat, out.node,
+                           number<u32>(path, f[3]), number<u32>(path, f[4]),
+                           number<u64>(path, f[5]), number<u64>(path, f[6]),
+                           number<u64>(path, f[7]), number<u64>(path, f[8])});
+    } else if (f[0] == "I" && f.size() == 6) {
+      out.instants.push_back({std::string(f[1]), cat, out.node,
+                              number<u32>(path, f[3]), number<u64>(path, f[4]),
+                              number<u64>(path, f[5])});
+    } else {
+      malformed(path, "bad record");
+    }
+  }
+  if (out.spans.size() != claimed_spans ||
+      out.instants.size() != claimed_instants) {
+    malformed(path, "record count differs from the header");
   }
   return out;
 }

@@ -1,12 +1,9 @@
-// Per-node span files (<app>.node<N>.bgps): a line-oriented text format
-// written next to the counter dumps when the flight recorder is on, and
-// read back by bgpc_obs to merge a whole partition's spans and print a
-// self-profile. Header line, then one `S` line per completed span and
-// one `I` line per instant event.
-//
-//   bgpspans 1 <app> node=<N> spans=<n> instants=<m> dropped=<d>
-//   S <name> <cat> <core> <depth> <begin_cyc> <end_cyc> <begin_ns> <end_ns>
-//   I <name> <cat> <core> <cycles> <ns>
+// Per-node span files (<app>.node<N>.bgps): line-oriented text written
+// next to the counter dumps when the flight recorder is on, and read back
+// by bgpc_obs to merge a whole partition's spans and print a self-profile.
+// A header line, one `S` line per completed span and one `I` line per
+// instant event, sealed with the CRC32 of the text (layout:
+// docs/formats.md).
 #pragma once
 
 #include <filesystem>
@@ -21,7 +18,7 @@ namespace bgp::obs {
 
 class FlightRecorder;
 
-inline constexpr unsigned kSpanFormatVersion = 1;
+inline constexpr unsigned kSpanFormatVersion = 2;
 
 [[nodiscard]] std::filesystem::path span_file_path(
     const std::filesystem::path& dir, std::string_view app, unsigned node);
@@ -42,7 +39,8 @@ struct SpanFile {
   std::vector<InstantRec> instants;
 };
 
-/// Parse one .bgps file (throws std::runtime_error on malformed input).
+/// Parse one .bgps file (throws std::runtime_error on malformed input,
+/// including a broken seal and version 1 files).
 [[nodiscard]] SpanFile load_span_file(const std::filesystem::path& path);
 
 /// All of `app`'s span files under `dir`, merged and ordered by

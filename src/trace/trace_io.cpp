@@ -1,9 +1,7 @@
 #include "trace/trace_io.hpp"
 
-#include <cstring>
 #include <utility>
 
-#include "common/crc.hpp"
 #include "common/strfmt.hpp"
 
 namespace bgp::trace {
@@ -25,7 +23,7 @@ TraceWriter::TraceWriter(std::filesystem::path base, TraceMeta meta,
   BinaryWriter w;
   w.put<u32>(kTraceMagic);
   w.put<u32>(kTraceVersion);
-  const std::size_t header_begin = w.size();
+  w.begin_section();
   w.put<u32>(meta_.node_id);
   w.put<u32>(meta_.card_id);
   w.put<u32>(meta_.counter_mode);
@@ -33,8 +31,8 @@ TraceWriter::TraceWriter(std::filesystem::path base, TraceMeta meta,
   w.put<u64>(meta_.interval_cycles);
   w.put<u32>(meta_.pacer_event);
   w.put<u32>(static_cast<u32>(meta_.events.size()));
-  for (const isa::EventId ev : meta_.events) w.put<u16>(ev);
-  w.put<u32>(crc32(std::span(w.buffer()).subspan(header_begin)));
+  w.put_array(std::span(meta_.events));
+  w.seal();
   write_bytes(w.buffer());
   // The header must survive a mid-run node death even though the stream
   // stays open: flush it now so a .partial is always parseable.
@@ -67,7 +65,7 @@ void TraceWriter::put_record(BinaryWriter& w,
         strfmt("interval record has %zu values for %zu traced events",
                record.values.size(), meta_.events.size()));
   }
-  for (const u64 v : record.values) w.put<u64>(v);
+  w.put_array(std::span(record.values));
 }
 
 void TraceWriter::append(const IntervalRecord& record) {
@@ -83,7 +81,7 @@ void TraceWriter::flush() {
   BinaryWriter w;
   w.put<u32>(static_cast<u32>(pending_.size()));
   for (const IntervalRecord& r : pending_) put_record(w, r);
-  w.put<u32>(crc32(std::span(w.buffer())));
+  w.seal();
   write_bytes(w.buffer());
   intervals_written_ += pending_.size();
   pending_.clear();
@@ -99,7 +97,7 @@ std::filesystem::path TraceWriter::finalize(const TraceTotals& totals) {
   w.put<u64>(totals.dropped);
   w.put<u64>(totals.samples);
   w.put<u64>(totals.overhead_cycles);
-  w.put<u32>(crc32(std::span(w.buffer())));
+  w.seal();
   write_bytes(w.buffer());
   out_.close();
   if (!out_) {
@@ -129,102 +127,32 @@ void TraceWriter::write_bytes(const std::vector<std::byte>& bytes) {
 // ---------------------------------------------------------------------------
 // TraceReader
 
-TraceReader::TraceReader(const std::filesystem::path& path) : path_(path) {
-  in_.open(path_, std::ios::binary);
-  if (!in_) {
-    throw BinIoError(strfmt("cannot open trace %s", path_.string().c_str()));
-  }
-  parse_header();
-}
-
-std::size_t TraceReader::read_raw(std::byte* dst, std::size_t n) {
-  in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
-  return static_cast<std::size_t>(in_.gcount());
-}
-
-void TraceReader::parse_header() {
-  // The fixed prefix through the app-name length, then the variable tail.
-  // Everything after magic+version is covered by the header CRC.
-  auto read_or_throw = [this](std::vector<std::byte>& buf, std::size_t n) {
-    const std::size_t old = buf.size();
-    buf.resize(old + n);
-    if (read_raw(buf.data() + old, n) != n) {
-      throw BinIoError(
-          strfmt("trace %s: truncated header", path_.string().c_str()));
-    }
-  };
-
-  std::vector<std::byte> pre;
-  read_or_throw(pre, 2 * sizeof(u32));
-  {
-    BinaryReader r(pre);
-    if (r.get<u32>() != kTraceMagic) {
-      throw BinIoError(
-          strfmt("%s is not a BGPT trace (bad magic)", path_.string().c_str()));
-    }
-    const u32 version = r.get<u32>();
-    if (version != kTraceVersion) {
-      throw BinIoError(strfmt("trace %s: unsupported version %u",
-                              path_.string().c_str(), version));
-    }
-  }
-
-  std::vector<std::byte> hdr;
-  read_or_throw(hdr, 3 * sizeof(u32) + sizeof(u32));  // ids + app-name length
-  u32 name_len = 0;
-  {
-    BinaryReader r(hdr);
-    meta_.node_id = r.get<u32>();
-    meta_.card_id = r.get<u32>();
-    meta_.counter_mode = r.get<u32>();
-    name_len = r.get<u32>();
-  }
-  if (name_len > (1u << 20)) {
+TraceReader::TraceReader(const std::filesystem::path& path)
+    : path_(path), in_(path) {
+  if (in_.get<u32>() != kTraceMagic) {
     throw BinIoError(
-        strfmt("trace %s: implausible header", path_.string().c_str()));
+        strfmt("%s is not a BGPT trace (bad magic)", path_.string().c_str()));
   }
-  read_or_throw(hdr, name_len + sizeof(u64) + 2 * sizeof(u32));
-  u32 event_count = 0;
-  {
-    BinaryReader r(hdr);
-    r.get<u32>();  // ids already parsed
-    r.get<u32>();
-    r.get<u32>();
-    r.get<u32>();  // name length
-    meta_.app_name.assign(
-        reinterpret_cast<const char*>(hdr.data() + r.position()), name_len);
-    const std::size_t tail = 4 * sizeof(u32) + name_len;
-    BinaryReader t{std::span(hdr).subspan(tail)};
-    meta_.interval_cycles = t.get<u64>();
-    meta_.pacer_event = t.get<u32>();
-    event_count = t.get<u32>();
+  const u32 version = in_.get<u32>();
+  if (version != kTraceVersion) {
+    throw BinIoError(strfmt("trace %s: unsupported version %u",
+                            path_.string().c_str(), version));
   }
+  in_.begin_section();
+  meta_.node_id = in_.get<u32>();
+  meta_.card_id = in_.get<u32>();
+  meta_.counter_mode = in_.get<u32>();
+  meta_.app_name = in_.get_string();
+  meta_.interval_cycles = in_.get<u64>();
+  meta_.pacer_event = in_.get<u32>();
+  const u32 event_count = in_.get<u32>();
   if (event_count == 0 || event_count > isa::kNumCounterModes * 256u) {
     throw BinIoError(strfmt("trace %s: implausible event count %u",
                             path_.string().c_str(), event_count));
   }
-  read_or_throw(hdr, event_count * sizeof(u16));
-  {
-    BinaryReader r{std::span(hdr).subspan(hdr.size() -
-                                          event_count * sizeof(u16))};
-    meta_.events.reserve(event_count);
-    for (u32 i = 0; i < event_count; ++i) {
-      meta_.events.push_back(r.get<u16>());
-    }
-  }
-  std::byte crc_bytes[sizeof(u32)];
-  if (read_raw(crc_bytes, sizeof(u32)) != sizeof(u32)) {
-    throw BinIoError(
-        strfmt("trace %s: truncated header", path_.string().c_str()));
-  }
-  u32 stored = 0;
-  std::memcpy(&stored, crc_bytes, sizeof(u32));
-  const u32 computed = crc32(std::span(hdr));
-  if (stored != computed) {
-    throw BinIoError(strfmt("trace %s: header CRC mismatch (stored %08X, "
-                            "computed %08X)",
-                            path_.string().c_str(), stored, computed));
-  }
+  meta_.events.resize(event_count);
+  in_.get_array(std::span(meta_.events));
+  in_.check_seal("header");
 }
 
 std::size_t TraceReader::record_bytes() const noexcept {
@@ -236,80 +164,43 @@ bool TraceReader::load_chunk() {
   chunk_.clear();
   chunk_pos_ = 0;
   if (done_) return false;
-
-  std::vector<std::byte> buf(sizeof(u32));
-  const std::size_t got = read_raw(buf.data(), sizeof(u32));
-  if (got != sizeof(u32)) {
-    // Tail ends at (or torn inside) a section boundary: clean truncation.
-    truncated_ = true;
-    done_ = true;
-    return false;
-  }
-  u32 count = 0;
-  std::memcpy(&count, buf.data(), sizeof(u32));
-
-  if (count == 0) {
-    // Footer: totals + CRC over sentinel and totals.
-    const std::size_t body = 4 * sizeof(u64);
-    buf.resize(sizeof(u32) + body + sizeof(u32));
-    if (read_raw(buf.data() + sizeof(u32), body + sizeof(u32)) !=
-        body + sizeof(u32)) {
-      truncated_ = true;
+  try {
+    const u32 count = in_.get<u32>();
+    if (count == 0) {
+      // Footer: the sentinel, then the totals.
+      TraceTotals totals;
+      totals.intervals = in_.get<u64>();
+      totals.dropped = in_.get<u64>();
+      totals.samples = in_.get<u64>();
+      totals.overhead_cycles = in_.get<u64>();
+      in_.check_seal("footer");
+      totals_ = totals;
       done_ = true;
       return false;
     }
-    const u32 computed = crc32(std::span(buf).first(sizeof(u32) + body));
-    BinaryReader r{std::span(buf).subspan(sizeof(u32))};
-    TraceTotals totals;
-    totals.intervals = r.get<u64>();
-    totals.dropped = r.get<u64>();
-    totals.samples = r.get<u64>();
-    totals.overhead_cycles = r.get<u64>();
-    const u32 stored = r.get<u32>();
-    if (stored != computed) {
-      throw BinIoError(strfmt("trace %s: footer CRC mismatch",
-                              path_.string().c_str()));
+    chunk_.resize(in_.counted(count, record_bytes(), "interval records"));
+    for (IntervalRecord& rec : chunk_) {
+      rec.index = in_.get<u64>();
+      rec.spanned = in_.get<u32>();
+      rec.t_begin = in_.get<u64>();
+      rec.t_end = in_.get<u64>();
+      rec.values.resize(meta_.events.size());
+      in_.get_array(std::span(rec.values));
     }
-    totals_ = totals;
-    done_ = true;
-    return false;
-  }
-
-  const std::size_t payload = static_cast<std::size_t>(count) * record_bytes();
-  if (count > (1u << 24)) {
-    throw BinIoError(strfmt("trace %s: implausible chunk of %u records",
-                            path_.string().c_str(), count));
-  }
-  buf.resize(sizeof(u32) + payload + sizeof(u32));
-  if (read_raw(buf.data() + sizeof(u32), payload + sizeof(u32)) !=
-      payload + sizeof(u32)) {
-    // Chunk torn mid-write by a dying node: discard it, end cleanly.
+    in_.check_seal("chunk");
+    return true;
+  } catch (const BinIoTruncated&) {
+    // The file ends at or inside a section (a node died mid-write):
+    // discard the torn chunk and end cleanly.
+    chunk_.clear();
     truncated_ = true;
     done_ = true;
     return false;
+  } catch (const BinIoError&) {
+    chunk_.clear();
+    done_ = true;
+    throw;
   }
-  const u32 computed = crc32(std::span(buf).first(sizeof(u32) + payload));
-  u32 stored = 0;
-  std::memcpy(&stored, buf.data() + sizeof(u32) + payload, sizeof(u32));
-  if (stored != computed) {
-    throw BinIoError(strfmt("trace %s: chunk CRC mismatch (stored %08X, "
-                            "computed %08X)",
-                            path_.string().c_str(), stored, computed));
-  }
-
-  BinaryReader r{std::span(buf).subspan(sizeof(u32), payload)};
-  chunk_.reserve(count);
-  for (u32 i = 0; i < count; ++i) {
-    IntervalRecord rec;
-    rec.index = r.get<u64>();
-    rec.spanned = r.get<u32>();
-    rec.t_begin = r.get<u64>();
-    rec.t_end = r.get<u64>();
-    rec.values.resize(meta_.events.size());
-    for (u64& v : rec.values) v = r.get<u64>();
-    chunk_.push_back(std::move(rec));
-  }
-  return true;
 }
 
 std::optional<IntervalRecord> TraceReader::next() {

@@ -72,13 +72,14 @@ class TraceWriter {
 class TraceReader {
  public:
   /// Opens a sealed `.bgpt` or a crashed `.bgpt.partial` and parses the
-  /// header (throws BinIoError when the header is damaged — a trace whose
-  /// identity cannot be established is unusable).
+  /// header (throws BinIoError when the header is damaged or torn — a trace
+  /// whose identity cannot be established is unusable).
   explicit TraceReader(const std::filesystem::path& path);
 
   /// Next interval record, or nullopt at end of trace. Reads at most one
-  /// chunk ahead. Throws BinIoError on a corrupt (CRC-mismatched) chunk;
-  /// a truncated tail ends the trace cleanly instead.
+  /// chunk ahead. Throws BinIoError on a corrupt (CRC-mismatched) chunk
+  /// or footer; a truncated tail, or a chunk count larger than the bytes
+  /// left, ends the trace cleanly instead.
   std::optional<IntervalRecord> next();
 
   [[nodiscard]] const TraceMeta& meta() const noexcept { return meta_; }
@@ -96,17 +97,13 @@ class TraceReader {
   [[nodiscard]] u64 records_read() const noexcept { return records_read_; }
 
  private:
-  void parse_header();
   /// Load the next chunk into chunk_ (or set totals_/truncated_ and leave
   /// it empty). Returns true when records are available.
   bool load_chunk();
-  /// Read exactly `n` bytes; returns the number actually read (short at a
-  /// truncated tail).
-  std::size_t read_raw(std::byte* dst, std::size_t n);
   [[nodiscard]] std::size_t record_bytes() const noexcept;
 
   std::filesystem::path path_;
-  std::ifstream in_;
+  BinaryReader in_;
   TraceMeta meta_;
   std::vector<IntervalRecord> chunk_;
   std::size_t chunk_pos_ = 0;

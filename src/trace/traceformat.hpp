@@ -1,21 +1,6 @@
-// Binary layout of the per-node time-series trace files written by the
-// tracing layer and mined by the timeline post-processor. Little-endian
-// throughout, per-section CRC32 like the v2 dump format (core/dumpformat).
-//
-//   header:  magic "BGPT" (u32) | version (u32) | node id (u32)
-//            | card id (u32) | counter mode (u32) | app name (string)
-//            | interval cycles (u64) | pacer event (u32, kPacerTimebase =
-//            |   Time-Base polled) | event count (u32) | event ids (u16 each)
-//            | header CRC32 (u32)
-//   chunk:   interval count (u32, > 0) | that many interval records
-//            | chunk CRC32 (u32)
-//   footer:  sentinel 0 (u32) | intervals produced (u64) | intervals
-//            | dropped (u64) | samples taken (u64) | sampling overhead
-//            | cycles (u64) | footer CRC32 (u32)
-//
-//   interval record: first index (u64) | spanned intervals (u32)
-//            | begin cycle (u64) | end cycle (u64)
-//            | event count counter deltas (u64 each)
+// The per-node time-series trace files written by the tracing layer and
+// mined by the timeline post-processor: a sealed header, sealed chunks of
+// interval records and a sealed footer (layout: docs/formats.md).
 //
 // Traces are streamed: the header is written when tracing starts, chunks
 // are appended as the ring buffer fills, and the footer seals the file at

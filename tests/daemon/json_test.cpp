@@ -67,6 +67,28 @@ TEST(Json, ParseErrorsCarryByteOffsets) {
   EXPECT_THROW((void)json::Value::parse("\"unterminated"), json::JsonError);
 }
 
+// The parser recurses once per array or object, so nesting is bounded: a
+// request line of 100,000 '[' must be an error, not a stack overflow.
+TEST(Json, RejectsNestingDeeperThanTheLimit) {
+  const auto nested = [](unsigned depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const json::Value deepest = json::Value::parse(nested(json::kMaxDepth));
+  EXPECT_EQ(deepest.dump(), nested(json::kMaxDepth));
+  EXPECT_THROW((void)json::Value::parse(nested(json::kMaxDepth + 1)),
+               json::JsonError);
+  EXPECT_THROW(
+      (void)json::Value::parse("{\"a\":" + nested(json::kMaxDepth) + "}"),
+      json::JsonError);
+  try {
+    (void)json::Value::parse(std::string(100'000, '['));
+    FAIL() << "expected JsonError";
+  } catch (const json::JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Json, TypeMismatchesThrow) {
   const json::Value v = json::Value::parse("{\"n\":-1}");
   EXPECT_THROW((void)v.get("n")->as_u64(), json::JsonError);

@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "daemon/attach.hpp"
+#include "daemon/control.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/snapfile.hpp"
 #include "fault/fault.hpp"
@@ -148,6 +149,40 @@ TEST(DaemonRobustness, ClientRetriesThroughAResetConnection) {
   retry.jitter_seed = 7;
   const json::Value resp = control_request_retry(d.socket_path(), ping, retry);
   EXPECT_TRUE(resp.get("ok")->as_bool());
+}
+
+// One local client must not be able to kill the daemon: a request line of
+// 100,000 '[' (well inside the 1 MiB line limit) is answered `bad_request`
+// and the same connection keeps being served.
+TEST(DaemonRobustness, DeeplyNestedRequestIsABadRequest) {
+  ControlServer server;
+  server.start(test_dir() / "ctl.sock",
+               [](const json::Value&, const ControlContext&) {
+                 return control_ok();
+               });
+  const std::string p = server.socket_path().string();
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, p.c_str(), p.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const auto ask = [fd](const std::string& line) {
+    const std::string wire = line + "\n";
+    EXPECT_EQ(::send(fd, wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+    std::string resp;
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') resp.push_back(c);
+    return json::Value::parse(resp);
+  };
+
+  const json::Value bad = ask(std::string(100'000, '['));
+  EXPECT_FALSE(bad.get("ok")->as_bool());
+  EXPECT_EQ(bad.get("error")->get("code")->as_string(), "bad_request");
+  EXPECT_TRUE(ask("{\"cmd\":\"ping\"}").get("ok")->as_bool());
+  ::close(fd);
+  server.stop();
 }
 
 TEST(DaemonRobustness, ClientDeadlineTripsOnASilentServer) {

@@ -127,13 +127,26 @@ TEST(Snapfile, OpenFileRejectsForeignAndShortFiles) {
 
   // A real header cut short must not be readable either.
   const fs::path shorty = temp_path("short.bgpsnap");
+  std::string full;
   {
     SnapshotWriter w(temp_path("full.bgpsnap"), "EP", "s", 2);
-    std::ofstream out(shorty, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(w.data()),
-              static_cast<std::streamsize>(w.size() / 2));
+    full.assign(reinterpret_cast<const char*>(w.data()), w.size());
   }
+  std::ofstream(shorty, std::ios::binary) << full.substr(0, full.size() / 2);
   EXPECT_THROW((void)SnapshotReader::open_file(shorty), std::exception);
+
+  // The top bit of the metrics capacity (byte 47) once wrapped the geometry
+  // arithmetic, so the header passed and read_metrics threw
+  // std::length_error. A file longer than its geometry is foreign too: the
+  // writer sizes the file exactly.
+  const fs::path wrapped = temp_path("wrapped.bgpsnap");
+  std::string bytes = full;
+  bytes[47] = static_cast<char>(bytes[47] ^ 0x80);
+  std::ofstream(wrapped, std::ios::binary) << bytes;
+  EXPECT_THROW((void)SnapshotReader::open_file(wrapped), std::runtime_error);
+  const fs::path longer = temp_path("longer.bgpsnap");
+  std::ofstream(longer, std::ios::binary) << full << '\0';
+  EXPECT_THROW((void)SnapshotReader::open_file(longer), std::runtime_error);
 }
 
 // The seqlock contract: under a continuously republishing writer, every

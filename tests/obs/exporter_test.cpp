@@ -2,9 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/crc.hpp"
 #include "common/strfmt.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/obs.hpp"
@@ -132,12 +134,51 @@ TEST(SpanIo, SelfProfileAggregatesByName) {
   EXPECT_EQ(rows[1].cycles, 150u);
 }
 
+/// Write `bytes` to `p`, sealed with their CRC32 when `seal`.
+void write_span_bytes(const fs::path& p, std::string bytes, bool seal) {
+  const u32 crc = crc32(std::as_bytes(std::span(bytes)));
+  for (unsigned i = 0; seal && i < sizeof(crc); ++i) {
+    bytes.push_back(static_cast<char>(crc >> 8 * i));
+  }
+  std::ofstream(p, std::ios::binary) << bytes;
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Every malformed file throws the documented std::runtime_error: a field
+// that is not a number once threw std::invalid_argument, and a truncation
+// at a line boundary or a flipped digit once loaded silently.
 TEST(SpanIo, MalformedFilesThrow) {
   const fs::path dir = fs::temp_directory_path() / "bgpc_obs_badspan";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const fs::path p = dir / "bad.node0000.bgps";
   std::ofstream(p) << "not a span file\n";
+  EXPECT_THROW((void)obs::load_span_file(p), std::runtime_error);
+
+  const std::string v = std::to_string(obs::kSpanFormatVersion);
+  for (const std::string& bad :
+       {"bgpspans " + v + " EP node=x spans=0 instants=0 dropped=0\n",
+        "bgpspans " + v + " EP node=0 spans=0 instants=0 dropped=-1\n",
+        "bgpspans " + v + " EP node=99999999999 spans=0 instants=0 "
+                          "dropped=0\n",
+        "bgpspans " + v + " EP node=0 spans=1 instants=0 dropped=0\n"
+                          "S region.EP region 0 0 0x10 20 30 40\n"}) {
+    write_span_bytes(p, bad, true);
+    EXPECT_THROW((void)obs::load_span_file(p), std::runtime_error) << bad;
+  }
+
+  obs::write_span_file(p, "synthetic", 0, make_recorder());
+  const std::string good = slurp(p);
+  const std::size_t last_line = good.rfind("\nS ") + 1;
+  write_span_bytes(p, good.substr(0, last_line), false);
+  EXPECT_THROW((void)obs::load_span_file(p), std::runtime_error);
+  std::string flipped = good;
+  flipped[good.find(" 1000 ") + 1] ^= 0x01;  // an end cycle 1000 -> 0000
+  write_span_bytes(p, flipped, false);
   EXPECT_THROW((void)obs::load_span_file(p), std::runtime_error);
   fs::remove_all(dir);
 }

@@ -251,6 +251,38 @@ TEST(FlightRing, DirtyRingIsSalvagedInSequenceOrder) {
   fs::remove_all(dir);
 }
 
+// An empty slot is all zeros: length 0 and CRC32 0, the CRC of nothing. A
+// bit flip in its sequence word once salvaged a record never written.
+TEST(FlightRing, EmptySlotIsNeverSalvaged) {
+  const fs::path dir = test_dir("ring_phantom");
+  FlightRingConfig cfg;
+  cfg.path = dir / "flight.ring";
+  cfg.num_slots = 8;
+  cfg.slot_bytes = 64;
+  auto ring = std::make_unique<FlightRing>(cfg);
+  for (int i = 0; i < 3; ++i) ring->append(strfmt("{\"n\":%d}", i));
+  const fs::path crashed = dirty_copy(*ring, dir / "crashed.ring");
+  const auto want = salvage_flight_ring(crashed);
+  ASSERT_EQ(want.size(), 3u);
+  std::string dirty;
+  {
+    std::ifstream in(crashed, std::ios::binary);
+    dirty.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  constexpr std::size_t kHeaderBytes = 32;
+  for (std::size_t slot = 3; slot < cfg.num_slots; ++slot) {
+    for (unsigned bit = 0; bit < 64; ++bit) {
+      std::string bytes = dirty;
+      bytes[kHeaderBytes + slot * cfg.slot_bytes + bit / 8] ^=
+          static_cast<char>(1u << (bit % 8));
+      std::ofstream(crashed, std::ios::binary | std::ios::trunc) << bytes;
+      EXPECT_EQ(salvage_flight_ring(crashed), want)
+          << "slot " << slot << " sequence bit " << bit;
+    }
+  }
+  fs::remove_all(dir);
+}
+
 TEST(FlightRing, SalvageRejectsForeignAndMissingFiles) {
   const fs::path dir = test_dir("ring_foreign");
   EXPECT_TRUE(salvage_flight_ring(dir / "nope.ring").empty());

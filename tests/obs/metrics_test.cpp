@@ -130,6 +130,19 @@ TEST(Promtext, ParserRejectsMalformedSamples) {
   // Blank lines and comments are fine.
   const auto parsed = obs::parse_prometheus("\n# a comment\nbgpc_x 4\n");
   EXPECT_EQ(parsed.at("bgpc_x"), 4.0);
+  // A histogram count must be a whole number that fits a u64; casting
+  // anything else to u64 is undefined.
+  for (const char* count : {"-5", "1e30", "2.5", "nan"}) {
+    EXPECT_THROW((void)obs::parse_prometheus_histograms(
+                     std::string("h_bucket{le=\"+Inf\"} ") + count + "\n"),
+                 std::runtime_error)
+        << count;
+    EXPECT_THROW((void)obs::parse_prometheus_histograms(
+                     std::string("h_bucket{le=\"1\"} 1\nh_count ") + count +
+                     "\n"),
+                 std::runtime_error)
+        << count;
+  }
 }
 
 TEST(Promtext, SampleDecoderInvertsTheRendererExactly) {
