@@ -121,7 +121,6 @@ TraceProbe probe_loop(bool traced) {
 struct SnapProbe {
   cycles_t loop_cycles = 0;  ///< instrumented-region wall clock
   u64 publishes = 0;
-  cycles_t modeled_per_snapshot = 0;
 };
 
 /// The probe_loop payload with a snapshot publisher attached (period 0 =
@@ -165,7 +164,6 @@ SnapProbe probe_snapshot_loop(bool periodic,
   });
   publisher.publish_final();
   p.publishes = publisher.publishes();
-  p.modeled_per_snapshot = publisher.config().per_snapshot_overhead;
   std::filesystem::remove_all(dir);
   return p;
 }
@@ -334,7 +332,7 @@ int main() {
   }
   const bool snap_in_budget = snap_on.publishes > 0 &&
                               per_snapshot <= kPerSnapshotBudget &&
-                              snap_on.modeled_per_snapshot <=
+                              daemon::kSnapshotOverheadCycles <=
                                   kPerSnapshotBudget;
   if (!snap_in_budget) {
     std::printf("FAIL: per-snapshot publication cost exceeds the %llu-cycle "
@@ -342,7 +340,7 @@ int main() {
                 (unsigned long long)kPerSnapshotBudget,
                 (unsigned long long)per_snapshot,
                 (unsigned long long)snap_on.publishes,
-                (unsigned long long)snap_on.modeled_per_snapshot);
+                (unsigned long long)daemon::kSnapshotOverheadCycles);
   }
   const bool snap_final_only_free = snap_off.loop_cycles == plain.loop_cycles;
   if (!snap_final_only_free) {

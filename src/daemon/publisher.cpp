@@ -14,7 +14,7 @@ SnapshotPublisher::SnapshotPublisher(rt::Machine& machine,
     : machine_(machine), config_(config) {
   const unsigned n = machine.partition().num_nodes();
   writer_ = std::make_unique<SnapshotWriter>(path, app, session, n,
-                                             config.metrics_capacity,
+                                             kSnapMetricsCapacity,
                                              config.faults);
   next_due_.assign(n, config_.period_cycles);
   if (config_.period_cycles == 0) return;  // final-only snapshots
@@ -32,7 +32,7 @@ cycles_t SnapshotPublisher::on_pulse(unsigned node, cycles_t now) {
   publish_node_now(node, SnapState::kCounting, now);
   next_due_[node] = (now / config_.period_cycles + 1) * config_.period_cycles;
   publishes_.fetch_add(1, std::memory_order_relaxed);
-  return config_.per_snapshot_overhead;
+  return kSnapshotOverheadCycles;
 }
 
 void SnapshotPublisher::publish_node_now(unsigned node, SnapState state,

@@ -27,24 +27,24 @@ class MetricsRegistry;
 
 namespace bgp::daemon {
 
+/// Modeled cost billed to the pulsing core per publication: cheaper than a
+/// trace sample, since the seqlocked double-buffer write has no ring push
+/// or drain. bench/tab_overhead holds it to the 96-cycle per-publication
+/// budget of docs/bgpcd.md, the trace sample's budget.
+inline constexpr cycles_t kSnapshotOverheadCycles = 48;
+
 struct PublisherConfig {
   /// Publication period in simulated cycles (0 = no periodic publishing;
   /// publish_final still writes the end-of-run snapshot). 500 us of
   /// simulated time by default — frequent enough for live attach, ~200
   /// snapshots over a class-A CG run.
   cycles_t period_cycles = 425'000;
-  /// Modeled cost billed to the pulsing core per publication (same budget
-  /// family as trace sampling's 64-cycle snapshots; the seqlocked
-  /// double-buffer write is cheaper than the tracer's ring push + drain).
-  cycles_t per_snapshot_overhead = 48;
-  /// Capacity of the metrics-text slots in the snapshot file.
-  std::size_t metrics_capacity = kSnapMetricsCapacity;
   /// Optional daemon fault injector (torn-publish crash simulation);
   /// forwarded to the SnapshotWriter. Not owned.
   fault::DaemonFaultInjector* faults = nullptr;
   /// Optional host-latency histogram: the real (steady-clock) seconds one
   /// seqlocked publication takes. Purely host-side — the simulated cost
-  /// stays per_snapshot_overhead and the timeline is unchanged. Not owned.
+  /// stays kSnapshotOverheadCycles and the timeline is unchanged. Not owned.
   obs::Histogram* host_publish_seconds = nullptr;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "runtime/rankctx.hpp"
 
@@ -37,7 +38,6 @@ EpochScheduler::EpochScheduler(Machine& machine, const RankFn& program)
     RankCtx& ctx = *machine_.ranks_[r]->ctx;
     states_[r].node = ctx.node_id();
     states_[r].key = ctx.core().now();  // boot skew
-    states_[r].qnode.rank = r;
     nodes_[states_[r].node].residents.push_back(r);
     pending_q_.push(states_[r].key, r);
   }
@@ -103,32 +103,7 @@ int EpochScheduler::pick_local_locked(unsigned node) {
   }
 }
 
-void EpochScheduler::pump_queue_locked() {
-  if (queue_.empty()) return;
-  for (CommitNode* n = queue_.take_all(); n != nullptr;) {
-    // Read `next` before applying: once applied, the owning fiber may be
-    // resumed (by an executor that serializes after us on mu_) and push
-    // the node again.
-    CommitNode* const next = n->next.load(std::memory_order_relaxed);
-    RankState& s = states_[n->rank];
-    switch (n->op) {
-      case CommitOp::kParkSlot:
-        s.slot_fn = n->fn;
-        s.phase = Phase::kParkedSlot;
-        break;
-      case CommitOp::kYieldSegment:
-        s.key = n->key;
-        pending_q_.invalidate(n->rank);
-        pending_q_.push(s.key, n->rank);
-        s.phase = Phase::kStartable;
-        break;
-    }
-    n = next;
-  }
-}
-
 void EpochScheduler::drain_commits_locked() {
-  pump_queue_locked();
   for (;;) {
     const int g = global_min_locked();
     if (g < 0) break;
@@ -160,9 +135,6 @@ void EpochScheduler::sweep_locked() {
 void EpochScheduler::node_loop(unsigned node) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    // Fibers on other nodes may have published transitions lock-free
-    // since the last holder pumped; apply them before picking.
-    pump_queue_locked();
     // Honor request_stop() promptly: segments end here constantly, and
     // make_ready/on_ready need mu_, which we hold.
     if (machine_.service_stop()) sweep_locked();
@@ -190,62 +162,27 @@ void EpochScheduler::node_loop(unsigned node) {
 
 void EpochScheduler::run_at_slot(unsigned rank, const std::function<void()>& fn) {
   RankState& s = states_[rank];
-  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    // Contended: publish the park lock-free and get off the mutex. Until
-    // the holder pumps, this rank still looks kRunning at its frozen key —
-    // strictly more conservative than kParkedSlot (drain stalls at it
-    // instead of executing it), so no later slot can jump the order. Our
-    // park returns control to our node executor, which locks and pumps,
-    // so the transition cannot strand.
-    s.qnode.op = CommitOp::kParkSlot;
-    s.qnode.fn = &fn;
-    queue_.push(&s.qnode);
-    s.fiber->park();
-    // Same sequencing argument as the locked path below: the drain wrote
-    // slot_error under mu_ before our executor resumed us.
-    std::exception_ptr err = std::move(s.slot_error);
-    s.slot_error = nullptr;
-    if (err) std::rethrow_exception(err);
-    return;
-  }
+  std::unique_lock<std::mutex> lock(mu_);
   s.phase = Phase::kParkedSlot;
   s.slot_fn = &fn;
   drain_commits_locked();  // fast path: we may be the global minimum already
-  if (s.phase == Phase::kReadyResume) {
-    s.phase = Phase::kRunning;
-    std::exception_ptr err = std::move(s.slot_error);
-    s.slot_error = nullptr;
-    sweep_locked();  // our commit may have woken remote ranks
-    lock.unlock();
-    if (err) std::rethrow_exception(err);
-    return;
-  }
-  sweep_locked();
+  const bool committed = s.phase == Phase::kReadyResume;
+  if (committed) s.phase = Phase::kRunning;
+  sweep_locked();  // our commit may have woken remote ranks
   lock.unlock();
-  s.fiber->park();
-  // Resumed by our node's executor after the coordinator drained our slot.
-  // The drain wrote slot_error under mu_, the executor locked mu_ before
-  // resuming us on its own OS thread: sequenced, no lock needed here.
-  std::exception_ptr err = std::move(s.slot_error);
-  s.slot_error = nullptr;
-  if (err) std::rethrow_exception(err);
+  // Unless our own drain ran the commit, park: a later drain runs it and
+  // our node's executor resumes us. That drain wrote slot_error under mu_,
+  // and the executor locked mu_ before resuming us on its own OS thread,
+  // so the read below needs no lock.
+  if (!committed) s.fiber->park();
+  if (std::exception_ptr err = std::exchange(s.slot_error, nullptr)) {
+    std::rethrow_exception(err);
+  }
 }
 
 void EpochScheduler::yield_segment(unsigned rank) {
   RankState& s = states_[rank];
-  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    // Contended: publish the yield lock-free (the new key rides in the
-    // node; reading our own core clock needs no lock) and park. We forgo
-    // the keep-running fast path — the executor re-dispatches us once the
-    // transition is pumped.
-    s.qnode.op = CommitOp::kYieldSegment;
-    s.qnode.key = machine_.ranks_[rank]->ctx->core().now();
-    queue_.push(&s.qnode);
-    s.fiber->park();
-    return;
-  }
+  std::unique_lock<std::mutex> lock(mu_);
   s.key = machine_.ranks_[rank]->ctx->core().now();
   pending_q_.invalidate(rank);
   pending_q_.push(s.key, rank);
@@ -262,10 +199,6 @@ void EpochScheduler::yield_segment(unsigned rank) {
 
 void EpochScheduler::block_fiber(unsigned rank) {
   RankState& s = states_[rank];
-  // Deliberately NOT queued lock-free: a commit that wakes this rank
-  // (on_ready) while the block transition sat unpumped would see it
-  // kRunning and drop the wake, stranding the fiber. Blocks are rare
-  // (recv/collective waits) — the mutex stays.
   std::unique_lock<std::mutex> lock(mu_);
   // A stop serviced since this rank set its blocked status woke it while
   // it still looked runnable, and no later wake will come: do not park,

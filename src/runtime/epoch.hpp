@@ -36,14 +36,10 @@
 //    state mid-flight (death schedules, revocation flags, group
 //    membership), so kStartable gates on the global minimum — ranks start
 //    one at a time, in exactly the greedy order.
-//  * Segment boundaries are lock-free under contention: a fiber that
-//    fails the scheduler-mutex try_lock publishes its transition to an
-//    MPSC commit queue (runtime/commitq.hpp) and parks instead of
-//    blocking; the lock holder pumps the queue before every scheduling
-//    decision. Unapplied transitions only make the dispatch gates more
-//    conservative (the rank still looks kRunning at its frozen key), so
-//    the commit sequence — and therefore every byte of output — is
-//    unchanged.
+//
+// Every segment boundary (slot park, yield, block, termination) takes the
+// scheduler mutex with a plain blocking lock, and phases, keys and the
+// pending queue change only under it; only compute segments run outside.
 #pragma once
 
 #include <condition_variable>
@@ -54,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/commitq.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/pool.hpp"
 
@@ -102,11 +97,6 @@ class EpochScheduler {
     unsigned node = 0;
     const std::function<void()>* slot_fn = nullptr;
     std::exception_ptr slot_error;
-    /// This rank's lock-free transition entry: filled and pushed by the
-    /// fiber when it loses the try_lock race at a segment boundary,
-    /// applied by pump_queue_locked(). One in flight at a time (the fiber
-    /// parks right after pushing).
-    CommitNode qnode;
   };
 
   struct NodeState {
@@ -125,10 +115,6 @@ class EpochScheduler {
   /// Next rank this node's executor may run, or -1. Applies the hazard /
   /// strict gates.
   [[nodiscard]] int pick_local_locked(unsigned node);
-  /// Apply every queued lock-free transition (mutex held). Must run
-  /// before scheduling decisions so freshly published yields/parks/blocks
-  /// are visible; drain_commits_locked() calls it first.
-  void pump_queue_locked();
   /// Execute parked commits while the global minimum pending rank is a
   /// kParkedSlot.
   void drain_commits_locked();
@@ -149,9 +135,6 @@ class EpochScheduler {
   /// Pending ranks by frozen (key, rank); entries stay queued across a
   /// whole segment (the key is frozen at segment start).
   ReadyQueue pending_q_;
-  /// Lock-free MPSC queue of segment-boundary transitions from fibers
-  /// that lost the try_lock race (see runtime/commitq.hpp).
-  CommitQueue queue_;
   WorkerPool pool_;
   unsigned active_nodes_ = 0;
   unsigned terminal_count_ = 0;

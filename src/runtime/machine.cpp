@@ -494,11 +494,13 @@ void Machine::enter_collective(
       } else {
         coll.expected = num_ranks_;
       }
-    } else if (coll.kind != kind || coll.root != root) {
-      throw std::logic_error(
-          strfmt("collective mismatch: rank %u entered kind %d but kind %d "
-                 "in flight",
-                 rank, kind, coll.kind));
+    } else if (coll.kind != kind || coll.root != root || coll.bytes != bytes) {
+      // Every combine sizes its copies by the first arrival's bytes.
+      throw std::logic_error(strfmt(
+          "collective mismatch: rank %u entered kind %d (%llu bytes, root "
+          "%u) but kind %d (%llu bytes, root %u) in flight",
+          rank, kind, static_cast<unsigned long long>(bytes), root,
+          coll.kind, static_cast<unsigned long long>(coll.bytes), coll.root));
     }
 
     auto& member = coll.members[rank];

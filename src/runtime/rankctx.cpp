@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -376,7 +377,8 @@ void RankCtx::bcast(std::span<std::byte> data, unsigned root) {
       latency);
 }
 
-void RankCtx::allreduce_sum(std::span<double> inout) {
+template <typename T, typename Op>
+void RankCtx::allreduce(std::span<T> inout, int kind, T identity, Op op) {
   ObsScope span(*this, "coll.allreduce", obs::SpanCat::kCollective,
                 obs::collective_histogram(obs::CollOp::kAllreduce));
   auto& part = machine_.partition();
@@ -384,15 +386,17 @@ void RankCtx::allreduce_sum(std::span<double> inout) {
   const cycles_t latency = coll_op_cycles(bytes);
   sys_event(isa::SysEvent::kMpiCollectives);
   machine_.enter_collective(
-      rank_, kCollAllreduceSum, bytes, 0, std::as_bytes(inout),
+      rank_, kind, bytes, 0, std::as_bytes(inout),
       std::as_writable_bytes(inout),
-      [&part, latency](Machine::Collective& coll) {
-        const std::size_t n = coll.bytes / sizeof(double);
-        std::vector<double> acc(n, 0.0);
+      [&part, latency, identity, op](Machine::Collective& coll) {
+        std::vector<T> acc(coll.bytes / sizeof(T), identity);
         for (auto& m : coll.members) {
           if (!m.present) continue;
-          const auto* v = reinterpret_cast<const double*>(m.send.data());
-          for (std::size_t i = 0; i < n; ++i) acc[i] += v[i];
+          for (std::size_t i = 0; i < acc.size(); ++i) {
+            T v{};
+            std::memcpy(&v, m.send.data() + i * sizeof(T), sizeof(T));
+            acc[i] = op(acc[i], v);
+          }
         }
         for (auto& m : coll.members) {
           if (!m.present) continue;
@@ -403,70 +407,25 @@ void RankCtx::allreduce_sum(std::span<double> inout) {
       latency);
 }
 
+void RankCtx::allreduce_sum(std::span<double> inout) {
+  allreduce(inout, kCollAllreduceSum, 0.0, std::plus<double>{});
+}
+
 double RankCtx::allreduce_sum(double v) {
-  double buf = v;
-  allreduce_sum(std::span<double>(&buf, 1));
-  return buf;
+  allreduce_sum(std::span<double>(&v, 1));
+  return v;
 }
 
 u64 RankCtx::allreduce_sum(u64 v) {
-  // Reuse the double path exactly only when values are small; use a
-  // dedicated reduction for exact 64-bit sums.
-  ObsScope span(*this, "coll.allreduce", obs::SpanCat::kCollective,
-                obs::collective_histogram(obs::CollOp::kAllreduce));
-  auto& part = machine_.partition();
-  const cycles_t latency = coll_op_cycles(sizeof(u64));
-  sys_event(isa::SysEvent::kMpiCollectives);
-  u64 buf = v;
-  const std::span<u64> inout(&buf, 1);
-  machine_.enter_collective(
-      rank_, kCollAllreduceSum, sizeof(u64), 0, std::as_bytes(inout),
-      std::as_writable_bytes(inout),
-      [&part, latency](Machine::Collective& coll) {
-        u64 acc = 0;
-        for (auto& m : coll.members) {
-          if (!m.present) continue;
-          u64 v2;
-          std::memcpy(&v2, m.send.data(), sizeof(u64));
-          acc += v2;
-        }
-        for (auto& m : coll.members) {
-          if (!m.present) continue;
-          std::memcpy(m.recv.data(), &acc, sizeof(u64));
-        }
-        part.collective().record_operation(coll.bytes, latency);
-      },
-      latency);
-  return buf;
+  allreduce(std::span<u64>(&v, 1), kCollAllreduceSum, u64{0}, std::plus<u64>{});
+  return v;
 }
 
 double RankCtx::allreduce_max(double v) {
-  ObsScope span(*this, "coll.allreduce", obs::SpanCat::kCollective,
-                obs::collective_histogram(obs::CollOp::kAllreduce));
-  auto& part = machine_.partition();
-  const cycles_t latency = coll_op_cycles(sizeof(double));
-  sys_event(isa::SysEvent::kMpiCollectives);
-  double buf = v;
-  const std::span<double> inout(&buf, 1);
-  machine_.enter_collective(
-      rank_, kCollAllreduceMax, sizeof(double), 0, std::as_bytes(inout),
-      std::as_writable_bytes(inout),
-      [&part, latency](Machine::Collective& coll) {
-        double acc = -std::numeric_limits<double>::infinity();
-        for (auto& m : coll.members) {
-          if (!m.present) continue;
-          double v2;
-          std::memcpy(&v2, m.send.data(), sizeof(double));
-          acc = std::max(acc, v2);
-        }
-        for (auto& m : coll.members) {
-          if (!m.present) continue;
-          std::memcpy(m.recv.data(), &acc, sizeof(double));
-        }
-        part.collective().record_operation(coll.bytes, latency);
-      },
-      latency);
-  return buf;
+  allreduce(std::span<double>(&v, 1), kCollAllreduceMax,
+            -std::numeric_limits<double>::infinity(),
+            [](double a, double b) { return std::max(a, b); });
+  return v;
 }
 
 void RankCtx::alltoall(std::span<const std::byte> send_buf,

@@ -148,6 +148,11 @@ class RankCtx {
   [[nodiscard]] cycles_t coll_op_cycles(u64 bytes) const;
   /// Barrier-network latency with the same FT pruning.
   [[nodiscard]] cycles_t barrier_latency() const;
+  /// The one reduction: folds every present member's `inout`, in rank
+  /// order, element by element into `identity` with `op`, and hands the
+  /// result to every member.
+  template <typename T, typename Op>
+  void allreduce(std::span<T> inout, int kind, T identity, Op op);
 
   Machine& machine_;
   unsigned rank_;

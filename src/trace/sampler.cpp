@@ -119,8 +119,8 @@ unsigned Sampler::advance_to(cycles_t rel_now) {
   intervals_closed_ = closed;
   buffer_.push(std::move(rec));
   ++samples_;
-  overhead_cycles_ += config_.per_sample_overhead;
-  pending_overhead_ += config_.per_sample_overhead;
+  overhead_cycles_ += kSampleOverheadCycles;
+  pending_overhead_ += kSampleOverheadCycles;
   if (interrupt_driven_) rearm_threshold();
   in_advance_ = false;
   return 1;

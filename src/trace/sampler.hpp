@@ -24,14 +24,17 @@
 
 namespace bgp::trace {
 
+/// Modeled cost of one snapshot, billed to the pulsing core: interrupt
+/// entry, reading the watched counters over the memory-mapped path, exit.
+/// bench/tab_overhead holds it to the 96-cycle per-sample budget of
+/// docs/tracing.md.
+inline constexpr cycles_t kSampleOverheadCycles = 64;
+
 struct SamplerConfig {
   cycles_t interval_cycles = 10'000;
   /// Events to snapshot each interval (pick events of the node's
   /// programmed mode; others alias the physical counter, as on hardware).
   std::vector<isa::EventId> events;
-  /// Modeled cost of one snapshot (interrupt entry + reading the watched
-  /// counters over the memory-mapped path + exit).
-  cycles_t per_sample_overhead = 64;
 };
 
 class Sampler {

@@ -146,7 +146,6 @@ SamplerConfig make_sampler_config(const TraceConfig& config,
   SamplerConfig sc;
   sc.interval_cycles = config.interval_cycles;
   sc.events = events;
-  sc.per_sample_overhead = config.per_sample_overhead;
   return sc;
 }
 

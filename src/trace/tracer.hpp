@@ -24,8 +24,6 @@ struct TraceConfig {
   cycles_t interval_cycles = 10'000;
   /// Ring-buffer bound, in interval records per node.
   std::size_t buffer_capacity = 4096;
-  /// Modeled cost of one snapshot (see docs/tracing.md for the budget).
-  cycles_t per_sample_overhead = 64;
   /// Named event preset, resolved against each node's programmed mode.
   std::string preset = "default";
   /// Where trace files land (next to the .bgpc dumps by default).

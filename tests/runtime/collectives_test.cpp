@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "runtime/machine.hpp"
 #include "runtime/rankctx.hpp"
@@ -107,16 +110,38 @@ TEST(Collectives, Allgather) {
 }
 
 TEST(Collectives, MismatchedCollectiveKindsFail) {
-  Machine m(small(1));
-  EXPECT_THROW(m.run([](RankCtx& ctx) {
-    if (ctx.rank() == 0) {
-      ctx.barrier();
-    } else {
-      double v = 1.0;
-      (void)ctx.allreduce_sum(v);
-    }
-  }),
-               std::logic_error);
+  // One VNM node: ranks 0-3 arrive in rank order, so rank 0 is the first
+  // arrival and rank 3 the last. A collective's size is part of its kind:
+  // every combine sizes its copies by the first arrival's buffer.
+  const auto allreduce_long_on = [](unsigned long_rank) {
+    return [long_rank](RankCtx& ctx) {
+      std::array<double, 4> v{1.0, 1.0, 1.0, 1.0};
+      ctx.allreduce_sum(
+          std::span<double>(v.data(), ctx.rank() == long_rank ? 4 : 1));
+    };
+  };
+  const std::vector<std::pair<const char*, RankFn>> cases = {
+      {"barrier vs allreduce",
+       [](RankCtx& ctx) {
+         if (ctx.rank() == 0) {
+           ctx.barrier();
+         } else {
+           (void)ctx.allreduce_sum(1.0);
+         }
+       }},
+      {"long allreduce on the first arrival", allreduce_long_on(0)},
+      {"long allreduce on the last arrival", allreduce_long_on(3)},
+      {"bcast of two sizes",
+       [](RankCtx& ctx) {
+         std::array<std::byte, 16> buf{};
+         ctx.bcast(std::span(buf.data(), ctx.rank() == 0 ? 16 : 8), 0);
+       }},
+  };
+  for (const auto& [name, program] : cases) {
+    SCOPED_TRACE(name);
+    Machine m(small(1));
+    EXPECT_THROW(m.run(program), std::logic_error);
+  }
 }
 
 TEST(Collectives, CollectiveLatencyGrowsWithPartition) {

@@ -19,7 +19,6 @@ SamplerConfig config_for(std::vector<isa::EventId> events) {
   SamplerConfig cfg;
   cfg.interval_cycles = kInterval;
   cfg.events = std::move(events);
-  cfg.per_sample_overhead = 64;
   return cfg;
 }
 
