@@ -4,7 +4,7 @@
 // lower since initialization happens once.
 //
 // The tracing rows extend the table to the time-series layer: the modeled
-// cost of one threshold-interrupt sample (snapshot + ring push + re-arm)
+// cost of one threshold-interrupt sample (snapshot + chunk append + re-arm)
 // must stay within the documented 96-cycle budget (docs/tracing.md), i.e.
 // below half the paper's one-time 196-cycle figure even when charged
 // thousands of times per run.
@@ -101,8 +101,8 @@ TraceProbe probe_loop(bool traced) {
     session.BGP_Start(ctx, 0);
     const cycles_t t0 = ctx.core().read_timebase();
     // Many short loop nests rather than one monolith: each crossing of an
-    // interval boundary raises its own threshold interrupt, so the sampler
-    // is exercised dozens of times instead of coalescing the whole region.
+    // interval boundary raises its own threshold interrupt, so the tracer
+    // samples dozens of times instead of coalescing the whole region.
     for (unsigned i = 0; i < 40; ++i) ctx.loop(d);
     p.loop_cycles = ctx.core().read_timebase() - t0;
     session.BGP_Stop(ctx, 0);
@@ -110,8 +110,8 @@ TraceProbe probe_loop(bool traced) {
   });
   if (traced) {
     if (const trace::NodeTracer* t = session.tracer(0)) {
-      p.samples = t->sampler().samples();
-      p.modeled_overhead = t->sampler().overhead_cycles();
+      p.samples = t->samples();
+      p.modeled_overhead = t->overhead_cycles();
     }
     std::filesystem::remove_all(tdir);
   }
@@ -217,7 +217,7 @@ int main() {
   });
 
   // Time-series layer: same loop with and without the threshold-driven
-  // sampler armed; the difference is the overhead tracing actually billed.
+  // tracer armed; the difference is the overhead tracing actually billed.
   const TraceProbe plain = probe_loop(false);
   const TraceProbe traced = probe_loop(true);
   const cycles_t trace_delta = traced.loop_cycles - plain.loop_cycles;

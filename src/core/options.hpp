@@ -55,8 +55,9 @@ struct Options {
   fault::FaultInjector* fault = nullptr;
 
   /// Time-series tracing (off by default): when enabled the session attaches
-  /// a threshold-driven sampler to every node and streams per-interval
-  /// counter deltas into <trace.trace_dir>/<app>.node<N>.bgpt files.
+  /// a threshold-driven trace::NodeTracer to every node and streams
+  /// per-interval counter deltas into <trace.trace_dir>/<app>.node<N>.bgpt
+  /// files.
   trace::TraceConfig trace;
 
   /// Flight recorder (off by default): when enabled the session installs

@@ -57,10 +57,10 @@ void Session::attach_tracer(unsigned node) {
   tracers_[node] = std::make_unique<trace::NodeTracer>(
       n, options_.trace, options_.app_name,
       monitors_[node]->programmed_mode());
-  // The runtime pulses the node at instrumentation points; the hook drains
-  // the ring buffer to disk and returns the modeled sampling overhead for
-  // the runtime to charge to the pulsing core. add (not set): a snapshot
-  // publisher may already be pulsing this node.
+  // The runtime pulses the node at instrumentation points; the hook
+  // catches up a Time-Base-paced tracer and returns the modeled sampling
+  // overhead for the runtime to charge to the pulsing core. A snapshot
+  // publisher may be pulsing this node too.
   n.add_pulse_hook(
       [t = tracers_[node].get()](cycles_t) { return t->pulse(); });
 }
@@ -148,17 +148,7 @@ bool Session::finalize_node(rt::RankCtx& ctx) {
     // Seal the trace (footer + rename) before the dump write; the node
     // survived to finalize, so its timeline is complete.
     rt::ObsScope span(ctx, "trace.seal", obs::SpanCat::kTrace);
-    TraceSealOutcome seal;
-    seal.node = node;
-    try {
-      seal.path = tracers_[node]->seal();
-      seal.ok = true;
-      trace_files_.push_back(seal.path);
-      std::sort(trace_files_.begin(), trace_files_.end());
-    } catch (const std::exception& e) {
-      seal.error = e.what();
-    }
-    trace_outcomes_.push_back(std::move(seal));
+    seal_trace(node);
   }
 
   if (!options_.write_dumps) {
@@ -222,21 +212,25 @@ DumpWriteOutcome Session::write_dump_file(const NodeDump& dump,
   return outcome;
 }
 
+void Session::seal_trace(unsigned node) {
+  TraceSealOutcome seal;
+  seal.node = node;
+  try {
+    seal.path = tracers_[node]->seal();
+    seal.ok = true;
+    trace_files_.push_back(seal.path);
+    std::sort(trace_files_.begin(), trace_files_.end());
+  } catch (const std::exception& e) {
+    seal.error = e.what();
+  }
+  trace_outcomes_.push_back(std::move(seal));
+}
+
 void Session::seal_all_traces() {
   for (unsigned node = 0; node < tracers_.size(); ++node) {
-    trace::NodeTracer* t = tracers_[node].get();
-    if (t == nullptr || t->sealed()) continue;
-    TraceSealOutcome seal;
-    seal.node = node;
-    try {
-      seal.path = t->seal();
-      seal.ok = true;
-      trace_files_.push_back(seal.path);
-      std::sort(trace_files_.begin(), trace_files_.end());
-    } catch (const std::exception& e) {
-      seal.error = e.what();
+    if (tracers_[node] != nullptr && !tracers_[node]->sealed()) {
+      seal_trace(node);
     }
-    trace_outcomes_.push_back(std::move(seal));
   }
 }
 

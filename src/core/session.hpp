@@ -135,6 +135,8 @@ class Session {
 
  private:
   void attach_tracer(unsigned node);
+  /// Seal the node's open trace and record the outcome (and the file).
+  void seal_trace(unsigned node);
   /// The original BGP_Finalize body; true when this call completed the
   /// node (its dump was taken).
   bool finalize_node(rt::RankCtx& ctx);

@@ -95,7 +95,9 @@ JobSpec JobSpec::from_json(const json::Value& v) {
         spec.trace.preset = val.as_string();
         (void)trace::preset_trace_events(spec.trace.preset, 0);
       } else if (key == "buffer") {
-        spec.trace.buffer_capacity = get_positive(val, key.c_str());
+        // The per-node trace ring this sized is gone; the key still parses
+        // so journals that carry it replay.
+        (void)get_positive(val, key.c_str());
       } else if (key == "obs") {
         spec.obs.enabled = val.as_bool();
       } else if (key == "obs_span_capacity") {
@@ -158,9 +160,6 @@ json::Value JobSpec::to_json() const {
     v.set("trace", json::Value(true));
     v.set("interval_cycles", json::Value(trace.interval_cycles));
     v.set("preset", json::Value(trace.preset));
-    if (trace.buffer_capacity != trace::TraceConfig{}.buffer_capacity) {
-      v.set("buffer", json::Value(u64{trace.buffer_capacity}));
-    }
   }
   if (obs.enabled) {
     v.set("obs", json::Value(true));

@@ -27,7 +27,7 @@ SnapshotPublisher::SnapshotPublisher(rt::Machine& machine,
 cycles_t SnapshotPublisher::on_pulse(unsigned node, cycles_t now) {
   if (now < next_due_[node]) return 0;
   // Publish once per pulse no matter how many periods elapsed (a long
-  // compute segment skips deadlines, exactly like the trace sampler's
+  // compute segment skips deadlines, exactly like the node tracer's
   // catch-up), then re-arm at the next period boundary after `now`.
   publish_node_now(node, SnapState::kCounting, now);
   next_due_[node] = (now / config_.period_cycles + 1) * config_.period_cycles;

@@ -1,7 +1,7 @@
 // Snapshot publisher: periodically copies each node's UPC counters (and
 // optionally a metrics registry's Prometheus exposition) into the session's
 // snapshot file. Pacing runs on the *simulated* timeline through the node
-// pulse-hook mechanism — the same instrumentation points the trace sampler
+// pulse-hook mechanism — the same instrumentation points the node's tracer
 // uses — so each publication bills a modeled overhead to the pulsing core
 // and the run stays deterministic: two runs with the same options publish
 // at the same cycles and dump identical bytes.

@@ -63,9 +63,10 @@ FlightRecorder::FlightRecorder(unsigned nodes, unsigned cores_per_node,
   wk_.trace_samples = &metrics_.counter(
       "bgpc_trace_samples_total", "Counter samples taken by the tracer");
   wk_.trace_intervals = &metrics_.counter(
-      "bgpc_trace_intervals_total", "Trace intervals pushed into ring buffers");
+      "bgpc_trace_intervals_total", "Trace interval records written");
   wk_.trace_drops = &metrics_.counter(
-      "bgpc_trace_dropped_total", "Trace intervals evicted before draining");
+      "bgpc_trace_dropped_total",
+      "Trace intervals lost before reaching the file (always 0)");
   wk_.rank_deaths = &metrics_.counter("bgpc_rank_deaths_total",
                                       "Ranks killed by injected node deaths");
   wk_.ranks_stranded = &metrics_.counter(

@@ -1,10 +1,10 @@
 // Per-rank span recorder: a bounded ring of completed begin/end spans
-// (evict-oldest with drop accounting, same policy as trace::TraceBuffer)
-// plus instant events, each stamped with both the simulated-cycle clock
-// of the owning core and a host monotonic-nanosecond clock shared by the
-// whole FlightRecorder. One recorder per (node, core); a recorder is only
-// ever mutated by the rank that owns that core, and the scheduler runs one
-// rank per node at a time, so no synchronization is needed.
+// (evict-oldest with drop accounting) plus instant events, each stamped
+// with both the simulated-cycle clock of the owning core and a host
+// monotonic-nanosecond clock shared by the whole FlightRecorder. One
+// recorder per (node, core); a recorder is only ever mutated by the rank
+// that owns that core, and the scheduler runs one rank per node at a time,
+// so no synchronization is needed.
 #pragma once
 
 #include <chrono>

@@ -1,6 +1,7 @@
 #include "postproc/timeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -13,54 +14,53 @@ namespace bgp::post {
 
 namespace {
 
-/// What each traced event contributes to the derived metrics; resolved once
-/// per trace from its header's event list.
-struct EventWeights {
-  std::vector<double> flops;       ///< flops per count
-  std::vector<double> simd_flops;  ///< flops per count, SIMD classes only
-  std::vector<double> fp_instr;    ///< FP instructions per count
-  std::vector<double> simd_instr;
-  std::vector<double> ls_instr;
-  std::vector<double> instr;       ///< completed instructions per count
-  std::vector<double> ddr_read;    ///< DDR bytes read per count
-  std::vector<double> ddr_write;
+/// What one count of an event contributes to the derived metrics.
+struct EventWeight {
+  double flops = 0;     ///< flops per count
+  double fp_instr = 0;  ///< FP instructions per count
+  double simd_instr = 0;
+  double ls_instr = 0;
+  double instr = 0;     ///< completed instructions per count
+  double ddr_read = 0;  ///< DDR bytes read per count
+  double ddr_write = 0;
 };
 
-EventWeights resolve_weights(const std::vector<isa::EventId>& events) {
-  EventWeights w;
-  const std::size_t n = events.size();
-  w.flops.assign(n, 0);
-  w.simd_flops.assign(n, 0);
-  w.fp_instr.assign(n, 0);
-  w.simd_instr.assign(n, 0);
-  w.ls_instr.assign(n, 0);
-  w.instr.assign(n, 0);
-  w.ddr_read.assign(n, 0);
-  w.ddr_write.assign(n, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const isa::EventId e = events[j];
-    const u8 mode = isa::event_mode(e);
-    const u8 c = isa::event_counter(e);
-    if (mode == 0) {
-      const unsigned slot = c % isa::ev::kPerCoreSlice;
-      if (slot < isa::kNumFpOps) {
-        const auto op = static_cast<isa::FpOp>(slot);
-        w.flops[j] = isa::flops_per_op(op);
-        w.fp_instr[j] = 1;
-        if (isa::is_simd(op)) {
-          w.simd_flops[j] = isa::flops_per_op(op);
-          w.simd_instr[j] = 1;
-        }
-      } else if (slot < 8 + isa::kNumLsOps) {
-        w.ls_instr[j] = 1;
-      } else if (slot == 19) {
-        w.instr[j] = 1;
+/// Every event's weight, laid out by the isa::ev event map: FP classes,
+/// load/store classes and completed instructions on each core, and the two
+/// DDR controllers' 16-byte transfer counts. Other events weigh nothing.
+const std::array<EventWeight, isa::kNumEvents>& event_weights() {
+  static const auto table = [] {
+    std::array<EventWeight, isa::kNumEvents> t{};
+    for (unsigned core = 0; core < isa::kCoresPerNode; ++core) {
+      for (std::size_t i = 0; i < isa::kNumFpOps; ++i) {
+        const auto op = static_cast<isa::FpOp>(i);
+        EventWeight& w = t[isa::ev::fpu_op(core, op)];
+        w.flops = isa::flops_per_op(op);
+        w.fp_instr = 1;
+        w.simd_instr = isa::is_simd(op) ? 1 : 0;
       }
-    } else if (mode == 1 && c >= 16 && c < 48) {
-      const auto ev = static_cast<isa::DdrEvent>((c - 16) % 16);
-      if (ev == isa::DdrEvent::kBytesRead16B) w.ddr_read[j] = 16;
-      if (ev == isa::DdrEvent::kBytesWritten16B) w.ddr_write[j] = 16;
+      for (std::size_t i = 0; i < isa::kNumLsOps; ++i) {
+        t[isa::ev::ls_op(core, static_cast<isa::LsOp>(i))].ls_instr = 1;
+      }
+      t[isa::ev::instr_completed(core)].instr = 1;
     }
+    for (unsigned ctrl = 0; ctrl < isa::kNumDdrControllers; ++ctrl) {
+      t[isa::ev::ddr(ctrl, isa::DdrEvent::kBytesRead16B)].ddr_read = 16;
+      t[isa::ev::ddr(ctrl, isa::DdrEvent::kBytesWritten16B)].ddr_write = 16;
+    }
+    return t;
+  }();
+  return table;
+}
+
+/// The weights of a trace's events, parallel to its header's event list;
+/// ids outside the event space (a corrupt header) weigh nothing.
+std::vector<EventWeight> resolve_weights(
+    const std::vector<isa::EventId>& events) {
+  std::vector<EventWeight> w;
+  w.reserve(events.size());
+  for (const isa::EventId e : events) {
+    w.push_back(e < isa::kNumEvents ? event_weights()[e] : EventWeight{});
   }
   return w;
 }
@@ -69,7 +69,7 @@ EventWeights resolve_weights(const std::vector<isa::EventId>& events) {
 /// (not yet fully consumed) record. At most one record is held per trace.
 struct MergeSource {
   std::unique_ptr<trace::TraceReader> reader;
-  EventWeights weights;
+  std::vector<EventWeight> weights;
   std::optional<trace::IntervalRecord> cur;
   /// Leading intervals of `cur` already folded into the timeline (a
   /// coalesced record is consumed one covered interval at a time).
@@ -280,7 +280,7 @@ TimelineReport mine_timeline(const std::vector<std::filesystem::path>& files,
     m.index = index;
     m.t_begin = index * report.interval_cycles;
     m.t_end = (index + 1) * report.interval_cycles;
-    double flops = 0, simd_flops = 0, fp_instr = 0, simd_instr = 0;
+    double flops = 0, fp_instr = 0, simd_instr = 0;
     double ls_instr = 0, instr = 0, ddr_rd = 0, ddr_wr = 0;
     for (MergeSource& src : sources) {
       if (!src.cur.has_value()) continue;
@@ -288,17 +288,16 @@ TimelineReport mine_timeline(const std::vector<std::filesystem::path>& files,
       if (rec.index > index) continue;
       // A coalesced record spreads its deltas evenly over its span.
       const double frac = 1.0 / static_cast<double>(rec.spanned);
-      const EventWeights& w = src.weights;
       for (std::size_t j = 0; j < rec.values.size(); ++j) {
         const double v = static_cast<double>(rec.values[j]) * frac;
-        flops += v * w.flops[j];
-        simd_flops += v * w.simd_flops[j];
-        fp_instr += v * w.fp_instr[j];
-        simd_instr += v * w.simd_instr[j];
-        ls_instr += v * w.ls_instr[j];
-        instr += v * w.instr[j];
-        ddr_rd += v * w.ddr_read[j];
-        ddr_wr += v * w.ddr_write[j];
+        const EventWeight& w = src.weights[j];
+        flops += v * w.flops;
+        fp_instr += v * w.fp_instr;
+        simd_instr += v * w.simd_instr;
+        ls_instr += v * w.ls_instr;
+        instr += v * w.instr;
+        ddr_rd += v * w.ddr_read;
+        ddr_wr += v * w.ddr_write;
       }
       ++m.nodes;
       src.consumed = static_cast<u32>(index + 1 - rec.index);

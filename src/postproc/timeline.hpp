@@ -71,7 +71,7 @@ struct TimelineReport {
   /// Traces that ended without a footer (dead nodes) — their node ids.
   std::vector<unsigned> truncated_nodes;
   cycles_t interval_cycles = 0;
-  u64 dropped_intervals = 0;       ///< summed ring-buffer drops (footers)
+  u64 dropped_intervals = 0;       ///< summed footer drop counts
   cycles_t overhead_cycles = 0;    ///< summed modeled sampling overhead
   std::vector<IntervalMetrics> intervals;
   std::vector<PhaseRecord> phases;

@@ -64,18 +64,14 @@ class Node {
   /// by the runtime; TB is globally synchronized on real hardware).
   [[nodiscard]] cycles_t timebase() const noexcept;
 
-  /// Instrumentation pulse hook: monitoring agents (the tracing sampler,
+  /// Instrumentation pulse hook: monitoring agents (the trace::NodeTracer,
   /// the snapshot publisher) register here and the runtime pulses the node
   /// at instrumentation points (loop boundaries). Each hook returns the
   /// modeled overhead in cycles the pulsing core must absorb (0 when
   /// nothing was due); multiple agents stack and their overheads add.
   using PulseHook = std::function<cycles_t(cycles_t now)>;
-  void set_pulse_hook(PulseHook hook) {
-    pulse_hooks_.clear();
-    add_pulse_hook(std::move(hook));
-  }
-  /// Register an additional agent without displacing the ones already
-  /// installed (the tracer and the snapshot publisher coexist).
+  /// Register an agent without displacing the ones already installed (the
+  /// tracer and the snapshot publisher coexist).
   void add_pulse_hook(PulseHook hook) {
     if (hook) pulse_hooks_.push_back(std::move(hook));
   }

@@ -6,6 +6,18 @@
 
 namespace bgp::trace {
 
+namespace {
+
+void put_record(BinaryWriter& w, const IntervalRecord& record) {
+  w.put<u64>(record.index);
+  w.put<u32>(record.spanned);
+  w.put<u64>(record.t_begin);
+  w.put<u64>(record.t_end);
+  w.put_array(std::span(record.values));
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // TraceWriter
 
@@ -15,6 +27,10 @@ TraceWriter::TraceWriter(std::filesystem::path base, TraceMeta meta,
       chunk_records_(chunk_records == 0 ? 1 : chunk_records),
       partial_path_(base.string() + kPartialSuffix),
       final_path_(base.string() + kTraceSuffix) {
+  if (meta_.interval_cycles == 0) {
+    throw BinIoError(strfmt("trace %s: interval must be positive",
+                            partial_path_.string().c_str()));
+  }
   out_.open(partial_path_, std::ios::binary | std::ios::trunc);
   if (!out_) {
     throw BinIoError(
@@ -46,33 +62,29 @@ TraceWriter::~TraceWriter() {
     try {
       flush();
     } catch (...) {
-      // A failing disk (or a record the format cannot express) must not
-      // escalate to std::terminate during unwinding; the trace simply ends
-      // at the last committed chunk, like any other crash.
+      // A failing disk must not escalate to std::terminate during
+      // unwinding; the trace simply ends at the last committed chunk, like
+      // any other crash.
     }
     out_.close();
   }
 }
 
-void TraceWriter::put_record(BinaryWriter& w,
-                             const IntervalRecord& record) const {
-  w.put<u64>(record.index);
-  w.put<u32>(record.spanned);
-  w.put<u64>(record.t_begin);
-  w.put<u64>(record.t_end);
+void TraceWriter::append(IntervalRecord record) {
+  if (finalized_) {
+    throw BinIoError("append to finalized trace");
+  }
+  if (record.spanned == 0) {
+    throw BinIoError(
+        strfmt("interval record %llu spans no interval",
+               static_cast<unsigned long long>(record.index)));
+  }
   if (record.values.size() != meta_.events.size()) {
     throw BinIoError(
         strfmt("interval record has %zu values for %zu traced events",
                record.values.size(), meta_.events.size()));
   }
-  w.put_array(std::span(record.values));
-}
-
-void TraceWriter::append(const IntervalRecord& record) {
-  if (finalized_) {
-    throw BinIoError("append to finalized trace");
-  }
-  pending_.push_back(record);
+  pending_.push_back(std::move(record));
   if (pending_.size() >= chunk_records_) flush();
 }
 
@@ -153,6 +165,10 @@ TraceReader::TraceReader(const std::filesystem::path& path)
   meta_.events.resize(event_count);
   in_.get_array(std::span(meta_.events));
   in_.check_seal("header");
+  if (meta_.interval_cycles == 0) {
+    throw BinIoError(strfmt("trace %s: zero interval length",
+                            path_.string().c_str()));
+  }
 }
 
 std::size_t TraceReader::record_bytes() const noexcept {
@@ -188,6 +204,14 @@ bool TraceReader::load_chunk() {
       in_.get_array(std::span(rec.values));
     }
     in_.check_seal("chunk");
+    for (const IntervalRecord& rec : chunk_) {
+      if (rec.spanned == 0) {
+        throw BinIoError(
+            strfmt("trace %s: interval record %llu spans no interval",
+                   path_.string().c_str(),
+                   static_cast<unsigned long long>(rec.index)));
+      }
+    }
     return true;
   } catch (const BinIoTruncated&) {
     // The file ends at or inside a section (a node died mid-write):

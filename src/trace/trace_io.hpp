@@ -1,8 +1,8 @@
 // Streaming reader/writer for the sectioned trace format (traceformat.hpp).
 //
-// TraceWriter appends to a `.bgpt.partial` file as the ring buffer drains
-// and seals it — footer plus atomic rename to `.bgpt` — on clean close, so
-// a node that dies mid-run leaves a partial file whose complete chunks are
+// TraceWriter appends to a `.bgpt.partial` file one chunk at a time and
+// seals it — footer plus atomic rename to `.bgpt` — on clean close, so a
+// node that dies mid-run leaves a partial file whose complete chunks are
 // still minable. TraceReader walks a sealed or partial file one interval at
 // a time, holding at most one chunk in memory, verifying each section's
 // CRC; a footer-less tail truncates cleanly instead of erroring.
@@ -25,7 +25,8 @@ class TraceWriter {
   static constexpr std::size_t kDefaultChunkRecords = 64;
 
   /// Opens `<base>.bgpt.partial` and writes the header immediately. `base`
-  /// is the trace path without either suffix.
+  /// is the trace path without either suffix. Throws BinIoError for a zero
+  /// interval, which no reader accepts, before creating the file.
   TraceWriter(std::filesystem::path base, TraceMeta meta,
               std::size_t chunk_records = kDefaultChunkRecords);
   ~TraceWriter();
@@ -34,7 +35,9 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   /// Buffer one interval record; commits a chunk when the buffer fills.
-  void append(const IntervalRecord& record);
+  /// Throws BinIoError for a record no reader accepts: one that spans no
+  /// interval or whose values do not match the traced events.
+  void append(IntervalRecord record);
 
   /// Commit buffered records as one chunk (no-op when nothing is buffered).
   void flush();
@@ -57,7 +60,6 @@ class TraceWriter {
 
  private:
   void write_bytes(const std::vector<std::byte>& bytes);
-  void put_record(BinaryWriter& w, const IntervalRecord& record) const;
 
   TraceMeta meta_;
   std::size_t chunk_records_;
@@ -72,14 +74,16 @@ class TraceWriter {
 class TraceReader {
  public:
   /// Opens a sealed `.bgpt` or a crashed `.bgpt.partial` and parses the
-  /// header (throws BinIoError when the header is damaged or torn — a trace
-  /// whose identity cannot be established is unusable).
+  /// header (throws BinIoError when the header is damaged, torn or has a
+  /// zero interval — a trace whose identity cannot be established is
+  /// unusable).
   explicit TraceReader(const std::filesystem::path& path);
 
   /// Next interval record, or nullopt at end of trace. Reads at most one
   /// chunk ahead. Throws BinIoError on a corrupt (CRC-mismatched) chunk
-  /// or footer; a truncated tail, or a chunk count larger than the bytes
-  /// left, ends the trace cleanly instead.
+  /// or footer, or on a record that spans no interval; a truncated tail,
+  /// or a chunk count larger than the bytes left, ends the trace cleanly
+  /// instead.
   std::optional<IntervalRecord> next();
 
   [[nodiscard]] const TraceMeta& meta() const noexcept { return meta_; }

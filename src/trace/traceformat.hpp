@@ -2,8 +2,8 @@
 // mined by the timeline post-processor: a sealed header, sealed chunks of
 // interval records and a sealed footer (layout: docs/formats.md).
 //
-// Traces are streamed: the header is written when tracing starts, chunks
-// are appended as the ring buffer fills, and the footer seals the file at
+// Traces are streamed: the header is written when tracing starts, a chunk
+// is appended every 64 interval records, and the footer seals the file at
 // BGP_Finalize — all into a `.partial` file that is atomically renamed to
 // `.bgpt` on clean close (the PR 1 temp+rename convention). A node that
 // dies mid-run leaves a footer-less `.partial` whose complete chunks still
@@ -37,7 +37,7 @@ struct TraceMeta {
   std::string app_name;
   cycles_t interval_cycles = 0;
   /// Event whose physical counter paced the threshold interrupts, or
-  /// kPacerTimebase when the sampler fell back to Time-Base polling.
+  /// kPacerTimebase when the tracer fell back to Time-Base polling.
   u32 pacer_event = kPacerTimebase;
   /// Events snapshotted each interval (all of the node's programmed mode);
   /// interval record values are parallel to this list.
@@ -63,7 +63,10 @@ struct IntervalRecord {
 /// Lifetime totals sealed into the footer on clean close.
 struct TraceTotals {
   u64 intervals = 0;        ///< interval records produced
-  u64 dropped = 0;          ///< records evicted unflushed (ring overflow)
+  /// Records lost before reaching the file: always 0, records go straight
+  /// to the trace chunk. Traces written through the earlier bounded ring
+  /// may carry its evictions, and the miner still reports them.
+  u64 dropped = 0;
   u64 samples = 0;          ///< counter-set snapshots taken
   cycles_t overhead_cycles = 0;  ///< modeled sampling cost charged to cores
 };

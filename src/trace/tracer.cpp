@@ -125,70 +125,143 @@ std::filesystem::path trace_file_base(const std::filesystem::path& dir,
 
 namespace {
 
+/// The pacer of an interrupt-paced tracer: the core-0 cycle counter.
+constexpr isa::EventId kPacer = isa::ev::cycle_count(0);
+constexpr u8 kPacerCounter = isa::event_counter(kPacer);
+
 TraceMeta make_meta(const sys::Node& node, const TraceConfig& config,
-                    const std::string& app_name, u8 mode,
-                    std::vector<isa::EventId> events) {
+                    const std::string& app_name, u8 mode) {
   TraceMeta meta;
   meta.node_id = node.id();
   meta.card_id = node.card_id();
   meta.counter_mode = mode;
   meta.app_name = app_name;
   meta.interval_cycles = config.interval_cycles;
-  const isa::EventId pacer = isa::ev::cycle_count(0);
+  // Pace by the core-0 cycle counter when the programmed mode covers it;
+  // otherwise fall back to Time-Base polling from instrumentation points.
   meta.pacer_event =
-      isa::event_mode(pacer) == mode ? u32{pacer} : kPacerTimebase;
-  meta.events = std::move(events);
+      isa::event_mode(kPacer) == mode ? u32{kPacer} : kPacerTimebase;
+  meta.events = preset_trace_events(config.preset, mode);
   return meta;
-}
-
-SamplerConfig make_sampler_config(const TraceConfig& config,
-                                  const std::vector<isa::EventId>& events) {
-  SamplerConfig sc;
-  sc.interval_cycles = config.interval_cycles;
-  sc.events = events;
-  return sc;
 }
 
 }  // namespace
 
 NodeTracer::NodeTracer(sys::Node& node, const TraceConfig& config,
                        const std::string& app_name, u8 mode)
-    : buffer_(config.buffer_capacity),
+    : node_(node),
       writer_(trace_file_base(config.trace_dir, app_name, node.id()),
-              make_meta(node, config, app_name, mode,
-                        preset_trace_events(config.preset, mode))),
-      sampler_(node, make_sampler_config(config, writer_.meta().events),
-               buffer_) {}
+              make_meta(node, config, app_name, mode)) {}
 
-void NodeTracer::start() { sampler_.arm(); }
+std::vector<u64> NodeTracer::snapshot_counters() const {
+  // Reads go through the memory-mapped path, like a monitoring thread's
+  // (or the interrupt service routine's) would.
+  const auto& upc = node_.upc();
+  const std::vector<isa::EventId>& events = writer_.meta().events;
+  std::vector<u64> values;
+  values.reserve(events.size());
+  for (const isa::EventId ev : events) {
+    const u8 counter = isa::event_counter(ev);
+    values.push_back(upc.mmio_read64(upc.mmio_base() + 8ull * counter));
+  }
+  return values;
+}
 
-void NodeTracer::drain() {
-  while (!buffer_.empty()) {
-    writer_.append(buffer_.front());
-    buffer_.pop_front();
+cycles_t NodeTracer::pacer_clock() const {
+  if (!interrupt_paced()) return node_.timebase();
+  const auto& upc = node_.upc();
+  return upc.mmio_read64(upc.mmio_base() + 8ull * kPacerCounter);
+}
+
+void NodeTracer::start() {
+  if (armed_ || sealed()) return;
+  armed_ = true;
+  pacer_origin_ = pacer_clock();
+  last_snapshot_ = snapshot_counters();
+  if (interrupt_paced()) {
+    auto& upc = node_.upc();
+    upc.add_threshold_listener(
+        [this](u8 counter, u64 /*value*/) { on_threshold(counter); });
+    upc::CounterConfig cfg = upc.config(kPacerCounter);
+    cfg.interrupt_enable = true;
+    cfg.threshold = pacer_origin_ + writer_.meta().interval_cycles;
+    upc.configure(kPacerCounter, cfg);
   }
 }
 
+void NodeTracer::on_threshold(u8 counter) {
+  if (!armed_ || in_advance_ || counter != kPacerCounter) return;
+  advance();
+}
+
+void NodeTracer::poll() {
+  if (!armed_ || in_advance_ || !node_.upc().running()) return;
+  advance();
+}
+
 cycles_t NodeTracer::pulse() {
-  sampler_.poll();
-  drain();
-  return sampler_.take_pending_overhead();
+  poll();
+  const cycles_t overhead = pending_overhead_;
+  pending_overhead_ = 0;
+  return overhead;
+}
+
+void NodeTracer::advance() {
+  const cycles_t interval = writer_.meta().interval_cycles;
+  const u64 closed = (pacer_clock() - pacer_origin_) / interval;
+  if (closed <= intervals_closed_) return;
+  in_advance_ = true;
+  std::vector<u64> now_values = snapshot_counters();
+  IntervalRecord rec;
+  rec.index = intervals_closed_;
+  rec.spanned = static_cast<u32>(closed - intervals_closed_);
+  rec.t_begin = intervals_closed_ * interval;
+  rec.t_end = closed * interval;
+  rec.values.resize(now_values.size());
+  for (std::size_t i = 0; i < now_values.size(); ++i) {
+    rec.values[i] = now_values[i] - last_snapshot_[i];
+  }
+  last_snapshot_ = std::move(now_values);
+  intervals_closed_ = closed;
+  ++samples_;
+  overhead_cycles_ += kSampleOverheadCycles;
+  pending_overhead_ += kSampleOverheadCycles;
+  if (interrupt_paced()) {
+    // Re-arm by rewriting the threshold register over the MMIO path,
+    // exactly as an interrupt service routine on the real unit would; the
+    // new threshold is strictly above the current count, so the write
+    // itself never re-fires.
+    auto& upc = node_.upc();
+    upc.mmio_write64(upc.mmio_base() + upc::UpcUnit::kThresholdOffset +
+                         8ull * kPacerCounter,
+                     pacer_origin_ + (closed + 1) * interval);
+  }
+  in_advance_ = false;
+  // Every 64th record commits a chunk to the .partial file.
+  writer_.append(std::move(rec));
 }
 
 std::filesystem::path NodeTracer::seal() {
-  if (writer_.finalized()) return writer_.final_path();
-  sampler_.disarm();
-  drain();
+  if (sealed()) return writer_.final_path();
+  if (armed_) {
+    poll();  // final catch-up; the tail past the last boundary is dropped
+    if (interrupt_paced()) {
+      auto& upc = node_.upc();
+      upc::CounterConfig cfg = upc.config(kPacerCounter);
+      cfg.interrupt_enable = false;
+      cfg.threshold = 0;
+      upc.configure(kPacerCounter, cfg);
+    }
+    armed_ = false;
+  }
   TraceTotals totals;
-  totals.intervals = buffer_.total_pushed();
-  totals.dropped = buffer_.dropped();
-  totals.samples = sampler_.samples();
-  totals.overhead_cycles = sampler_.overhead_cycles();
+  totals.intervals = samples_;
+  totals.samples = samples_;
+  totals.overhead_cycles = overhead_cycles_;
   if (auto* fr = obs::recorder()) {
     fr->wk().trace_seals->add(1);
     fr->wk().trace_samples->add(totals.samples);
     fr->wk().trace_intervals->add(totals.intervals);
-    fr->wk().trace_drops->add(totals.dropped);
   }
   return writer_.finalize(totals);
 }

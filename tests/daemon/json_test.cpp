@@ -118,7 +118,6 @@ TEST(JobSpec, RoundTripsThroughJson) {
   spec.trace.enabled = true;
   spec.trace.interval_cycles = 5000;
   spec.trace.preset = "mem";
-  spec.trace.buffer_capacity = 128;
   spec.obs.enabled = true;
   spec.obs.span_capacity = 1024;
   spec.snapshot_period_cycles = 100'000;
@@ -216,6 +215,24 @@ TEST(JobSpec, OlderJournalBodiesRoundTripByteForByte) {
     EXPECT_EQ(JobSpec::from_json(json::Value::parse(body)).to_json().dump(),
               body);
   }
+}
+
+// "buffer" sized a per-node trace ring that no longer exists. Journals that
+// carry it still replay: the key parses (0 is still rejected, see above),
+// changes nothing and is not written back.
+TEST(JobSpec, BufferKeyOfOlderJournalsParsesAndIsIgnored) {
+  const char* body =
+      R"({"bench":"FT","class":"S","nodes":2,"mode":"smp1",)"
+      R"("sched":"serial","trace":true,"interval_cycles":5000,)"
+      R"("preset":"mem"})";
+  const char* with_buffer =
+      R"({"bench":"FT","class":"S","nodes":2,"mode":"smp1",)"
+      R"("sched":"serial","trace":true,"interval_cycles":5000,)"
+      R"("preset":"mem","buffer":128})";
+  const JobSpec plain = JobSpec::from_json(json::Value::parse(body));
+  const JobSpec old = JobSpec::from_json(json::Value::parse(with_buffer));
+  EXPECT_TRUE(static_cast<const nas::RunSpec&>(old) == plain);
+  EXPECT_EQ(old.to_json().dump(), body);
 }
 
 TEST(JobSpec, EffectiveRanksFollowsModeAndOverride) {

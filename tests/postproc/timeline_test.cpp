@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
+#include "common/binio.hpp"
 #include "common/strfmt.hpp"
 #include "postproc/timeline.hpp"
+#include "trace/tracer.hpp"
 
 namespace bgp::post {
 namespace {
@@ -40,6 +44,58 @@ trace::IntervalRecord rec(u64 index, u32 spanned, u64 fma, u64 instr) {
   r.t_end = (index + spanned) * kInterval;
   r.values = {fma, instr};
   return r;
+}
+
+/// Write a trace through the record codec alone, past the writer's checks:
+/// the header, one sealed chunk per entry of `chunks`, then a footer. The
+/// checksums are all valid.
+void craft_trace(const fs::path& path, unsigned node, cycles_t interval,
+                 const std::vector<std::vector<trace::IntervalRecord>>& chunks) {
+  const trace::TraceMeta m = meta_for(node, interval);
+  BinaryWriter w;
+  w.put<u32>(trace::kTraceMagic);
+  w.put<u32>(trace::kTraceVersion);
+  w.begin_section();
+  w.put<u32>(m.node_id);
+  w.put<u32>(m.card_id);
+  w.put<u32>(m.counter_mode);
+  w.put_string(m.app_name);
+  w.put<u64>(m.interval_cycles);
+  w.put<u32>(m.pacer_event);
+  w.put<u32>(static_cast<u32>(m.events.size()));
+  w.put_array(std::span(m.events));
+  w.seal();
+  for (const auto& chunk : chunks) {
+    w.put<u32>(static_cast<u32>(chunk.size()));
+    for (const trace::IntervalRecord& r : chunk) {
+      w.put<u64>(r.index);
+      w.put<u32>(r.spanned);
+      w.put<u64>(r.t_begin);
+      w.put<u64>(r.t_end);
+      w.put_array(std::span(r.values));
+    }
+    w.seal();
+  }
+  w.put<u32>(0);  // footer: the sentinel, then four zero totals
+  for (int i = 0; i < 4; ++i) w.put<u64>(0);
+  w.seal();
+  w.write_file(path);
+}
+
+void expect_finite(const TimelineReport& rep) {
+  for (const IntervalMetrics& m : rep.intervals) {
+    for (const double v : {m.flops, m.instructions, m.mflops, m.ddr_read_mbs,
+                           m.ddr_write_mbs, m.fp_fraction, m.ls_fraction,
+                           m.simd_fraction}) {
+      EXPECT_TRUE(std::isfinite(v)) << "interval " << m.index;
+    }
+  }
+  for (const PhaseRecord& p : rep.phases) {
+    for (const double v : {p.mflops, p.ddr_read_mbs, p.ddr_write_mbs,
+                           p.fp_fraction, p.ls_fraction, p.simd_fraction}) {
+      EXPECT_TRUE(std::isfinite(v)) << "phase " << p.id;
+    }
+  }
 }
 
 class Timeline : public ::testing::Test {
@@ -244,6 +300,122 @@ TEST_F(Timeline, CsvAndRenderCarryTheTimeline) {
   const std::string text = render_timeline(rep);
   EXPECT_NE(text.find("coverage:"), std::string::npos);
   EXPECT_NE(text.find("phase  0"), std::string::npos);
+}
+
+// A record that spans no interval, or a header whose interval is zero, has
+// valid checksums but no meaning: the reader rejects both, so the miner
+// reports a problem instead of dividing by zero.
+TEST_F(Timeline, ZeroSpanOrZeroIntervalIsAProblemNotANaN) {
+  // Node 0's second chunk holds a zero-span record; node 1 is sound.
+  craft_trace(dir_ / "zs.node0000.bgpt", 0, kInterval,
+              {{rec(0, 1, 100, 200)}, {rec(1, 0, 100, 200)}});
+  {
+    trace::TraceWriter w(dir_ / "zs.node0001", meta_for(1));
+    w.append(rec(0, 1, 100, 200));
+    w.append(rec(1, 1, 100, 200));
+    w.finalize({});
+  }
+  trace::TraceReader r(dir_ / "zs.node0000.bgpt");
+  ASSERT_TRUE(r.next().has_value());
+  EXPECT_THROW((void)r.next(), BinIoError);
+
+  const TimelineReport zs = mine_timeline(dir_, "zs");
+  expect_finite(zs);
+  ASSERT_EQ(zs.problems.size(), 1u);
+  EXPECT_NE(zs.problems[0].find("spans no interval"), std::string::npos)
+      << zs.problems[0];
+  ASSERT_EQ(zs.intervals.size(), 2u);
+  EXPECT_EQ(zs.intervals[0].nodes, 2u);  // node 0's sound first chunk
+  EXPECT_EQ(zs.intervals[1].nodes, 1u);
+  EXPECT_DOUBLE_EQ(zs.intervals[1].flops, 200.0);
+
+  // A zero interval in the first trace would otherwise set the batch's
+  // geometry and push every sound trace out as a mismatch.
+  craft_trace(dir_ / "zi.node0000.bgpt", 0, 0, {{rec(0, 1, 100, 200)}});
+  {
+    trace::TraceWriter w(dir_ / "zi.node0001", meta_for(1));
+    w.append(rec(0, 1, 100, 200));
+    w.finalize({});
+  }
+  EXPECT_THROW(trace::TraceReader{dir_ / "zi.node0000.bgpt"}, BinIoError);
+  const TimelineReport zi = mine_timeline(dir_, "zi");
+  expect_finite(zi);
+  EXPECT_TRUE(zi.ok);
+  EXPECT_EQ(zi.interval_cycles, kInterval);
+  EXPECT_EQ(zi.coverage.loaded, 1u);
+  ASSERT_EQ(zi.problems.size(), 1u);
+  EXPECT_NE(zi.problems[0].find("zero interval"), std::string::npos)
+      << zi.problems[0];
+  ASSERT_EQ(zi.intervals.size(), 1u);
+  EXPECT_GT(zi.intervals[0].mflops, 0.0);
+}
+
+/// Counts for the closed-form weight check: every FP class 10 and every
+/// load/store class 5 on each core, 1,000 completed instructions per core,
+/// 3 read and 2 written 16-byte units per DDR controller, and 7 for every
+/// other event, which must weigh nothing.
+u64 known_count(isa::EventId e) {
+  for (unsigned core = 0; core < isa::kCoresPerNode; ++core) {
+    for (std::size_t i = 0; i < isa::kNumFpOps; ++i) {
+      if (e == isa::ev::fpu_op(core, static_cast<isa::FpOp>(i))) return 10;
+    }
+    for (std::size_t i = 0; i < isa::kNumLsOps; ++i) {
+      if (e == isa::ev::ls_op(core, static_cast<isa::LsOp>(i))) return 5;
+    }
+    if (e == isa::ev::instr_completed(core)) return 1'000;
+  }
+  for (unsigned ctrl = 0; ctrl < isa::kNumDdrControllers; ++ctrl) {
+    if (e == isa::ev::ddr(ctrl, isa::DdrEvent::kBytesRead16B)) return 3;
+    if (e == isa::ev::ddr(ctrl, isa::DdrEvent::kBytesWritten16B)) return 2;
+  }
+  return 7;
+}
+
+// One record of known counts for every preset in every counter mode, over
+// one 8,500-cycle interval (10 us at 850 MHz), mined to closed-form values.
+// Mode 0 watches all four cores' FP classes in every preset: per core
+// 10 x (1+1+1+2 + 2+2+2+4) = 150 flops from 80 FP instructions, 40 of them
+// SIMD, out of 1,000 instructions; all presets but `fp` add the 6
+// load/store classes, 30 instructions per core. Mode 1 watches both DDR
+// controllers: 2 x 3 x 16 = 96 bytes read and 2 x 2 x 16 = 64 written.
+// Modes 2 and 3 watch nothing the timeline weighs.
+TEST_F(Timeline, WeightsFollowTheEventMapForEveryPresetAndMode) {
+  constexpr cycles_t kTenMicroseconds = 8'500;
+  for (const std::string& preset : trace::trace_preset_names()) {
+    for (u8 mode = 0; mode < isa::kNumCounterModes; ++mode) {
+      SCOPED_TRACE(preset + " mode " + std::to_string(mode));
+      trace::TraceMeta meta = meta_for(0, kTenMicroseconds);
+      meta.counter_mode = mode;
+      meta.events = trace::preset_trace_events(preset, mode);
+      trace::IntervalRecord r;
+      r.t_end = kTenMicroseconds;
+      for (const isa::EventId e : meta.events) {
+        r.values.push_back(known_count(e));
+      }
+      const fs::path base =
+          dir_ / strfmt("w%s%u.node0000", preset.c_str(), unsigned{mode});
+      {
+        trace::TraceWriter w(base, meta);
+        w.append(r);
+        w.finalize({});
+      }
+      const TimelineReport rep =
+          mine_timeline({fs::path(base.string() + trace::kTraceSuffix)});
+      ASSERT_TRUE(rep.ok);
+      ASSERT_EQ(rep.intervals.size(), 1u);
+      const IntervalMetrics& m = rep.intervals[0];
+      const bool cores = mode == 0;
+      const bool ls = cores && preset != "fp";
+      EXPECT_NEAR(m.flops, cores ? 600.0 : 0.0, 1e-9);
+      EXPECT_NEAR(m.instructions, cores ? 4'000.0 : 0.0, 1e-9);
+      EXPECT_NEAR(m.mflops, cores ? 60.0 : 0.0, 1e-9);
+      EXPECT_NEAR(m.fp_fraction, cores ? 0.08 : 0.0, 1e-12);
+      EXPECT_NEAR(m.simd_fraction, cores ? 0.5 : 0.0, 1e-12);
+      EXPECT_NEAR(m.ls_fraction, ls ? 0.03 : 0.0, 1e-12);
+      EXPECT_NEAR(m.ddr_read_mbs, mode == 1 ? 9.6 : 0.0, 1e-9);
+      EXPECT_NEAR(m.ddr_write_mbs, mode == 1 ? 6.4 : 0.0, 1e-9);
+    }
+  }
 }
 
 }  // namespace

@@ -156,7 +156,6 @@ TEST(RunFlags, EveryFlagMatchesItsJobSpecKey) {
       {"--trace", R"({"trace":true})"},
       {"--interval-cycles=5000", R"({"interval_cycles":5000})"},
       {"--events=mem", R"({"preset":"mem"})"},
-      {"--buffer=128", R"({"buffer":128})"},
       {"--obs", R"({"obs":true})"},
       {"--obs-span-capacity=1024", R"({"obs_span_capacity":1024})"},
   };

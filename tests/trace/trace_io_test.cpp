@@ -220,6 +220,26 @@ TEST_F(TraceIo, AppendAfterFinalizeThrows) {
   EXPECT_THROW(w.append(rec(1)), BinIoError);
 }
 
+// The writer refuses what TraceReader would reject, before it reaches the
+// file: a zero interval in the header, a record that spans no interval.
+TEST_F(TraceIo, WriterRefusesZeroIntervalAndZeroSpan) {
+  const fs::path base = dir_ / "iotest.node0007";
+  TraceMeta zero = test_meta();
+  zero.interval_cycles = 0;
+  EXPECT_THROW(TraceWriter(base, zero), BinIoError);
+  EXPECT_FALSE(fs::exists(base.string() + kPartialSuffix));
+
+  TraceWriter w(base, test_meta(), 1);  // chunk of 1: append flushes
+  IntervalRecord empty = rec(0);
+  empty.spanned = 0;
+  EXPECT_THROW(w.append(empty), BinIoError);
+  w.append(rec(0));
+  w.finalize({});
+  TraceReader r(base.string() + kTraceSuffix);
+  ASSERT_TRUE(r.next().has_value());
+  EXPECT_FALSE(r.next().has_value());
+}
+
 TEST_F(TraceIo, MismatchedValueCountIsRejected) {
   const fs::path base = dir_ / "iotest.node0007";
   TraceWriter w(base, test_meta(), 1);  // chunk of 1: append flushes

@@ -3,7 +3,7 @@
 // pick the benchmark, partition size, operating mode, problem class, boot
 // options and compiler option set; the interface library is linked into
 // MPI and per-node dump files are written for bgpc_mine. --trace
-// additionally attaches the time-series sampler and writes .bgpt trace
+// additionally attaches the time-series tracer and writes .bgpt trace
 // files for bgpc_trace --mine-only. The --obs-* flags attach the flight
 // recorder and export a Chrome trace / Prometheus metrics view of the run
 // (inspect span files with bgpc_obs).

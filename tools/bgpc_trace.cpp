@@ -1,5 +1,5 @@
 // bgpc_trace — time-series counter tracing end to end: run an instrumented
-// NAS benchmark with the threshold-driven sampler attached to every node,
+// NAS benchmark with the threshold-driven tracer attached to every node,
 // then mine the per-node trace files into a per-interval timeline and a
 // change-point phase report (MFLOPS, DDR bandwidth and instruction-mix
 // drift over the run). With --mine-only it skips the run and mines an
@@ -118,12 +118,12 @@ int main(int argc, char** argv) {
   const std::string& app = session.options().app_name;
   const unsigned nodes = spec.machine.num_nodes;
   std::printf("%s class %s | %u nodes %s (%u ranks) | interval %llu cycles | "
-              "events %s | buffer %zu\n",
+              "events %s\n",
               app.c_str(), std::string(nas::name(spec.cls)).c_str(), nodes,
               std::string(sys::to_string(spec.machine.mode)).c_str(),
               run.machine().num_ranks(),
               static_cast<unsigned long long>(spec.trace.interval_cycles),
-              spec.trace.preset.c_str(), spec.trace.buffer_capacity);
+              spec.trace.preset.c_str());
 
   const nas::RunResult result = run.execute();
   if (!result.dead_nodes.empty()) {

@@ -454,11 +454,6 @@ inline void add_run_flags(FlagSet& fs, nas::RunSpec& spec, ObsOutputs& obs) {
              tc.preset = v;
              (void)trace::preset_trace_events(tc.preset, 0);
            });
-  fs.value("buffer", "N",
-           "per-node trace ring capacity in intervals (default 4096)",
-           [&tc](const char* v) {
-             tc.buffer_capacity = parse_positive("--buffer", v);
-           });
   fs.unsigned_value("deaths", "K",
                     "inject K random node deaths (see --fault-seed)",
                     &spec.deaths);
