@@ -36,4 +36,25 @@ std::string human_bytes(double bytes) {
   return strfmt("%.1f %s", bytes, kUnits[u]);
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += strfmt("\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace bgp

@@ -3,6 +3,7 @@
 
 #include <cstdarg>
 #include <string>
+#include <string_view>
 
 namespace bgp {
 
@@ -14,5 +15,10 @@ std::string vstrfmt(const char* fmt, std::va_list ap);
 
 /// Human-readable byte count, e.g. "4.0 MiB".
 std::string human_bytes(double bytes);
+
+/// The body of a JSON string literal (RFC 8259), without the quotes:
+/// quote, backslash, \n, \r and \t in their short forms, every other
+/// control byte as \u00XX, and all other bytes as they are.
+std::string json_escape(std::string_view s);
 
 }  // namespace bgp

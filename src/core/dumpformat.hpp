@@ -2,7 +2,8 @@
 // post-processing tools (paper §IV). Layout, in the record codec's terms,
 // and version history: docs/formats.md. Version 2 seals the header and
 // every set; version 3 appends the fault-tolerance recovery log and is
-// written only when a run recovered. Readers accept all versions.
+// written only when a run recovered. Readers accept both; version 1, which
+// carried no checksums, is rejected as unsupported.
 #pragma once
 
 #include <array>
@@ -16,7 +17,6 @@
 namespace bgp::pc {
 
 inline constexpr u32 kDumpMagic = 0x43504742;  // "BGPC" little-endian
-inline constexpr u32 kDumpVersionLegacy = 1;   ///< no section checksums
 inline constexpr u32 kDumpVersion = 2;         ///< per-section CRC32
 inline constexpr u32 kDumpVersionFt = 3;       ///< + recovery-event section
 

@@ -11,9 +11,9 @@ namespace bgp::pc {
 NodeMonitor::NodeMonitor(sys::Node& node, const Options& options)
     : node_(node),
       options_(options),
-      sets_(options.max_sets),
-      active_(options.max_sets) {
-  for (unsigned s = 0; s < options.max_sets; ++s) {
+      sets_(kMaxSets),
+      active_(kMaxSets) {
+  for (unsigned s = 0; s < kMaxSets; ++s) {
     sets_[s].set_id = s;
   }
 }
@@ -111,30 +111,17 @@ NodeDump NodeMonitor::finalize() {
 
 namespace {
 
-/// Serialized size of one set record, excluding the v2 CRC word.
+/// Serialized size of one set record, excluding its CRC word.
 constexpr std::size_t kSetRecordBytes =
     sizeof(u32) * 2 + sizeof(u64) * 2 + sizeof(u64) * isa::kCountersPerUnit;
 constexpr std::size_t kRecoveryRecordBytes = sizeof(u32) * 3 + sizeof(u64) * 3;
 
 }  // namespace
 
-std::vector<std::byte> NodeMonitor::serialize(const NodeDump& dump,
-                                              u32 version) {
-  // A recovery log needs the v3 section; fault-free dumps stay at the
-  // caller's version so their bytes are unchanged from pre-FT builds.
-  if (!dump.recovery.empty() && version == kDumpVersion) {
-    version = kDumpVersionFt;
-  }
-  if (version != kDumpVersionLegacy && version != kDumpVersion &&
-      version != kDumpVersionFt) {
-    throw BinIoError(strfmt("cannot write BGPC dump version %u", version));
-  }
-  if (!dump.recovery.empty() && version < kDumpVersionFt) {
-    throw BinIoError(
-        strfmt("dump version %u cannot carry %zu recovery event(s)", version,
-               dump.recovery.size()));
-  }
-  const bool sealed = version >= kDumpVersion;
+std::vector<std::byte> NodeMonitor::serialize(const NodeDump& dump) {
+  // A recovery log needs the v3 section; fault-free dumps stay at v2 so
+  // their bytes are unchanged from pre-FT builds.
+  const u32 version = dump.recovery.empty() ? kDumpVersion : kDumpVersionFt;
   BinaryWriter w;
   w.put<u32>(kDumpMagic);
   w.put<u32>(version);
@@ -144,16 +131,16 @@ std::vector<std::byte> NodeMonitor::serialize(const NodeDump& dump,
   w.put<u32>(dump.counter_mode);
   w.put_string(dump.app_name);
   w.put<u32>(static_cast<u32>(dump.sets.size()));
-  if (sealed) w.seal();
+  w.seal();
   for (const SetDump& s : dump.sets) {
     w.put<u32>(s.set_id);
     w.put<u32>(s.pairs);
     w.put<u64>(s.first_start_cycle);
     w.put<u64>(s.last_stop_cycle);
     w.put_array(std::span(s.deltas));
-    if (sealed) w.seal();
+    w.seal();
   }
-  if (version >= kDumpVersionFt) {
+  if (version == kDumpVersionFt) {
     w.put<u32>(static_cast<u32>(dump.recovery.size()));
     for (const ft::RecoveryEvent& e : dump.recovery) {
       w.put<u32>(static_cast<u32>(e.kind));
@@ -174,11 +161,9 @@ NodeDump NodeMonitor::parse(std::span<const std::byte> bytes) {
     throw BinIoError("not a BGPC dump (bad magic)");
   }
   const u32 version = r.get<u32>();
-  if (version != kDumpVersionLegacy && version != kDumpVersion &&
-      version != kDumpVersionFt) {
+  if (version != kDumpVersion && version != kDumpVersionFt) {
     throw BinIoError(strfmt("unsupported BGPC dump version %u", version));
   }
-  const bool sealed = version >= kDumpVersion;
   r.begin_section();
   NodeDump dump;
   dump.node_id = r.get<u32>();
@@ -189,18 +174,17 @@ NodeDump NodeMonitor::parse(std::span<const std::byte> bytes) {
   }
   dump.app_name = r.get_string();
   const u32 nsets = r.get<u32>();
-  if (sealed) r.check_seal("header");
-  dump.sets.resize(r.counted(
-      nsets, kSetRecordBytes + (sealed ? sizeof(u32) : 0), "sets"));
+  r.check_seal("header");
+  dump.sets.resize(r.counted(nsets, kSetRecordBytes + sizeof(u32), "sets"));
   for (SetDump& s : dump.sets) {
     s.set_id = r.get<u32>();
     s.pairs = r.get<u32>();
     s.first_start_cycle = r.get<u64>();
     s.last_stop_cycle = r.get<u64>();
     r.get_array(std::span(s.deltas));
-    if (sealed) r.check_seal("set");
+    r.check_seal("set");
   }
-  if (version >= kDumpVersionFt) {
+  if (version == kDumpVersionFt) {
     dump.recovery.resize(
         r.counted(r.get<u32>(), kRecoveryRecordBytes, "recovery events"));
     for (ft::RecoveryEvent& e : dump.recovery) {

@@ -39,11 +39,9 @@ class NodeMonitor {
   /// Write (or just assemble) the dump record. Returns the dump contents.
   [[nodiscard]] NodeDump finalize();
 
-  /// Serialize/parse the on-disk format. Writers default to the current
-  /// (checksummed) version, upgraded to v3 automatically when the dump
-  /// carries recovery events; readers accept v1..v3.
-  [[nodiscard]] static std::vector<std::byte> serialize(
-      const NodeDump& dump, u32 version = kDumpVersion);
+  /// Serialize/parse the on-disk format. The writer emits v3 when the dump
+  /// carries recovery events and v2 otherwise; the reader accepts both.
+  [[nodiscard]] static std::vector<std::byte> serialize(const NodeDump& dump);
   [[nodiscard]] static NodeDump parse(std::span<const std::byte> bytes);
 
   [[nodiscard]] bool initialized() const noexcept { return initialized_; }

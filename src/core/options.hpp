@@ -28,20 +28,6 @@ struct Options {
   /// Application name used in dump file names and records.
   std::string app_name = "app";
 
-  /// Maximum number of instrumentation sets (start/stop pairs).
-  unsigned max_sets = 16;
-
-  /// Overhead model, calibrated to the paper's measurement: "the total
-  /// overhead encountered in initializing the UPC unit, the start() and the
-  /// stop() functions were measured to be 196 machine cycles".
-  cycles_t init_overhead = 120;
-  cycles_t start_overhead = 40;
-  cycles_t stop_overhead = 36;
-  /// Finalize is dominated by writing the dump file; the paper notes this
-  /// happens after monitoring stops and therefore does not perturb the
-  /// counter data.
-  cycles_t finalize_overhead = 20000;
-
   /// Skip writing dump files (counters stay queryable in memory).
   bool write_dumps = true;
 
@@ -68,9 +54,23 @@ struct Options {
   obs::ObsConfig obs;
 };
 
+/// Maximum number of instrumentation sets (start/stop pairs).
+inline constexpr unsigned kMaxSets = 16;
+
+/// Overhead model, calibrated to the paper's measurement: "the total
+/// overhead encountered in initializing the UPC unit, the start() and the
+/// stop() functions were measured to be 196 machine cycles".
+inline constexpr cycles_t kInitOverhead = 120;
+inline constexpr cycles_t kStartOverhead = 40;
+inline constexpr cycles_t kStopOverhead = 36;
+/// Finalize is dominated by writing the dump file; the paper notes this
+/// happens after monitoring stops and therefore does not perturb the
+/// counter data.
+inline constexpr cycles_t kFinalizeOverhead = 20000;
+
 /// Combined instrumentation overhead on the measurement path (§IV).
-[[nodiscard]] constexpr cycles_t measured_overhead(const Options& o) noexcept {
-  return o.init_overhead + o.start_overhead + o.stop_overhead;
+[[nodiscard]] constexpr cycles_t measured_overhead() noexcept {
+  return kInitOverhead + kStartOverhead + kStopOverhead;
 }
 
 }  // namespace bgp::pc

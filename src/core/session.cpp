@@ -68,20 +68,20 @@ void Session::attach_tracer(unsigned node) {
 void Session::BGP_Initialize(rt::RankCtx& ctx) {
   {
     rt::ObsScope span(ctx, "upc.initialize", obs::SpanCat::kUpc);
-    charge(ctx, options_.init_overhead);
+    charge(ctx, kInitOverhead);
     monitors_[ctx.node_id()]->initialize();
   }
   attach_tracer(ctx.node_id());
   if (auto* fr = obs::recorder()) {
     fr->wk().upc_initialize_calls->add(1);
-    fr->wk().upc_overhead_cycles->add(options_.init_overhead);
+    fr->wk().upc_overhead_cycles->add(kInitOverhead);
   }
 }
 
 void Session::BGP_Start(rt::RankCtx& ctx, unsigned set) {
   {
     rt::ObsScope span(ctx, "upc.start", obs::SpanCat::kUpc);
-    charge(ctx, options_.start_overhead);
+    charge(ctx, kStartOverhead);
     mem::emit(ctx.node().sink(),
               isa::ev::system(isa::SysEvent::kUpcStartCalls, ctx.core_id()),
               1);
@@ -92,14 +92,14 @@ void Session::BGP_Start(rt::RankCtx& ctx, unsigned set) {
   }
   if (auto* fr = obs::recorder()) {
     fr->wk().upc_start_calls->add(1);
-    fr->wk().upc_overhead_cycles->add(options_.start_overhead);
+    fr->wk().upc_overhead_cycles->add(kStartOverhead);
   }
 }
 
 void Session::BGP_Stop(rt::RankCtx& ctx, unsigned set) {
   {
     rt::ObsScope span(ctx, "upc.stop", obs::SpanCat::kUpc);
-    charge(ctx, options_.stop_overhead);
+    charge(ctx, kStopOverhead);
     mem::emit(ctx.node().sink(),
               isa::ev::system(isa::SysEvent::kUpcStopCalls, ctx.core_id()),
               1);
@@ -107,7 +107,7 @@ void Session::BGP_Stop(rt::RankCtx& ctx, unsigned set) {
   }
   if (auto* fr = obs::recorder()) {
     fr->wk().upc_stop_calls->add(1);
-    fr->wk().upc_overhead_cycles->add(options_.stop_overhead);
+    fr->wk().upc_overhead_cycles->add(kStopOverhead);
   }
 }
 
@@ -120,7 +120,7 @@ void Session::BGP_Finalize(rt::RankCtx& ctx) {
   }
   if (auto* fr = obs::recorder()) {
     fr->wk().upc_finalize_calls->add(1);
-    fr->wk().upc_overhead_cycles->add(options_.finalize_overhead);
+    fr->wk().upc_overhead_cycles->add(kFinalizeOverhead);
   }
   // Written after the finalize span closed so the file carries it too.
   if (node_done) write_node_spans(node);
@@ -131,7 +131,7 @@ bool Session::finalize_node(rt::RankCtx& ctx) {
   const unsigned node = ctx.node_id();
   const unsigned ppn = sys::processes_per_node(machine_.partition().mode());
   const unsigned local_ranks = std::min(ppn, machine_.num_ranks() - node * ppn);
-  charge(ctx, options_.finalize_overhead);
+  charge(ctx, kFinalizeOverhead);
   if (++finalize_calls_[node] < local_ranks) {
     return false;
   }

@@ -238,7 +238,7 @@ void ControlServer::serve(int client_fd) {
     }
     const double respond_s =
         timer.observe(host_ != nullptr ? host_->control_respond : nullptr);
-    if (host_ != nullptr && host_->enabled(obs::EventLevel::kDebug)) {
+    if (host_ != nullptr) {
       bool req_ok = false;
       try {
         const json::Value* ok = resp.get("ok");

@@ -20,8 +20,7 @@ Daemon::Daemon(DaemonConfig config) : service_(std::move(config.service)) {
   http_.set_observer(
       [this](const std::string& path, int status, double seconds) {
         service_.host().http_request(path)->observe(seconds);
-        if (status >= 400 &&
-            service_.host().enabled(obs::EventLevel::kDebug)) {
+        if (status >= 400) {
           service_.host().emit(obs::EventLevel::kDebug,
                                obs::HostEvent("http_request")
                                    .str("path", path)
@@ -43,8 +42,8 @@ Daemon::Daemon(DaemonConfig config) : service_(std::move(config.service)) {
                         service_.sessions_json().dump() + "\n"};
   });
   http_.route("/debug/events", [this](const std::string&) {
-    // The flight ring, live: one JSON event per line, oldest first —
-    // the same records a crash would leave in flight.jsonl.
+    // The newest lines of events.jsonl, live: one JSON event per line,
+    // oldest first.
     std::string body;
     for (const std::string& line : service_.host().recent_events()) {
       body += line;

@@ -1,8 +1,5 @@
 #include "daemon/hostobs.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <utility>
 
 #include "common/strfmt.hpp"
@@ -24,13 +21,9 @@ constexpr const char* kLevelNames[] = {"debug", "info", "warn", "error"};
 HostObs::HostObs(obs::MetricsRegistry& reg, std::filesystem::path work_dir,
                  HostObsConfig cfg)
     : cfg_(std::move(cfg)),
-      flight_dump_path_(work_dir / "flight.jsonl"),
       log_(obs::HostLogConfig{
           .path = work_dir / "events.jsonl",
-          .file_level = cfg_.file_level,
           .stderr_level = cfg_.stderr_level,
-          .rotate_bytes = cfg_.log_rotate_bytes,
-          .rotate_keep = cfg_.log_rotate_keep,
       }),
       start_ns_(obs::host_now_ns()) {
   const std::vector<double> bounds = obs::host_latency_bounds();
@@ -85,41 +78,6 @@ HostObs::HostObs(obs::MetricsRegistry& reg, std::filesystem::path work_dir,
       .set(1.0);
   uptime_ = &reg.gauge("bgpcd_uptime_seconds",
                        "Host seconds since this daemon process started");
-
-  // The flight ring: crash evidence first, then a fresh ring for us. A
-  // ring that cannot be mapped (odd filesystem) degrades to log-only.
-  try {
-    ring_ = std::make_unique<obs::FlightRing>(obs::FlightRingConfig{
-        .path = work_dir / "flight.ring",
-        .slot_bytes = cfg_.ring_slot_bytes,
-        .num_slots = cfg_.ring_slots,
-    });
-  } catch (const std::exception& e) {
-    emit(obs::EventLevel::kWarn, obs::HostEvent("flight_ring_unavailable")
-                                     .str("error", e.what()));
-  }
-  if (ring_ != nullptr && ring_->recovered_dirty()) {
-    // The predecessor died without closing the ring: its event tail is
-    // the crash narrative. Append (not truncate) to flight.jsonl so
-    // repeated crash/restart cycles accumulate their evidence.
-    salvaged_events_ = ring_->salvaged().size();
-    const int fd = ::open(flight_dump_path_.c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (fd >= 0) {
-      for (const std::string& line : ring_->salvaged()) {
-        std::string framed = line + "\n";
-        ssize_t n;
-        do {
-          n = ::write(fd, framed.data(), framed.size());
-        } while (n < 0 && errno == EINTR);
-      }
-      ::close(fd);
-    }
-    emit(obs::EventLevel::kInfo,
-         obs::HostEvent("flight_ring_salvaged")
-             .num("events", u64{salvaged_events_})
-             .str("dump", flight_dump_path_.string()));
-  }
 }
 
 obs::Histogram* HostObs::http_request(const std::string& path) {
@@ -133,20 +91,9 @@ std::string HostObs::next_request_id() {
                     req_seq_.fetch_add(1, std::memory_order_relaxed) + 1));
 }
 
-bool HostObs::enabled(obs::EventLevel level) const noexcept {
-  return ring_ != nullptr || log_.enabled(level);
-}
-
 void HostObs::emit(obs::EventLevel level, const obs::HostEvent& ev) {
-  const std::string line = ev.render(level, obs::host_wall_ns());
-  if (ring_ != nullptr) ring_->append(line);
-  log_.write_line(level, line);
+  log_.write_line(level, ev.render(level, obs::host_wall_ns()));
   events_by_level_[static_cast<std::size_t>(level)]->add();
-}
-
-std::vector<std::string> HostObs::recent_events() const {
-  if (ring_ == nullptr) return {};
-  return ring_->records();
 }
 
 void HostObs::update_uptime() {

@@ -6,10 +6,8 @@
 //     (control request phases, journal append + fsync, snapshot seqlock
 //     publish, HTTP scrape, session admission-to-start queue wait),
 //   - structured JSONL host event logging (events.jsonl, leveled,
-//     rotating, crash-safe) with per-request correlation IDs,
-//   - the mmap-backed flight ring of recent events (survives SIGKILL;
-//     salvaged into flight.jsonl at the next start, dumpable from fatal
-//     signal handlers, readable live via /debug/events),
+//     rotating, crash-safe) with per-request correlation IDs; the log's
+//     newest lines are served live on /debug/events,
 //   - bgpcd_build_info / bgpcd_uptime_seconds.
 //
 // Everything here runs on the HOST timeline (steady/realtime clocks) and
@@ -20,12 +18,10 @@
 #include <atomic>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/flight_ring.hpp"
 #include "obs/host_clock.hpp"
 #include "obs/host_log.hpp"
 #include "obs/metrics.hpp"
@@ -33,24 +29,18 @@
 namespace bgp::daemon {
 
 struct HostObsConfig {
-  /// Threshold for the events.jsonl file sink.
-  obs::EventLevel file_level = obs::EventLevel::kDebug;
   /// Threshold for the stderr mirror (bgpcd --log-level); nullopt keeps
-  /// stderr quiet (the in-process test default).
+  /// stderr quiet (the in-process test default). events.jsonl gets every
+  /// event.
   std::optional<obs::EventLevel> stderr_level;
   /// Reported in bgpcd_build_info{version=...}; empty renders "unknown".
   std::string version;
-  u64 log_rotate_bytes = 8 * MiB;
-  unsigned log_rotate_keep = 2;
-  u32 ring_slots = 512;
-  u32 ring_slot_bytes = 512;
 };
 
 class HostObs {
  public:
   /// Registers the host metric families in `reg` (which must outlive
-  /// this object), opens <work_dir>/events.jsonl and the flight ring,
-  /// and salvages a crashed predecessor's ring into flight.jsonl.
+  /// this object) and opens <work_dir>/events.jsonl for appending.
   HostObs(obs::MetricsRegistry& reg, std::filesystem::path work_dir,
           HostObsConfig cfg);
   HostObs(const HostObs&) = delete;
@@ -71,28 +61,13 @@ class HostObs {
   // --- correlation + events --------------------------------------------
   /// Fresh process-unique correlation ID ("r000001", ...).
   [[nodiscard]] std::string next_request_id();
-  /// True when an event at `level` would reach any sink (the ring always
-  /// counts, so this is effectively always true — kept for symmetry and
-  /// for callers that only build events when someone listens).
-  [[nodiscard]] bool enabled(obs::EventLevel level) const noexcept;
-  /// Render once; append to the flight ring unconditionally, to the
-  /// JSONL log / stderr per the configured levels.
+  /// Render once; append to events.jsonl, and to stderr at or above the
+  /// configured level.
   void emit(obs::EventLevel level, const obs::HostEvent& ev);
 
-  /// Consistent copy of the flight ring (the /debug/events body).
-  [[nodiscard]] std::vector<std::string> recent_events() const;
-  /// Null when the ring could not be mapped (logging continues without it).
-  [[nodiscard]] obs::FlightRing* ring() noexcept { return ring_.get(); }
-  [[nodiscard]] obs::HostEventLog& log() noexcept { return log_; }
-
-  /// Events recovered from a dirty predecessor ring at startup (already
-  /// appended to flight.jsonl by the constructor).
-  [[nodiscard]] std::size_t salvaged_events() const noexcept {
-    return salvaged_events_;
-  }
-  [[nodiscard]] const std::filesystem::path& flight_dump_path()
-      const noexcept {
-    return flight_dump_path_;
+  /// The log's newest lines, oldest first (the /debug/events body).
+  [[nodiscard]] std::vector<std::string> recent_events() const {
+    return log_.recent_lines();
   }
 
   /// Refresh bgpcd_uptime_seconds (called from Service::update_metrics).
@@ -100,10 +75,7 @@ class HostObs {
 
  private:
   HostObsConfig cfg_;
-  std::filesystem::path flight_dump_path_;
   obs::HostEventLog log_;
-  std::unique_ptr<obs::FlightRing> ring_;
-  std::size_t salvaged_events_ = 0;
   std::atomic<u64> req_seq_{0};
   i64 start_ns_ = 0;
   obs::Gauge* uptime_ = nullptr;

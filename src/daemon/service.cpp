@@ -107,10 +107,8 @@ Service::Service(ServiceConfig config) : config_(std::move(config)) {
   read_only_g_ = &metrics_.gauge(
       "bgpcd_read_only", "1 while the journal is unwritable (degraded)");
 
-  // Host observability (latency histograms, events.jsonl, flight ring)
-  // comes up before the journal so recovery itself is already traced —
-  // and so a predecessor's crash ring is salvaged before anything new
-  // lands in the work directory.
+  // Host observability (latency histograms, events.jsonl) comes up
+  // before the journal so recovery itself is already traced.
   host_obs_ =
       std::make_unique<HostObs>(metrics_, config_.work_dir, config_.host);
   host_obs_->emit(obs::EventLevel::kInfo,

@@ -147,8 +147,8 @@ class Service {
   /// The daemon's own metrics (admissions, rejections, session states,
   /// resident bytes) — the /metrics exposition source.
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
-  /// The host observability bundle (latency histograms, event log,
-  /// flight ring). Constructed with the service; never null.
+  /// The host observability bundle (latency histograms, event log).
+  /// Constructed with the service; never null.
   [[nodiscard]] HostObs& host() noexcept { return *host_obs_; }
   /// Refresh the gauges (running sessions, resident bytes) before export.
   void update_metrics();

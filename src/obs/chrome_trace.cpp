@@ -15,27 +15,6 @@ namespace {
 
 constexpr double kCyclesPerUs = kCoreClockHz / 1e6;  // 850
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string us(cycles_t cycles) {
   return strfmt("%.3f", static_cast<double>(cycles) / kCyclesPerUs);
 }

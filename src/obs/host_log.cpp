@@ -32,37 +32,6 @@ std::optional<EventLevel> parse_event_level(std::string_view text) noexcept {
   return std::nullopt;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 HostEvent& HostEvent::str(std::string_view key, std::string_view value) {
   fields_.emplace_back(std::string(key), '"' + json_escape(value) + '"');
   return *this;
@@ -123,12 +92,13 @@ bool HostEventLog::enabled(EventLevel level) const noexcept {
 
 void HostEventLog::open_file_locked() {
   if (cfg_.path.empty()) return;
-  fd_ = ::open(cfg_.path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+  fd_ = ::open(cfg_.path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC,
                0644);
-  if (fd_ >= 0) {
-    const off_t end = ::lseek(fd_, 0, SEEK_END);
-    file_bytes_ = end > 0 ? static_cast<u64>(end) : 0;
-  }
+  if (fd_ < 0) return;
+  const off_t end = ::lseek(fd_, 0, SEEK_END);
+  file_bytes_ = end > 0 ? static_cast<u64>(end) : 0;
+  char last = '\n';
+  mid_line_ = end > 0 && ::pread(fd_, &last, 1, end - 1) == 1 && last != '\n';
 }
 
 void HostEventLog::rotate_locked() {
@@ -158,30 +128,36 @@ void HostEventLog::write_line(EventLevel level, std::string_view line) {
       cfg_.stderr_level.has_value() && level >= *cfg_.stderr_level;
   if (!to_file && !to_stderr) return;
 
-  std::string framed(line);
-  framed += '\n';
+  // The leading newline goes to the file only when its last line is torn.
+  std::string framed = '\n' + std::string(line) + '\n';
 
   std::lock_guard lk(mu_);
   if (to_file) {
     if (fd_ < 0) open_file_locked();
     if (fd_ >= 0 && cfg_.rotate_bytes > 0 && file_bytes_ > 0 &&
-        file_bytes_ + framed.size() > cfg_.rotate_bytes) {
+        file_bytes_ + framed.size() - 1 > cfg_.rotate_bytes) {
       rotate_locked();
     }
     if (fd_ >= 0) {
       // One write(2) per line on an O_APPEND fd: a crash between lines
       // loses nothing, a crash mid-write leaves at most one torn tail
       // line, which any JSONL reader skips.
+      const std::size_t skip = mid_line_ ? 0 : 1;
       ssize_t n;
       do {
-        n = ::write(fd_, framed.data(), framed.size());
+        n = ::write(fd_, framed.data() + skip, framed.size() - skip);
       } while (n < 0 && errno == EINTR);
-      if (n > 0) file_bytes_ += static_cast<u64>(n);
+      if (n > 0) {
+        file_bytes_ += static_cast<u64>(n);
+        mid_line_ = framed[skip + static_cast<std::size_t>(n) - 1] != '\n';
+      }
     }
   }
   if (to_stderr) {
-    std::fwrite(framed.data(), 1, framed.size(), stderr);
+    std::fwrite(framed.data() + 1, 1, framed.size() - 1, stderr);
   }
+  recent_.emplace_back(line);
+  if (recent_.size() > kRecentLines) recent_.pop_front();
   ++lines_written_;
 }
 
@@ -193,6 +169,11 @@ u64 HostEventLog::lines_written() const noexcept {
 u64 HostEventLog::rotations() const noexcept {
   std::lock_guard lk(mu_);
   return rotations_;
+}
+
+std::vector<std::string> HostEventLog::recent_lines() const {
+  std::lock_guard lk(mu_);
+  return {recent_.begin(), recent_.end()};
 }
 
 }  // namespace bgp::obs

@@ -8,10 +8,15 @@
 // Crash safety is by construction, not by flushing discipline: the file
 // is opened O_APPEND and every event is a single write(2) of one
 // complete line, so a SIGKILL can lose at most the events never written,
-// never corrupt earlier ones. Rotation renames the live file aside
-// (events.jsonl -> events.jsonl.1 -> .2 ...) between lines.
+// never corrupt earlier ones. A line left without its newline (by a
+// killed predecessor or a short write) is terminated before the next
+// event is appended. Rotation renames the live file aside
+// (events.jsonl -> events.jsonl.1 -> .2 ...) between lines. The newest
+// lines also stay in memory, for bgpcd's /debug/events.
 #pragma once
 
+#include <cstddef>
+#include <deque>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -30,10 +35,6 @@ enum class EventLevel : u8 { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 /// "debug" / "info" / "warn" / "error" (case-sensitive); nullopt otherwise.
 [[nodiscard]] std::optional<EventLevel> parse_event_level(
     std::string_view text) noexcept;
-
-/// JSON string escaping (RFC 8259 minimal: quote, backslash, control
-/// chars as \uXXXX plus the short forms).
-[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// One structured event under construction. Field order is preserved in
 /// the rendered line (ts_ns, level, event first, then fields in call
@@ -73,6 +74,9 @@ struct HostLogConfig {
 
 class HostEventLog {
  public:
+  /// Lines recent_lines() keeps.
+  static constexpr std::size_t kRecentLines = 512;
+
   HostEventLog() = default;
   explicit HostEventLog(HostLogConfig cfg);
   ~HostEventLog();
@@ -92,6 +96,9 @@ class HostEventLog {
   }
   [[nodiscard]] u64 lines_written() const noexcept;
   [[nodiscard]] u64 rotations() const noexcept;
+  /// The newest kRecentLines lines written, oldest first, in the order
+  /// they reached the file.
+  [[nodiscard]] std::vector<std::string> recent_lines() const;
 
  private:
   void open_file_locked();
@@ -103,6 +110,9 @@ class HostEventLog {
   u64 file_bytes_ = 0;
   u64 lines_written_ = 0;
   u64 rotations_ = 0;
+  /// The file's last line lacks its newline: the next write starts with it.
+  bool mid_line_ = false;
+  std::deque<std::string> recent_;
 };
 
 }  // namespace bgp::obs

@@ -8,6 +8,35 @@ namespace bgp::trace {
 
 namespace {
 
+/// The rule every interval record obeys, checked by the writer before the
+/// record reaches the file and by the reader once its chunk's seal holds:
+/// it spans at least one interval, t_begin = index x interval and
+/// t_end = (index + spanned) x interval (checked by division, so no product
+/// or sum can wrap), and it carries one value per traced event.
+void check_record(const IntervalRecord& r, const TraceMeta& meta,
+                  const std::filesystem::path& file) {
+  const auto reject = [&](const std::string& why) {
+    throw BinIoError(strfmt("trace %s: interval record %llu %s",
+                            file.string().c_str(),
+                            static_cast<unsigned long long>(r.index),
+                            why.c_str()));
+  };
+  if (r.spanned == 0) reject("spans no interval");
+  const cycles_t interval = meta.interval_cycles;
+  const u64 end_index = r.t_end / interval;
+  if (r.t_begin % interval != 0 || r.t_begin / interval != r.index ||
+      r.t_end % interval != 0 || end_index < r.index ||
+      end_index - r.index != r.spanned) {
+    reject(strfmt("claims %u interval(s) but covers cycles %llu..%llu",
+                  r.spanned, static_cast<unsigned long long>(r.t_begin),
+                  static_cast<unsigned long long>(r.t_end)));
+  }
+  if (r.values.size() != meta.events.size()) {
+    reject(strfmt("has %zu values for %zu traced events", r.values.size(),
+                  meta.events.size()));
+  }
+}
+
 void put_record(BinaryWriter& w, const IntervalRecord& record) {
   w.put<u64>(record.index);
   w.put<u32>(record.spanned);
@@ -74,16 +103,7 @@ void TraceWriter::append(IntervalRecord record) {
   if (finalized_) {
     throw BinIoError("append to finalized trace");
   }
-  if (record.spanned == 0) {
-    throw BinIoError(
-        strfmt("interval record %llu spans no interval",
-               static_cast<unsigned long long>(record.index)));
-  }
-  if (record.values.size() != meta_.events.size()) {
-    throw BinIoError(
-        strfmt("interval record has %zu values for %zu traced events",
-               record.values.size(), meta_.events.size()));
-  }
+  check_record(record, meta_, partial_path_);
   pending_.push_back(std::move(record));
   if (pending_.size() >= chunk_records_) flush();
 }
@@ -204,14 +224,7 @@ bool TraceReader::load_chunk() {
       in_.get_array(std::span(rec.values));
     }
     in_.check_seal("chunk");
-    for (const IntervalRecord& rec : chunk_) {
-      if (rec.spanned == 0) {
-        throw BinIoError(
-            strfmt("trace %s: interval record %llu spans no interval",
-                   path_.string().c_str(),
-                   static_cast<unsigned long long>(rec.index)));
-      }
-    }
+    for (const IntervalRecord& rec : chunk_) check_record(rec, meta_, path_);
     return true;
   } catch (const BinIoTruncated&) {
     // The file ends at or inside a section (a node died mid-write):

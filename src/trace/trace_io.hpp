@@ -36,7 +36,8 @@ class TraceWriter {
 
   /// Buffer one interval record; commits a chunk when the buffer fills.
   /// Throws BinIoError for a record no reader accepts: one that spans no
-  /// interval or whose values do not match the traced events.
+  /// interval, whose cycle stamps are not `index` and `index + spanned`
+  /// intervals, or whose values do not match the traced events.
   void append(IntervalRecord record);
 
   /// Commit buffered records as one chunk (no-op when nothing is buffered).
@@ -81,7 +82,7 @@ class TraceReader {
 
   /// Next interval record, or nullopt at end of trace. Reads at most one
   /// chunk ahead. Throws BinIoError on a corrupt (CRC-mismatched) chunk
-  /// or footer, or on a record that spans no interval; a truncated tail,
+  /// or footer, or on a record the writer would refuse; a truncated tail,
   /// or a chunk count larger than the bytes left, ends the trace cleanly
   /// instead.
   std::optional<IntervalRecord> next();

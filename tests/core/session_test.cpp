@@ -141,7 +141,7 @@ TEST(Session, StartBeforeInitializeThrows) {
 
 TEST(Session, OverheadMatchesPaperBudget) {
   // §IV: initialize + start + stop = 196 cycles.
-  EXPECT_EQ(measured_overhead(Options{}), 196u);
+  EXPECT_EQ(measured_overhead(), 196u);
 
   rt::Machine m(cfg(1, sys::OpMode::kSmp1));
   Session s(m, mem_only());

@@ -295,9 +295,9 @@ TEST(DaemonIntegration, HostEventsCarryCorrelationIdsEndToEnd) {
   ASSERT_TRUE(resp.get("ok")->as_bool()) << resp.dump();
   EXPECT_EQ(wait_terminal(sock, "traced"), "finished");
 
-  // /debug/events serves the live flight ring as NDJSON: every line is a
-  // well-formed event with the fixed schema prefix, and the session
-  // lifecycle (admit -> start -> finish) is all there.
+  // /debug/events serves the newest lines of events.jsonl as NDJSON: every
+  // line is a well-formed event with the fixed schema prefix, and the
+  // session lifecycle (admit -> start -> finish) is all there.
   std::string head;
   const std::string ndjson = http_get(port, "/debug/events", &head);
   EXPECT_NE(head.find("application/x-ndjson"), std::string::npos) << head;

@@ -15,7 +15,6 @@
 #include "core/node_monitor.hpp"
 #include "daemon/journal.hpp"
 #include "daemon/snapfile.hpp"
-#include "obs/flight_ring.hpp"
 #include "trace/trace_io.hpp"
 
 namespace bgp::formats {
@@ -158,18 +157,6 @@ inline void publish_sample_snapshot(daemon::SnapshotWriter& w) {
   w.publish_node(1, 1, 1, 1, daemon::SnapState::kFinal, 12'000,
                  sample_counters(3));
   w.publish_metrics(kSnapMetrics);
-}
-
-inline obs::FlightRingConfig sample_ring_config(const fs::path& path) {
-  obs::FlightRingConfig cfg;
-  cfg.path = path;
-  cfg.slot_bytes = 64;
-  cfg.num_slots = 8;
-  return cfg;
-}
-
-inline std::string sample_ring_line(unsigned i) {
-  return "{\"ev\":\"tick\",\"n\":" + std::to_string(i) + "}";
 }
 
 }  // namespace bgp::formats

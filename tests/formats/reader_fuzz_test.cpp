@@ -2,9 +2,9 @@
 // truncation of a sample artifact plus 1,000 seeded flips of 1-3 bits,
 // applied through the fault injector's dump corruption. Per mutant the
 // reader must return its documented typed error or the original value.
-// Where a torn tail is legal (traces, journal tails, ring salvage) a
-// reported prefix is allowed too, and a parse with changed values only
-// where the format carries no checksum (dump v1, JSON, Prometheus text).
+// Where a torn tail is legal (traces, journal tails) a reported prefix is
+// allowed too, and a parse with changed values only where the format
+// carries no checksum (JSON, Prometheus text).
 // Never a crash, never another exception type. Each test prints its tally.
 #include <gtest/gtest.h>
 
@@ -105,10 +105,8 @@ void run_corpus(const char* reader, const std::vector<std::byte>& original,
 
 // ---- dumps ----------------------------------------------------------------
 
-void dump_corpus(const char* reader, const pc::NodeDump& dump, u32 version,
-                 u64 seed) {
-  const std::vector<std::byte> original =
-      pc::NodeMonitor::serialize(dump, version);
+void dump_corpus(const char* reader, const pc::NodeDump& dump, u64 seed) {
+  const std::vector<std::byte> original = pc::NodeMonitor::serialize(dump);
   run_corpus(reader, original, seed, [&](const std::vector<std::byte>& b) {
     pc::NodeDump got;
     try {
@@ -116,24 +114,17 @@ void dump_corpus(const char* reader, const pc::NodeDump& dump, u32 version,
     } catch (const BinIoError&) {
       return Outcome::kTyped;
     }
-    if (pc::NodeMonitor::serialize(got, version) == original) {
-      return Outcome::kClean;
-    }
-    return version == pc::kDumpVersionLegacy ? Outcome::kChanged
-                                             : Outcome::kWrong;
+    return pc::NodeMonitor::serialize(got) == original ? Outcome::kClean
+                                                       : Outcome::kWrong;
   });
 }
 
-TEST(ReaderFuzz, DumpV1) {
-  dump_corpus("dump v1", sample_dump(false), pc::kDumpVersionLegacy, 0xD1);
-}
-
 TEST(ReaderFuzz, DumpV2) {
-  dump_corpus("dump v2", sample_dump(false), pc::kDumpVersion, 0xD2);
+  dump_corpus("dump v2", sample_dump(false), 0xD2);
 }
 
 TEST(ReaderFuzz, DumpV3) {
-  dump_corpus("dump v3", sample_dump(true), pc::kDumpVersionFt, 0xD3);
+  dump_corpus("dump v3", sample_dump(true), 0xD3);
 }
 
 // ---- BGPT -------------------------------------------------------------------
@@ -367,44 +358,6 @@ TEST(ReaderFuzz, Journal) {
                ? Outcome::kPrefix
                : Outcome::kWrong;
   });
-  fs::remove_all(dir);
-}
-
-// ---- flight ring ------------------------------------------------------------
-
-TEST(ReaderFuzz, FlightRingSalvage) {
-  const fs::path dir = test_dir();
-  constexpr unsigned kAppends = 11;
-  std::vector<std::byte> original;
-  {
-    obs::FlightRing ring(sample_ring_config(dir / "flight.ring"));
-    for (unsigned i = 0; i < kAppends; ++i) ring.append(sample_ring_line(i));
-    original = file_bytes(dir / "flight.ring");  // dirty: what a crash leaves
-  }
-  const std::vector<std::string> want =
-      [&] {
-        write_file(dir / "crashed.ring", original);
-        return obs::salvage_flight_ring(dir / "crashed.ring");
-      }();
-  ASSERT_EQ(want.size(), 8u);
-  ASSERT_EQ(want.back(), sample_ring_line(kAppends - 1));
-  const fs::path mutant = dir / "m.ring";
-  // Salvage may lose damaged slots but must keep the rest in order and
-  // never produce a record that was not written.
-  run_corpus("flight ring salvage", original, 0xF1,
-             [&](const std::vector<std::byte>& b) {
-               write_file(mutant, b);
-               const std::vector<std::string> got =
-                   obs::salvage_flight_ring(mutant);
-               if (got == want) return Outcome::kClean;
-               auto it = want.begin();
-               for (const std::string& rec : got) {
-                 it = std::find(it, want.end(), rec);
-                 if (it == want.end()) return Outcome::kWrong;
-                 ++it;
-               }
-               return Outcome::kPrefix;
-             });
   fs::remove_all(dir);
 }
 

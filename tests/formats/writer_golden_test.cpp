@@ -21,11 +21,7 @@ void expect_digest(const char* what, const std::vector<std::byte>& bytes,
       << bytes.size() << " bytes";
 }
 
-TEST(WriterGolden, DumpsV1V2AndV3) {
-  expect_digest("dump v1",
-                pc::NodeMonitor::serialize(sample_dump(false),
-                                           pc::kDumpVersionLegacy),
-                0x720cefb8a043d525ull);
+TEST(WriterGolden, DumpsV2AndV3) {
   expect_digest("dump v2", pc::NodeMonitor::serialize(sample_dump(false)),
                 0xe8dae48ef07af85cull);
   expect_digest("dump v3", pc::NodeMonitor::serialize(sample_dump(true)),
@@ -62,15 +58,6 @@ TEST(WriterGolden, SnapshotHeaderAndSlots) {
   publish_sample_snapshot(w);
   expect_digest("snapshot", file_bytes(dir / "counters.bgpsnap"),
                 0xc905118c014f08a6ull);
-  fs::remove_all(dir);
-}
-
-TEST(WriterGolden, FlightRingSlots) {
-  const fs::path dir = test_dir();
-  obs::FlightRing ring(sample_ring_config(dir / "flight.ring"));
-  for (unsigned i = 0; i < 11; ++i) ring.append(sample_ring_line(i));
-  expect_digest("flight ring", file_bytes(dir / "flight.ring"),
-                0x3b18494a947d4bc0ull);
   fs::remove_all(dir);
 }
 

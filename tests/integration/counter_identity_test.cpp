@@ -321,7 +321,7 @@ TEST(CounterValidate, MicrokernelClosedFormsInEveryMode) {
           }
           EXPECT_EQ(delta(d, ev::instr_completed(0), 1), instr) << what;
           EXPECT_EQ(delta(d, ev::cycle_count(0), 1),
-                    cycles + opts.stop_overhead)
+                    cycles + pc::kStopOverhead)
               << what;
           for (unsigned c = 1; c < isa::kCoresPerNode; ++c) {
             EXPECT_EQ(delta(d, ev::cycle_count(c), 1), 0u) << what;
@@ -395,7 +395,7 @@ TEST(CounterValidate, MicrokernelClosedFormsInEveryMode) {
               << what;
           EXPECT_EQ(delta(d, ev::system(SysEvent::kUpcStopCalls)), 4u) << what;
           EXPECT_EQ(delta(d, ev::system(SysEvent::kUpcOverheadCycles)),
-                    3 * opts.start_overhead + 4 * opts.stop_overhead)
+                    3 * pc::kStartOverhead + 4 * pc::kStopOverhead)
               << what;
           EXPECT_EQ(delta(d, ev::system(SysEvent::kMpiSends)), sender ? 1u : 0u)
               << what;
@@ -409,7 +409,7 @@ TEST(CounterValidate, MicrokernelClosedFormsInEveryMode) {
           EXPECT_EQ(delta(d, ev::system(SysEvent::kUpcStopCalls), 1), 1u)
               << what;
           EXPECT_EQ(delta(d, ev::system(SysEvent::kUpcOverheadCycles), 1),
-                    opts.stop_overhead)
+                    pc::kStopOverhead)
               << what;
           break;
         }

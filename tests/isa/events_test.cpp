@@ -77,7 +77,7 @@ TEST(Events, InfoNamesAreDescriptive) {
 }
 
 TEST(Events, OutOfRangeInfoThrows) {
-  EXPECT_THROW(event_info(1024), std::out_of_range);
+  EXPECT_THROW((void)event_info(1024), std::out_of_range);
 }
 
 TEST(Events, CoreSlicesDoNotOverlap) {

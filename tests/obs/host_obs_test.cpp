@@ -1,23 +1,18 @@
-// Host-side observability primitives: the structured JSONL event log
-// (leveled, rotating, one write(2) per line) and the mmap-backed flight
-// ring (crash-surviving, CRC-framed, salvageable). These are the pieces
-// bgpcd composes into its self-characterization surface, tested here
-// without a daemon.
-#include <fcntl.h>
-#include <unistd.h>
-
+// Host-side observability primitives: the host clock and the structured
+// JSONL event log (leveled, rotating, one write(2) per line, its newest
+// lines kept in memory). These are the pieces bgpcd composes into its
+// self-characterization surface, tested here without a daemon.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/strfmt.hpp"
-#include "obs/flight_ring.hpp"
 #include "obs/host_clock.hpp"
 #include "obs/host_log.hpp"
 
@@ -165,185 +160,73 @@ TEST(HostLog, RotatesBySizeAndKeepsBoundedGenerations) {
   fs::remove_all(dir);
 }
 
-// --- flight ring -----------------------------------------------------------
-
-TEST(FlightRing, AppendAndReadBackInOrder) {
-  const fs::path dir = test_dir("ring_basic");
-  FlightRingConfig cfg;
-  cfg.path = dir / "flight.ring";
-  cfg.num_slots = 8;
-  cfg.slot_bytes = 64;
-  FlightRing ring(cfg);
-  EXPECT_FALSE(ring.recovered_dirty());
-
-  for (int i = 0; i < 5; ++i) ring.append(strfmt("{\"n\":%d}", i));
-  const auto recs = ring.records();
-  ASSERT_EQ(recs.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(recs[size_t(i)], strfmt("{\"n\":%d}", i));
-  fs::remove_all(dir);
-}
-
-TEST(FlightRing, WrapsKeepingTheNewestRecords) {
-  const fs::path dir = test_dir("ring_wrap");
-  FlightRingConfig cfg;
-  cfg.path = dir / "flight.ring";
-  cfg.num_slots = 8;
-  cfg.slot_bytes = 64;
-  FlightRing ring(cfg);
-  for (int i = 0; i < 20; ++i) ring.append(strfmt("{\"n\":%d}", i));
-  const auto recs = ring.records();
-  ASSERT_EQ(recs.size(), 8u);
-  EXPECT_EQ(recs.front(), "{\"n\":12}");
-  EXPECT_EQ(recs.back(), "{\"n\":19}");
-  fs::remove_all(dir);
-}
-
-TEST(FlightRing, TruncatesOversizedRecordsToSlotCapacity) {
-  const fs::path dir = test_dir("ring_trunc");
-  FlightRingConfig cfg;
-  cfg.path = dir / "flight.ring";
-  cfg.num_slots = 8;
-  cfg.slot_bytes = 64;  // 48 bytes of text capacity
-  FlightRing ring(cfg);
-  ring.append(std::string(300, 'x'));
-  const auto recs = ring.records();
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0], std::string(48, 'x'));
-  fs::remove_all(dir);
-}
-
-/// Snapshot the live ring file (the page cache view — exactly what a
-/// SIGKILL would leave behind) without running the clean-close destructor.
-fs::path dirty_copy(const FlightRing& ring, const fs::path& to) {
-  fs::copy_file(ring.path(), to, fs::copy_options::overwrite_existing);
-  return to;
-}
-
-TEST(FlightRing, DirtyRingIsSalvagedInSequenceOrder) {
-  const fs::path dir = test_dir("ring_salvage");
-  FlightRingConfig cfg;
-  cfg.path = dir / "flight.ring";
-  cfg.num_slots = 8;
-  cfg.slot_bytes = 64;
-  auto ring = std::make_unique<FlightRing>(cfg);
-  for (int i = 0; i < 11; ++i) ring->append(strfmt("{\"n\":%d}", i));
-  const fs::path crashed = dirty_copy(*ring, dir / "crashed.ring");
-
-  // The standalone salvager sees the dirty copy's surviving tail.
-  const auto salvaged = salvage_flight_ring(crashed);
-  ASSERT_EQ(salvaged.size(), 8u);
-  EXPECT_EQ(salvaged.front(), "{\"n\":3}");
-  EXPECT_EQ(salvaged.back(), "{\"n\":10}");
-
-  // Re-opening the dirty file as a ring salvages then resets.
-  FlightRingConfig reopen = cfg;
-  reopen.path = crashed;
-  FlightRing successor(reopen);
-  EXPECT_TRUE(successor.recovered_dirty());
-  EXPECT_EQ(successor.salvaged(), salvaged);
-  EXPECT_TRUE(successor.records().empty());  // fresh ring for this life
-
-  // A cleanly closed ring leaves nothing to explain.
-  ring.reset();
-  EXPECT_TRUE(salvage_flight_ring(cfg.path).empty());
-  FlightRing clean_reopen(cfg);
-  EXPECT_FALSE(clean_reopen.recovered_dirty());
-  fs::remove_all(dir);
-}
-
-// An empty slot is all zeros: length 0 and CRC32 0, the CRC of nothing. A
-// bit flip in its sequence word once salvaged a record never written.
-TEST(FlightRing, EmptySlotIsNeverSalvaged) {
-  const fs::path dir = test_dir("ring_phantom");
-  FlightRingConfig cfg;
-  cfg.path = dir / "flight.ring";
-  cfg.num_slots = 8;
-  cfg.slot_bytes = 64;
-  auto ring = std::make_unique<FlightRing>(cfg);
-  for (int i = 0; i < 3; ++i) ring->append(strfmt("{\"n\":%d}", i));
-  const fs::path crashed = dirty_copy(*ring, dir / "crashed.ring");
-  const auto want = salvage_flight_ring(crashed);
-  ASSERT_EQ(want.size(), 3u);
-  std::string dirty;
-  {
-    std::ifstream in(crashed, std::ios::binary);
-    dirty.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  constexpr std::size_t kHeaderBytes = 32;
-  for (std::size_t slot = 3; slot < cfg.num_slots; ++slot) {
-    for (unsigned bit = 0; bit < 64; ++bit) {
-      std::string bytes = dirty;
-      bytes[kHeaderBytes + slot * cfg.slot_bytes + bit / 8] ^=
-          static_cast<char>(1u << (bit % 8));
-      std::ofstream(crashed, std::ios::binary | std::ios::trunc) << bytes;
-      EXPECT_EQ(salvage_flight_ring(crashed), want)
-          << "slot " << slot << " sequence bit " << bit;
-    }
-  }
-  fs::remove_all(dir);
-}
-
-TEST(FlightRing, SalvageRejectsForeignAndMissingFiles) {
-  const fs::path dir = test_dir("ring_foreign");
-  EXPECT_TRUE(salvage_flight_ring(dir / "nope.ring").empty());
-  std::ofstream(dir / "foreign.ring") << "this is not a flight ring at all";
-  EXPECT_TRUE(salvage_flight_ring(dir / "foreign.ring").empty());
-  // And the ring constructor recreates over it rather than failing.
-  FlightRingConfig cfg;
-  cfg.path = dir / "foreign.ring";
-  cfg.num_slots = 8;
-  cfg.slot_bytes = 64;
-  FlightRing ring(cfg);
-  EXPECT_FALSE(ring.recovered_dirty());
-  ring.append("{\"ok\":true}");
-  EXPECT_EQ(ring.records().size(), 1u);
-  fs::remove_all(dir);
-}
-
-TEST(FlightRing, SignalSafeDumpWritesEveryRecordAsLines) {
-  const fs::path dir = test_dir("ring_dump");
-  FlightRingConfig cfg;
-  cfg.path = dir / "flight.ring";
-  cfg.num_slots = 8;
-  cfg.slot_bytes = 64;
-  FlightRing ring(cfg);
-  for (int i = 0; i < 12; ++i) ring.append(strfmt("{\"n\":%d}", i));
-
-  const fs::path out = dir / "flight.jsonl";
-  const int fd = ::open(out.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  ASSERT_GE(fd, 0);
-  ring.dump_signal_safe(fd);
-  ::close(fd);
-
-  const auto lines = file_lines(out);
-  ASSERT_EQ(lines.size(), 8u);
-  EXPECT_EQ(lines.front(), "{\"n\":4}");
-  EXPECT_EQ(lines.back(), "{\"n\":11}");
-  fs::remove_all(dir);
-}
-
-TEST(FlightRing, ConcurrentAppendersNeverCorruptTheRing) {
-  const fs::path dir = test_dir("ring_mt");
-  FlightRingConfig cfg;
-  cfg.path = dir / "flight.ring";
-  cfg.num_slots = 64;
-  cfg.slot_bytes = 64;
-  FlightRing ring(cfg);
+// The in-memory tail is what /debug/events serves: the newest lines, in
+// the order they reached the file, however many threads write.
+TEST(HostLog, RecentLinesAreTheNewestInFileOrderUnderConcurrentWriters) {
+  const fs::path dir = test_dir("log_recent");
+  HostLogConfig cfg;
+  cfg.path = dir / "events.jsonl";
+  HostEventLog log(cfg);
+  constexpr int kWriters = 4;
+  constexpr int kLinesEach = 500;
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&ring, t] {
-      for (int i = 0; i < 500; ++i) {
-        ring.append(strfmt("{\"t\":%d,\"i\":%d}", t, i));
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&log, t] {
+      for (int i = 0; i < kLinesEach; ++i) {
+        log.write_line(EventLevel::kInfo,
+                       strfmt("{\"t\":%d,\"i\":%d}", t, i));
       }
     });
   }
   for (auto& t : threads) t.join();
-  const auto recs = ring.records();
-  EXPECT_EQ(recs.size(), 64u);
-  for (const std::string& r : recs) {
-    EXPECT_EQ(r.rfind("{\"t\":", 0), 0u) << r;
-    EXPECT_EQ(r.back(), '}') << r;
+
+  const std::vector<std::string> all = file_lines(cfg.path);
+  ASSERT_EQ(all.size(), std::size_t{kWriters * kLinesEach});
+  const std::vector<std::string> recent = log.recent_lines();
+  ASSERT_EQ(recent.size(), HostEventLog::kRecentLines);
+  ASSERT_EQ(HostEventLog::kRecentLines, 512u);
+  EXPECT_TRUE(std::equal(recent.begin(), recent.end(),
+                         all.end() - std::ptrdiff_t{512}));
+  // Each writer's lines keep their order within the tail.
+  int last[kWriters] = {-1, -1, -1, -1};
+  for (const std::string& line : recent) {
+    int t = -1, i = -1;
+    ASSERT_EQ(std::sscanf(line.c_str(), "{\"t\":%d,\"i\":%d}", &t, &i), 2)
+        << line;
+    ASSERT_GE(t, 0);
+    ASSERT_LT(t, kWriters);
+    EXPECT_GT(i, last[t]) << line;
+    last[t] = i;
   }
+  fs::remove_all(dir);
+}
+
+// A predecessor killed mid-write, or a short write, leaves the file's
+// last line without its newline. The next event gets a line of its own
+// instead of being glued onto the torn one; a whole last line gets no
+// blank line after it.
+TEST(HostLog, TornLastLineIsTerminatedBeforeTheNextEvent) {
+  const fs::path dir = test_dir("log_torn");
+  const fs::path path = dir / "events.jsonl";
+  std::ofstream(path) << "{\"event\":\"whole\"}\n{\"event\":\"to";
+  {
+    HostLogConfig cfg;
+    cfg.path = path;
+    HostEventLog log(cfg);
+    log.write_line(EventLevel::kInfo, "{\"event\":\"next\"}");
+  }
+  {
+    HostLogConfig cfg;
+    cfg.path = path;
+    HostEventLog log(cfg);
+    log.write_line(EventLevel::kInfo, "{\"event\":\"after_restart\"}");
+  }
+  const std::vector<std::string> lines = file_lines(path);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0], "{\"event\":\"whole\"}");
+  EXPECT_EQ(lines[1], "{\"event\":\"to");
+  EXPECT_EQ(lines[2], "{\"event\":\"next\"}");
+  EXPECT_EQ(lines[3], "{\"event\":\"after_restart\"}");
   fs::remove_all(dir);
 }
 

@@ -147,28 +147,36 @@ TEST_F(LoaderEdgeCases, BadMagicThrows) {
 }
 
 TEST_F(LoaderEdgeCases, UnsupportedVersionThrows) {
-  auto bytes = pc::NodeMonitor::serialize(sample_dump());
-  bytes[4] = std::byte{99};  // version field follows the magic
-  const auto p = write_bytes("LU.node0007.bgpc", bytes);
-  try {
-    (void)load_dump(p);
-    FAIL() << "expected BinIoError";
-  } catch (const BinIoError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // 99 was never written; 1 carried no checksums and is no longer read.
+  for (const u8 version : {u8{99}, u8{1}}) {
+    auto bytes = pc::NodeMonitor::serialize(sample_dump());
+    bytes[4] = std::byte{version};  // version field follows the magic
+    const auto p = write_bytes("LU.node0007.bgpc", bytes);
+    try {
+      (void)load_dump(p);
+      FAIL() << "expected BinIoError for version " << unsigned{version};
+    } catch (const BinIoError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
 TEST_F(LoaderEdgeCases, HeaderClaimingMoreSetsThanBytesThrows) {
-  // Corrupting the set count upward must be caught by the plausibility
-  // check before any allocation, not crash or over-read.
-  pc::NodeDump d = sample_dump();
-  auto bytes = pc::NodeMonitor::serialize(d, pc::kDumpVersionLegacy);
-  // v1 header: magic, version, node, card, mode, app string (u32 len +
-  // chars), then the set count.
-  const std::size_t count_at = 4 * 5 + 4 + d.app_name.size();
-  bytes[count_at] = std::byte{0xFF};
-  bytes[count_at + 1] = std::byte{0xFF};
-  const auto p = write_bytes("LU.node0007.bgpc", bytes);
+  // An inflated set count behind a valid header seal must be caught by
+  // the plausibility check before any allocation, not crash or over-read.
+  const pc::NodeDump d = sample_dump();
+  BinaryWriter w;
+  w.put<u32>(pc::kDumpMagic);
+  w.put<u32>(pc::kDumpVersion);
+  w.begin_section();
+  w.put<u32>(d.node_id);
+  w.put<u32>(d.card_id);
+  w.put<u32>(d.counter_mode);
+  w.put_string(d.app_name);
+  w.put<u32>(0xFFFF);
+  w.seal();
+  const auto p = write_bytes("LU.node0007.bgpc", w.buffer());
   try {
     (void)load_dump(p);
     FAIL() << "expected BinIoError";
@@ -196,28 +204,6 @@ TEST_F(LoaderEdgeCases, FlippedByteFailsTheSectionCrc) {
     EXPECT_NE(std::string(e.what()).find("CRC mismatch"), std::string::npos)
         << e.what();
   }
-}
-
-TEST_F(LoaderEdgeCases, LegacyV1RoundTripsThroughV2Reader) {
-  const pc::NodeDump d = sample_dump();
-  const auto v1 = pc::NodeMonitor::serialize(d, pc::kDumpVersionLegacy);
-  const auto v2 = pc::NodeMonitor::serialize(d, pc::kDumpVersion);
-  EXPECT_LT(v1.size(), v2.size());  // v2 carries the CRC words
-
-  const auto p1 = write_bytes("LU.node0007.bgpc", v1);
-  const pc::NodeDump back = load_dump(p1);
-  EXPECT_EQ(back.node_id, d.node_id);
-  EXPECT_EQ(back.card_id, d.card_id);
-  EXPECT_EQ(back.app_name, d.app_name);
-  ASSERT_EQ(back.sets.size(), 1u);
-  EXPECT_EQ(back.sets[0].deltas, d.sets[0].deltas);
-
-  // And a v1 byte flip goes undetected structurally — the motivation for
-  // v2: same flip, but the file still parses (garbage in, garbage out).
-  auto flipped = v1;
-  flipped[flipped.size() - 40] ^= std::byte{0x10};
-  const auto p2 = write_bytes("LU.node0008.bgpc", flipped);
-  EXPECT_NO_THROW((void)load_dump(p2));
 }
 
 TEST_F(LoaderEdgeCases, TolerantLoadSkipsBadFilesAndReports) {

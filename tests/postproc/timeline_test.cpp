@@ -246,7 +246,9 @@ TEST_F(Timeline, ExpectedNodesDrivesCoverage) {
 
 TEST_F(Timeline, GeometryMismatchSkipsTheOddTraceOut) {
   write_trace(0, {rec(0, 1, 100, 200)});
-  write_trace(1, {rec(0, 1, 100, 200)}, /*seal=*/true, /*interval=*/8'000);
+  trace::IntervalRecord odd = rec(0, 1, 100, 200);
+  odd.t_end = 8'000;  // one interval on node 1's own grid
+  write_trace(1, {odd}, /*seal=*/true, /*interval=*/8'000);
   const TimelineReport rep = mine_timeline(dir_, "tl");
   EXPECT_TRUE(rep.ok);  // the batch survives without the misfit
   EXPECT_EQ(rep.coverage.loaded, 1u);
@@ -302,9 +304,11 @@ TEST_F(Timeline, CsvAndRenderCarryTheTimeline) {
   EXPECT_NE(text.find("phase  0"), std::string::npos);
 }
 
-// A record that spans no interval, or a header whose interval is zero, has
-// valid checksums but no meaning: the reader rejects both, so the miner
-// reports a problem instead of dividing by zero.
+// A record that spans no interval, a record whose span disagrees with its
+// cycle stamps, or a header whose interval is zero, has valid checksums but
+// no meaning: the reader rejects all three, so the miner reports a problem
+// instead of dividing by zero or emitting an interval for every index the
+// record claims.
 TEST_F(Timeline, ZeroSpanOrZeroIntervalIsAProblemNotANaN) {
   // Node 0's second chunk holds a zero-span record; node 1 is sound.
   craft_trace(dir_ / "zs.node0000.bgpt", 0, kInterval,
@@ -348,6 +352,27 @@ TEST_F(Timeline, ZeroSpanOrZeroIntervalIsAProblemNotANaN) {
       << zi.problems[0];
   ASSERT_EQ(zi.intervals.size(), 1u);
   EXPECT_GT(zi.intervals[0].mflops, 0.0);
+
+  // One record claiming 2,000,000 intervals over one interval's cycles.
+  trace::IntervalRecord wide = rec(0, 1, 100, 200);
+  wide.spanned = 2'000'000;
+  craft_trace(dir_ / "ws.node0000.bgpt", 0, kInterval, {{wide}});
+  {
+    trace::TraceWriter w(dir_ / "ws.node0001", meta_for(1));
+    w.append(rec(0, 1, 100, 200));
+    w.finalize({});
+  }
+  trace::TraceReader wr(dir_ / "ws.node0000.bgpt");
+  EXPECT_THROW((void)wr.next(), BinIoError);
+  const TimelineReport ws = mine_timeline(dir_, "ws");
+  expect_finite(ws);
+  EXPECT_TRUE(ws.ok);
+  ASSERT_EQ(ws.problems.size(), 1u);
+  EXPECT_NE(ws.problems[0].find("claims 2000000 interval(s)"),
+            std::string::npos)
+      << ws.problems[0];
+  ASSERT_EQ(ws.intervals.size(), 1u);
+  EXPECT_EQ(ws.intervals[0].nodes, 1u);
 }
 
 /// Counts for the closed-form weight check: every FP class 10 and every

@@ -85,9 +85,7 @@ TEST(ParallelLoop, MemoryRangesAreSliced) {
   auto& node = m.partition().node(0);
   const u64 total_lines = 512 * 1024 / 32;
   for (unsigned c = 0; c < 4; ++c) {
-    const u64 reads = node.core(c).id() >= 0
-                          ? node.memory().l1d(c).stats().read_access
-                          : 0;
+    const u64 reads = node.memory().l1d(c).stats().read_access;
     EXPECT_NEAR(static_cast<double>(reads),
                 static_cast<double>(total_lines) / 4.0,
                 static_cast<double>(total_lines) / 16.0)

@@ -221,7 +221,8 @@ TEST_F(TraceIo, AppendAfterFinalizeThrows) {
 }
 
 // The writer refuses what TraceReader would reject, before it reaches the
-// file: a zero interval in the header, a record that spans no interval.
+// file: a zero interval in the header, a record that spans no interval, a
+// record whose span disagrees with its cycle stamps.
 TEST_F(TraceIo, WriterRefusesZeroIntervalAndZeroSpan) {
   const fs::path base = dir_ / "iotest.node0007";
   TraceMeta zero = test_meta();
@@ -233,6 +234,9 @@ TEST_F(TraceIo, WriterRefusesZeroIntervalAndZeroSpan) {
   IntervalRecord empty = rec(0);
   empty.spanned = 0;
   EXPECT_THROW(w.append(empty), BinIoError);
+  IntervalRecord wide = rec(0);
+  wide.spanned = 2'000'000;  // t_end stays one interval past 0
+  EXPECT_THROW(w.append(wide), BinIoError);
   w.append(rec(0));
   w.finalize({});
   TraceReader r(base.string() + kTraceSuffix);

@@ -13,15 +13,12 @@
 //
 // SIGTERM/SIGINT drain gracefully: admissions stop, running sessions finish
 // (or checkpoint when killed), the exit code is 0 when no session failed.
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 #include "cli.hpp"
@@ -38,44 +35,6 @@ void on_drain_signal(int) {
   const char byte = 1;
   // Async-signal-safe: just poke the drain waiter thread.
   [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-// --- fatal-signal flight dump ---------------------------------------------
-// On SIGSEGV/SIGABRT the mmap'd flight ring already survives (the kernel
-// owns the pages), but a dump written *now* saves the next operator a
-// restart: append every CRC-valid ring record to flight.jsonl using only
-// async-signal-safe calls, then re-raise with the default disposition so
-// the crash still produces a core/exit status.
-std::atomic<obs::FlightRing*> g_flight_ring{nullptr};
-char g_flight_dump_path[4096] = {0};
-
-void on_fatal_signal(int sig) {
-  const obs::FlightRing* ring =
-      g_flight_ring.load(std::memory_order_acquire);
-  if (ring != nullptr && g_flight_dump_path[0] != '\0') {
-    const int fd = ::open(g_flight_dump_path,
-                          O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-    if (fd >= 0) {
-      ring->dump_signal_safe(fd);
-      ::close(fd);
-    }
-  }
-  ::signal(sig, SIG_DFL);
-  ::raise(sig);
-}
-
-void install_flight_dump(daemon::HostObs& host) {
-  obs::FlightRing* ring = host.ring();
-  if (ring == nullptr) return;
-  const std::string dump = host.flight_dump_path().string();
-  if (dump.size() + 1 > sizeof(g_flight_dump_path)) return;
-  std::memcpy(g_flight_dump_path, dump.c_str(), dump.size() + 1);
-  g_flight_ring.store(ring, std::memory_order_release);
-  struct sigaction sa{};
-  sa.sa_handler = on_fatal_signal;
-  ::sigaction(SIGSEGV, &sa, nullptr);
-  ::sigaction(SIGABRT, &sa, nullptr);
-  ::sigaction(SIGBUS, &sa, nullptr);
 }
 
 int serve(int argc, char** argv) {
@@ -145,12 +104,6 @@ int serve(int argc, char** argv) {
   ::signal(SIGPIPE, SIG_IGN);
 
   daemon::Daemon d(cfg);
-  install_flight_dump(d.service().host());
-  if (d.service().host().salvaged_events() != 0) {
-    std::printf("bgpcd: salvaged %zu flight-recorder event(s) into %s\n",
-                d.service().host().salvaged_events(),
-                d.service().host().flight_dump_path().string().c_str());
-  }
   const daemon::RecoveryReport& rec = d.service().recovery();
   if (rec.journal_found) {
     std::printf(
@@ -197,8 +150,6 @@ int serve(int argc, char** argv) {
   drain_waiter.join();
   ::close(g_signal_pipe[0]);
   std::printf("bgpcd: drained, %u session(s) failed\n", failed);
-  // The ring dies with the Daemon below; disarm the crash dumper first.
-  g_flight_ring.store(nullptr, std::memory_order_release);
   return failed == 0 ? 0 : 1;
 }
 
