@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 
 #include "common/binio.hpp"
 #include "common/strfmt.hpp"
@@ -133,14 +132,19 @@ Service::Service(ServiceConfig config) : config_(std::move(config)) {
           strfmt("journal unusable, daemon is read-only: %s", e.what()));
     }
     if (journal_ != nullptr) recover_from_journal();
-    write_recovery_log();
+    for (const std::string& line : recovery_.log) {
+      host_obs_->emit(obs::EventLevel::kInfo,
+                      obs::HostEvent("recovery_note").str("note", line));
+    }
     if (recovery_.journal_found) {
       host_obs_->emit(obs::EventLevel::kInfo,
                       obs::HostEvent("recovery_done")
                           .num("records", u64{recovery_.records_replayed})
                           .num("relisted", u64{recovery_.relisted})
                           .num("orphans", u64{recovery_.orphans_aborted})
-                          .num("salvaged", u64{recovery_.dumps_salvaged}));
+                          .num("salvaged", u64{recovery_.dumps_salvaged})
+                          .num("bytes_dropped", u64{recovery_.bytes_dropped})
+                          .str("tail_error", recovery_.tail_error));
     }
   }
 }
@@ -404,24 +408,6 @@ void Service::recover_from_journal() {
     }
     sessions_.push_back(std::move(s));
   }
-}
-
-void Service::write_recovery_log() const {
-  std::string text;
-  text += strfmt("journal: %s\n", config_.journal_path.string().c_str());
-  text += strfmt("records replayed: %zu\n", recovery_.records_replayed);
-  if (recovery_.bytes_dropped > 0) {
-    text += strfmt("torn tail: dropped %zu byte(s) (%s)\n",
-                   recovery_.bytes_dropped, recovery_.tail_error.c_str());
-  }
-  text += strfmt("sessions re-listed: %u\norphans aborted: %u\n"
-                 "dumps salvaged: %u\n",
-                 recovery_.relisted, recovery_.orphans_aborted,
-                 recovery_.dumps_salvaged);
-  for (const std::string& line : recovery_.log) text += line + "\n";
-  std::ofstream out(config_.work_dir / "recovery.log",
-                    std::ios::binary | std::ios::trunc);
-  out << text;
 }
 
 SubmitResult Service::submit(const JobSpec& spec, const std::string& req_id) {

@@ -73,14 +73,14 @@ struct ServiceConfig {
   bool recover = true;
   /// Daemon-surface fault injector (journal/snapshot/socket); not owned.
   fault::DaemonFaultInjector* faults = nullptr;
-  /// Host-side observability: event log levels, build version, flight
-  /// ring geometry. Always on — host instrumentation bills no simulated
-  /// cycles, so there is nothing to turn off.
+  /// Host-side observability: event log level and build version. Always
+  /// on — host instrumentation bills no simulated cycles, so there is
+  /// nothing to turn off.
   HostObsConfig host;
 };
 
-/// What startup recovery found and did; rendered into
-/// <work_dir>/recovery.log and kept for /metrics and tests.
+/// What startup recovery found and did; emitted as `recovery_note` and
+/// `recovery_done` host events and kept for /metrics and tests.
 struct RecoveryReport {
   bool journal_found = false;
   std::size_t records_replayed = 0;
@@ -206,7 +206,6 @@ class Service {
   /// Salvage an orphan's last BGPSNAP checkpoint into
   /// <session_dir>/salvage/*.bgpc; returns the dump count.
   unsigned salvage_session(ActiveSession& s);
-  void write_recovery_log() const;
 
   ServiceConfig config_;
   mutable std::mutex mu_;  ///< guards sessions_ membership + draining_

@@ -35,15 +35,15 @@ std::atomic_ref<u64> word_ref(const std::byte* p) {
       *reinterpret_cast<u64*>(const_cast<std::byte*>(p)));
 }
 
-void store_words_relaxed(std::byte* dst, const u64* src, std::size_t n) {
+void store_words_release(std::byte* dst, const u64* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    word_ref(dst + i * sizeof(u64)).store(src[i], std::memory_order_relaxed);
+    word_ref(dst + i * sizeof(u64)).store(src[i], std::memory_order_release);
   }
 }
 
-void load_words_relaxed(u64* dst, const std::byte* src, std::size_t n) {
+void load_words_acquire(u64* dst, const std::byte* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = word_ref(src + i * sizeof(u64)).load(std::memory_order_relaxed);
+    dst[i] = word_ref(src + i * sizeof(u64)).load(std::memory_order_acquire);
   }
 }
 
@@ -60,7 +60,7 @@ void publish_slot(std::byte* block, std::size_t slot_bytes, const u64* staged,
   auto active = word_ref(block + 8);
   const u64 next = 1 - active.load(std::memory_order_relaxed);
   seq.fetch_add(1, std::memory_order_acq_rel);  // odd: publish in flight
-  store_words_relaxed(block + 16 + next * slot_bytes, staged,
+  store_words_release(block + 16 + next * slot_bytes, staged,
                       torn ? n / 2 : n);
   if (torn) return;
   active.store(next, std::memory_order_release);
@@ -69,7 +69,10 @@ void publish_slot(std::byte* block, std::size_t slot_bytes, const u64* staged,
 
 /// Copy the active slot of the seqlocked block at `block` into `staged`,
 /// retrying while a writer races. kCorrupt when a stable sequence points
-/// at a slot it never published.
+/// at a slot it never published. The slot words are acquire loads: one
+/// that reads a newer publish's (release) store synchronizes with it, so
+/// the second sequence load sees that publish's odd count and the copy is
+/// retried.
 SnapReadStatus copy_slot(const std::byte* block, std::size_t slot_bytes,
                          u64* staged, std::size_t n, unsigned max_retries) {
   auto seq = word_ref(block);
@@ -78,8 +81,7 @@ SnapReadStatus copy_slot(const std::byte* block, std::size_t slot_bytes,
     const u64 s1 = seq.load(std::memory_order_acquire);
     if (s1 % 2 != 0) continue;  // publish in flight
     const u64 idx = active.load(std::memory_order_acquire);
-    load_words_relaxed(staged, block + 16 + (idx & 1) * slot_bytes, n);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    load_words_acquire(staged, block + 16 + (idx & 1) * slot_bytes, n);
     if (seq.load(std::memory_order_acquire) != s1) continue;  // torn, retry
     return idx == active_slot_of(s1) ? SnapReadStatus::kOk
                                      : SnapReadStatus::kCorrupt;
@@ -171,8 +173,6 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
   map_ = static_cast<std::byte*>(map);
   map_bytes_ = g.total;
 
-  // Names and geometry first, magic last: a reader that mmaps a file whose
-  // magic is present can trust the header fields.
   BinaryWriter header;
   header.put_array(std::span(kSnapMagic));
   header.put<u32>(kSnapVersion);
@@ -183,11 +183,7 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
   }
   put_name(header, app);
   put_name(header, session);
-  const std::size_t magic = sizeof(kSnapMagic);
-  std::memcpy(map_ + magic, header.buffer().data() + magic,
-              header.size() - magic);
-  std::atomic_thread_fence(std::memory_order_release);
-  std::memcpy(map_, header.buffer().data(), magic);
+  std::memcpy(map_, header.buffer().data(), header.size());
 
   // Seed every node with a readable kIdle slot: an attach racing session
   // startup must distinguish "not started yet" from corruption, and an

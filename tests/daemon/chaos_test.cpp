@@ -6,9 +6,9 @@
 // eventually run to completion produce dumps byte-identical to an
 // uninterrupted same-seed in-process run.
 //
-// On failure the work directory (journal, recovery.log, per-epoch serve
-// logs) is copied to $BGPC_CHAOS_ARTIFACT_DIR when set, so CI can upload
-// it.
+// On failure the work directory (journal, events.jsonl with every
+// generation's recovery events, per-epoch serve logs) is copied to
+// $BGPC_CHAOS_ARTIFACT_DIR when set, so CI can upload it.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strfmt.hpp"
 #include "daemon/control.hpp"
 #include "daemon/jobspec.hpp"
 #include "daemon/service.hpp"
@@ -133,7 +134,7 @@ std::vector<JobSpec> workload() {
 }
 
 std::string gen_name(std::size_t spec, unsigned gen) {
-  return "j" + std::to_string(spec) + "g" + std::to_string(gen);
+  return strfmt("j%zug%u", spec, gen);
 }
 
 /// Parse "j<spec>g<gen>" back to the spec index; -1 for foreign names.

@@ -81,7 +81,7 @@ json::Value command(const fs::path& sock, const char* cmd,
 
 std::string session_state(const fs::path& sock, const std::string& name) {
   const json::Value resp = command(sock, "status", name);
-  if (!resp.get("ok")->as_bool()) return "<" + std::string("not_found") + ">";
+  if (!resp.get("ok")->as_bool()) return "<not_found>";
   return resp.get("session")->get("state")->as_string();
 }
 

@@ -121,7 +121,21 @@ TEST(ServiceRecovery, RelistsFinishedAbortsAndSalvagesOrphans) {
   EXPECT_EQ(rec.relisted, 1u);
   EXPECT_EQ(rec.orphans_aborted, 1u);
   EXPECT_EQ(rec.dumps_salvaged, 2u);
-  EXPECT_TRUE(fs::exists(dir / "recovery.log"));
+  // The restart's narrative lands in the one durable event record.
+  {
+    std::ifstream events(dir / "events.jsonl");
+    ASSERT_TRUE(events.is_open());
+    bool orphan_noted = false;
+    for (std::string line; std::getline(events, line);) {
+      const json::Value ev = json::Value::parse(line);
+      orphan_noted = orphan_noted ||
+                     (ev.get("event")->as_string() == "recovery_note" &&
+                      ev.get("note")->as_string().find(
+                          "aborted orphaned session 'orphan'") !=
+                          std::string::npos);
+    }
+    EXPECT_TRUE(orphan_noted);
+  }
 
   SessionStatus st;
   ASSERT_TRUE(svc.status("s0000", &st));

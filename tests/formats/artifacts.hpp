@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strfmt.hpp"
 #include "core/node_monitor.hpp"
 #include "daemon/journal.hpp"
 #include "daemon/snapfile.hpp"
@@ -128,7 +129,7 @@ inline daemon::JournalRecord sample_journal_record(unsigned i) {
   daemon::JournalRecord rec;
   rec.op = i % 2 == 0 ? daemon::journal_op::kAdmit
                       : daemon::journal_op::kFinish;
-  rec.session = "s" + std::to_string(i);
+  rec.session = strfmt("s%u", i);
   daemon::json::Value body = daemon::json::Value::object();
   body.set("i", daemon::json::Value(u64{i}));
   body.set("text", daemon::json::Value(std::string(i * 7, 'x')));
