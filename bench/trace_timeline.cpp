@@ -11,8 +11,8 @@
 using namespace bgp;
 
 int main(int argc, char** argv) {
-  const auto args = bench::HarnessArgs::parse(argc, argv, 8,
-                                              nas::ProblemClass::kS);
+  const auto args = bench::HarnessArgs::parse_flags(argc, argv)
+                        .over(8, nas::ProblemClass::kS);
   bench::banner("Timeline (tracing subsystem)",
                 "Phase structure mined from per-node counter traces",
                 "iterative kernels alternate compute and communicate; the "

@@ -13,6 +13,7 @@ AppRecord make_record(const std::string& app, const Aggregate& agg) {
   rec.ddr_bandwidth_bytes_per_cycle = mean_ddr_bandwidth(agg);
   rec.l3_read_miss_ratio = l3_read_miss_ratio(agg);
   rec.fp = fp_profile(agg);
+  rec.ls = ls_profile(agg);
   return rec;
 }
 

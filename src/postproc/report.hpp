@@ -25,6 +25,7 @@ struct AppRecord {
   double ddr_bandwidth_bytes_per_cycle = 0;
   double l3_read_miss_ratio = 0;
   FpProfile fp;
+  LsProfile ls;
   unsigned nodes_expected = 0;
   unsigned nodes_mined = 0;
   unsigned nodes_failed = 0;
