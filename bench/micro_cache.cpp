@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the cache simulator's hot paths:
 // L1 hits, full-hierarchy misses, prefetcher-covered streams and the DDR
 // queueing model. These are the per-access costs that bound end-to-end
-// simulation speed.
+// simulation speed. The hierarchies count into a running UPC unit, as on a
+// node.
 #include <benchmark/benchmark.h>
 
 #include "mem/hierarchy.hpp"
@@ -11,8 +12,16 @@ namespace {
 using namespace bgp;
 using namespace bgp::mem;
 
+/// A running UPC unit in its power-on configuration.
+upc::UpcUnit running_upc() {
+  upc::UpcUnit u;
+  u.start();
+  return u;
+}
+
 void BM_L1Hit(benchmark::State& state) {
-  MemoryHierarchy h{HierarchyParams{}};
+  upc::UpcUnit upc = running_upc();
+  MemoryHierarchy h{HierarchyParams{}, &upc};
   h.read(0, 0x1000, 32, 0);
   cycles_t acc = 0;
   for (auto _ : state) {
@@ -25,7 +34,8 @@ BENCHMARK(BM_L1Hit);
 void BM_ColdMissChain(benchmark::State& state) {
   HierarchyParams p;
   p.prefetch.enabled = false;
-  MemoryHierarchy h{p};
+  upc::UpcUnit upc = running_upc();
+  MemoryHierarchy h{p, &upc};
   addr_t a = 0;
   cycles_t acc = 0;
   for (auto _ : state) {
@@ -37,7 +47,8 @@ void BM_ColdMissChain(benchmark::State& state) {
 BENCHMARK(BM_ColdMissChain);
 
 void BM_StreamWithPrefetch(benchmark::State& state) {
-  MemoryHierarchy h{HierarchyParams{}};
+  upc::UpcUnit upc = running_upc();
+  MemoryHierarchy h{HierarchyParams{}, &upc};
   addr_t a = 0;
   cycles_t now = 0;
   for (auto _ : state) {
@@ -49,7 +60,8 @@ void BM_StreamWithPrefetch(benchmark::State& state) {
 BENCHMARK(BM_StreamWithPrefetch);
 
 void BM_StoreWriteThrough(benchmark::State& state) {
-  MemoryHierarchy h{HierarchyParams{}};
+  upc::UpcUnit upc = running_upc();
+  MemoryHierarchy h{HierarchyParams{}, &upc};
   addr_t a = 0;
   cycles_t acc = 0;
   for (auto _ : state) {
@@ -62,7 +74,8 @@ BENCHMARK(BM_StoreWriteThrough);
 
 void BM_DdrContention(benchmark::State& state) {
   DdrParams p;
-  DdrSystem ddr(p);
+  upc::UpcUnit upc = running_upc();
+  DdrSystem ddr(p, &upc);
   addr_t a = 0;
   cycles_t acc = 0;
   for (auto _ : state) {
@@ -74,12 +87,12 @@ void BM_DdrContention(benchmark::State& state) {
 BENCHMARK(BM_DdrContention);
 
 void BM_SnoopWrite(benchmark::State& state) {
-  SnoopFilter f;
-  EventBatch unwired(nullptr);
+  upc::UpcUnit upc = running_upc();
+  SnoopFilter f(16384, &upc);
   f.record_fill(1, 7);
   addr_t line = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.on_write(0, line++ % 1024, unwired));
+    benchmark::DoNotOptimize(f.on_write(0, line++ % 1024));
   }
 }
 BENCHMARK(BM_SnoopWrite);

@@ -17,6 +17,7 @@ void BM_UpcSignal(benchmark::State& state) {
   const auto ev = isa::ev::fpu_op(0, isa::FpOp::kSimdFma);
   for (auto _ : state) {
     u.signal(ev, 3);
+    benchmark::ClobberMemory();  // every report reaches memory
   }
   benchmark::DoNotOptimize(u.read(isa::event_counter(ev)));
 }
@@ -28,9 +29,48 @@ void BM_UpcSignalWrongMode(benchmark::State& state) {
   const auto ev = isa::ev::l3(isa::L3Event::kReadMiss);  // mode 1, unit in 0
   for (auto _ : state) {
     u.signal(ev, 1);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_UpcSignalWrongMode);
+
+/// A unit whose counter `armed` interrupts far beyond any count the
+/// benchmark reaches, so reports on its line take the watched path without
+/// firing.
+upc::UpcUnit unit_with_armed(isa::EventId armed) {
+  upc::UpcUnit u;
+  u.start();
+  upc::CounterConfig cfg;
+  cfg.interrupt_enable = true;
+  cfg.threshold = ~u64{0};
+  u.configure(isa::event_counter(armed), cfg);
+  return u;
+}
+
+// A report on an unarmed line while another counter is armed: what every
+// other event of a traced node costs.
+void BM_UpcSignalOtherLineArmed(benchmark::State& state) {
+  upc::UpcUnit u = unit_with_armed(isa::ev::cycle_count(0));
+  const auto ev = isa::ev::fpu_op(0, isa::FpOp::kSimdFma);
+  for (auto _ : state) {
+    u.signal(ev, 3);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(u.read(isa::event_counter(ev)));
+}
+BENCHMARK(BM_UpcSignalOtherLineArmed);
+
+// A report on the armed line itself: checks its crossing at the report.
+void BM_UpcSignalArmedLine(benchmark::State& state) {
+  const auto ev = isa::ev::cycle_count(0);
+  upc::UpcUnit u = unit_with_armed(ev);
+  for (auto _ : state) {
+    u.signal(ev, 3);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(u.read(isa::event_counter(ev)));
+}
+BENCHMARK(BM_UpcSignalArmedLine);
 
 void BM_UpcMmioRead(benchmark::State& state) {
   upc::UpcUnit u;

@@ -7,15 +7,24 @@
 
 #include "common/strfmt.hpp"
 #include "nas/runner.hpp"
+#include "tools/cli.hpp"
 
 using namespace bgp;
 
 int main(int argc, char** argv) {
-  const nas::Benchmark bench =
-      argc > 1 ? nas::parse_benchmark(argv[1]) : nas::Benchmark::kMG;
+  nas::Benchmark bench = nas::Benchmark::kMG;
   // At least 4 nodes so both node-card parities exist: memory metrics come
   // from the odd-card (mode 1) nodes (paper's 512-events-per-run scheme).
-  const unsigned nodes = argc > 2 ? std::atoi(argv[2]) : 4;
+  unsigned nodes = 4;
+  try {
+    if (argc > 1) bench = nas::parse_benchmark(argv[1]);
+    if (argc > 2) nodes = cli::parse_positive("nodes", argv[2]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr,
+                 "l3_explorer: %s\nusage: l3_explorer [BENCH] [nodes]\n",
+                 e.what());
+    return 2;
+  }
 
   std::printf("%s, %u nodes VNM, class W — boot-option exploration\n\n",
               std::string(nas::name(bench)).c_str(), nodes);

@@ -12,8 +12,14 @@
 using namespace bgp;
 
 int main(int argc, char** argv) {
-  const nas::Benchmark bench =
-      argc > 1 ? nas::parse_benchmark(argv[1]) : nas::Benchmark::kCG;
+  nas::Benchmark bench = nas::Benchmark::kCG;
+  try {
+    if (argc > 1) bench = nas::parse_benchmark(argv[1]);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "modes_demo: %s\nusage: modes_demo [BENCH]\n",
+                 e.what());
+    return 2;
+  }
   constexpr unsigned kRanks = 16;
 
   std::printf("%s class A, %u ranks in each operating mode\n\n",

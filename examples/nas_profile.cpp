@@ -12,15 +12,28 @@
 #include "nas/runner.hpp"
 #include "postproc/loader.hpp"
 #include "postproc/sanity.hpp"
+#include "tools/cli.hpp"
 
 using namespace bgp;
 
 int main(int argc, char** argv) {
   nas::RunSpec spec;
-  spec.bench = argc > 1 ? nas::parse_benchmark(argv[1]) : nas::Benchmark::kCG;
-  spec.machine.num_nodes = argc > 2 ? std::atoi(argv[2]) : 4;
-  spec.machine.mode = argc > 3 ? sys::parse_mode(argv[3]) : sys::OpMode::kVnm;
-  spec.cls = argc > 4 ? nas::parse_class(argv[4]) : nas::ProblemClass::kW;
+  try {
+    spec.bench =
+        argc > 1 ? nas::parse_benchmark(argv[1]) : nas::Benchmark::kCG;
+    spec.machine.num_nodes =
+        argc > 2 ? cli::parse_positive("nodes", argv[2]) : 4;
+    spec.machine.mode =
+        argc > 3 ? sys::parse_mode(argv[3]) : sys::OpMode::kVnm;
+    spec.cls = argc > 4 ? nas::parse_class(argv[4]) : nas::ProblemClass::kW;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr,
+                 "nas_profile: %s\n"
+                 "usage: nas_profile [BENCH] [nodes] [vnm|smp1|dual] "
+                 "[S|W|A]\n",
+                 e.what());
+    return 2;
+  }
 
   // Build the machine, instrument "MPI" with the interface library, run.
   const auto dump_dir = std::filesystem::path("bgpc_dumps");

@@ -25,7 +25,7 @@ int main() {
   constexpr u64 kThreshold = 2000;
 
   unsigned interrupts = 0;
-  machine.partition().node(0).upc().set_threshold_handler(
+  machine.partition().node(0).upc().add_threshold_listener(
       [&](u8 counter, u64 value) {
         ++interrupts;
         std::printf(">>> threshold interrupt: counter %u (%s) reached %llu\n",

@@ -37,16 +37,16 @@ struct CompiledLoop {
   /// Block event vector: the nonzero per-class instruction events of one
   /// invocation (FPU, LS and integer classes in enum order, then
   /// INSTR_COMPLETED), as *core-0* mode-0 ids. This is the one definition
-  /// of which events a bundle signals; the delivery-ready per-core
-  /// variants below are derived from it.
+  /// of which events a bundle signals; the per-core variants below are
+  /// derived from it.
   std::vector<isa::EventCount> events;
-  /// Delivery-ready batches, one per core: `events` rebased onto core c's
+  /// Per-core event vectors: `events` rebased onto core c's
   /// mode-0 slice with the bundle's CYCLE_COUNT appended last. Filled by
   /// Machine::compile_cached — computing the cycle entry needs the CPU
   /// timing model, which the compiler layer deliberately does not link —
   /// and left empty by Compiler::compile().
-  /// Cached per machine, so Core::execute_block hands the span straight
-  /// to the event sink with zero per-call copying or rebasing.
+  /// Cached per machine, so Core::execute_block counts the span into the
+  /// UPC unit with no per-call copying or rebasing.
   std::array<std::vector<isa::EventCount>, isa::kCoresPerNode> core_events;
 };
 

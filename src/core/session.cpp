@@ -16,10 +16,9 @@ namespace {
 
 void charge(rt::RankCtx& ctx, cycles_t cycles) {
   ctx.compute_cycles(cycles);
-  mem::emit(ctx.node().sink(),
-            isa::ev::system(isa::SysEvent::kUpcOverheadCycles,
-                            ctx.core_id()),
-            cycles);
+  ctx.node().upc().signal(
+      isa::ev::system(isa::SysEvent::kUpcOverheadCycles, ctx.core_id()),
+      cycles);
 }
 
 }  // namespace
@@ -82,9 +81,8 @@ void Session::BGP_Start(rt::RankCtx& ctx, unsigned set) {
   {
     rt::ObsScope span(ctx, "upc.start", obs::SpanCat::kUpc);
     charge(ctx, kStartOverhead);
-    mem::emit(ctx.node().sink(),
-              isa::ev::system(isa::SysEvent::kUpcStartCalls, ctx.core_id()),
-              1);
+    ctx.node().upc().signal(
+        isa::ev::system(isa::SysEvent::kUpcStartCalls, ctx.core_id()));
     monitors_[ctx.node_id()]->start(set, ctx.now());
   }
   if (tracers_[ctx.node_id()] != nullptr) {
@@ -100,9 +98,8 @@ void Session::BGP_Stop(rt::RankCtx& ctx, unsigned set) {
   {
     rt::ObsScope span(ctx, "upc.stop", obs::SpanCat::kUpc);
     charge(ctx, kStopOverhead);
-    mem::emit(ctx.node().sink(),
-              isa::ev::system(isa::SysEvent::kUpcStopCalls, ctx.core_id()),
-              1);
+    ctx.node().upc().signal(
+        isa::ev::system(isa::SysEvent::kUpcStopCalls, ctx.core_id()));
     monitors_[ctx.node_id()]->stop(set, ctx.now());
   }
   if (auto* fr = obs::recorder()) {

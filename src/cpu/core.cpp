@@ -7,17 +7,16 @@ namespace bgp::cpu {
 
 namespace ev = isa::ev;
 
-Core::Core(unsigned id, const CoreParams& params,
-           mem::EventSink* sink) noexcept
-    : id_(id), params_(params), sink_(sink) {}
+Core::Core(unsigned id, const CoreParams& params, upc::UpcUnit* upc) noexcept
+    : id_(id), params_(params), upc_(upc) {}
 
 void Core::tick(cycles_t cycles) {
   now_ += cycles;
-  mem::emit(sink_, ev::cycle_count(id_), cycles);
+  report(ev::cycle_count(id_), cycles);
 }
 
 cycles_t Core::read_timebase() noexcept {
-  mem::emit(sink_, ev::system(isa::SysEvent::kTimebaseReads, id_), 1);
+  report(ev::system(isa::SysEvent::kTimebaseReads, id_), 1);
   return now_;
 }
 
@@ -59,11 +58,10 @@ cycles_t Core::execute_block(const isa::OpMix& mix,
   stats_.flops += mix.total_flops();
   stats_.compute_cycles += cycles;
 
-  // The batch already carries this core's ids and the tick's CYCLE_COUNT
-  // (the compile cache rebased and appended them once), so delivery is a
-  // single virtual call over a stable vector — no copying here.
-  if (sink_ != nullptr && !prebased.empty()) {
-    sink_->events(prebased.data(), prebased.size());
+  // The vector already carries this core's ids and the tick's CYCLE_COUNT
+  // (the compile cache rebased and appended them once).
+  if (upc_ != nullptr) {
+    for (const isa::EventCount& e : prebased) upc_->signal(e.id, e.count);
   }
   now_ += cycles;
   return cycles;

@@ -15,7 +15,7 @@
 
 #include "isa/events.hpp"
 #include "isa/ops.hpp"
-#include "mem/sink.hpp"
+#include "upc/upc_unit.hpp"
 
 namespace bgp::cpu {
 
@@ -48,8 +48,9 @@ struct CoreStats {
 /// One PPC450 core. The runtime guarantees single-threaded access.
 class Core {
  public:
+  /// Events count into `upc`, the node's UPC unit (none when null).
   Core(unsigned id, const CoreParams& params,
-       mem::EventSink* sink = nullptr) noexcept;
+       upc::UpcUnit* upc = nullptr) noexcept;
 
   [[nodiscard]] unsigned id() const noexcept { return id_; }
 
@@ -60,13 +61,12 @@ class Core {
   /// the interface library's overhead check compares against it, §IV).
   [[nodiscard]] cycles_t read_timebase() noexcept;
 
-  /// Execute a compiled op bundle: charge its compute cycles and deliver
-  /// its counter events. `prebased` is the bundle's delivery-ready event
-  /// batch for THIS core — the compile cache's per-class counts rebased
-  /// onto this core's mode-0 ids with the bundle's CYCLE_COUNT (equal to
-  /// bundle_cycles(mix, params)) appended last; see opt::CompiledLoop::
-  /// core_events. The batch goes to the sink in one call with zero
-  /// per-call copying or rebasing. Returns the cycles charged.
+  /// Execute a compiled op bundle: charge its compute cycles and count its
+  /// events. `prebased` is the bundle's event vector for THIS core — the
+  /// compile cache's per-class counts rebased onto this core's mode-0 ids
+  /// with the bundle's CYCLE_COUNT (equal to bundle_cycles(mix, params))
+  /// appended last; see opt::CompiledLoop::core_events. Returns the
+  /// cycles charged.
   cycles_t execute_block(const isa::OpMix& mix,
                          std::span<const isa::EventCount> prebased);
 
@@ -94,10 +94,13 @@ class Core {
 
  private:
   void tick(cycles_t cycles);  // advance clock + CYCLE_COUNT event
+  void report(isa::EventId id, u64 n) const {
+    if (upc_ != nullptr) upc_->signal(id, n);
+  }
 
   unsigned id_;
   CoreParams params_;
-  mem::EventSink* sink_;
+  upc::UpcUnit* upc_;
   cycles_t now_ = 0;
   CoreStats stats_;
 };

@@ -32,6 +32,9 @@ inline constexpr unsigned kCoresPerNode = 4;
 [[nodiscard]] constexpr u8 event_mode(EventId id) noexcept {
   return static_cast<u8>(id / kCountersPerUnit);
 }
+/// Sentinel meaning "this hook is not wired to an event line".
+inline constexpr EventId kNoEvent = 0xFFFF;
+
 /// Physical counter index an event maps to within its mode.
 [[nodiscard]] constexpr u8 event_counter(EventId id) noexcept {
   return static_cast<u8>(id % kCountersPerUnit);
@@ -233,13 +236,8 @@ inline constexpr u16 kPerCoreSlice = 64;
 
 }  // namespace ev
 
-/// One (event, count) pair in a batched event report. Lives in the ISA
-/// layer (not mem/) so the compiler's precomputed block event vectors and
-/// the memory system's walk accumulators share one type without a
-/// dependency cycle. Deliberately trivially default-constructible: the hot
-/// paths carve per-walk/per-block batches out of uninitialized stack
-/// arrays, and member initializers would zero-fill hundreds of bytes per
-/// simulated access.
+/// One (event, count) pair: an entry of a compiled bundle's precomputed
+/// event vector (opt::CompiledLoop::events and core_events).
 struct EventCount {
   EventId id;
   u64 count;

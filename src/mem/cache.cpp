@@ -18,8 +18,8 @@ constexpr u64 zero_bytes(u64 v) noexcept {
 }  // namespace
 
 Cache::Cache(std::string name, const CacheParams& params, MemLevel* next,
-             EventSink* sink, const CacheEventIds& events)
-    : MemLevel(sink),
+             upc::UpcUnit* upc, const CacheEventIds& events)
+    : MemLevel(upc),
       name_(std::move(name)),
       params_(params),
       next_(next),
@@ -57,20 +57,20 @@ u32 Cache::victim(u32 set) const noexcept {
 }
 
 void Cache::fill(u32 set, addr_t line, bool dirty, unsigned core,
-                 cycles_t now, EventBatch& batch) {
+                 cycles_t now) {
   const u32 w = victim(set);
   const std::size_t slot = std::size_t{set} * params_.assoc + w;
   const u64 bit = u64{1} << w;
   if (tags_[slot] != kNoTag) {
     ++stats_.evictions;
-    batch.append(events_.evict, 1);
+    report(events_.evict, 1);
     if (dirty_[set] & bit) {
       ++stats_.writebacks;
-      batch.append(events_.writeback, 1);
+      report(events_.writeback, 1);
       // Tags store the full line number, so the victim's address is exact.
       if (next_ != nullptr) {
         next_->access(tags_[slot] << line_shift_, AccessType::kWrite, core,
-                      now, batch);
+                      now);
       }
     }
   }
@@ -78,47 +78,46 @@ void Cache::fill(u32 set, addr_t line, bool dirty, unsigned core,
   dirty_[set] = dirty ? dirty_[set] | bit : dirty_[set] & ~bit;
   touch(set, w);
   ++stats_.line_fills;
-  batch.append(events_.line_fill, 1);
+  report(events_.line_fill, 1);
 }
 
-AccessResult Cache::read_miss(addr_t line, unsigned core, cycles_t now,
-                              EventBatch& batch) {
+AccessResult Cache::read_miss(addr_t line, unsigned core, cycles_t now) {
   ++stats_.read_access;
-  batch.append(events_.read_access, 1);
+  report(events_.read_access, 1);
   ++stats_.read_miss;
-  batch.append(events_.read_miss, 1);
+  report(events_.read_miss, 1);
   if (next_ == nullptr) {
     // No backing level configured (L3-disabled bypass handles this above
     // the cache, so reaching here is a wiring bug).
     throw std::logic_error(name_ + ": miss with no next level");
   }
-  const AccessResult below = next_->access(line << line_shift_,
-                                           AccessType::kRead, core, now, batch);
-  fill(set_of(line), line, /*dirty=*/false, core, now, batch);
+  const AccessResult below =
+      next_->access(line << line_shift_, AccessType::kRead, core, now);
+  fill(set_of(line), line, /*dirty=*/false, core, now);
   return {params_.hit_latency + below.latency, below.serviced_by};
 }
 
 AccessResult Cache::access(addr_t addr, AccessType type, unsigned core,
-                           cycles_t now, EventBatch& batch) {
+                           cycles_t now) {
   const addr_t line = line_of(addr);
   if (type == AccessType::kRead) {
-    if (!read_hit(line)) return read_miss(line, core, now, batch);
-    count_read_hits(1, batch);
+    if (!read_hit(line)) return read_miss(line, core, now);
+    count_read_hits(1);
     return {params_.hit_latency, params_.level_tag, /*hit=*/true};
   }
 
   ++stats_.write_access;
-  batch.append(events_.write_access, 1);
+  report(events_.write_access, 1);
   const u32 set = set_of(line);
   const int w = find(set, line);
   if (w >= 0) {
     touch(set, static_cast<u32>(w));
-    batch.append(events_.write_hit, 1);
+    report(events_.write_hit, 1);
     if (params_.write_through) {
       // Write-through: the write also goes below, but the store itself
       // retires at L1 speed (the store queue hides the downstream time).
       assert(next_ != nullptr);
-      next_->access(addr, AccessType::kWrite, core, now, batch);
+      next_->access(addr, AccessType::kWrite, core, now);
     } else {
       dirty_[set] |= u64{1} << w;
     }
@@ -126,7 +125,7 @@ AccessResult Cache::access(addr_t addr, AccessType type, unsigned core,
   }
 
   ++stats_.write_miss;
-  batch.append(events_.write_miss, 1);
+  report(events_.write_miss, 1);
   if (next_ == nullptr) {
     throw std::logic_error(name_ + ": miss with no next level");
   }
@@ -134,30 +133,26 @@ AccessResult Cache::access(addr_t addr, AccessType type, unsigned core,
     // No-allocate write miss: forward the write below; its latency is
     // absorbed by the store queue.
     const AccessResult below =
-        next_->access(addr, AccessType::kWrite, core, now, batch);
+        next_->access(addr, AccessType::kWrite, core, now);
     return {params_.hit_latency, below.serviced_by};
   }
   // Allocating write miss: fetch the line from below, then dirty it.
-  const AccessResult below =
-      next_->access(addr, AccessType::kRead, core, now, batch);
-  fill(set, line, /*dirty=*/true, core, now, batch);
+  const AccessResult below = next_->access(addr, AccessType::kRead, core, now);
+  fill(set, line, /*dirty=*/true, core, now);
   return {params_.hit_latency + below.latency, below.serviced_by};
 }
 
 void Cache::flush(unsigned core, cycles_t now) {
-  EventBatch batch(sink_);
   for (u32 set = 0; set < sets_; ++set) {
     for (u32 w = 0; w < params_.assoc; ++w) {
       const addr_t tag = tags_[std::size_t{set} * params_.assoc + w];
       if (tag != kNoTag && (dirty_[set] >> w & 1) && next_ != nullptr) {
         ++stats_.writebacks;
-        batch.append(events_.writeback, 1);
-        next_->access(tag << line_shift_, AccessType::kWrite, core, now,
-                      batch);
+        report(events_.writeback, 1);
+        next_->access(tag << line_shift_, AccessType::kWrite, core, now);
       }
     }
   }
-  batch.flush();
   tags_.assign(tags_.size(), kNoTag);
   ranks_.assign(ranks_.size(), kOnes * kIdle);
   dirty_.assign(dirty_.size(), 0);

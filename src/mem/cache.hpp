@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "mem/sink.hpp"
+#include "upc/upc_unit.hpp"
 
 namespace bgp::mem {
 
@@ -21,32 +21,25 @@ struct AccessResult {
   bool hit = false;
 };
 
-/// Interface to "whatever is below" a cache level. Every level of a walk
-/// appends its reports to the walk's batch, so they reach the sink of the
-/// level the walk entered at (in the hierarchy, the node's one sink).
+/// Interface to "whatever is below" a cache level. Every level counts its
+/// events straight into the node's UPC unit (none when unwired).
 class MemLevel {
  public:
-  explicit MemLevel(EventSink* sink = nullptr) noexcept : sink_(sink) {}
+  explicit MemLevel(upc::UpcUnit* upc = nullptr) noexcept : upc_(upc) {}
   virtual ~MemLevel() = default;
 
-  /// Access one line-aligned block as part of a walk. `core` identifies
-  /// the requesting core, `now` is the requester's current cycle time
-  /// (used by queueing models); events append to `batch`.
+  /// Access one line-aligned block. `core` identifies the requesting core,
+  /// `now` is the requester's current cycle time (used by queueing models).
   virtual AccessResult access(addr_t line_addr, AccessType type,
-                              unsigned core, cycles_t now,
-                              EventBatch& batch) = 0;
-
-  /// One access as a walk of its own: one delivery to this level's sink.
-  AccessResult access(addr_t line_addr, AccessType type, unsigned core,
-                      cycles_t now) {
-    EventBatch batch(sink_);
-    const AccessResult r = access(line_addr, type, core, now, batch);
-    batch.flush();
-    return r;
-  }
+                              unsigned core, cycles_t now) = 0;
 
  protected:
-  EventSink* sink_;
+  /// Count `n` occurrences of `id` when the level is wired.
+  void report(isa::EventId id, u64 n) const {
+    if (upc_ != nullptr) upc_->signal(id, n);
+  }
+
+  upc::UpcUnit* upc_;
 };
 
 /// Static cache geometry and policy.
@@ -71,15 +64,15 @@ struct CacheParams {
 
 /// UPC events a cache instance is wired to (kNoEvent leaves a hook dark).
 struct CacheEventIds {
-  isa::EventId read_access = kNoEvent;
-  isa::EventId read_hit = kNoEvent;
-  isa::EventId read_miss = kNoEvent;
-  isa::EventId write_access = kNoEvent;
-  isa::EventId write_hit = kNoEvent;
-  isa::EventId write_miss = kNoEvent;
-  isa::EventId line_fill = kNoEvent;
-  isa::EventId evict = kNoEvent;
-  isa::EventId writeback = kNoEvent;
+  isa::EventId read_access = isa::kNoEvent;
+  isa::EventId read_hit = isa::kNoEvent;
+  isa::EventId read_miss = isa::kNoEvent;
+  isa::EventId write_access = isa::kNoEvent;
+  isa::EventId write_hit = isa::kNoEvent;
+  isa::EventId write_miss = isa::kNoEvent;
+  isa::EventId line_fill = isa::kNoEvent;
+  isa::EventId evict = isa::kNoEvent;
+  isa::EventId writeback = isa::kNoEvent;
 };
 
 /// Aggregate statistics (kept independently of UPC wiring so unit tests and
@@ -111,11 +104,10 @@ class Cache final : public MemLevel {
   /// (not the usual case; tests use a Backstop). Line sizes must be powers
   /// of two and associativity at most 64; the set count may be anything.
   Cache(std::string name, const CacheParams& params, MemLevel* next,
-        EventSink* sink = nullptr, const CacheEventIds& events = {});
+        upc::UpcUnit* upc = nullptr, const CacheEventIds& events = {});
 
-  using MemLevel::access;
   AccessResult access(addr_t addr, AccessType type, unsigned core,
-                      cycles_t now, EventBatch& batch) override;
+                      cycles_t now) override;
 
   /// True if the line holding `addr` is currently resident (no LRU update).
   [[nodiscard]] bool probe(addr_t addr) const noexcept {
@@ -125,9 +117,9 @@ class Cache final : public MemLevel {
 
   /// Insert the line holding `addr`, which probe() has just reported
   /// absent, without charging latency (the prefetch fill path).
-  void install(addr_t addr, unsigned core, cycles_t now, EventBatch& batch) {
+  void install(addr_t addr, unsigned core, cycles_t now) {
     const addr_t line = line_of(addr);
-    fill(set_of(line), line, /*dirty=*/false, core, now, batch);
+    fill(set_of(line), line, /*dirty=*/false, core, now);
   }
 
   // -- the L1 read side of the cache walk (mem/hierarchy.cpp) ---------------
@@ -146,15 +138,14 @@ class Cache final : public MemLevel {
     touch(set, static_cast<u32>(w));
     return true;
   }
-  void count_read_hits(u64 n, EventBatch& batch) {
+  void count_read_hits(u64 n) {
     stats_.read_access += n;
-    batch.append(events_.read_access, n);
-    batch.append(events_.read_hit, n);
+    report(events_.read_access, n);
+    report(events_.read_hit, n);
   }
   /// The rest of a read that read_hit() found missing: count it, fetch the
   /// line from below and fill it.
-  AccessResult read_miss(addr_t line, unsigned core, cycles_t now,
-                         EventBatch& batch);
+  AccessResult read_miss(addr_t line, unsigned core, cycles_t now);
 
   /// Drop every line, writing back dirty ones.
   void flush(unsigned core, cycles_t now);
@@ -196,8 +187,7 @@ class Cache final : public MemLevel {
   /// least recently used.
   [[nodiscard]] u32 victim(u32 set) const noexcept;
   /// Fill `line` into `set`, evicting (and writing back) as needed.
-  void fill(u32 set, addr_t line, bool dirty, unsigned core, cycles_t now,
-            EventBatch& batch);
+  void fill(u32 set, addr_t line, bool dirty, unsigned core, cycles_t now);
 
   static constexpr addr_t kNoTag = ~addr_t{0};  // no line number is ~0
   static constexpr u64 kOnes = 0x0101010101010101ull;  // 1 in every byte
@@ -232,9 +222,7 @@ class Backstop final : public MemLevel {
   explicit Backstop(cycles_t latency = 100, u8 level_tag = 4) noexcept
       : latency_(latency), level_tag_(level_tag) {}
 
-  using MemLevel::access;
-  AccessResult access(addr_t, AccessType type, unsigned, cycles_t,
-                      EventBatch&) override {
+  AccessResult access(addr_t, AccessType type, unsigned, cycles_t) override {
     ++accesses_;
     if (type == AccessType::kWrite) ++writes_;
     return {latency_, level_tag_};

@@ -6,7 +6,7 @@
 namespace bgp::mem {
 
 AccessResult DdrController::access(addr_t, AccessType type, unsigned,
-                                   cycles_t now, EventBatch& batch) {
+                                   cycles_t now) {
   const cycles_t start = std::max(now, busy_until_);
   cycles_t queue_wait = start - now;
   queue_wait = std::min<cycles_t>(queue_wait,
@@ -15,19 +15,19 @@ AccessResult DdrController::access(addr_t, AccessType type, unsigned,
 
   stats_.busy_cycles += service_;
   stats_.queue_stall_cycles += queue_wait;
-  batch.append(events_.busy_cycles, service_);
-  batch.append(events_.queue_stall_cycles, queue_wait);
+  report(events_.busy_cycles, service_);
+  report(events_.queue_stall_cycles, queue_wait);
 
   if (type == AccessType::kRead) {
     ++stats_.read_reqs;
     stats_.bytes_read += params_.line_bytes;
-    batch.append(events_.read_req, 1);
-    batch.append(events_.bytes_read_16b, params_.line_bytes / 16);
+    report(events_.read_req, 1);
+    report(events_.bytes_read_16b, params_.line_bytes / 16);
   } else {
     ++stats_.write_reqs;
     stats_.bytes_written += params_.line_bytes;
-    batch.append(events_.write_req, 1);
-    batch.append(events_.bytes_written_16b, params_.line_bytes / 16);
+    report(events_.write_req, 1);
+    report(events_.bytes_written_16b, params_.line_bytes / 16);
   }
 
   const cycles_t latency =
@@ -38,8 +38,8 @@ AccessResult DdrController::access(addr_t, AccessType type, unsigned,
   return {latency, /*serviced_by=*/4};
 }
 
-DdrSystem::DdrSystem(const DdrParams& params, EventSink* sink)
-    : MemLevel(sink),
+DdrSystem::DdrSystem(const DdrParams& params, upc::UpcUnit* upc)
+    : MemLevel(upc),
       line_shift_(static_cast<u32>(std::countr_zero(params.line_bytes))) {
   for (unsigned i = 0; i < isa::kNumDdrControllers; ++i) {
     DdrController::EventIds ids{
@@ -50,7 +50,7 @@ DdrSystem::DdrSystem(const DdrParams& params, EventSink* sink)
         .busy_cycles = isa::ev::ddr(i, isa::DdrEvent::kBusyCycles),
         .queue_stall_cycles = isa::ev::ddr(i, isa::DdrEvent::kQueueStallCycles),
     };
-    ctrls_[i] = std::make_unique<DdrController>(params, sink, ids);
+    ctrls_[i] = std::make_unique<DdrController>(params, upc, ids);
   }
 }
 

@@ -42,12 +42,12 @@ struct DdrStats {
 
 /// UPC event wiring for a DdrController.
 struct DdrEventIds {
-  isa::EventId read_req = kNoEvent;
-  isa::EventId write_req = kNoEvent;
-  isa::EventId bytes_read_16b = kNoEvent;
-  isa::EventId bytes_written_16b = kNoEvent;
-  isa::EventId busy_cycles = kNoEvent;
-  isa::EventId queue_stall_cycles = kNoEvent;
+  isa::EventId read_req = isa::kNoEvent;
+  isa::EventId write_req = isa::kNoEvent;
+  isa::EventId bytes_read_16b = isa::kNoEvent;
+  isa::EventId bytes_written_16b = isa::kNoEvent;
+  isa::EventId busy_cycles = isa::kNoEvent;
+  isa::EventId queue_stall_cycles = isa::kNoEvent;
 };
 
 /// One DDR controller.
@@ -55,17 +55,16 @@ class DdrController final : public MemLevel {
  public:
   using EventIds = DdrEventIds;
 
-  DdrController(const DdrParams& params, EventSink* sink = nullptr,
+  DdrController(const DdrParams& params, upc::UpcUnit* upc = nullptr,
                 const EventIds& events = {}) noexcept
-      : MemLevel(sink),
+      : MemLevel(upc),
         params_(params),
         events_(events),
         service_(static_cast<cycles_t>(
             std::llround(params.line_bytes / params.bytes_per_cycle))) {}
 
-  using MemLevel::access;
   AccessResult access(addr_t addr, AccessType type, unsigned core,
-                      cycles_t now, EventBatch& batch) override;
+                      cycles_t now) override;
 
   [[nodiscard]] const DdrStats& stats() const noexcept { return stats_; }
 
@@ -80,13 +79,12 @@ class DdrController final : public MemLevel {
 /// The pair of controllers, interleaved by line address.
 class DdrSystem final : public MemLevel {
  public:
-  explicit DdrSystem(const DdrParams& params, EventSink* sink = nullptr);
+  explicit DdrSystem(const DdrParams& params, upc::UpcUnit* upc = nullptr);
 
-  using MemLevel::access;
   AccessResult access(addr_t addr, AccessType type, unsigned core,
-                      cycles_t now, EventBatch& batch) override {
+                      cycles_t now) override {
     const auto ctrl = static_cast<std::size_t>(addr >> line_shift_);
-    return ctrls_[ctrl % ctrls_.size()]->access(addr, type, core, now, batch);
+    return ctrls_[ctrl % ctrls_.size()]->access(addr, type, core, now);
   }
 
   [[nodiscard]] const DdrController& controller(unsigned i) const {

@@ -67,14 +67,14 @@ SnoopFilter::EventIds snoop_events() {
 }  // namespace
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
-                                 EventSink* sink)
-    : params_(params), sink_(sink) {
+                                 upc::UpcUnit* upc)
+    : params_(params) {
   if (!params_.l1d.write_through || params_.l1d.write_allocate) {
     throw std::invalid_argument(
         "L1D must be write-through and no-write-allocate");
   }
-  ddr_ = std::make_unique<DdrSystem>(params_.ddr, sink);
-  snoop_ = std::make_unique<SnoopFilter>(16384, snoop_events());
+  ddr_ = std::make_unique<DdrSystem>(params_.ddr, upc);
+  snoop_ = std::make_unique<SnoopFilter>(16384, upc, snoop_events());
 
   MemLevel* below_l2 = ddr_.get();
   if (params_.l3_size_bytes > 0) {
@@ -85,19 +85,19 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
                     .write_through = false,
                     .write_allocate = true,
                     .level_tag = 3};
-    l3_ = std::make_unique<Cache>("L3", l3p, ddr_.get(), sink, l3_events());
+    l3_ = std::make_unique<Cache>("L3", l3p, ddr_.get(), upc, l3_events());
     below_l2 = l3_.get();
   }
 
   for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {
     auto& pc = cores_[c];
     pc.l2 = std::make_unique<L2Unit>(strfmt("core%u.L2", c), params_.l2,
-                                     params_.prefetch, below_l2, sink,
+                                     params_.prefetch, below_l2, upc,
                                      l2_events(c));
     pc.l1d = std::make_unique<Cache>(strfmt("core%u.L1D", c), params_.l1d,
-                                     pc.l2.get(), sink, l1d_events(c));
+                                     pc.l2.get(), upc, l1d_events(c));
     pc.l1i = std::make_unique<Cache>(strfmt("core%u.L1I", c), params_.l1i,
-                                     pc.l2.get(), sink, l1i_events(c));
+                                     pc.l2.get(), upc, l1i_events(c));
   }
 }
 
@@ -105,11 +105,9 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
 // The hot loop of the whole simulator: every simulated load/store lands
 // here. Each level searches its tags once per access (the L1 read hit
 // check is inline, and Cache::read_miss carries on without searching
-// again), and every level, the snoop filter included, appends its counter
-// reports to the walk's one EventBatch: one events() call per walk, plus
-// one per full batch. L1 read hits go in as one entry per event just
-// before the next miss and at the end of the walk, so the sink sees the
-// (id, count) sequence of per-report delivery (docs/perf.md).
+// again), and every level, the snoop filter included, counts its events
+// straight into the node's UPC unit. L1 read hits are counted in bulk just
+// before the next miss and at the end of the walk (docs/perf.md).
 
 AccessResult MemoryHierarchy::read(unsigned core, addr_t addr, u64 bytes,
                                    cycles_t now) {
@@ -117,7 +115,6 @@ AccessResult MemoryHierarchy::read(unsigned core, addr_t addr, u64 bytes,
   const cycles_t l1_lat = params_.l1d.hit_latency;
   AccessResult total{0, 1};
   const addr_t last = l1.line_of(addr + (bytes == 0 ? 0 : bytes - 1));
-  EventBatch batch(sink_);
   u64 hits = 0;
   for (addr_t line = l1.line_of(addr); line <= last; ++line) {
     if (l1.read_hit(line)) {
@@ -126,16 +123,15 @@ AccessResult MemoryHierarchy::read(unsigned core, addr_t addr, u64 bytes,
       now += l1_lat;
       continue;
     }
-    l1.count_read_hits(hits, batch);
+    l1.count_read_hits(hits);
     hits = 0;
-    const AccessResult r = l1.read_miss(line, core, now, batch);
+    const AccessResult r = l1.read_miss(line, core, now);
     snoop_->record_fill(core, line);
     total.latency += r.latency;
     total.serviced_by = std::max(total.serviced_by, r.serviced_by);
     now += r.latency;
   }
-  l1.count_read_hits(hits, batch);
-  batch.flush();
+  l1.count_read_hits(hits);
   return total;
 }
 
@@ -144,19 +140,17 @@ AccessResult MemoryHierarchy::write(unsigned core, addr_t addr, u64 bytes,
   Cache& l1 = *cores_.at(core).l1d;
   AccessResult total{0, 1};
   const addr_t last = l1.line_of(addr + (bytes == 0 ? 0 : bytes - 1));
-  EventBatch batch(sink_);
   for (addr_t line = l1.line_of(addr); line <= last; ++line) {
-    snoop_->on_write(core, line, batch);
+    snoop_->on_write(core, line);
     // The L1 is write-through / no-allocate (the constructor enforces it):
     // the store retires at L1 speed whether it hit or not, and the write
     // always goes below.
     const AccessResult r = l1.access(line * params_.l1d.line_bytes,
-                                     AccessType::kWrite, core, now, batch);
+                                     AccessType::kWrite, core, now);
     total.latency += r.latency;
     total.serviced_by = std::max(total.serviced_by, r.serviced_by);
     now += r.latency;
   }
-  batch.flush();
   return total;
 }
 

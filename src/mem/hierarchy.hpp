@@ -51,11 +51,11 @@ struct HierarchyParams {
 /// one rank executes at a time, so no internal locking.
 class MemoryHierarchy {
  public:
-  /// `sink` receives UPC events for every level (may be null). Throws
-  /// std::invalid_argument unless `l1d` is write-through and
-  /// no-write-allocate (the PPC450 policy; the store walk assumes it).
+  /// Every level counts its events into `upc`, the node's UPC unit (none
+  /// when null). Throws std::invalid_argument unless `l1d` is write-through
+  /// and no-write-allocate (the PPC450 policy; the store walk assumes it).
   explicit MemoryHierarchy(const HierarchyParams& params,
-                           EventSink* sink = nullptr);
+                           upc::UpcUnit* upc = nullptr);
 
   /// Data read of `bytes` starting at `addr` by `core`; walks L1 lines and
   /// returns the summed latency (callers model overlap/MLP on top).
@@ -93,7 +93,6 @@ class MemoryHierarchy {
   };
 
   HierarchyParams params_;
-  EventSink* sink_;
   std::unique_ptr<DdrSystem> ddr_;
   std::unique_ptr<Cache> l3_;  // null when l3_size_bytes == 0
   std::unique_ptr<SnoopFilter> snoop_;

@@ -52,10 +52,10 @@ void PendingPrefetches::grow() {
 }
 
 L2Unit::L2Unit(std::string name, const CacheParams& cache_params,
-               const PrefetchParams& pf, MemLevel* next, EventSink* sink,
+               const PrefetchParams& pf, MemLevel* next, upc::UpcUnit* upc,
                const EventIds& events)
-    : MemLevel(sink),
-      cache_(std::move(name), cache_params, next, sink,
+    : MemLevel(upc),
+      cache_(std::move(name), cache_params, next, upc,
              CacheEventIds{
                  .read_access = events.read_access,
                  .read_hit = events.read_hit,
@@ -70,8 +70,7 @@ L2Unit::L2Unit(std::string name, const CacheParams& cache_params,
   miss_history_.fill(kNoLine);
 }
 
-void L2Unit::run_ahead(addr_t line, unsigned core, cycles_t now,
-                       EventBatch& batch) {
+void L2Unit::run_ahead(addr_t line, unsigned core, cycles_t now) {
   const u32 line_bytes = cache_.params().line_bytes;
   for (unsigned d = 1; d <= pf_.depth; ++d) {
     const addr_t pf_line = line + d;
@@ -80,37 +79,37 @@ void L2Unit::run_ahead(addr_t line, unsigned core, cycles_t now,
     // The prefetch consumes downstream bandwidth; a demand arriving before
     // the fill completes pays the residual latency.
     const AccessResult fill =
-        next_->access(pf_addr, AccessType::kRead, core, now, batch);
-    cache_.install(pf_addr, core, now, batch);
+        next_->access(pf_addr, AccessType::kRead, core, now);
+    cache_.install(pf_addr, core, now);
     // Bound the tracking table: lines evicted before being demanded would
     // otherwise accumulate forever.
     if (pending_.size() > 8192) pending_.clear();
     pending_.put(pf_line, now + fill.latency);
     ++pf_stats_.issued;
-    batch.append(events_.prefetch_issued, 1);
+    report(events_.prefetch_issued, 1);
   }
 }
 
 AccessResult L2Unit::access(addr_t addr, AccessType type, unsigned core,
-                            cycles_t now, EventBatch& batch) {
+                            cycles_t now) {
   // Writes pass through (the L2 is write-through toward the L3, which is
   // the point of coherence on the chip).
   if (type == AccessType::kWrite) {
-    return cache_.access(addr, type, core, now, batch);
+    return cache_.access(addr, type, core, now);
   }
 
   const addr_t line = cache_.line_of(addr);
   cycles_t prefetch_ready = 0;
   const bool was_prefetched = pending_.take(line, prefetch_ready);
-  AccessResult r = cache_.access(addr, type, core, now, batch);
+  AccessResult r = cache_.access(addr, type, core, now);
   if (r.hit) {
     if (was_prefetched) {
       ++pf_stats_.hits;
-      batch.append(events_.prefetch_hit, 1);
+      report(events_.prefetch_hit, 1);
       // In-flight fill: the demand pays the remaining latency.
       if (prefetch_ready > now) r.latency += prefetch_ready - now;
       // A confirmed prefetch hit keeps the stream running ahead.
-      if (pf_.enabled) run_ahead(line, core, now, batch);
+      if (pf_.enabled) run_ahead(line, core, now);
     }
     r.serviced_by = 2;
     return r;
@@ -142,13 +141,13 @@ AccessResult L2Unit::access(addr_t addr, AccessType type, unsigned core,
           }
           *slot = Stream{line + 1, ++use_tick_, true};
           ++pf_stats_.streams_detected;
-          batch.append(events_.stream_detected, 1);
+          report(events_.stream_detected, 1);
           matched = true;
           break;
         }
       }
     }
-    if (matched) run_ahead(line, core, now, batch);
+    if (matched) run_ahead(line, core, now);
     miss_history_[miss_history_pos_] = line;
     miss_history_pos_ = (miss_history_pos_ + 1) % miss_history_.size();
   }

@@ -31,14 +31,14 @@ struct PrefetchStats {
 
 /// UPC event wiring for an L2Unit.
 struct L2EventIds {
-  isa::EventId read_access = kNoEvent;
-  isa::EventId read_hit = kNoEvent;
-  isa::EventId read_miss = kNoEvent;
-  isa::EventId write_access = kNoEvent;
-  isa::EventId write_miss = kNoEvent;
-  isa::EventId prefetch_issued = kNoEvent;
-  isa::EventId prefetch_hit = kNoEvent;
-  isa::EventId stream_detected = kNoEvent;
+  isa::EventId read_access = isa::kNoEvent;
+  isa::EventId read_hit = isa::kNoEvent;
+  isa::EventId read_miss = isa::kNoEvent;
+  isa::EventId write_access = isa::kNoEvent;
+  isa::EventId write_miss = isa::kNoEvent;
+  isa::EventId prefetch_issued = isa::kNoEvent;
+  isa::EventId prefetch_hit = isa::kNoEvent;
+  isa::EventId stream_detected = isa::kNoEvent;
 };
 
 /// Lines brought in by prefetch and not yet demanded, each with the cycle
@@ -77,12 +77,11 @@ class L2Unit final : public MemLevel {
   using EventIds = L2EventIds;
 
   L2Unit(std::string name, const CacheParams& cache_params,
-         const PrefetchParams& pf, MemLevel* next, EventSink* sink = nullptr,
-         const EventIds& events = {});
+         const PrefetchParams& pf, MemLevel* next,
+         upc::UpcUnit* upc = nullptr, const EventIds& events = {});
 
-  using MemLevel::access;
   AccessResult access(addr_t addr, AccessType type, unsigned core,
-                      cycles_t now, EventBatch& batch) override;
+                      cycles_t now) override;
 
   [[nodiscard]] const CacheStats& cache_stats() const noexcept {
     return cache_.stats();
@@ -99,7 +98,7 @@ class L2Unit final : public MemLevel {
   };
 
   /// Issue prefetches for lines [line+1, line+depth] along a stream.
-  void run_ahead(addr_t line, unsigned core, cycles_t now, EventBatch& batch);
+  void run_ahead(addr_t line, unsigned core, cycles_t now);
 
   Cache cache_;
   PrefetchParams pf_;

@@ -14,23 +14,22 @@ void SnoopFilter::record_fill(unsigned core, addr_t line) noexcept {
   e.sharers |= static_cast<u8>(1u << core);
 }
 
-unsigned SnoopFilter::on_write(unsigned core, addr_t line,
-                               EventBatch& batch) {
+unsigned SnoopFilter::on_write(unsigned core, addr_t line) {
   ++stats_.requests;
-  batch.append(events_.requests, 1);
+  report(events_.requests, 1);
 
   Entry& e = slot(line);
   const u8 self = static_cast<u8>(1u << core);
   if (!e.valid || e.line != line || (e.sharers & ~self) == 0) {
     ++stats_.filter_hits;
-    batch.append(events_.filter_hits, 1);
+    report(events_.filter_hits, 1);
     return 0;
   }
   const unsigned others =
       static_cast<unsigned>(std::popcount(static_cast<unsigned>(e.sharers & ~self)));
   stats_.invalidates_sent += others;
-  batch.append(events_.invalidates_sent, others);
-  batch.append(events_.invalidates_received, others);
+  report(events_.invalidates_sent, others);
+  report(events_.invalidates_received, others);
   e.sharers = self;
   return others;
 }

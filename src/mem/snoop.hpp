@@ -8,7 +8,7 @@
 #include <bit>
 #include <vector>
 
-#include "mem/sink.hpp"
+#include "upc/upc_unit.hpp"
 
 namespace bgp::mem {
 
@@ -20,27 +20,29 @@ struct SnoopStats {
 
 /// UPC event wiring for the snoop filter.
 struct SnoopEventIds {
-  isa::EventId requests = kNoEvent;
-  isa::EventId filter_hits = kNoEvent;
-  isa::EventId invalidates_sent = kNoEvent;
-  isa::EventId invalidates_received = kNoEvent;
+  isa::EventId requests = isa::kNoEvent;
+  isa::EventId filter_hits = isa::kNoEvent;
+  isa::EventId invalidates_sent = isa::kNoEvent;
+  isa::EventId invalidates_received = isa::kNoEvent;
 };
 
 class SnoopFilter {
  public:
   using EventIds = SnoopEventIds;
 
-  /// The table has `table_entries` rounded up to a power of two.
+  /// The table has `table_entries` rounded up to a power of two; events
+  /// count into `upc` when it is set.
   explicit SnoopFilter(std::size_t table_entries = 16384,
+                       upc::UpcUnit* upc = nullptr,
                        const EventIds& events = {})
-      : events_(events), table_(std::bit_ceil(table_entries)) {}
+      : upc_(upc), events_(events), table_(std::bit_ceil(table_entries)) {}
 
   /// Record that `core` now holds a copy of `line` (L1 fill path).
   void record_fill(unsigned core, addr_t line) noexcept;
 
-  /// A store by `core` to `line`, reported into `batch`: returns the number
-  /// of *other* cores whose copies had to be invalidated.
-  unsigned on_write(unsigned core, addr_t line, EventBatch& batch);
+  /// A store by `core` to `line`: returns the number of *other* cores whose
+  /// copies had to be invalidated.
+  unsigned on_write(unsigned core, addr_t line);
 
   [[nodiscard]] const SnoopStats& stats() const noexcept { return stats_; }
 
@@ -55,6 +57,11 @@ class SnoopFilter {
     return table_[static_cast<std::size_t>(line) & (table_.size() - 1)];
   }
 
+  void report(isa::EventId id, u64 n) const {
+    if (upc_ != nullptr) upc_->signal(id, n);
+  }
+
+  upc::UpcUnit* upc_;
   EventIds events_;
   std::vector<Entry> table_;
   SnoopStats stats_;

@@ -10,7 +10,7 @@ namespace bgp::net {
 namespace ev = isa::ev;
 
 CollectiveNet::CollectiveNet(unsigned nodes, const CollectiveParams& params)
-    : params_(params), sinks_(nodes, nullptr) {}
+    : params_(params), upcs_(nodes, nullptr) {}
 
 unsigned CollectiveNet::depth() const noexcept { return depth_for(nodes()); }
 
@@ -30,8 +30,8 @@ cycles_t CollectiveNet::op_cycles_live(u64 bytes, unsigned live) const {
          cycles_t{depth_for(live)} * params_.level_latency + serialization;
 }
 
-void CollectiveNet::attach_sink(unsigned node, mem::EventSink* sink) {
-  sinks_.at(node) = sink;
+void CollectiveNet::attach_upc(unsigned node, upc::UpcUnit* upc) {
+  upcs_.at(node) = upc;
 }
 
 void CollectiveNet::record_operation(u64 bytes, cycles_t latency) {
@@ -40,17 +40,16 @@ void CollectiveNet::record_operation(u64 bytes, cycles_t latency) {
     fr->wk().coll_bytes->add(bytes);
   }
   const u64 chunks32 = (bytes + 31) / 32;
-  for (mem::EventSink* s : sinks_) {
-    if (s == nullptr) continue;
-    mem::emit(s, ev::collective(isa::CollectiveEvent::kOperations), 1);
-    mem::emit(s, ev::collective(isa::CollectiveEvent::kBytes32B), chunks32);
-    mem::emit(s, ev::collective(isa::CollectiveEvent::kLatencyCycles),
-              latency);
+  for (upc::UpcUnit* u : upcs_) {
+    if (u == nullptr) continue;
+    u->signal(ev::collective(isa::CollectiveEvent::kOperations), 1);
+    u->signal(ev::collective(isa::CollectiveEvent::kBytes32B), chunks32);
+    u->signal(ev::collective(isa::CollectiveEvent::kLatencyCycles), latency);
   }
 }
 
 BarrierNet::BarrierNet(unsigned nodes, const BarrierParams& params)
-    : nodes_(nodes), params_(params), sinks_(nodes, nullptr) {}
+    : nodes_(nodes), params_(params), upcs_(nodes, nullptr) {}
 
 cycles_t BarrierNet::barrier_cycles() const noexcept {
   return barrier_cycles_live(nodes_);
@@ -62,8 +61,8 @@ cycles_t BarrierNet::barrier_cycles_live(unsigned live) const noexcept {
   return params_.base_latency + levels * params_.per_level_latency;
 }
 
-void BarrierNet::attach_sink(unsigned node, mem::EventSink* sink) {
-  sinks_.at(node) = sink;
+void BarrierNet::attach_upc(unsigned node, upc::UpcUnit* upc) {
+  upcs_.at(node) = upc;
 }
 
 void BarrierNet::record_barrier(cycles_t wait_cycles_total) {
@@ -71,11 +70,11 @@ void BarrierNet::record_barrier(cycles_t wait_cycles_total) {
     fr->wk().barrier_entries->add(1);
   }
   const u64 per_node =
-      sinks_.empty() ? 0 : wait_cycles_total / sinks_.size();
-  for (mem::EventSink* s : sinks_) {
-    if (s == nullptr) continue;
-    mem::emit(s, ev::barrier(isa::BarrierEvent::kEntries), 1);
-    mem::emit(s, ev::barrier(isa::BarrierEvent::kWaitCycles), per_node);
+      upcs_.empty() ? 0 : wait_cycles_total / upcs_.size();
+  for (upc::UpcUnit* u : upcs_) {
+    if (u == nullptr) continue;
+    u->signal(ev::barrier(isa::BarrierEvent::kEntries), 1);
+    u->signal(ev::barrier(isa::BarrierEvent::kWaitCycles), per_node);
   }
 }
 

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "mem/sink.hpp"
+#include "upc/upc_unit.hpp"
 
 namespace bgp::net {
 
@@ -26,7 +26,7 @@ class CollectiveNet {
   explicit CollectiveNet(unsigned nodes, const CollectiveParams& params = {});
 
   [[nodiscard]] unsigned nodes() const noexcept {
-    return static_cast<unsigned>(sinks_.size());
+    return static_cast<unsigned>(upcs_.size());
   }
   [[nodiscard]] const CollectiveParams& params() const noexcept {
     return params_;
@@ -45,14 +45,15 @@ class CollectiveNet {
   /// when live == nodes().
   [[nodiscard]] cycles_t op_cycles_live(u64 bytes, unsigned live) const;
 
-  void attach_sink(unsigned node, mem::EventSink* sink);
+  /// Attach the UPC unit of `node` (its mode-2 events count there).
+  void attach_upc(unsigned node, upc::UpcUnit* upc);
 
   /// Account one collective of `bytes` on every participating node.
   void record_operation(u64 bytes, cycles_t latency);
 
  private:
   CollectiveParams params_;
-  std::vector<mem::EventSink*> sinks_;
+  std::vector<upc::UpcUnit*> upcs_;
 };
 
 struct BarrierParams {
@@ -70,14 +71,14 @@ class BarrierNet {
   /// shrink). Equals barrier_cycles() when live == the attached count.
   [[nodiscard]] cycles_t barrier_cycles_live(unsigned live) const noexcept;
 
-  void attach_sink(unsigned node, mem::EventSink* sink);
+  void attach_upc(unsigned node, upc::UpcUnit* upc);
   /// Account one barrier entry per node plus the measured wait per node.
   void record_barrier(cycles_t wait_cycles_total);
 
  private:
   unsigned nodes_;
   BarrierParams params_;
-  std::vector<mem::EventSink*> sinks_;
+  std::vector<upc::UpcUnit*> upcs_;
 };
 
 }  // namespace bgp::net

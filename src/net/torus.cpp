@@ -38,7 +38,7 @@ Shape Shape::for_nodes(unsigned n) {
 }
 
 Torus::Torus(Shape shape, const TorusParams& params)
-    : shape_(shape), params_(params), sinks_(shape.nodes(), nullptr) {}
+    : shape_(shape), params_(params), upcs_(shape.nodes(), nullptr) {}
 
 Coord Torus::coord_of(unsigned node) const {
   if (node >= shape_.nodes()) throw std::out_of_range("node id");
@@ -75,8 +75,8 @@ cycles_t Torus::transfer_cycles(unsigned a, unsigned b, u64 bytes) const {
   return cycles_t{h} * params_.hop_latency + serialization;
 }
 
-void Torus::attach_sink(unsigned node, mem::EventSink* sink) {
-  sinks_.at(node) = sink;
+void Torus::attach_upc(unsigned node, upc::UpcUnit* upc) {
+  upcs_.at(node) = upc;
 }
 
 unsigned Torus::first_hop_direction(unsigned src, unsigned dst) const {
@@ -98,18 +98,18 @@ void Torus::record_transfer(unsigned src, unsigned dst, u64 bytes) {
   const u64 packets =
       (bytes + params_.packet_bytes - 1) / params_.packet_bytes;
   const u64 chunks32 = (bytes + 31) / 32;
-  if (mem::EventSink* s = sinks_.at(src)) {
+  if (upc::UpcUnit* u = upcs_.at(src)) {
     const unsigned dir = first_hop_direction(src, dst);
     const auto send_event = static_cast<isa::TorusEvent>(
         static_cast<unsigned>(isa::TorusEvent::kPacketsSentXp) + dir);
-    mem::emit(s, ev::torus(send_event), packets);
-    mem::emit(s, ev::torus(isa::TorusEvent::kBytesSent32B), chunks32);
-    mem::emit(s, ev::torus(isa::TorusEvent::kHopsTotal),
+    u->signal(ev::torus(send_event), packets);
+    u->signal(ev::torus(isa::TorusEvent::kBytesSent32B), chunks32);
+    u->signal(ev::torus(isa::TorusEvent::kHopsTotal),
               packets * hops(src, dst));
   }
-  if (mem::EventSink* s = sinks_.at(dst)) {
-    mem::emit(s, ev::torus(isa::TorusEvent::kPacketsReceived), packets);
-    mem::emit(s, ev::torus(isa::TorusEvent::kBytesRecv32B), chunks32);
+  if (upc::UpcUnit* u = upcs_.at(dst)) {
+    u->signal(ev::torus(isa::TorusEvent::kPacketsReceived), packets);
+    u->signal(ev::torus(isa::TorusEvent::kBytesRecv32B), chunks32);
   }
 }
 

@@ -7,7 +7,7 @@
 #include <array>
 #include <vector>
 
-#include "mem/sink.hpp"
+#include "upc/upc_unit.hpp"
 
 namespace bgp::net {
 
@@ -58,8 +58,8 @@ class Torus {
   [[nodiscard]] cycles_t transfer_cycles(unsigned a, unsigned b,
                                          u64 bytes) const;
 
-  /// Attach the UPC sink of `node` (mode-2 events are emitted there).
-  void attach_sink(unsigned node, mem::EventSink* sink);
+  /// Attach the UPC unit of `node` (its mode-2 events count there).
+  void attach_upc(unsigned node, upc::UpcUnit* upc);
 
   /// Account a message send on the counters of both endpoints.
   void record_transfer(unsigned src, unsigned dst, u64 bytes);
@@ -70,7 +70,7 @@ class Torus {
 
   Shape shape_;
   TorusParams params_;
-  std::vector<mem::EventSink*> sinks_;
+  std::vector<upc::UpcUnit*> upcs_;
 };
 
 }  // namespace bgp::net

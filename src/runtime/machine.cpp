@@ -280,12 +280,12 @@ const opt::CompiledLoop& Machine::compile_cached(const isa::LoopDesc& desc) {
     entry->name.assign(desc.name);
     entry->cl = compiler_.compile(desc);
     entry->cl.name = entry->name;  // re-point the view at owned storage
-    // Derive the delivery-ready per-core batches the compiler cannot build
+    // Derive the per-core event vectors the compiler cannot build
     // (the cycle entry needs the CPU timing model): core-0 ids rebased onto
     // each core's slice, CYCLE_COUNT last. All cores run identical default
     // parameters (sys::Node constructs them that way), so one
     // bundle_cycles() covers every core and Core::execute_block can charge
-    // the same value it finds precomputed in its batch.
+    // the same value it finds precomputed in its vector.
     const cycles_t block_cycles =
         cpu::Core::bundle_cycles(entry->cl.ops, cpu::CoreParams{});
     for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {

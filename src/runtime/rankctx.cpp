@@ -48,7 +48,7 @@ void RankCtx::pulse_node() {
 }
 
 void RankCtx::sys_event(isa::SysEvent e, u64 count) {
-  mem::emit(node().sink(), isa::ev::system(e, placement_.local_proc), count);
+  node().upc().signal(isa::ev::system(e, placement_.local_proc), count);
 }
 
 void RankCtx::wait_until(cycles_t t) {

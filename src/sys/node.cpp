@@ -3,13 +3,13 @@
 namespace bgp::sys {
 
 Node::Node(unsigned id, const BootOptions& boot)
-    : id_(id), boot_(boot), upc_(), sink_(upc_) {
+    : id_(id), boot_(boot) {
   mem::HierarchyParams hp;
   hp.l3_size_bytes = boot.l3_size_bytes;
   hp.prefetch = boot.prefetch;
-  mem_ = std::make_unique<mem::MemoryHierarchy>(hp, &sink_);
+  mem_ = std::make_unique<mem::MemoryHierarchy>(hp, &upc_);
   for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {
-    cores_[c] = std::make_unique<cpu::Core>(c, cpu::CoreParams{}, &sink_);
+    cores_[c] = std::make_unique<cpu::Core>(c, cpu::CoreParams{}, &upc_);
   }
 }
 

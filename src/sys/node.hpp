@@ -1,7 +1,7 @@
 // One Blue Gene/P compute node (paper Fig 2): four PPC450 cores with their
 // SIMD FPUs, the private L1/L2 caches, the shared L3, two DDR controllers,
-// the snoop filter and the node's UPC unit. All hardware event sources are
-// wired into the UPC through the node's EventSink.
+// the snoop filter and the node's UPC unit. Every hardware event source
+// counts straight into the UPC unit, the node's one counter store.
 #pragma once
 
 #include <array>
@@ -34,6 +34,9 @@ struct BootOptions {
 class Node {
  public:
   Node(unsigned id, const BootOptions& boot = {});
+  // The memory system and the cores hold the address of upc_.
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
 
   [[nodiscard]] unsigned id() const noexcept { return id_; }
   [[nodiscard]] unsigned card_id() const noexcept {
@@ -55,10 +58,6 @@ class Node {
     return *cores_.at(i);
   }
   [[nodiscard]] const BootOptions& boot() const noexcept { return boot_; }
-
-  /// The node's event sink (forwards into the UPC unit); networks and the
-  /// runtime attach through this.
-  [[nodiscard]] mem::EventSink* sink() noexcept { return &sink_; }
 
   /// Node Time Base: the maximum core clock (cores are kept loosely in sync
   /// by the runtime; TB is globally synchronized on real hardware).
@@ -86,22 +85,9 @@ class Node {
   }
 
  private:
-  /// Forwards hardware events into the UPC unit.
-  class UpcSink final : public mem::EventSink {
-   public:
-    explicit UpcSink(upc::UpcUnit& upc) noexcept : upc_(upc) {}
-    void events(const isa::EventCount* batch, std::size_t n) override {
-      upc_.signal_batch(batch, n);
-    }
-
-   private:
-    upc::UpcUnit& upc_;
-  };
-
   unsigned id_;
   BootOptions boot_;
   upc::UpcUnit upc_;
-  UpcSink sink_;
   std::vector<PulseHook> pulse_hooks_;
   std::unique_ptr<mem::MemoryHierarchy> mem_;
   std::array<std::unique_ptr<cpu::Core>, isa::kCoresPerNode> cores_;

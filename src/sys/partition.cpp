@@ -19,9 +19,9 @@ Partition::Partition(unsigned num_nodes, OpMode mode, const BootOptions& boot)
   coll_ = std::make_unique<net::CollectiveNet>(num_nodes);
   barrier_ = std::make_unique<net::BarrierNet>(num_nodes);
   for (unsigned i = 0; i < num_nodes; ++i) {
-    torus_->attach_sink(i, nodes_[i]->sink());
-    coll_->attach_sink(i, nodes_[i]->sink());
-    barrier_->attach_sink(i, nodes_[i]->sink());
+    torus_->attach_upc(i, &nodes_[i]->upc());
+    coll_->attach_upc(i, &nodes_[i]->upc());
+    barrier_->attach_upc(i, &nodes_[i]->upc());
   }
 }
 

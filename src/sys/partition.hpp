@@ -1,5 +1,5 @@
 // A partition: a set of nodes booted together in one operating mode, with
-// the torus / collective / barrier networks wired to every node's UPC sink,
+// the torus / collective / barrier networks wired to every node's UPC unit,
 // and the rank → (node, core) placement for the selected mode.
 #pragma once
 

@@ -3,6 +3,10 @@
 // each, per-counter configuration registers with the paper's 2-bit
 // edge/level encodings and an interrupt-enable bit, memory-mapped access to
 // all counters and configuration registers, and thresholding interrupts.
+//
+// The unit is its node's one counter store. Every hardware model counts
+// straight into it: like the hardware, it sees all 1024 event lines, and
+// its counter mode picks the 256 whose counts reach the counters.
 #pragma once
 
 #include <array>
@@ -48,10 +52,12 @@ class UpcError : public std::runtime_error {
 
 /// One UPC unit (one per node).
 ///
-/// Hardware units report activity via signal_batch() / signal_level();
-/// whether a given report increments a physical counter depends on the
-/// unit's counter mode, the counter's enable bit and its signal-mode
-/// configuration.
+/// Hardware units report activity via signal() / signal_level(). signal()
+/// advances the reported line's free-running count; the counters are
+/// derived from their mode's window of those counts when they are read,
+/// and settled whenever the unit's state changes. So a report counts iff,
+/// at that report, the unit is running, set to the event's mode, and the
+/// counter is enabled with an edge signal mode.
 class UpcUnit {
  public:
   static constexpr unsigned kNumCounters = isa::kCountersPerUnit;
@@ -64,7 +70,7 @@ class UpcUnit {
   static constexpr addr_t kThresholdOffset = 0x2000;
   static constexpr addr_t kMmioSpan = 0x3000;
 
-  using ThresholdHandler = std::function<void(u8 counter, u64 value)>;
+  using ThresholdListener = std::function<void(u8 counter, u64 value)>;
 
   explicit UpcUnit(addr_t mmio_base = kDefaultMmioBase) noexcept;
 
@@ -73,8 +79,8 @@ class UpcUnit {
   void set_mode(u8 mode);
   [[nodiscard]] u8 mode() const noexcept { return mode_; }
 
-  void start() noexcept { running_ = true; }
-  void stop() noexcept { running_ = false; }
+  void start() noexcept;
+  void stop() noexcept;
   [[nodiscard]] bool running() const noexcept { return running_; }
 
   /// Zero all counters (configuration is preserved).
@@ -87,14 +93,9 @@ class UpcUnit {
   [[nodiscard]] const CounterConfig& config(u8 counter) const;
 
   /// Interrupt delivery for thresholding (paper: "raising an interrupt when
-  /// specific counters reach corresponding thresholds").
-  void set_threshold_handler(ThresholdHandler handler) {
-    threshold_handler_ = std::move(handler);
-  }
-  /// Additional interrupt subscribers (the sampling layer taps the same
-  /// line without displacing the user's handler). Listeners fire after the
-  /// handler, in registration order, and persist for the unit's lifetime.
-  void add_threshold_listener(ThresholdHandler listener) {
+  /// specific counters reach corresponding thresholds"). Listeners are
+  /// called in registration order and persist for the unit's lifetime.
+  void add_threshold_listener(ThresholdListener listener) {
     threshold_listeners_.push_back(std::move(listener));
   }
   [[nodiscard]] u64 threshold_interrupts() const noexcept {
@@ -102,23 +103,29 @@ class UpcUnit {
   }
 
   // -- event input from hardware units -------------------------------------
-  /// Report a batch of edge events in one call, entry by entry in order.
-  /// An entry is counted iff the unit is running, set to the event's mode,
-  /// and the counter is enabled and configured for an edge signal mode, at
-  /// that entry: a threshold handler that stops the unit or switches its
-  /// mode mid-batch acts on the entries after it, so a batch counts
-  /// exactly as the same reports one by one. Every event source reaches
-  /// the unit through here (sys::Node's sink).
-  void signal_batch(const isa::EventCount* batch, std::size_t n);
-
-  /// Report `count` edge events for `id`: a one-entry signal_batch().
-  void signal(isa::EventId id, u64 count = 1);
+  /// Report `count` edge events on line `id`. Ids outside the 1024-line
+  /// event space (isa::kNoEvent) and zero counts count nothing. A line
+  /// whose counter is armed for a threshold interrupt in the current mode
+  /// is watched: its report checks the crossing at once, so a threshold
+  /// listener sees every report made before it and none after.
+  void signal(isa::EventId id, u64 count = 1) {
+    if (id >= isa::kNumEvents) return;
+    if (watched_[id] != 0) [[unlikely]] {
+      signal_watched(id, count);
+      return;
+    }
+    lines_[id] += count;
+  }
 
   /// Report a level signal observation: the signal was high for
   /// `cycles_high` of a `window`-cycle observation window. LEVEL_HIGH
   /// configs accumulate cycles_high, LEVEL_LOW accumulate window−cycles_high,
   /// edge configs count one rising transition if the signal was ever high.
   void signal_level(isa::EventId id, u64 cycles_high, u64 window);
+
+  /// Every edge count line `id` has reported since construction, whatever
+  /// the unit's state.
+  [[nodiscard]] u64 line_count(isa::EventId id) const { return lines_.at(id); }
 
   // -- counter access -------------------------------------------------------
   [[nodiscard]] u64 read(u8 counter) const;
@@ -131,9 +138,7 @@ class UpcUnit {
   [[nodiscard]] u64 counter_mask(u8 counter) const;
 
   /// Snapshot of all 256 counters.
-  [[nodiscard]] std::array<u64, kNumCounters> snapshot() const noexcept {
-    return counters_;
-  }
+  [[nodiscard]] std::array<u64, kNumCounters> snapshot() const noexcept;
 
   // -- memory-mapped access -------------------------------------------------
   [[nodiscard]] addr_t mmio_base() const noexcept { return mmio_base_; }
@@ -146,39 +151,64 @@ class UpcUnit {
   void mmio_write32(addr_t addr, u32 value);
 
  private:
-  void bump(u8 counter, u64 amount);
-  /// signal_batch() with a threshold armed. Kept out of line so the
-  /// interrupt-free loop stays a leaf call that pays no register spills
-  /// for the bump() path it does not take.
-  [[gnu::noinline]] void signal_armed(const isa::EventCount* batch,
-                                      std::size_t n);
+  /// The current mode's 256 line counts.
+  [[nodiscard]] const u64* window() const noexcept {
+    return lines_.data() + std::size_t{mode_} * kNumCounters;
+  }
+  /// What `counter` holds now: its settled value plus, while it counts,
+  /// what its line reported since the last settle, wrapped at its width.
+  [[nodiscard]] u64 value(u8 counter) const noexcept {
+    const u64 live_mask = 0 - u64{live_[counter]};  // all ones or zero
+    const u64 window_reports =
+        (window()[counter] - marks_[counter]) & live_mask;
+    return (counters_[counter] + window_reports) & masks_[counter];
+  }
+  /// Fold `counter`'s window into its settled value and restart the window
+  /// at its line's count. Runs before every change to the counter's state.
+  void settle(u8 counter) noexcept {
+    counters_[counter] = value(counter);
+    marks_[counter] = window()[counter];
+  }
+  /// Restart `counter`'s window in the current mode and re-derive its live_
+  /// and watched_ flags, after a settle() and a change of state.
+  void refresh(u8 counter) noexcept;
+  /// settle() / refresh() of every counter, around a change of mode or run
+  /// state.
+  void settle() noexcept;
+  void refresh() noexcept;
+  /// signal() on a watched line: count it and raise the interrupt if this
+  /// report carries the counter across its threshold.
+  void signal_watched(isa::EventId id, u64 count);
+  /// Interrupt rule: fire when `amount` carries the counter from `before`
+  /// to or past its threshold. The sum is unwrapped, so a narrowed counter
+  /// crossing its threshold and its wrap in one report still fires, while
+  /// a wrap that starts above the threshold does not fire again.
+  void check_crossing(u8 counter, u64 before, u64 amount);
   void fire_threshold(u8 counter);
   /// A threshold (re)write that lands at or below the current count raises
   /// the interrupt immediately unless the old configuration had already
   /// observed that crossing.
   void maybe_fire_on_arm(u8 counter, const CounterConfig& old_cfg);
-  /// Recompute the per-counter fast-path flags below after any config or
-  /// threshold write (cold; the writes all happen at set-up time).
-  void refresh_derived() noexcept;
   [[nodiscard]] static u8 check_counter(unsigned counter);
 
   addr_t mmio_base_;
   u8 mode_ = 0;
   bool running_ = false;
+  /// Free-running count of each event line.
+  std::array<u64, isa::kNumEvents> lines_{};
+  /// Counter values as of the last settle(), masked to their width.
   std::array<u64, kNumCounters> counters_{};
+  /// The window's line counts at the last settle().
+  std::array<u64, kNumCounters> marks_{};
   std::array<u64, kNumCounters> masks_;  ///< per-counter width mask
   std::array<CounterConfig, kNumCounters> configs_{};
-  /// Derived from configs_: counter is enabled with an edge signal mode,
-  /// i.e. a signal_batch() report lands in it. Lets the batch loop reduce
-  /// a countable entry to one masked add.
-  std::array<u8, kNumCounters> edge_countable_{};
-  /// Counters whose config could fire a threshold interrupt
-  /// (interrupt_enable with a nonzero threshold). Zero on every shipped
-  /// configuration that does not arm thresholds, which unlocks the
-  /// interrupt-free batch loop.
-  unsigned armed_thresholds_ = 0;
-  ThresholdHandler threshold_handler_;
-  std::vector<ThresholdHandler> threshold_listeners_;
+  /// 1 while the counter counts its line's reports: the unit is running
+  /// and the counter is enabled with an edge signal mode.
+  std::array<u8, kNumCounters> live_{};
+  /// Line is in the current mode and its counter is live and armed
+  /// (interrupt_enable with a nonzero threshold).
+  std::array<u8, isa::kNumEvents> watched_{};
+  std::vector<ThresholdListener> threshold_listeners_;
   u64 threshold_interrupts_ = 0;
 };
 

@@ -221,7 +221,7 @@ TEST(Session, ThresholdInterruptFiresViaUpc) {
   rt::Machine m(cfg(1, sys::OpMode::kSmp1));
   Session s(m, mem_only());
   unsigned fires = 0;
-  m.partition().node(0).upc().set_threshold_handler(
+  m.partition().node(0).upc().add_threshold_listener(
       [&](u8, u64) { ++fires; });
   m.run([&](rt::RankCtx& ctx) {
     s.BGP_Initialize(ctx);

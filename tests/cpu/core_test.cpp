@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 namespace bgp::cpu {
 namespace {
 
@@ -11,16 +9,6 @@ using isa::FpOp;
 using isa::IntOp;
 using isa::LsOp;
 using isa::OpMix;
-
-class Recorder final : public mem::EventSink {
- public:
-  void events(const isa::EventCount* b, std::size_t n) override {
-    ++calls;
-    for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
-  }
-  std::map<isa::EventId, u64> counts;
-  unsigned calls = 0;
-};
 
 TEST(Core, EmptyBundleCostsNothing) {
   Core c(0, CoreParams{});
@@ -104,10 +92,11 @@ TEST(Core, ExecuteAccumulatesStatsAndTime) {
 }
 
 TEST(Core, SignalsFpuAndCycleEvents) {
-  // The block batch (built by the compile cache in a real run) goes to the
-  // sink as-is, in one call, and the core charges the bundle's cycles.
-  Recorder rec;
-  Core c(2, CoreParams{}, &rec);
+  // The block's event vector (built by the compile cache in a real run)
+  // counts into the UPC unit as-is, and the core charges the bundle's
+  // cycles.
+  upc::UpcUnit upc;
+  Core c(2, CoreParams{}, &upc);
   OpMix m;
   m.fp_at(FpOp::kSimdAddSub) = 7;
   m.int_at(IntOp::kAlu) = 3;
@@ -118,11 +107,10 @@ TEST(Core, SignalsFpuAndCycleEvents) {
       {isa::ev::cycle_count(2), 7},  // FPU-bound: 7 SIMD adds
   };
   EXPECT_EQ(c.execute_block(m, batch), 7u);
-  EXPECT_EQ(rec.calls, 1u);
-  EXPECT_EQ(rec.counts[isa::ev::fpu_op(2, FpOp::kSimdAddSub)], 7u);
-  EXPECT_EQ(rec.counts[isa::ev::int_op(2, IntOp::kAlu)], 3u);
-  EXPECT_EQ(rec.counts[isa::ev::instr_completed(2)], 10u);
-  EXPECT_EQ(rec.counts[isa::ev::cycle_count(2)], 7u);
+  EXPECT_EQ(upc.line_count(isa::ev::fpu_op(2, FpOp::kSimdAddSub)), 7u);
+  EXPECT_EQ(upc.line_count(isa::ev::int_op(2, IntOp::kAlu)), 3u);
+  EXPECT_EQ(upc.line_count(isa::ev::instr_completed(2)), 10u);
+  EXPECT_EQ(upc.line_count(isa::ev::cycle_count(2)), 7u);
   EXPECT_EQ(c.now(), 7u);
 }
 
@@ -137,11 +125,12 @@ TEST(Core, SyncToOnlyMovesForward) {
 }
 
 TEST(Core, TimebaseMatchesClockAndCountsReads) {
-  Recorder rec;
-  Core c(0, CoreParams{}, &rec);
+  upc::UpcUnit upc;
+  Core c(0, CoreParams{}, &upc);
   c.advance(123);
   EXPECT_EQ(c.read_timebase(), 123u);
-  EXPECT_EQ(rec.counts[isa::ev::system(isa::SysEvent::kTimebaseReads, 0)], 1u);
+  EXPECT_EQ(upc.line_count(isa::ev::system(isa::SysEvent::kTimebaseReads, 0)),
+            1u);
 }
 
 TEST(Core, PeakSimdRateIsFourFlopsPerCycle) {

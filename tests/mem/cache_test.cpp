@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <tuple>
 
 namespace bgp::mem {
@@ -122,9 +121,8 @@ TEST(Cache, InstallDoesNotDoubleInsert) {
   // and installing charges nothing below.
   Backstop mem;
   Cache c("c", small_wb(), &mem);
-  EventBatch unwired(nullptr);
   EXPECT_FALSE(c.probe(0x1000));
-  c.install(0x1000, 0, 0, unwired);
+  c.install(0x1000, 0, 0);
   EXPECT_TRUE(c.probe(0x1000));
   EXPECT_EQ(c.resident_lines(), 1u);
   EXPECT_EQ(c.stats().line_fills, 1u);
@@ -166,23 +164,16 @@ TEST(Cache, ThrashingBeyondCapacity) {
 }
 
 TEST(Cache, EventsEmittedToSink) {
-  class Recorder final : public EventSink {
-   public:
-    void events(const isa::EventCount* b, std::size_t n) override {
-      for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
-    }
-    std::map<isa::EventId, u64> counts;
-  } rec;
-
+  upc::UpcUnit upc;
   Backstop mem;
   CacheEventIds ids;
   ids.read_access = 7;
   ids.read_miss = 8;
-  Cache c("c", small_wb(), &mem, &rec, ids);
+  Cache c("c", small_wb(), &mem, &upc, ids);
   c.access(0x0, AccessType::kRead, 0, 0);
   c.access(0x0, AccessType::kRead, 0, 0);
-  EXPECT_EQ(rec.counts[7], 2u);
-  EXPECT_EQ(rec.counts[8], 1u);
+  EXPECT_EQ(upc.line_count(7), 2u);
+  EXPECT_EQ(upc.line_count(8), 1u);
 }
 
 TEST(Cache, MissWithNoNextLevelIsWiringBug) {

@@ -87,21 +87,16 @@ TEST(DdrSystem, InterleavingHalvesQueueing) {
 }
 
 TEST(DdrSystem, EmitsUpcEventsWhenWired) {
-  class Recorder final : public EventSink {
-   public:
-    void events(const isa::EventCount* b, std::size_t n) override {
-      for (std::size_t i = 0; i < n; ++i) total[b[i].id] += b[i].count;
-    }
-    std::map<isa::EventId, u64> total;
-  } rec;
+  upc::UpcUnit upc;
   DdrParams p;
-  DdrSystem sys(p, &rec);
+  DdrSystem sys(p, &upc);
   sys.access(0, AccessType::kRead, 0, 0);    // controller 0
   sys.access(128, AccessType::kWrite, 0, 0); // controller 1
-  EXPECT_EQ(rec.total[isa::ev::ddr(0, isa::DdrEvent::kReadReq)], 1u);
-  EXPECT_EQ(rec.total[isa::ev::ddr(0, isa::DdrEvent::kBytesRead16B)], 8u);
-  EXPECT_EQ(rec.total[isa::ev::ddr(1, isa::DdrEvent::kWriteReq)], 1u);
-  EXPECT_EQ(rec.total[isa::ev::ddr(1, isa::DdrEvent::kBytesWritten16B)], 8u);
+  using isa::DdrEvent;
+  EXPECT_EQ(upc.line_count(isa::ev::ddr(0, DdrEvent::kReadReq)), 1u);
+  EXPECT_EQ(upc.line_count(isa::ev::ddr(0, DdrEvent::kBytesRead16B)), 8u);
+  EXPECT_EQ(upc.line_count(isa::ev::ddr(1, DdrEvent::kWriteReq)), 1u);
+  EXPECT_EQ(upc.line_count(isa::ev::ddr(1, DdrEvent::kBytesWritten16B)), 8u);
 }
 
 }  // namespace

@@ -2,13 +2,13 @@
 // expected value below is worked out from the cache geometry and the access
 // pattern alone — 32 B L1 lines, 128 B L2/L3 lines, a 32 KiB L1D, two
 // line-interleaved DDR controllers — never from another simulator path.
-// Caches start cold, a recording sink sees every event, and the L2
+// Caches start cold, every event line's count is read from the UPC unit's
+// free-running line counts, and the L2
 // prefetcher is off unless a test says otherwise.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <random>
-#include <vector>
 
 #include "../integration/golden.hpp"
 #include "mem/hierarchy.hpp"
@@ -21,20 +21,13 @@ using isa::L1dEvent;
 using isa::L2Event;
 using isa::L3Event;
 
-/// Sums every reported count per event id.
-class Recorder final : public EventSink {
+/// Every count the hierarchy reported on each event line.
+class Recorder {
  public:
-  void events(const isa::EventCount* batch, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      counts_.at(batch[i].id) += batch[i].count;
-    }
-  }
+  upc::UpcUnit unit;
   [[nodiscard]] u64 operator[](isa::EventId id) const {
-    return counts_.at(id);
+    return unit.line_count(id);
   }
-
- private:
-  std::array<u64, isa::kNumEvents> counts_{};
 };
 
 u64 ddr_bytes(const Recorder& r, unsigned ctrl, isa::DdrEvent e) {
@@ -56,7 +49,7 @@ constexpr u64 kL1Lines = 32 * KiB / 32;
 
 TEST(HierarchyOracle, ColdStreamReadMatchesLineArithmetic) {
   Recorder rec;
-  MemoryHierarchy h(no_prefetch(), &rec);
+  MemoryHierarchy h(no_prefetch(), &rec.unit);
   cycles_t now = 0;
   for (addr_t a = kBase; a < kBase + kN; a += 256) {
     now += h.read(0, a, 256, now).latency;
@@ -92,7 +85,7 @@ TEST(HierarchyOracle, BlockRereadMissesOnlyOnTheFirstPass) {
   constexpr u64 kBlock = 16 * KiB;
   constexpr u64 kPasses = 7;
   Recorder rec;
-  MemoryHierarchy h(no_prefetch(), &rec);
+  MemoryHierarchy h(no_prefetch(), &rec.unit);
   for (u64 p = 0; p < kPasses; ++p) h.read(1, kBase, kBlock, 0);
   EXPECT_EQ(rec[ev::l1d(1, L1dEvent::kReadAccess)], 512 * kPasses);
   EXPECT_EQ(rec[ev::l1d(1, L1dEvent::kReadMiss)], 512u);
@@ -105,7 +98,7 @@ TEST(HierarchyOracle, WithoutL3EveryL2MissGoesToDdr) {
   HierarchyParams p = no_prefetch();
   p.l3_size_bytes = 0;
   Recorder rec;
-  MemoryHierarchy h(p, &rec);
+  MemoryHierarchy h(p, &rec.unit);
   h.read(2, kBase, kN, 0);
   for (unsigned e = 0; e < isa::kNumL3Events; ++e) {
     EXPECT_EQ(rec[ev::l3(L3Event(e))], 0u) << "L3 event " << e;
@@ -116,7 +109,7 @@ TEST(HierarchyOracle, WithoutL3EveryL2MissGoesToDdr) {
 
 TEST(HierarchyOracle, StoreStreamWritesThroughToL3) {
   Recorder rec;
-  MemoryHierarchy h(no_prefetch(), &rec);
+  MemoryHierarchy h(no_prefetch(), &rec.unit);
   for (addr_t a = kBase; a < kBase + kN; a += 64) h.write(3, a, 64, 0);
   // Write-through, no-allocate L1 and L2: every 32 B store reaches the
   // L3 and neither private level ever holds the line.
@@ -139,7 +132,7 @@ TEST(HierarchyOracle, StoreStreamWritesThroughToL3) {
 
 TEST(HierarchyOracle, PrefetchesAreL3Reads) {
   Recorder rec;
-  MemoryHierarchy h(HierarchyParams{}, &rec);
+  MemoryHierarchy h(HierarchyParams{}, &rec.unit);
   // Four cores stream disjoint regions, interleaved line by line.
   for (addr_t off = 0; off < kN; off += 128) {
     for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {
@@ -159,12 +152,11 @@ TEST(HierarchyOracle, PrefetchesAreL3Reads) {
 
 /// Mixed traffic: prefetch on, a 512 KiB L3 small enough to evict dirty
 /// lines, and 40000 random reads and writes of 1-512 B from all four
-/// cores. `after_walk()` runs after every walk.
-template <class AfterWalk>
-void mixed_traffic(EventSink& sink, AfterWalk after_walk) {
+/// cores, counted into `unit`.
+void mixed_traffic(upc::UpcUnit& unit) {
   HierarchyParams p;
   p.l3_size_bytes = 512 * KiB;
-  MemoryHierarchy h(p, &sink);
+  MemoryHierarchy h(p, &unit);
   std::mt19937_64 rng(14);
   cycles_t now = 0;
   for (int i = 0; i < 40000; ++i) {
@@ -174,13 +166,12 @@ void mixed_traffic(EventSink& sink, AfterWalk after_walk) {
     const AccessResult r = (rng() % 3 == 0) ? h.write(core, a, bytes, now)
                                             : h.read(core, a, bytes, now);
     now += r.latency;
-    after_walk();
   }
 }
 
 TEST(HierarchyOracle, FillAndDdrIdentitiesOnMixedTraffic) {
   Recorder rec;
-  mixed_traffic(rec, [] {});
+  mixed_traffic(rec.unit);
   const u64 fills = rec[ev::l3(L3Event::kFillFromDdr)];
   const u64 writebacks = rec[ev::l3(L3Event::kWritebackToDdr)];
   EXPECT_GT(writebacks, 0u);
@@ -196,45 +187,46 @@ TEST(HierarchyOracle, FillAndDdrIdentitiesOnMixedTraffic) {
             128 * writebacks);
 }
 
-/// Folds every delivered (id, count) entry, in order, into one digest and
-/// keeps the entry count of each events() call.
-class SequenceRecorder final : public EventSink {
- public:
-  void events(const isa::EventCount* batch, std::size_t n) override {
-    calls.push_back(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      digest = golden::add(digest, u64{batch[i].id});
-      digest = golden::add(digest, batch[i].count);
-    }
+/// The digest of the (line, count) sequence a unit in `mode` sees over the
+/// mixed traffic, through interrupts alone: every counter is armed one
+/// above its count, so each report fires, and the listener folds the
+/// report's line and count into the digest before it re-arms.
+u64 armed_report_digest(u8 mode) {
+  upc::UpcUnit unit;
+  unit.set_mode(mode);
+  upc::CounterConfig armed;
+  armed.interrupt_enable = true;
+  armed.threshold = 1;
+  for (unsigned c = 0; c < upc::UpcUnit::kNumCounters; ++c) {
+    unit.configure(static_cast<u8>(c), armed);
   }
+  std::array<u64, upc::UpcUnit::kNumCounters> seen{};
   u64 digest = golden::kSeed;
-  std::vector<std::size_t> calls;  ///< entries per call since the last walk
-};
-
-// The order in which a walk reports its events is observable: a threshold
-// interrupt on a memory event fires at one entry of the sequence. The
-// digest pins the concatenated sequence of the mixed traffic above; it
-// was recorded with one events() call per report, and a walk must deliver
-// the same sequence in one call, plus one per full batch.
-TEST(HierarchyOracle, DeliveryOrderIsPinnedAndEachWalkDeliversOnce) {
-  constexpr u64 kGolden = 0xfdedc110bb62a13d;
-  SequenceRecorder rec;
-  u64 walks = 0, bad_walks = 0, split_walks = 0;
-  mixed_traffic(rec, [&] {
-    // One call per walk, plus one per batch that filled before the end.
-    bool ok = !rec.calls.empty() && rec.calls.back() <= EventBatch::kCapacity;
-    for (std::size_t i = 0; i + 1 < rec.calls.size(); ++i) {
-      ok = ok && rec.calls[i] == EventBatch::kCapacity;
-    }
-    ++walks;
-    bad_walks += ok ? 0 : 1;
-    split_walks += rec.calls.size() > 1 ? 1 : 0;
-    rec.calls.clear();
+  unit.add_threshold_listener([&](u8 counter, u64 value) {
+    digest = golden::add(digest, u64{mode} * isa::kCountersPerUnit + counter);
+    digest = golden::add(digest, value - seen[counter]);
+    seen[counter] = value;
+    upc::CounterConfig cfg = unit.config(counter);
+    cfg.threshold = value + 1;
+    unit.configure(counter, cfg);
   });
-  EXPECT_EQ(walks, 40000u);
-  EXPECT_EQ(bad_walks, 0u);
-  EXPECT_GT(split_walks, 0u) << "no walk filled a batch";
-  EXPECT_EQ(rec.digest, kGolden) << "digest is " << golden::hex(rec.digest);
+  unit.start();
+  mixed_traffic(unit);
+  return digest;
+}
+
+// The order in which a walk reports its events is observable through an
+// armed counter: its interrupt fires at one report of the sequence. The
+// digests pin that sequence for each mode the hierarchy reports in; they
+// were recorded from the per-walk batches of an earlier delivery path,
+// filtered to each mode's lines.
+TEST(HierarchyOracle, ReportOrderSeenByArmedCountersIsPinned) {
+  constexpr u64 kGoldenMode0 = 0xf9c18e09fb99e566;
+  constexpr u64 kGoldenMode1 = 0xe56dce36ce79b50a;
+  const u64 mode0 = armed_report_digest(0);
+  const u64 mode1 = armed_report_digest(1);
+  EXPECT_EQ(mode0, kGoldenMode0) << "mode 0 digest is " << golden::hex(mode0);
+  EXPECT_EQ(mode1, kGoldenMode1) << "mode 1 digest is " << golden::hex(mode1);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <map>
 
 namespace bgp::net {
 namespace {
@@ -23,22 +22,16 @@ TEST(Collective, LatencyGrowsWithNodesAndBytes) {
 }
 
 TEST(Collective, RecordsOnAllNodes) {
-  class Recorder final : public mem::EventSink {
-   public:
-    void events(const isa::EventCount* b, std::size_t n) override {
-      for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
-    }
-    std::map<isa::EventId, u64> counts;
-  };
   CollectiveNet net(4);
-  std::array<Recorder, 4> recs;
-  for (unsigned i = 0; i < 4; ++i) net.attach_sink(i, &recs[i]);
+  std::array<upc::UpcUnit, 4> upcs;
+  for (unsigned i = 0; i < 4; ++i) net.attach_upc(i, &upcs[i]);
   net.record_operation(64, 1234);
   namespace ev = isa::ev;
-  for (auto& r : recs) {
-    EXPECT_EQ(r.counts[ev::collective(isa::CollectiveEvent::kOperations)], 1u);
-    EXPECT_EQ(r.counts[ev::collective(isa::CollectiveEvent::kBytes32B)], 2u);
-    EXPECT_EQ(r.counts[ev::collective(isa::CollectiveEvent::kLatencyCycles)],
+  using isa::CollectiveEvent;
+  for (const auto& r : upcs) {
+    EXPECT_EQ(r.line_count(ev::collective(CollectiveEvent::kOperations)), 1u);
+    EXPECT_EQ(r.line_count(ev::collective(CollectiveEvent::kBytes32B)), 2u);
+    EXPECT_EQ(r.line_count(ev::collective(CollectiveEvent::kLatencyCycles)),
               1234u);
   }
 }
@@ -51,21 +44,14 @@ TEST(Barrier, LatencyGrowsSlowlyWithNodes) {
 }
 
 TEST(Barrier, RecordsEntries) {
-  class Recorder final : public mem::EventSink {
-   public:
-    void events(const isa::EventCount* b, std::size_t n) override {
-      for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
-    }
-    std::map<isa::EventId, u64> counts;
-  };
   BarrierNet net(2);
-  Recorder a, b;
-  net.attach_sink(0, &a);
-  net.attach_sink(1, &b);
+  upc::UpcUnit a, b;
+  net.attach_upc(0, &a);
+  net.attach_upc(1, &b);
   net.record_barrier(100);
   namespace ev = isa::ev;
-  EXPECT_EQ(a.counts[ev::barrier(isa::BarrierEvent::kEntries)], 1u);
-  EXPECT_EQ(b.counts[ev::barrier(isa::BarrierEvent::kWaitCycles)], 50u);
+  EXPECT_EQ(a.line_count(ev::barrier(isa::BarrierEvent::kEntries)), 1u);
+  EXPECT_EQ(b.line_count(ev::barrier(isa::BarrierEvent::kWaitCycles)), 50u);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 namespace bgp::net {
 namespace {
 
@@ -83,26 +81,19 @@ TEST(Torus, NearestNeighbourLatencyIsSubMicrosecond) {
 }
 
 TEST(Torus, RecordsEventsOnBothEndpoints) {
-  class Recorder final : public mem::EventSink {
-   public:
-    void events(const isa::EventCount* b, std::size_t n) override {
-      for (std::size_t i = 0; i < n; ++i) counts[b[i].id] += b[i].count;
-    }
-    std::map<isa::EventId, u64> counts;
-  };
   Torus t(Shape{4, 1, 1});
-  Recorder src, dst;
-  t.attach_sink(0, &src);
-  t.attach_sink(1, &dst);
+  upc::UpcUnit src, dst;
+  t.attach_upc(0, &src);
+  t.attach_upc(1, &dst);
   t.record_transfer(0, 1, 1024);  // 4 packets of 256 B
   namespace ev = isa::ev;
-  EXPECT_EQ(src.counts[ev::torus(isa::TorusEvent::kPacketsSentXp)], 4u);
-  EXPECT_EQ(src.counts[ev::torus(isa::TorusEvent::kBytesSent32B)], 32u);
-  EXPECT_EQ(src.counts[ev::torus(isa::TorusEvent::kHopsTotal)], 4u);
-  EXPECT_EQ(dst.counts[ev::torus(isa::TorusEvent::kPacketsReceived)], 4u);
+  EXPECT_EQ(src.line_count(ev::torus(isa::TorusEvent::kPacketsSentXp)), 4u);
+  EXPECT_EQ(src.line_count(ev::torus(isa::TorusEvent::kBytesSent32B)), 32u);
+  EXPECT_EQ(src.line_count(ev::torus(isa::TorusEvent::kHopsTotal)), 4u);
+  EXPECT_EQ(dst.line_count(ev::torus(isa::TorusEvent::kPacketsReceived)), 4u);
   // Wrap-around direction: node 0 -> node 3 goes -x.
   t.record_transfer(0, 3, 256);
-  EXPECT_EQ(src.counts[ev::torus(isa::TorusEvent::kPacketsSentXm)], 1u);
+  EXPECT_EQ(src.line_count(ev::torus(isa::TorusEvent::kPacketsSentXm)), 1u);
 }
 
 }  // namespace

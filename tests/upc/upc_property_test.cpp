@@ -4,6 +4,7 @@
 // active mode's physical counters.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <utility>
 #include <vector>
@@ -57,7 +58,7 @@ TEST(UpcProperty, EveryCounterSupportsThresholding) {
   u.set_mode(2);
   u.start();
   unsigned fired = 0;
-  u.set_threshold_handler([&](u8, u64) { ++fired; });
+  u.add_threshold_listener([&](u8, u64) { ++fired; });
   for (unsigned counter = 0; counter < UpcUnit::kNumCounters; counter += 37) {
     CounterConfig cfg;
     cfg.interrupt_enable = true;
@@ -96,18 +97,52 @@ TEST(UpcProperty, StopStartPairsNeverLoseCounts) {
   EXPECT_EQ(u.read(isa::event_counter(id)), expect);
 }
 
+/// The per-report counting rule, applied eagerly: the reference the
+/// store's lazily derived counters must match after every report. A report counts
+/// iff the unit is running, set to the event's mode, and the counter is
+/// enabled with an edge signal mode, all read back from the unit at that
+/// report; the add is masked to the counter's width, and the interrupt is
+/// due on the unwrapped crossing.
+struct Reference {
+  const UpcUnit& unit;
+  std::array<u64, UpcUnit::kNumCounters> values;
+  std::vector<std::pair<u8, u64>> interrupts;
+
+  explicit Reference(const UpcUnit& u) : unit(u), values(u.snapshot()) {}
+
+  /// Count one report made to `unit` in its current state.
+  void report(isa::EventId id, u64 count) {
+    if (!unit.running() || id >= isa::kNumEvents ||
+        isa::event_mode(id) != unit.mode()) {
+      return;
+    }
+    const u8 c = isa::event_counter(id);
+    const CounterConfig& cfg = unit.config(c);
+    if (!cfg.enabled || (cfg.signal != SignalMode::kEdgeRise &&
+                         cfg.signal != SignalMode::kEdgeFall)) {
+      return;
+    }
+    const u64 before = values[c];
+    values[c] = (before + count) & unit.counter_mask(c);
+    if (cfg.interrupt_enable && cfg.threshold != 0 &&
+        before < cfg.threshold && before + count >= cfg.threshold) {
+      interrupts.emplace_back(c, values[c]);
+    }
+  }
+};
+
 /// A unit in mode 1 with a mix of counter configurations: level-
 /// configured and disabled counters, optionally armed thresholds (one of
-/// them re-armed by the handler so it fires repeatedly), and one counter
+/// them re-armed by the listener so it fires repeatedly), and one counter
 /// narrowed to 12 bits and preloaded just below its wrap.
-struct BatchFixture {
+struct MixedFixture {
   UpcUnit unit;
   std::vector<std::pair<u8, u64>> interrupts;
 
-  BatchFixture(const BatchFixture&) = delete;  // the handler holds `this`
-  BatchFixture& operator=(const BatchFixture&) = delete;
+  MixedFixture(const MixedFixture&) = delete;  // the listener holds `this`
+  MixedFixture& operator=(const MixedFixture&) = delete;
 
-  explicit BatchFixture(bool armed) {
+  explicit MixedFixture(bool armed) {
     unit.set_mode(1);
     CounterConfig level;
     level.signal = SignalMode::kLevelHigh;
@@ -125,7 +160,7 @@ struct BatchFixture {
         unit.configure(c, cfg);
       }
     }
-    unit.set_threshold_handler([this](u8 counter, u64 value) {
+    unit.add_threshold_listener([this](u8 counter, u64 value) {
       interrupts.emplace_back(counter, value);
       if (counter == 40) {  // re-arm: fire again 500 counts later
         CounterConfig cfg = unit.config(counter);
@@ -137,38 +172,41 @@ struct BatchFixture {
   }
 };
 
-/// n entries mixing own-mode (1) and other-mode ids, level-configured,
-/// disabled, narrowed and threshold counters, kNoEvent and zero counts.
-std::vector<isa::EventCount> mixed_batch(std::size_t n, u64 seed) {
+/// n reports mixing own-mode (1) and other-mode ids, level-configured,
+/// disabled, narrowed and threshold counters, the counters the test
+/// reprograms mid-stream (30, 60, 61), kNoEvent and zero counts.
+std::vector<isa::EventCount> mixed_reports(std::size_t n, u64 seed) {
+  constexpr isa::EventId kReprogrammed[] = {256 + 30, 256 + 60, 256 + 61};
   std::mt19937_64 rng(seed);
-  std::vector<isa::EventCount> batch;
-  batch.reserve(n);
+  std::vector<isa::EventCount> reports;
+  reports.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const u64 r = rng();
     isa::EventId id;
     switch (r % 8) {
-      case 0: id = 0xFFFF; break;  // kNoEvent
+      case 0: id = isa::kNoEvent; break;
       case 1: id = static_cast<isa::EventId>(rng() % isa::kNumEvents); break;
       case 2: id = static_cast<isa::EventId>(256 + rng() % 16); break;
       case 3: id = 256 + 200; break;
       case 4: id = rng() % 2 == 0 ? 256 + 20 : 256 + 40; break;
+      case 5: id = kReprogrammed[rng() % 3]; break;
       default: id = static_cast<isa::EventId>(256 + rng() % 256); break;
     }
     const u64 count = (r >> 8) % 4 == 0 ? 0 : 1 + (r >> 16) % 90;
-    batch.push_back({id, count});
+    reports.push_back({id, count});
   }
-  return batch;
+  return reports;
 }
 
-/// A unit in mode 1 whose counter 5 interrupts at 10, with a handler that
-/// either stops the unit or switches it to mode 2: the rest of a batch
-/// must then count as the same reports would one by one.
+/// A unit in mode 1 whose counter 5 interrupts at 10, with a listener that
+/// either stops the unit or switches it to mode 2: the reports after the
+/// interrupt count in the unit's new state.
 struct ControlFixture {
   enum class OnFire { kStop, kSetMode2 };
   UpcUnit unit;
   std::vector<std::pair<u8, u64>> interrupts;
 
-  ControlFixture(const ControlFixture&) = delete;  // the handler holds `this`
+  ControlFixture(const ControlFixture&) = delete;  // the listener holds `this`
   ControlFixture& operator=(const ControlFixture&) = delete;
 
   explicit ControlFixture(OnFire on_fire) {
@@ -177,7 +215,7 @@ struct ControlFixture {
     cfg.interrupt_enable = true;
     cfg.threshold = 10;
     unit.configure(5, cfg);
-    unit.set_threshold_handler([this, on_fire](u8 counter, u64 value) {
+    unit.add_threshold_listener([this, on_fire](u8 counter, u64 value) {
       interrupts.emplace_back(counter, value);
       if (on_fire == OnFire::kStop) {
         unit.stop();
@@ -191,68 +229,117 @@ struct ControlFixture {
 
 /// 20 x {counter 5, 1} + {counter 7, 3} in mode 1, then the same shape in
 /// mode 2.
-std::vector<isa::EventCount> control_batch() {
-  std::vector<isa::EventCount> batch;
+std::vector<isa::EventCount> control_reports() {
+  std::vector<isa::EventCount> reports;
   for (const isa::EventId base : {isa::EventId{256}, isa::EventId{512}}) {
-    for (int i = 0; i < 20; ++i) batch.push_back({isa::EventId(base + 5), 1});
-    batch.push_back({isa::EventId(base + 7), 3});
+    for (int i = 0; i < 20; ++i) reports.push_back({isa::EventId(base + 5), 1});
+    reports.push_back({isa::EventId(base + 7), 3});
   }
-  return batch;
+  return reports;
 }
 
-TEST(UpcProperty, OneBatchEqualsTheSameReportsOneByOne) {
+/// Report to the unit and the reference, then compare everything a reader
+/// can see.
+::testing::AssertionResult report_both(
+    UpcUnit& unit, Reference& ref,
+    const std::vector<std::pair<u8, u64>>& interrupts,
+    const isa::EventCount& e) {
+  ref.report(e.id, e.count);  // reads the state before the report
+  unit.signal(e.id, e.count);
+  if (unit.snapshot() != ref.values) {
+    return ::testing::AssertionFailure() << "counters differ";
+  }
+  if (interrupts != ref.interrupts ||
+      unit.threshold_interrupts() != ref.interrupts.size()) {
+    return ::testing::AssertionFailure()
+           << "interrupts differ: " << interrupts.size() << " delivered, "
+           << unit.threshold_interrupts() << " counted, "
+           << ref.interrupts.size() << " due";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(UpcProperty, StoreMatchesAReferenceCounterReportByReport) {
   for (const auto on_fire :
        {ControlFixture::OnFire::kStop, ControlFixture::OnFire::kSetMode2}) {
     const char* what =
         on_fire == ControlFixture::OnFire::kStop ? "stop" : "set_mode";
-    const auto batch = control_batch();
-    ControlFixture whole(on_fire);
-    ControlFixture singles(on_fire);
-    whole.unit.signal_batch(batch.data(), batch.size());
-    for (const isa::EventCount& e : batch) singles.unit.signal(e.id, e.count);
-    EXPECT_EQ(whole.unit.snapshot(), singles.unit.snapshot()) << what;
-    EXPECT_EQ(whole.interrupts, singles.interrupts) << what;
-    // One report at a time, the interrupt lands on the tenth count of
-    // counter 5; only a unit switched to mode 2 counts the rest.
+    ControlFixture f(on_fire);
+    Reference ref(f.unit);
+    const auto reports = control_reports();
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      ASSERT_TRUE(report_both(f.unit, ref, f.interrupts, reports[i]))
+          << what << " report " << i;
+    }
+    // The interrupt lands on the tenth count of counter 5; only a unit
+    // switched to mode 2 counts the rest.
     const bool stopped = on_fire == ControlFixture::OnFire::kStop;
-    EXPECT_EQ(whole.unit.read(5), stopped ? 10u : 30u) << what;
-    EXPECT_EQ(whole.unit.read(7), stopped ? 0u : 3u) << what;
+    EXPECT_EQ(f.unit.read(5), stopped ? 10u : 30u) << what;
+    EXPECT_EQ(f.unit.read(7), stopped ? 0u : 3u) << what;
   }
 
   for (const bool armed : {false, true}) {
-    const auto batch = mixed_batch(2000, armed ? 2 : 1);
-    BatchFixture whole(armed);
-    BatchFixture singles(armed);
-    whole.unit.signal_batch(batch.data(), batch.size());
-    for (const isa::EventCount& e : batch) singles.unit.signal(e.id, e.count);
-
-    EXPECT_EQ(whole.unit.snapshot(), singles.unit.snapshot())
-        << (armed ? "armed" : "unarmed");
-    EXPECT_EQ(whole.interrupts, singles.interrupts)
-        << (armed ? "armed" : "unarmed");
-    EXPECT_EQ(whole.unit.threshold_interrupts(),
-              singles.unit.threshold_interrupts());
+    const char* what = armed ? "armed" : "unarmed";
+    const auto reports = mixed_reports(2000, armed ? 2 : 1);
+    MixedFixture f(armed);
+    Reference ref(f.unit);
+    const addr_t config30 =
+        f.unit.mmio_base() + UpcUnit::kConfigOffset + 4 * 30;
+    CounterConfig level;
+    level.signal = SignalMode::kLevelHigh;
+    u64 sum200 = 0;
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      // The store settles at each of these; the reference applies them to
+      // its eager counts.
+      switch (i) {
+        case 500:
+          f.unit.write(60, 0xABC);
+          ref.values[60] = 0xABC;
+          break;
+        case 900:  // counter 61 narrows to 6 bits and wraps at 64...
+          f.unit.set_counter_width(61, 6);
+          ref.values[61] &= 0x3F;
+          break;
+        case 980:  // ...until it widens again, keeping its wraps
+          f.unit.set_counter_width(61, 64);
+          break;
+        case 1000:
+          f.unit.reset_counters();
+          f.unit.write(200, 4000);
+          ref.values.fill(0);
+          ref.values[200] = 4000;
+          sum200 = 4000;
+          break;
+        case 1300:  // counter 30 stops counting edges...
+          f.unit.mmio_write32(config30, level.encode());
+          break;
+        case 1500:  // ...and resumes
+          f.unit.mmio_write32(config30, CounterConfig{}.encode());
+          break;
+        default:
+          break;
+      }
+      ASSERT_TRUE(report_both(f.unit, ref, f.interrupts, reports[i]))
+          << what << " report " << i;
+      if (i >= 1000 && reports[i].id == 256 + 200) sum200 += reports[i].count;
+    }
     // The narrowed counter carried across its wrap; the level-configured
     // and disabled ones never moved.
-    u64 sum200 = 4000;
-    for (const isa::EventCount& e : batch) {
-      if (e.id == 256 + 200) sum200 += e.count;
-    }
-    EXPECT_GT(sum200, 4096u);
-    EXPECT_EQ(whole.unit.read(200), sum200 % 4096);
-    for (u8 c = 0; c < 16; ++c) EXPECT_EQ(whole.unit.read(c), 0u);
+    EXPECT_GT(sum200, 4096u) << what;
+    EXPECT_EQ(f.unit.read(200), sum200 % 4096) << what;
+    for (u8 c = 0; c < 16; ++c) EXPECT_EQ(f.unit.read(c), 0u) << what;
     if (armed) {
       // Counter 40 fired, was re-armed and fired again; counter 200
       // crossed 4090 on its way to the wrap.
       std::size_t fired40 = 0, fired200 = 0;
-      for (const auto& [counter, value] : whole.interrupts) {
+      for (const auto& [counter, value] : f.interrupts) {
         fired40 += counter == 40;
         fired200 += counter == 200;
       }
       EXPECT_GT(fired40, 1u);
       EXPECT_GE(fired200, 1u);
     } else {
-      EXPECT_TRUE(whole.interrupts.empty());
+      EXPECT_TRUE(f.interrupts.empty());
     }
   }
 }

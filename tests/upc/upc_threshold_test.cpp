@@ -38,7 +38,7 @@ TEST(UpcThreshold, FiresExactlyOncePerCrossing) {
 TEST(UpcThreshold, HandlerRearmsFromInsideTheInterrupt) {
   UpcUnit u = armed_unit(100);
   std::vector<u64> fired_at;
-  u.set_threshold_handler([&](u8 counter, u64 value) {
+  u.add_threshold_listener([&](u8 counter, u64 value) {
     ASSERT_EQ(counter, kCounter);
     fired_at.push_back(value);
     // Interrupt-service-routine style re-arm: next boundary 100 further,
@@ -115,14 +115,19 @@ TEST(UpcThreshold, WrapStartingAboveTheThresholdDoesNotRefire) {
   EXPECT_EQ(u.threshold_interrupts(), 1u);
 }
 
-TEST(UpcThreshold, ListenersFireAfterTheHandlerAndPersist) {
+TEST(UpcThreshold, ListenersFireInRegistrationOrderAndPersist) {
   UpcUnit u = armed_unit(10);
   std::vector<int> order;
-  u.set_threshold_handler([&](u8, u64) { order.push_back(0); });
-  u.add_threshold_listener([&](u8, u64) { order.push_back(1); });
-  u.add_threshold_listener([&](u8, u64) { order.push_back(2); });
+  for (int i = 0; i < 3; ++i) {
+    u.add_threshold_listener([&order, i](u8, u64) { order.push_back(i); });
+  }
   u.signal(kEvent, 10);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  // Re-arm and cross again: every listener is still subscribed.
+  u.mmio_write64(u.mmio_base() + UpcUnit::kThresholdOffset + 8ull * kCounter,
+                 20);
+  u.signal(kEvent, 10);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));
 }
 
 TEST(UpcThreshold, ListenerRegisteredMidDeliveryIsSkippedForThatInterrupt) {

@@ -129,7 +129,7 @@ TEST(UpcUnit, ThresholdInterruptFiresOnceOnCrossing) {
 
   int fires = 0;
   u64 fired_value = 0;
-  u.set_threshold_handler([&](u8 counter, u64 value) {
+  u.add_threshold_listener([&](u8 counter, u64 value) {
     ++fires;
     fired_value = value;
     EXPECT_EQ(counter, c);
@@ -155,7 +155,7 @@ TEST(UpcUnit, ThresholdRequiresInterruptEnable) {
   cfg.threshold = 10;
   u.configure(c, cfg);
   int fires = 0;
-  u.set_threshold_handler([&](u8, u64) { ++fires; });
+  u.add_threshold_listener([&](u8, u64) { ++fires; });
   u.signal(e, 100);
   EXPECT_EQ(fires, 0);
 }
