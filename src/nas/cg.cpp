@@ -1,13 +1,17 @@
 // CG — conjugate gradient on a symmetric positive-definite sparse system
-// (7-point 3D Poisson, slab-partitioned along z, stored in CSR with
-// explicit column indices so the x-vector accesses drive the cache model
-// with the benchmark's signature gather pattern). Halo planes are exchanged
-// with the z-neighbours each iteration; dot products are allreduce.
+// (7-point 3D Poisson, slab-partitioned along z). The simulated program
+// stores the operator in CSR with explicit column indices, so the x-vector
+// accesses drive the cache model with the benchmark's signature gather
+// pattern; the host computes each row's entries where they are used, so the
+// CSR arrays exist only as simulated address ranges. Halo planes are
+// exchanged with the z-neighbours each iteration; dot products are
+// allreduce.
 //
 // Paper characteristics reproduced: dominated by scalar FMA with limited
 // SIMDizability (Fig 6), modest optimization gains (Fig 9).
+#include <algorithm>
+#include <array>
 #include <cmath>
-#include <vector>
 
 #include "common/strfmt.hpp"
 #include "nas/kernel.hpp"
@@ -33,6 +37,39 @@ CgSize size_of(ProblemClass cls) {
   }
   return {12, 12, 6, 4};
 }
+
+/// One CSR entry: a column of the extended x vector and its value.
+struct Entry {
+  u64 col;
+  double val;
+};
+
+/// The slab's 7-point Laplacian with Dirichlet boundaries, computed where
+/// it is used instead of stored. Columns index the extended x vector (one
+/// halo plane at each end). A boundary neighbour keeps its slot as a 0.0
+/// on the row's own column, so every row has seven terms.
+struct Stencil {
+  u64 nx, ny, nz_local;
+  bool has_down, has_up;
+
+  [[nodiscard]] u64 plane() const noexcept { return nx * ny; }
+  [[nodiscard]] u64 rows() const noexcept { return plane() * nz_local; }
+
+  /// Row (i, j, k)'s entries in CSR order.
+  [[nodiscard]] std::array<Entry, 7> row(u64 i, u64 j, u64 k) const noexcept {
+    const u64 self = plane() + (k * ny + j) * nx + i;  // extended index
+    auto nbr = [self](bool ok, u64 col) {
+      return ok ? Entry{col, -1.0} : Entry{self, 0.0};
+    };
+    return {Entry{self, 6.0 + 1e-3},  // slightly shifted for SPD robustness
+            nbr(i > 0, self - 1),
+            nbr(i + 1 < nx, self + 1),
+            nbr(j > 0, self - nx),
+            nbr(j + 1 < ny, self + nx),
+            nbr(k > 0 || has_down, self - plane()),
+            nbr(k + 1 < nz_local || has_up, self + plane())};
+  }
+};
 
 LoopDesc matvec_loop(u64 rows) {
   LoopDesc d;
@@ -75,31 +112,33 @@ class CgKernel final : public Kernel {
 
   void run(rt::RankCtx& ctx) override {
     const CgSize sz = size_of(class_);
-    const unsigned p = ctx.size();
-    const unsigned r = ctx.rank();
-    const u64 plane = sz.nx * sz.ny;
-    const u64 rows = plane * sz.nz_local;  // this rank's rows
+    const Stencil op{sz.nx, sz.ny, sz.nz_local, ctx.rank() > 0,
+                     ctx.rank() + 1 < ctx.size()};
+    const u64 plane = op.plane();
+    const u64 rows = op.rows();  // this rank's rows
     const u64 nnz = rows * 7;
 
     // Extended x vector: one halo plane below + local + one above.
     const u64 xext = rows + 2 * plane;
 
-    auto aval = ctx.alloc<double>(nnz);
-    auto acol = ctx.alloc<u32>(nnz);  // indices into the extended x
+    // The CSR value and column-index arrays (indices into the extended x)
+    // as the simulated program lays them out; the host computes them.
+    const u64 val_bytes = nnz * sizeof(double);
+    const u64 col_bytes = nnz * sizeof(u32);
+    const Csr csr{{ctx.alloc_bytes(val_bytes), val_bytes},
+                  {ctx.alloc_bytes(col_bytes), col_bytes}};
     auto x = ctx.alloc<double>(xext);
     auto b = ctx.alloc<double>(rows);
     auto rres = ctx.alloc<double>(rows);
     auto pvec = ctx.alloc<double>(xext);
     auto q = ctx.alloc<double>(rows);
 
-    build_matrix(sz, p, r, aval, acol);
-
     // RHS: b = A * ones — then the exact solution is all-ones, and CG's
     // residual must shrink toward it.
     x.fill(1.0);
-    matvec(ctx, sz, p, r, aval, acol, x, b);
+    matvec(ctx, op, csr, x, b);
     // Symmetry spot-check: <A e_mix, e_alt> computed two ways.
-    const double sym_err = symmetry_check(ctx, sz, p, r, aval, acol);
+    const double sym_err = symmetry_check(ctx, op, csr);
 
     // Start from zero: r = b, p = r.
     x.fill(0.0);
@@ -112,7 +151,7 @@ class CgKernel final : public Kernel {
     bool positive_definite = true;
 
     for (unsigned it = 0; it < sz.iterations; ++it) {
-      matvec(ctx, sz, p, r, aval, acol, pvec, q);
+      matvec(ctx, op, csr, pvec, q);
       double pq = 0;
       for (u64 i = 0; i < rows; ++i) pq += pvec[plane + i] * q[i];
       ctx.loop(axpy_loop(rows, true),
@@ -152,54 +191,27 @@ class CgKernel final : public Kernel {
   }
 
  private:
-  /// 7-point Laplacian rows for this rank's slab; Dirichlet boundaries.
-  /// Columns index the extended x vector (halo planes at both ends).
-  void build_matrix(const CgSize& sz, unsigned p, unsigned r,
-                    rt::SimArray<double>& aval, rt::SimArray<u32>& acol) {
-    const u64 plane = sz.nx * sz.ny;
-    const bool has_down = r > 0;
-    const bool has_up = r + 1 < p;
-    u64 e = 0;
-    for (u64 k = 0; k < sz.nz_local; ++k) {
-      for (u64 j = 0; j < sz.ny; ++j) {
-        for (u64 i = 0; i < sz.nx; ++i) {
-          const u64 row = (k * sz.ny + j) * sz.nx + i;
-          const u64 self = plane + row;  // extended index
-          auto push = [&](u64 col, double v) {
-            aval[e] = v;
-            acol[e] = static_cast<u32>(col);
-            ++e;
-          };
-          push(self, 6.0 + 1e-3);  // slightly shifted for SPD robustness
-          push(i > 0 ? self - 1 : self, i > 0 ? -1.0 : 0.0);
-          push(i + 1 < sz.nx ? self + 1 : self, i + 1 < sz.nx ? -1.0 : 0.0);
-          push(j > 0 ? self - sz.nx : self, j > 0 ? -1.0 : 0.0);
-          push(j + 1 < sz.ny ? self + sz.nx : self,
-               j + 1 < sz.ny ? -1.0 : 0.0);
-          const bool down_ok = k > 0 || has_down;
-          const bool up_ok = k + 1 < sz.nz_local || has_up;
-          push(down_ok ? self - plane : self, down_ok ? -1.0 : 0.0);
-          push(up_ok ? self + plane : self, up_ok ? -1.0 : 0.0);
-        }
-      }
-    }
-  }
+  /// The CSR arrays' simulated address ranges.
+  struct Csr {
+    rt::MemRange val, col;
+  };
 
   /// Exchange halo planes of `v` (extended layout) with the z-neighbours.
-  void halo_exchange(rt::RankCtx& ctx, const CgSize& sz, unsigned p,
-                     unsigned r, rt::SimArray<double>& v) {
-    const u64 plane = sz.nx * sz.ny;
-    const u64 rows = plane * sz.nz_local;
-    if (p == 1) return;
+  void halo_exchange(rt::RankCtx& ctx, const Stencil& op,
+                     rt::SimArray<double>& v) {
+    const u64 plane = op.plane();
+    const u64 rows = op.rows();
+    if (!op.has_down && !op.has_up) return;
+    const unsigned r = ctx.rank();
     // Exchange with the upper neighbour, then the lower one; even/odd
     // phasing avoids ordering hazards with the eager protocol.
-    if (r + 1 < p) {
+    if (op.has_up) {
       ctx.sendrecv(r + 1,
                    std::as_bytes(std::span(&v[plane + rows - plane], plane)),
                    std::as_writable_bytes(std::span(&v[plane + rows], plane)),
                    /*tag=*/1);
     }
-    if (r > 0) {
+    if (op.has_down) {
       ctx.sendrecv(r - 1, std::as_bytes(std::span(&v[plane], plane)),
                    std::as_writable_bytes(std::span(&v[0], plane)),
                    /*tag=*/1);
@@ -209,38 +221,44 @@ class CgKernel final : public Kernel {
   }
 
   /// q = A * v (v in extended layout).
-  void matvec(rt::RankCtx& ctx, const CgSize& sz, unsigned p, unsigned r,
-              rt::SimArray<double>& aval, rt::SimArray<u32>& acol,
+  void matvec(rt::RankCtx& ctx, const Stencil& op, const Csr& csr,
               rt::SimArray<double>& v, rt::SimArray<double>& q) {
-    halo_exchange(ctx, sz, p, r, v);
-    const u64 plane = sz.nx * sz.ny;
-    const u64 rows = plane * sz.nz_local;
-    for (u64 row = 0; row < rows; ++row) {
-      double acc = 0;
-      for (u64 e = row * 7; e < row * 7 + 7; ++e) {
-        acc += aval[e] * v[acol[e]];
+    halo_exchange(ctx, op, v);
+    u64 row = 0;
+    for (u64 k = 0; k < op.nz_local; ++k) {
+      for (u64 j = 0; j < op.ny; ++j) {
+        for (u64 i = 0; i < op.nx; ++i) {
+          double acc = 0;
+          for (const Entry& e : op.row(i, j, k)) acc += e.val * v[e.col];
+          q[row++] = acc;
+        }
       }
-      q[row] = acc;
     }
-    ctx.loop(matvec_loop(rows),
-             {rt::MemRange{aval.addr(), aval.bytes(), false},
-              rt::MemRange{acol.addr(), acol.bytes(), false},
-              rt::MemRange{q.addr(), q.bytes(), true}});
-    // The x-gather: drive the cache with the real (near-diagonal) indices,
-    // sampled at line granularity to stay tractable.
-    gather_sampled(ctx, acol, v.addr(0), rows);
-  }
-
-  /// Sample every 4th nonzero's column index for the cache-model gather
-  /// (8-byte elements; 1-in-4 sampling keeps counts honest within a line).
-  void gather_sampled(rt::RankCtx& ctx, rt::SimArray<u32>& acol,
-                      addr_t xbase, u64 rows) {
-    std::vector<u32> idx;
-    idx.reserve(rows * 7 / 4 + 1);
-    for (u64 e = 0; e < rows * 7; e += 4) {
-      idx.push_back(acol[e]);
-    }
-    ctx.gather(xbase, idx, sizeof(double), /*write=*/false);
+    ctx.loop(matvec_loop(op.rows()),
+             {csr.val, csr.col, rt::MemRange{q.addr(), q.bytes(), true}});
+    // The x-gather: drive the cache with the real (near-diagonal) column
+    // of every 4th nonzero in CSR order, to stay tractable (8-byte
+    // elements; 1-in-4 sampling keeps counts honest within a line).
+    u64 i = 0, j = 0, k = 0, slot = 0;
+    std::array<Entry, 7> cur = op.row(i, j, k);
+    auto next_col = [&] {
+      const u64 col = cur[slot].col;
+      slot += 4;
+      if (slot >= 7) {
+        slot -= 7;
+        if (++i == op.nx) {
+          i = 0;
+          if (++j == op.ny) {
+            j = 0;
+            ++k;
+          }
+        }
+        cur = op.row(i, j, k);
+      }
+      return col;
+    };
+    ctx.gather(v.addr(0), (op.rows() * 7 + 3) / 4, next_col, sizeof(double),
+               /*write=*/false);
   }
 
   [[nodiscard]] double dot(rt::RankCtx& ctx, rt::SimArray<double>& a,
@@ -253,12 +271,11 @@ class CgKernel final : public Kernel {
   }
 
   /// <Au, w> must equal <u, Aw> for symmetric A.
-  [[nodiscard]] double symmetry_check(rt::RankCtx& ctx, const CgSize& sz,
-                                      unsigned p, unsigned r,
-                                      rt::SimArray<double>& aval,
-                                      rt::SimArray<u32>& acol) {
-    const u64 plane = sz.nx * sz.ny;
-    const u64 rows = plane * sz.nz_local;
+  [[nodiscard]] double symmetry_check(rt::RankCtx& ctx, const Stencil& op,
+                                      const Csr& csr) {
+    const u64 plane = op.plane();
+    const u64 rows = op.rows();
+    const unsigned r = ctx.rank();
     auto u = ctx.alloc<double>(rows + 2 * plane);
     auto w = ctx.alloc<double>(rows + 2 * plane);
     auto au = ctx.alloc<double>(rows);
@@ -268,8 +285,8 @@ class CgKernel final : public Kernel {
       u[plane + i] = std::sin(static_cast<double>(g) * 0.1);
       w[plane + i] = std::cos(static_cast<double>(g) * 0.07);
     }
-    matvec(ctx, sz, p, r, aval, acol, u, au);
-    matvec(ctx, sz, p, r, aval, acol, w, aw);
+    matvec(ctx, op, csr, u, au);
+    matvec(ctx, op, csr, w, aw);
     double a = 0, bsum = 0;
     for (u64 i = 0; i < rows; ++i) {
       a += au[i] * w[plane + i];

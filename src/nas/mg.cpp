@@ -53,6 +53,10 @@ LoopDesc stencil_loop(std::string_view name_, u64 points, double vec) {
   return d;
 }
 
+/// Periodic neighbours of index `i` on an axis of `n` points.
+u64 wrap_dec(u64 i, u64 n) noexcept { return i == 0 ? n - 1 : i - 1; }
+u64 wrap_inc(u64 i, u64 n) noexcept { return i + 1 == n ? 0 : i + 1; }
+
 /// One level's per-rank grid with one halo plane at each z end.
 struct Level {
   u64 nx = 0, ny = 0, nz = 0;  // local interior planes
@@ -168,15 +172,20 @@ class MgKernel final : public Kernel {
     halo(ctx, lv, v);
     for (u64 k = 1; k <= lv.nz; ++k) {
       for (u64 j = 0; j < lv.ny; ++j) {
+        const u64 row = lv.at(0, j, k);
+        const u64 row_ym = lv.at(0, wrap_dec(j, lv.ny), k);
+        const u64 row_yp = lv.at(0, wrap_inc(j, lv.ny), k);
+        const u64 row_zm = lv.at(0, j, k - 1);
+        const u64 row_zp = lv.at(0, j, k + 1);
         for (u64 i = 0; i < lv.nx; ++i) {
-          const double c = v[lv.at(i, j, k)];
-          const double xm = v[lv.at((i + lv.nx - 1) % lv.nx, j, k)];
-          const double xp = v[lv.at((i + 1) % lv.nx, j, k)];
-          const double ym = v[lv.at(i, (j + lv.ny - 1) % lv.ny, k)];
-          const double yp = v[lv.at(i, (j + 1) % lv.ny, k)];
-          const double zm = v[lv.at(i, j, k - 1)];
-          const double zp = v[lv.at(i, j, k + 1)];
-          out[lv.at(i, j, k)] = 6.0 * c - (xm + xp + ym + yp + zm + zp);
+          const double c = v[row + i];
+          const double xm = v[row + wrap_dec(i, lv.nx)];
+          const double xp = v[row + wrap_inc(i, lv.nx)];
+          const double ym = v[row_ym + i];
+          const double yp = v[row_yp + i];
+          const double zm = v[row_zm + i];
+          const double zp = v[row_zp + i];
+          out[row + i] = 6.0 * c - (xm + xp + ym + yp + zm + zp);
         }
       }
     }
@@ -260,25 +269,33 @@ class MgKernel final : public Kernel {
     // blends its parent with the next coarse neighbour on the finer side,
     // weights 3/4 and 1/4 per dimension, clamped at the boundary.
     for (u64 k = 0; k < lv.nz; ++k) {
+      const u64 ck = k / 2;
+      // In z the +-1 neighbour may live in the (just refreshed) coarse halo
+      // planes.
+      const u64 nk_ext = (k & 1) ? ck + 2 : ck;  // ext z index of nbr
       for (u64 j = 0; j < lv.ny; ++j) {
+        // Periodic in x/y.
+        const u64 cj = j / 2;
+        const u64 nj =
+            (j & 1) ? wrap_inc(cj, coarse.ny) : wrap_dec(cj, coarse.ny);
+        // Coarse row bases of the four (y, z) corners, indexed by s >> 1.
+        const u64 corner[4] = {
+            coarse.at(0, cj, ck + 1), coarse.at(0, nj, ck + 1),
+            coarse.at(0, cj, nk_ext), coarse.at(0, nj, nk_ext)};
+        const u64 fine_row = lv.at(0, j, k + 1);
         for (u64 i = 0; i < lv.nx; ++i) {
-          const u64 ci = i / 2, cj = j / 2, ck = k / 2;
-          // Periodic in x/y; in z the +-1 neighbour may live in the
-          // (just refreshed) coarse halo planes.
-          const u64 ni = (ci + ((i & 1) ? 1 : coarse.nx - 1)) % coarse.nx;
-          const u64 nj = (cj + ((j & 1) ? 1 : coarse.ny - 1)) % coarse.ny;
-          const u64 nk_ext = (k & 1) ? ck + 2 : ck;  // ext z index of nbr
+          const u64 ci = i / 2;
+          const u64 ni =
+              (i & 1) ? wrap_inc(ci, coarse.nx) : wrap_dec(ci, coarse.nx);
           double acc = 0;
           for (unsigned s = 0; s < 8; ++s) {
             const u64 ii = (s & 1) ? ni : ci;
-            const u64 jj = (s & 2) ? nj : cj;
-            const u64 kk_ext = (s & 4) ? nk_ext : ck + 1;
             const double w = ((s & 1) ? 0.25 : 0.75) *
                              ((s & 2) ? 0.25 : 0.75) *
                              ((s & 4) ? 0.25 : 0.75);
-            acc += w * coarse.u[coarse.at(ii, jj, kk_ext)];
+            acc += w * coarse.u[corner[s >> 1] + ii];
           }
-          lv.u[lv.at(i, j, k + 1)] += acc;
+          lv.u[fine_row + i] += acc;
         }
       }
     }

@@ -28,7 +28,7 @@ RankCtx::RankCtx(Machine& machine, unsigned rank)
   alloc_limit_ = alloc_next_ + kRankRegionBytes;
 }
 
-addr_t RankCtx::allocate_bytes(u64 bytes) {
+addr_t RankCtx::alloc_bytes(u64 bytes) {
   const addr_t base = alloc_next_;
   const u64 padded = (bytes + 127) & ~u64{127};
   if (base + padded > alloc_limit_) {
@@ -194,23 +194,6 @@ void RankCtx::touch_no_yield(const MemRange& r, double overlap) {
 void RankCtx::touch(const MemRange& range, double overlap) {
   machine_.check_fault(rank_);
   touch_no_yield(range, overlap);
-  yield();
-}
-
-void RankCtx::gather(addr_t base, std::span<const u32> indices, u32 elem_bytes,
-                     bool write) {
-  machine_.check_fault(rank_);
-  auto& memory = node().memory();
-  const cycles_t l1_hit = memory.params().l1d.hit_latency;
-  cycles_t stall = 0;
-  for (const u32 idx : indices) {
-    const addr_t a = base + addr_t{idx} * elem_bytes;
-    const auto res = write ? memory.write(core_id(), a, elem_bytes, core().now())
-                           : memory.read(core_id(), a, elem_bytes, core().now());
-    if (res.latency > l1_hit) stall += res.latency - l1_hit;
-  }
-  // Gathers expose most of their latency (little MLP).
-  core().stall(static_cast<cycles_t>(static_cast<double>(stall) / 1.2));
   yield();
 }
 

@@ -38,12 +38,15 @@ class RankCtx {
   [[nodiscard]] cycles_t now() { return core().now(); }
 
   // -- simulated memory -----------------------------------------------------
-  /// Allocate `n` elements in this rank's private region of the node
-  /// address space (128-byte aligned).
+  /// Reserve `bytes` in this rank's private region of the node address
+  /// space (128-byte aligned) and return its base. A kernel that computes
+  /// an array's values where it uses them needs only this address range.
+  [[nodiscard]] addr_t alloc_bytes(u64 bytes);
+
+  /// Allocate `n` elements: a reserved range plus the host array behind it.
   template <typename T>
   [[nodiscard]] SimArray<T> alloc(std::size_t n) {
-    const addr_t base = allocate_bytes(n * sizeof(T));
-    return SimArray<T>(base, n);
+    return SimArray<T>(alloc_bytes(n * sizeof(T)), n);
   }
 
   // -- MPI-like lifecycle -----------------------------------------------------
@@ -80,10 +83,33 @@ class RankCtx {
   /// Walk one memory range (outside of any loop accounting).
   void touch(const MemRange& range, double overlap = 2.0);
 
-  /// Data-dependent gather/scatter: one cache access per element at
-  /// base + idx[i]*elem_bytes.
+  /// Data-dependent gather/scatter: `count` cache accesses, each at
+  /// base + next_index()*elem_bytes, where `next_index` yields the element
+  /// indices in access order.
+  template <typename NextIndex>
+  void gather(addr_t base, u64 count, NextIndex&& next_index, u32 elem_bytes,
+              bool write = false) {
+    machine_.check_fault(rank_);
+    auto& memory = node().memory();
+    const cycles_t l1_hit = memory.params().l1d.hit_latency;
+    cycles_t stall = 0;
+    for (u64 n = 0; n < count; ++n) {
+      const addr_t a = base + addr_t{next_index()} * elem_bytes;
+      const cycles_t now = core().now();
+      const auto res = write ? memory.write(core_id(), a, elem_bytes, now)
+                             : memory.read(core_id(), a, elem_bytes, now);
+      if (res.latency > l1_hit) stall += res.latency - l1_hit;
+    }
+    // Gathers expose most of their latency (little MLP).
+    core().stall(static_cast<cycles_t>(static_cast<double>(stall) / 1.2));
+    yield();
+  }
+  /// The same over a list of indices.
   void gather(addr_t base, std::span<const u32> indices, u32 elem_bytes,
-              bool write = false);
+              bool write = false) {
+    auto it = indices.begin();
+    gather(base, indices.size(), [&it] { return *it++; }, elem_bytes, write);
+  }
 
   /// Charge raw compute cycles (library/system code outside loop models).
   void compute_cycles(cycles_t cycles) { core().advance(cycles); }
@@ -126,7 +152,6 @@ class RankCtx {
  private:
   friend class Machine;
 
-  [[nodiscard]] addr_t allocate_bytes(u64 bytes);
   void yield() {
     pulse_node();
     machine_.yield_rank(rank_);
