@@ -17,13 +17,16 @@
 // The snapshot rows do the same for the counter-service daemon
 // (docs/bgpcd.md): each seqlocked double-buffer publication must stay
 // within the same 96-cycle family as a trace sample, and a final-only
-// publisher (period 0) must bill nothing at all.
+// publisher (period 0) must bill nothing at all. The trace and the
+// publisher are consumers of one pacer: where their boundaries coincide,
+// one pulse bills both (64 + 48 cycles), each within its own budget.
 // The host-observability rows prove the host timeline is invisible to the
 // simulated one: the same periodic-publisher run with a host-latency
 // histogram attached (PublisherConfig.host_publish_seconds) must print
 // byte-identical table rows — host instrumentation measures real
 // nanoseconds but bills zero simulated cycles.
 #include <filesystem>
+#include <optional>
 
 #include "bench/util.hpp"
 #include "core/session.hpp"
@@ -65,105 +68,70 @@ cycles_t probe_obs_init_start_stop() {
   return measured;
 }
 
-struct TraceProbe {
+struct LoopProbe {
   cycles_t loop_cycles = 0;  ///< instrumented-region wall clock
-  u64 samples = 0;
+  u64 samples = 0;           ///< trace records
   cycles_t modeled_overhead = 0;
+  u64 publishes = 0;  ///< periodic snapshot publications
 };
 
-/// One single-node run of a fixed loop, traced or not; the cycle difference
-/// between the two is the tracing overhead actually billed to the core.
-TraceProbe probe_loop(bool traced) {
+/// One single-node run of a fixed loop with the given consumers on the
+/// node's pacer: a trace every 10k cycles when `traced`, and a snapshot
+/// publisher when `snapshot_period` is set (0 = final-only, which must be
+/// free). The cycle difference against a run with neither is what the
+/// consumers billed the core. An optional host histogram rides along with
+/// the publisher exactly as in the live daemon; it must not change any
+/// simulated number.
+LoopProbe probe_loop(bool traced, std::optional<cycles_t> snapshot_period,
+                     obs::Histogram* host_publish = nullptr) {
   rt::MachineConfig mc;
   mc.num_nodes = 1;
   mc.mode = sys::OpMode::kSmp1;
   rt::Machine machine(mc);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "bgpc_tab_overhead";
+  std::filesystem::create_directories(dir);
   pc::Options o;
   o.write_dumps = false;
-  std::filesystem::path tdir;
-  if (traced) {
-    tdir = std::filesystem::temp_directory_path() / "bgpc_tab_overhead_trace";
-    std::filesystem::create_directories(tdir);
-    o.trace.enabled = true;
-    o.trace.interval_cycles = 10'000;
-    o.trace.trace_dir = tdir;
-  }
+  o.trace.enabled = traced;
+  o.trace.interval_cycles = 10'000;
+  o.trace.trace_dir = dir;
   pc::Session session(machine, o);
+  std::optional<daemon::SnapshotPublisher> publisher;
+  if (snapshot_period) {
+    daemon::PublisherConfig pub;
+    pub.period_cycles = *snapshot_period;
+    pub.host_publish_seconds = host_publish;
+    publisher.emplace(session, dir / "counters.bgpsnap", "bench", pub);
+  }
 
-  TraceProbe p;
+  LoopProbe p;
   machine.run([&](rt::RankCtx& ctx) {
     session.BGP_Initialize(ctx);
     isa::LoopDesc d;
-    d.name = "traced_payload";
+    d.name = "payload";
     d.trip = 5000;
     d.body.fp_at(isa::FpOp::kFma) = 2;
     d.body.int_at(isa::IntOp::kAlu) = 2;
     session.BGP_Start(ctx, 0);
     const cycles_t t0 = ctx.core().read_timebase();
     // Many short loop nests rather than one monolith: each crossing of an
-    // interval boundary raises its own threshold interrupt, so the tracer
-    // samples dozens of times instead of coalescing the whole region.
+    // interval boundary raises its own threshold interrupt, so the pacer
+    // acts dozens of times instead of coalescing the whole region.
     for (unsigned i = 0; i < 40; ++i) ctx.loop(d);
     p.loop_cycles = ctx.core().read_timebase() - t0;
     session.BGP_Stop(ctx, 0);
     session.BGP_Finalize(ctx);
   });
-  if (traced) {
-    if (const trace::NodeTracer* t = session.tracer(0)) {
-      p.samples = t->samples();
-      p.modeled_overhead = t->overhead_cycles();
-    }
-    std::filesystem::remove_all(tdir);
+  if (const trace::NodeTracer* t = session.tracer(0)) {
+    p.samples = t->samples();
+    p.modeled_overhead = t->overhead_cycles();
   }
-  return p;
-}
-
-struct SnapProbe {
-  cycles_t loop_cycles = 0;  ///< instrumented-region wall clock
-  u64 publishes = 0;
-};
-
-/// The probe_loop payload with a snapshot publisher attached (period 0 =
-/// final-only, which must be free; a short period exercises the seqlocked
-/// double-buffer path dozens of times). An optional host histogram rides
-/// along exactly as in the live daemon — it must not change any simulated
-/// number.
-SnapProbe probe_snapshot_loop(bool periodic,
-                              obs::Histogram* host_publish = nullptr) {
-  rt::MachineConfig mc;
-  mc.num_nodes = 1;
-  mc.mode = sys::OpMode::kSmp1;
-  rt::Machine machine(mc);
-  pc::Options o;
-  o.write_dumps = false;
-  pc::Session session(machine, o);
-
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "bgpc_tab_overhead_snap";
-  std::filesystem::create_directories(dir);
-  daemon::PublisherConfig pub;
-  pub.period_cycles = periodic ? 10'000 : 0;
-  pub.host_publish_seconds = host_publish;
-  daemon::SnapshotPublisher publisher(machine, dir / "counters.bgpsnap",
-                                      "tab_overhead", "bench", pub);
-
-  SnapProbe p;
-  machine.run([&](rt::RankCtx& ctx) {
-    session.BGP_Initialize(ctx);
-    isa::LoopDesc d;
-    d.name = "snapshot_payload";
-    d.trip = 5000;
-    d.body.fp_at(isa::FpOp::kFma) = 2;
-    d.body.int_at(isa::IntOp::kAlu) = 2;
-    session.BGP_Start(ctx, 0);
-    const cycles_t t0 = ctx.core().read_timebase();
-    for (unsigned i = 0; i < 40; ++i) ctx.loop(d);
-    p.loop_cycles = ctx.core().read_timebase() - t0;
-    session.BGP_Stop(ctx, 0);
-    session.BGP_Finalize(ctx);
-  });
-  publisher.publish_final();
-  p.publishes = publisher.publishes();
+  if (publisher) {
+    publisher->publish_final();
+    p.publishes = publisher->publishes();
+  }
+  publisher.reset();
   std::filesystem::remove_all(dir);
   return p;
 }
@@ -218,8 +186,8 @@ int main() {
 
   // Time-series layer: same loop with and without the threshold-driven
   // tracer armed; the difference is the overhead tracing actually billed.
-  const TraceProbe plain = probe_loop(false);
-  const TraceProbe traced = probe_loop(true);
+  const LoopProbe plain = probe_loop(false, std::nullopt);
+  const LoopProbe traced = probe_loop(true, std::nullopt);
   const cycles_t trace_delta = traced.loop_cycles - plain.loop_cycles;
   const cycles_t per_sample =
       traced.samples > 0 ? trace_delta / traced.samples : 0;
@@ -266,18 +234,19 @@ int main() {
                 (unsigned long long)obs_delta,
                 (unsigned long long)kPerSpanBudget)});
 
-  // Counter-service layer: the same loop with a snapshot publisher pulsing
-  // every 10k cycles vs final-only. The delta divided by the publication
-  // count is what each seqlocked double-buffer write billed the core.
-  const SnapProbe snap_off = probe_snapshot_loop(false);
-  const SnapProbe snap_on = probe_snapshot_loop(true);
+  // Counter-service layer: the same loop with a snapshot publisher on the
+  // pacer every 10k cycles vs final-only. The delta divided by the
+  // publication count is what each seqlocked double-buffer write billed
+  // the core.
+  const LoopProbe snap_off = probe_loop(false, 0);
+  const LoopProbe snap_on = probe_loop(false, 10'000);
   const cycles_t snap_delta = snap_on.loop_cycles - snap_off.loop_cycles;
   const cycles_t per_snapshot =
       snap_on.publishes > 0 ? snap_delta / snap_on.publishes : 0;
   // The publication row, rendered once for the plain run and once for the
   // run with a host-latency histogram attached: the cells must come out
   // byte-identical or host observability is leaking into the simulation.
-  const auto snap_row = [&](const SnapProbe& on, cycles_t per_snap) {
+  const auto snap_row = [&](const LoopProbe& on, cycles_t per_snap) {
     return std::vector<std::string>{
         "snapshot: one publication",
         strfmt("%llu", (unsigned long long)per_snap),
@@ -286,10 +255,29 @@ int main() {
                (unsigned long long)kPerSnapshotBudget)};
   };
   t.row({"snapshot: final-only publisher", strfmt("%llu",
-          (unsigned long long)snap_off.loop_cycles),
-         "period 0 installs no pulse hooks: bills 0 cycles"});
+          (unsigned long long)(snap_off.loop_cycles - plain.loop_cycles)),
+         "period 0 adds no pacer consumer: the region is cycle-identical"});
   const std::vector<std::string> plain_row = snap_row(snap_on, per_snapshot);
   t.row(plain_row);
+
+  // One pacer, two consumers: a trace and a publisher on the same 10k-cycle
+  // grid fall due at every boundary, and the pulse after each one bills
+  // both. Each consumer's share must stay within its own budget.
+  const LoopProbe both = probe_loop(true, 10'000);
+  const cycles_t both_delta = both.loop_cycles - plain.loop_cycles;
+  const cycles_t per_boundary =
+      both.samples > 0 ? both_delta / both.samples : 0;
+  const cycles_t both_per_sample =
+      both.samples > 0 ? both.modeled_overhead / both.samples : 0;
+  const cycles_t both_per_snapshot = per_boundary - both_per_sample;
+  t.row({"trace + snapshot: shared boundary", strfmt("%llu",
+          (unsigned long long)per_boundary),
+         strfmt("one pulse bills trace %llu + snapshot %llu over %llu "
+                "boundaries; budget %llu each",
+                (unsigned long long)both_per_sample,
+                (unsigned long long)both_per_snapshot,
+                (unsigned long long)both.samples,
+                (unsigned long long)kPerSampleBudget)});
 
   // Host-observability rerun: same periodic publisher, now with the
   // daemon's bgpcd_snapshot_publish_seconds histogram attached.
@@ -297,8 +285,8 @@ int main() {
   obs::Histogram& host_hist = host_reg.histogram(
       "bgpcd_snapshot_publish_seconds", "seqlock publish host latency",
       obs::host_latency_bounds());
-  const SnapProbe snap_host_off = probe_snapshot_loop(false, &host_hist);
-  const SnapProbe snap_host = probe_snapshot_loop(true, &host_hist);
+  const LoopProbe snap_host_off = probe_loop(false, 0, &host_hist);
+  const LoopProbe snap_host = probe_loop(false, 10'000, &host_hist);
   const cycles_t host_delta = snap_host.loop_cycles - snap_host_off.loop_cycles;
   const cycles_t per_snapshot_host =
       snap_host.publishes > 0 ? host_delta / snap_host.publishes : 0;
@@ -342,6 +330,23 @@ int main() {
                 (unsigned long long)snap_on.publishes,
                 (unsigned long long)daemon::kSnapshotOverheadCycles);
   }
+  const bool shared_in_budget =
+      both.samples > 0 && both.publishes == both.samples &&
+      both_delta % both.samples == 0 &&
+      per_boundary ==
+          trace::kSampleOverheadCycles + daemon::kSnapshotOverheadCycles &&
+      both_per_sample <= kPerSampleBudget &&
+      both_per_snapshot <= kPerSnapshotBudget;
+  if (!shared_in_budget) {
+    std::printf("FAIL: a shared trace and snapshot boundary billed %llu "
+                "cycles over %llu samples and %llu publications (trace %llu, "
+                "snapshot %llu)\n",
+                (unsigned long long)both_delta,
+                (unsigned long long)both.samples,
+                (unsigned long long)both.publishes,
+                (unsigned long long)both_per_sample,
+                (unsigned long long)both_per_snapshot);
+  }
   const bool snap_final_only_free = snap_off.loop_cycles == plain.loop_cycles;
   if (!snap_final_only_free) {
     std::printf("FAIL: a final-only publisher perturbed the region "
@@ -366,7 +371,8 @@ int main() {
                 (unsigned long long)snap_host.publishes);
   }
   return (init_start_stop == 196 && trace_in_budget && obs_in_budget &&
-          snap_in_budget && snap_final_only_free && host_rows_identical &&
+          snap_in_budget && shared_in_budget && snap_final_only_free &&
+          host_rows_identical &&
           host_hist_observed)
              ? 0
              : 1;

@@ -41,7 +41,7 @@ struct Options {
   fault::FaultInjector* fault = nullptr;
 
   /// Time-series tracing (off by default): when enabled the session attaches
-  /// a threshold-driven trace::NodeTracer to every node and streams
+  /// a trace::NodeTracer to every node's pacer and streams
   /// per-interval counter deltas into <trace.trace_dir>/<app>.node<N>.bgpt
   /// files.
   trace::TraceConfig trace;

@@ -52,16 +52,9 @@ Session::~Session() {
 
 void Session::attach_tracer(unsigned node) {
   if (!options_.trace.enabled || tracers_[node] != nullptr) return;
-  sys::Node& n = machine_.partition().node(node);
   tracers_[node] = std::make_unique<trace::NodeTracer>(
-      n, options_.trace, options_.app_name,
+      machine_.partition().node(node), options_.trace, options_.app_name,
       monitors_[node]->programmed_mode());
-  // The runtime pulses the node at instrumentation points; the hook
-  // catches up a Time-Base-paced tracer and returns the modeled sampling
-  // overhead for the runtime to charge to the pulsing core. A snapshot
-  // publisher may be pulsing this node too.
-  n.add_pulse_hook(
-      [t = tracers_[node].get()](cycles_t) { return t->pulse(); });
 }
 
 void Session::BGP_Initialize(rt::RankCtx& ctx) {
@@ -85,9 +78,7 @@ void Session::BGP_Start(rt::RankCtx& ctx, unsigned set) {
         isa::ev::system(isa::SysEvent::kUpcStartCalls, ctx.core_id()));
     monitors_[ctx.node_id()]->start(set, ctx.now());
   }
-  if (tracers_[ctx.node_id()] != nullptr) {
-    tracers_[ctx.node_id()]->start();
-  }
+  ctx.node().pacer().start();
   if (auto* fr = obs::recorder()) {
     fr->wk().upc_start_calls->add(1);
     fr->wk().upc_overhead_cycles->add(kStartOverhead);

@@ -52,6 +52,7 @@ class Session {
   /// 256 counters. Charges the calling core the library overhead.
   void BGP_Initialize(rt::RankCtx& ctx);
   /// Begin monitoring `set`; counter data accumulates until BGP_Stop(set).
+  /// The first call on a node starts the node's pacer.
   void BGP_Start(rt::RankCtx& ctx, unsigned set = 0);
   /// Stop monitoring `set` and fold the counter delta into its record.
   void BGP_Stop(rt::RankCtx& ctx, unsigned set = 0);
@@ -71,6 +72,7 @@ class Session {
   void arm_threshold(rt::RankCtx& ctx, isa::EventId event, u64 threshold);
 
   // ---- post-run access ------------------------------------------------------
+  [[nodiscard]] rt::Machine& machine() noexcept { return machine_; }
   [[nodiscard]] NodeMonitor& monitor(unsigned node) {
     return *monitors_.at(node);
   }

@@ -586,12 +586,8 @@ void Service::run_session(ActiveSession& s) {
     }
     pub_cfg.faults = config_.faults;
     pub_cfg.host_publish_seconds = host_obs_->snapshot_publish;
-    SnapshotPublisher publisher(run.machine(), s.snapshot_path,
-                                run.session().options().app_name, s.name,
+    SnapshotPublisher publisher(run.session(), s.snapshot_path, s.name,
                                 pub_cfg);
-    if (run.session().flight_recorder() != nullptr) {
-      publisher.set_metrics_source(&run.session().flight_recorder()->metrics());
-    }
 
     {
       std::lock_guard<std::mutex> lk(s.mu);

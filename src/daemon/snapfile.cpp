@@ -18,15 +18,17 @@ namespace bgp::daemon {
 
 namespace {
 
+constexpr std::size_t round8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
+
 // Fixed layout, every offset u64-aligned so atomic_ref is legal
-// (docs/formats.md): the header, node blocks of a seq word, an active-slot
-// word and two slots, then the metrics block in the same shape.
-constexpr std::size_t kHeaderBytes = 48 + 2 * kSnapNameBytes;
+// (docs/formats.md): the sealed header padded to a whole word, node blocks
+// of a seq word, an active-slot word and two slots, then the metrics block
+// in the same shape.
+constexpr std::size_t kHeaderBytes =
+    round8(48 + 2 * kSnapNameBytes + sizeof(u32));
 constexpr std::size_t kSlotWords = 5 + isa::kCountersPerUnit + 1;
 constexpr std::size_t kSlotBytes = kSlotWords * sizeof(u64);
 constexpr std::size_t kNodeBlockBytes = 16 + 2 * kSlotBytes;
-
-constexpr std::size_t round8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 std::atomic_ref<u64> word_ref(const std::byte* p) {
   // atomic_ref wants a mutable lvalue even for loads; readers of a
@@ -183,6 +185,7 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
   }
   put_name(header, app);
   put_name(header, session);
+  header.seal();
   std::memcpy(map_, header.buffer().data(), header.size());
 
   // Seed every node with a readable kIdle slot: an attach racing session
@@ -295,15 +298,20 @@ void SnapshotReader::init(const std::byte* data, std::size_t size) {
       std::memcmp(data, kSnapMagic, sizeof(kSnapMagic)) != 0) {
     throw std::runtime_error("not a BGPSNAP snapshot (bad magic)");
   }
-  BinaryReader r(std::span(data, size).subspan(sizeof(kSnapMagic)));
+  BinaryReader r(std::span(data, size));
+  std::array<char, sizeof(kSnapMagic)> magic;
+  r.get_array(std::span(magic));
   const u32 version = r.get<u32>();
-  const u32 nodes32 = r.get<u32>();
   if (version != kSnapVersion) {
     throw std::runtime_error(
         strfmt("unsupported snapshot version %u", version));
   }
+  const u32 nodes32 = r.get<u32>();
   std::array<u64, 4> geom;
   r.get_array(std::span(geom));
+  const std::string app = get_name(r);
+  const std::string session = get_name(r);
+  r.check_seal("snapshot header");
   // Bound the metrics capacity by the file before any arithmetic on it
   // (the node count cannot overflow); the writer sizes the file exactly.
   const bool bounded = geom[3] <= size;
@@ -317,8 +325,8 @@ void SnapshotReader::init(const std::byte* data, std::size_t size) {
   bytes_ = size;
   num_nodes_ = nodes32;
   metrics_capacity_ = geom[3];
-  app_ = get_name(r);
-  session_ = get_name(r);
+  app_ = app;
+  session_ = session;
 }
 
 bool SnapshotReader::read_node(unsigned node, NodeSnapshot& out,

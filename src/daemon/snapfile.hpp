@@ -1,9 +1,9 @@
 // The per-session snapshot file: an mmap-able view of a running session's
 // UPC counters and metrics registry, modeled on Open MPI's SPC mmap design
-// (mpi_spc_mmap_enabled / orte_spc_snapshot_period). A header (magic,
-// version, geometry, app/session names), one node block per node and a
-// metrics block; each block is a seqlock word and two CRC-protected slots
-// (layout: docs/formats.md).
+// (mpi_spc_mmap_enabled / orte_spc_snapshot_period). A sealed header
+// (magic, version, geometry, app/session names), one node block per node
+// and a metrics block; each block is a seqlock word and two CRC-protected
+// slots (layout: docs/formats.md).
 //
 // Writers double-buffer: stage a slot locally, copy it into the inactive
 // slot, then bump the seqlock (odd while switching, even when stable) and
@@ -31,8 +31,10 @@ namespace bgp::daemon {
 
 inline constexpr char kSnapMagic[8] = {'B', 'G', 'P', 'S',
                                        'N', 'A', 'P', '\0'};
-inline constexpr u32 kSnapVersion = 1;
-/// Fixed name-field capacity in the header (truncation is fine: names only
+/// Version 2 seals the header; version 1, whose header carried no
+/// checksum, is no longer written or read.
+inline constexpr u32 kSnapVersion = 2;
+/// Fixed name-field capacity in the header (truncation is fine: names
 /// label the file for humans; the authoritative copy is in the daemon).
 inline constexpr std::size_t kSnapNameBytes = 120;
 /// Default capacity of each metrics-text slot.

@@ -64,7 +64,7 @@ int EpochScheduler::pick_local_locked(unsigned node) {
     // as if the commit had run in place: the greedy order lets it finish
     // its segment before any other rank of its node starts, even one its
     // commit woke at an earlier key (that rank's pulse would otherwise
-    // take a trace sample this one is due).
+    // take the pacer bill this one is due).
     if (s.phase == Phase::kReadyResume) return static_cast<int>(r);
     if (best < 0 || SchedKey{s.key, r} <
                         SchedKey{best_key, static_cast<unsigned>(best)}) {

@@ -41,10 +41,8 @@ addr_t RankCtx::alloc_bytes(u64 bytes) {
 }
 
 void RankCtx::pulse_node() {
-  sys::Node& n = node();
-  if (!n.has_pulse_hook()) return;
-  const cycles_t overhead = n.pulse(core().now());
-  if (overhead > 0) core().advance(overhead);
+  const cycles_t bill = node().pacer().pulse();
+  if (bill > 0) core().advance(bill);
 }
 
 void RankCtx::sys_event(isa::SysEvent e, u64 count) {
@@ -254,7 +252,7 @@ void RankCtx::recv(unsigned src, std::span<std::byte> out, int tag) {
   for (;;) {
     // Match-or-block is one commit: if a concurrent sender's deposit could
     // slip between a failed match and the transition to kBlockedRecv, the
-    // wake would be missed. The tracing pulse is billed inside the commit
+    // wake would be missed. The pacer's pulse is billed inside the commit
     // too so the frozen blocked clock includes it.
     std::optional<Machine::Message> msg;
     bool blocked = false;

@@ -156,8 +156,8 @@ class RankCtx {
     pulse_node();
     machine_.yield_rank(rank_);
   }
-  /// Drive the node's tracing pulse hook (if installed) and charge the
-  /// modeled sampling overhead it reports to this rank's core.
+  /// Pulse the node's pacer and charge the modeled bill it hands over to
+  /// this rank's core.
   void pulse_node();
   /// touch() without the cooperative yield (for use inside loop()/send()).
   void touch_no_yield(const MemRange& range, double overlap);

@@ -2,11 +2,20 @@
 // SIMD FPUs, the private L1/L2 caches, the shared L3, two DDR controllers,
 // the snoop filter and the node's UPC unit. Every hardware event source
 // counts straight into the UPC unit, the node's one counter store.
+//
+// The node's Pacer is its one periodic counter reader (paper §III): each
+// consumer (the trace, the snapshot publisher) gives it a period, a bill
+// and a boundary action. A node whose programmed mode counts the core-0
+// cycle counter is paced by that counter's threshold interrupt, re-armed at
+// the earliest consumer deadline; any other node polls the Time Base when
+// the runtime pulses it (the paper's monitoring-thread pattern). A clock
+// step past several boundaries gives a consumer one action spanning them.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cpu/core.hpp"
@@ -28,6 +37,72 @@ struct BootOptions {
   unsigned nodes_per_card = 2;
 
   bool operator==(const BootOptions&) const = default;
+};
+
+class Node;
+
+/// The event whose counter paces an interrupt-paced node.
+inline constexpr isa::EventId kPacerEvent = isa::ev::cycle_count(0);
+
+/// Whether a node programmed to counter `mode` is paced by kPacerEvent's
+/// threshold interrupt (else it polls the Time Base).
+[[nodiscard]] constexpr bool interrupt_paced(u8 mode) noexcept {
+  return isa::event_mode(kPacerEvent) == mode;
+}
+
+/// One periodic reader of the node's counters.
+struct PacerConsumer {
+  cycles_t period = 0;  ///< boundary spacing in clock cycles, > 0
+  cycles_t bill = 0;    ///< modeled cycles per action
+  std::function<void()> on_start;  ///< optional: where the grid begins
+  /// The clock passed boundaries from + 1 .. to (counted from start()).
+  std::function<void(u64 from, u64 to)> on_boundary;
+};
+
+/// The node's one periodic counter reader (see the file comment).
+class Pacer {
+ public:
+  explicit Pacer(Node& node) noexcept : node_(node) {}
+  /// The UPC unit's threshold listener keeps `this`.
+  Pacer(const Pacer&) = delete;
+  Pacer& operator=(const Pacer&) = delete;
+
+  /// Register before start(); the pacer keeps the actions until stop().
+  void add(PacerConsumer consumer);
+  /// BGP_Start: pick the clock by the programmed mode, start every grid at
+  /// its value, run each on_start and arm the threshold at the earliest
+  /// deadline. Idempotent; a no-op without consumers.
+  void start();
+  /// The node's counting is over: a final catch-up, then disarm and drop
+  /// every consumer. Idempotent.
+  void stop();
+  /// Instrumentation-point pulse: close every boundary the clock passed,
+  /// then hand over the bills accrued since the last pulse. One branch
+  /// while the pacer is idle.
+  cycles_t pulse() {
+    if (!started_) return 0;
+    poll();
+    return std::exchange(bill_, 0);
+  }
+
+ private:
+  static constexpr u8 kCounter = isa::event_counter(kPacerEvent);
+
+  /// Catch up unless mid-action or the counters are stopped.
+  void poll();
+  void advance();
+  [[nodiscard]] cycles_t clock() const;
+  /// Origin plus the earliest boundary a consumer has not closed.
+  [[nodiscard]] cycles_t next_due() const;
+
+  Node& node_;
+  std::vector<PacerConsumer> consumers_;
+  std::vector<u64> closed_;  ///< boundaries closed, per consumer
+  bool started_ = false;
+  bool counter_clock_ = false;  ///< interrupt-paced (else Time Base)
+  bool in_advance_ = false;     ///< reentrancy guard
+  cycles_t origin_ = 0;
+  cycles_t bill_ = 0;  ///< accrued since the last pulse
 };
 
 /// One compute node.
@@ -63,32 +138,14 @@ class Node {
   /// by the runtime; TB is globally synchronized on real hardware).
   [[nodiscard]] cycles_t timebase() const noexcept;
 
-  /// Instrumentation pulse hook: monitoring agents (the trace::NodeTracer,
-  /// the snapshot publisher) register here and the runtime pulses the node
-  /// at instrumentation points (loop boundaries). Each hook returns the
-  /// modeled overhead in cycles the pulsing core must absorb (0 when
-  /// nothing was due); multiple agents stack and their overheads add.
-  using PulseHook = std::function<cycles_t(cycles_t now)>;
-  /// Register an agent without displacing the ones already installed (the
-  /// tracer and the snapshot publisher coexist).
-  void add_pulse_hook(PulseHook hook) {
-    if (hook) pulse_hooks_.push_back(std::move(hook));
-  }
-  [[nodiscard]] bool has_pulse_hook() const noexcept {
-    return !pulse_hooks_.empty();
-  }
-  /// Deliver a pulse; cheap no-op when no hook is installed.
-  cycles_t pulse(cycles_t now) {
-    cycles_t overhead = 0;
-    for (auto& hook : pulse_hooks_) overhead += hook(now);
-    return overhead;
-  }
+  /// The runtime pulses it at instrumentation points.
+  [[nodiscard]] Pacer& pacer() noexcept { return pacer_; }
 
  private:
   unsigned id_;
   BootOptions boot_;
   upc::UpcUnit upc_;
-  std::vector<PulseHook> pulse_hooks_;
+  Pacer pacer_{*this};
   std::unique_ptr<mem::MemoryHierarchy> mem_;
   std::array<std::unique_ptr<cpu::Core>, isa::kCoresPerNode> cores_;
 };

@@ -1,5 +1,6 @@
 #include "trace/tracer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/strfmt.hpp"
@@ -73,6 +74,20 @@ std::vector<isa::EventId> mode3_events() {
   return out;
 }
 
+TraceMeta make_meta(const sys::Node& node, const TraceConfig& config,
+                    const std::string& app_name, u8 mode) {
+  TraceMeta meta;
+  meta.node_id = node.id();
+  meta.card_id = node.card_id();
+  meta.counter_mode = mode;
+  meta.app_name = app_name;
+  meta.interval_cycles = config.interval_cycles;
+  meta.pacer_event =
+      sys::interrupt_paced(mode) ? u32{sys::kPacerEvent} : kPacerTimebase;
+  meta.events = preset_trace_events(config.preset, mode);
+  return meta;
+}
+
 }  // namespace
 
 const std::vector<std::string>& trace_preset_names() {
@@ -87,10 +102,8 @@ std::vector<isa::EventId> preset_trace_events(std::string_view preset,
     throw std::invalid_argument(
         strfmt("counter mode %u out of range", unsigned{mode}));
   }
-  const bool known =
-      preset == "default" || preset == "fp" || preset == "mix" ||
-      preset == "mem";
-  if (!known) {
+  const std::vector<std::string>& names = trace_preset_names();
+  if (std::find(names.begin(), names.end(), preset) == names.end()) {
     throw std::invalid_argument(
         strfmt("unknown trace preset '%.*s' (try --list)",
                static_cast<int>(preset.size()), preset.data()));
@@ -123,35 +136,15 @@ std::filesystem::path trace_file_base(const std::filesystem::path& dir,
   return dir / strfmt("%s.node%04u", app.c_str(), node);
 }
 
-namespace {
-
-/// The pacer of an interrupt-paced tracer: the core-0 cycle counter.
-constexpr isa::EventId kPacer = isa::ev::cycle_count(0);
-constexpr u8 kPacerCounter = isa::event_counter(kPacer);
-
-TraceMeta make_meta(const sys::Node& node, const TraceConfig& config,
-                    const std::string& app_name, u8 mode) {
-  TraceMeta meta;
-  meta.node_id = node.id();
-  meta.card_id = node.card_id();
-  meta.counter_mode = mode;
-  meta.app_name = app_name;
-  meta.interval_cycles = config.interval_cycles;
-  // Pace by the core-0 cycle counter when the programmed mode covers it;
-  // otherwise fall back to Time-Base polling from instrumentation points.
-  meta.pacer_event =
-      isa::event_mode(kPacer) == mode ? u32{kPacer} : kPacerTimebase;
-  meta.events = preset_trace_events(config.preset, mode);
-  return meta;
-}
-
-}  // namespace
-
 NodeTracer::NodeTracer(sys::Node& node, const TraceConfig& config,
                        const std::string& app_name, u8 mode)
     : node_(node),
       writer_(trace_file_base(config.trace_dir, app_name, node.id()),
-              make_meta(node, config, app_name, mode)) {}
+              make_meta(node, config, app_name, mode)) {
+  node.pacer().add({config.interval_cycles, kSampleOverheadCycles,
+                    [this] { last_snapshot_ = snapshot_counters(); },
+                    [this](u64 from, u64 to) { sample(from, to); }});
+}
 
 std::vector<u64> NodeTracer::snapshot_counters() const {
   // Reads go through the memory-mapped path, like a monitoring thread's
@@ -167,97 +160,31 @@ std::vector<u64> NodeTracer::snapshot_counters() const {
   return values;
 }
 
-cycles_t NodeTracer::pacer_clock() const {
-  if (!interrupt_paced()) return node_.timebase();
-  const auto& upc = node_.upc();
-  return upc.mmio_read64(upc.mmio_base() + 8ull * kPacerCounter);
-}
-
-void NodeTracer::start() {
-  if (armed_ || sealed()) return;
-  armed_ = true;
-  pacer_origin_ = pacer_clock();
-  last_snapshot_ = snapshot_counters();
-  if (interrupt_paced()) {
-    auto& upc = node_.upc();
-    upc.add_threshold_listener(
-        [this](u8 counter, u64 /*value*/) { on_threshold(counter); });
-    upc::CounterConfig cfg = upc.config(kPacerCounter);
-    cfg.interrupt_enable = true;
-    cfg.threshold = pacer_origin_ + writer_.meta().interval_cycles;
-    upc.configure(kPacerCounter, cfg);
-  }
-}
-
-void NodeTracer::on_threshold(u8 counter) {
-  if (!armed_ || in_advance_ || counter != kPacerCounter) return;
-  advance();
-}
-
-void NodeTracer::poll() {
-  if (!armed_ || in_advance_ || !node_.upc().running()) return;
-  advance();
-}
-
-cycles_t NodeTracer::pulse() {
-  poll();
-  const cycles_t overhead = pending_overhead_;
-  pending_overhead_ = 0;
-  return overhead;
-}
-
-void NodeTracer::advance() {
+void NodeTracer::sample(u64 from, u64 to) {
   const cycles_t interval = writer_.meta().interval_cycles;
-  const u64 closed = (pacer_clock() - pacer_origin_) / interval;
-  if (closed <= intervals_closed_) return;
-  in_advance_ = true;
   std::vector<u64> now_values = snapshot_counters();
   IntervalRecord rec;
-  rec.index = intervals_closed_;
-  rec.spanned = static_cast<u32>(closed - intervals_closed_);
-  rec.t_begin = intervals_closed_ * interval;
-  rec.t_end = closed * interval;
+  rec.index = from;
+  rec.spanned = static_cast<u32>(to - from);
+  rec.t_begin = from * interval;
+  rec.t_end = to * interval;
   rec.values.resize(now_values.size());
   for (std::size_t i = 0; i < now_values.size(); ++i) {
     rec.values[i] = now_values[i] - last_snapshot_[i];
   }
   last_snapshot_ = std::move(now_values);
-  intervals_closed_ = closed;
   ++samples_;
-  overhead_cycles_ += kSampleOverheadCycles;
-  pending_overhead_ += kSampleOverheadCycles;
-  if (interrupt_paced()) {
-    // Re-arm by rewriting the threshold register over the MMIO path,
-    // exactly as an interrupt service routine on the real unit would; the
-    // new threshold is strictly above the current count, so the write
-    // itself never re-fires.
-    auto& upc = node_.upc();
-    upc.mmio_write64(upc.mmio_base() + upc::UpcUnit::kThresholdOffset +
-                         8ull * kPacerCounter,
-                     pacer_origin_ + (closed + 1) * interval);
-  }
-  in_advance_ = false;
   // Every 64th record commits a chunk to the .partial file.
   writer_.append(std::move(rec));
 }
 
 std::filesystem::path NodeTracer::seal() {
   if (sealed()) return writer_.final_path();
-  if (armed_) {
-    poll();  // final catch-up; the tail past the last boundary is dropped
-    if (interrupt_paced()) {
-      auto& upc = node_.upc();
-      upc::CounterConfig cfg = upc.config(kPacerCounter);
-      cfg.interrupt_enable = false;
-      cfg.threshold = 0;
-      upc.configure(kPacerCounter, cfg);
-    }
-    armed_ = false;
-  }
+  node_.pacer().stop();
   TraceTotals totals;
   totals.intervals = samples_;
   totals.samples = samples_;
-  totals.overhead_cycles = overhead_cycles_;
+  totals.overhead_cycles = overhead_cycles();
   if (auto* fr = obs::recorder()) {
     fr->wk().trace_seals->add(1);
     fr->wk().trace_samples->add(totals.samples);

@@ -219,8 +219,8 @@ TEST(ServiceDeterminism, MachineKnobsMatchBatch) {
       "--snapshot-period=100us");
 }
 
-// snapshot_period_cycles = 0 publishes only the final snapshot and installs
-// no pulse hooks: the run must be byte- and cycle-identical to a batch run
+// snapshot_period_cycles = 0 publishes only the final snapshot and adds no
+// pacer consumer: the run must be byte- and cycle-identical to a batch run
 // with no publisher at all.
 TEST(ServiceDeterminism, FinalOnlySnapshotsPerturbNothing) {
   expect_daemon_matches_batch(
@@ -248,6 +248,23 @@ TEST(ServiceDeterminism, BgpcTraceMatchesBgpcRun) {
   ASSERT_EQ(code, 0) << out;
   EXPECT_EQ(artifact_bytes(run_dir).size(), 6u);  // dump, trace, spans x2
   expect_same_artifacts(run_dir, trace_dir);
+}
+
+// --snapshot-period paces a publisher, and without --snapshot-file there is
+// none: the flag is a usage error instead of being ignored.
+TEST(BgpcRunFlags, SnapshotPeriodWithoutASnapshotFileIsAUsageError) {
+  const fs::path dir = test_dir("run");
+  int code = -1;
+  const std::string out = run_tool(
+      BGPC_RUN_BINARY,
+      "EP --class=S --nodes=1 --snapshot-period=100us --dumps=" + dir.string(),
+      &code);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("--snapshot-period needs --snapshot-file"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("usage: bgpc_run"), std::string::npos) << out;
+  EXPECT_TRUE(fs::is_empty(dir));  // nothing ran
 }
 
 TEST(Service, RejectionsAreStructuredAndLeaveRunningSessionsAlone) {

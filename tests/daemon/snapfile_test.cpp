@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <thread>
 
+#include "common/crc.hpp"
 #include "daemon/snapfile.hpp"
 
 namespace fs = std::filesystem;
@@ -137,16 +139,44 @@ TEST(Snapfile, OpenFileRejectsForeignAndShortFiles) {
 
   // The top bit of the metrics capacity (byte 47) once wrapped the geometry
   // arithmetic, so the header passed and read_metrics threw
-  // std::length_error. A file longer than its geometry is foreign too: the
-  // writer sizes the file exactly.
+  // std::length_error. The header is re-sealed after the flip (CRC32 of
+  // bytes 0..287 at 288), so the geometry check rejects it, not the seal.
+  // A file longer than its geometry is foreign too: the writer sizes the
+  // file exactly.
   const fs::path wrapped = temp_path("wrapped.bgpsnap");
   std::string bytes = full;
   bytes[47] = static_cast<char>(bytes[47] ^ 0x80);
+  const u32 seal =
+      crc32({reinterpret_cast<const std::byte*>(bytes.data()), 288});
+  std::memcpy(bytes.data() + 288, &seal, sizeof seal);
   std::ofstream(wrapped, std::ios::binary) << bytes;
-  EXPECT_THROW((void)SnapshotReader::open_file(wrapped), std::runtime_error);
+  try {
+    (void)SnapshotReader::open_file(wrapped);
+    ADD_FAILURE() << "a wrapped metrics capacity opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "corrupt snapshot header (bad geometry)");
+  }
   const fs::path longer = temp_path("longer.bgpsnap");
   std::ofstream(longer, std::ios::binary) << full << '\0';
   EXPECT_THROW((void)SnapshotReader::open_file(longer), std::runtime_error);
+}
+
+// Version 1 carried no header checksum; like dump v1 it is no longer read.
+TEST(Snapfile, VersionOneIsUnsupported) {
+  std::string bytes;
+  {
+    SnapshotWriter w(temp_path("v2.bgpsnap"), "EP", "s", 1);
+    bytes.assign(reinterpret_cast<const char*>(w.data()), w.size());
+  }
+  bytes[8] = 1;  // the version word, little-endian
+  const fs::path v1 = temp_path("v1.bgpsnap");
+  std::ofstream(v1, std::ios::binary) << bytes;
+  try {
+    (void)SnapshotReader::open_file(v1);
+    ADD_FAILURE() << "a version-1 snapshot opened";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unsupported snapshot version 1");
+  }
 }
 
 // The seqlock contract: under a continuously republishing writer, every

@@ -278,8 +278,7 @@ TEST(ReaderFuzz, Snapshot) {
     }
   }
   const fs::path mutant = dir / "m.bgpsnap";
-  // The app and session names only label the file and carry no checksum:
-  // a flip there is a changed label, never a changed counter.
+  // The header is sealed, names included: a changed label is wrong too.
   run_corpus("bgpsnap", original, 0x5A, [&](const std::vector<std::byte>& b) {
     write_file(mutant, b);
     std::optional<daemon::SnapshotReader> r;
@@ -288,10 +287,11 @@ TEST(ReaderFuzz, Snapshot) {
     } catch (const std::runtime_error&) {
       return Outcome::kTyped;
     }
-    if (r->num_nodes() != kSnapNodes) return Outcome::kWrong;
-    Outcome o = r->app() == "CG" && r->session() == "sess-7"
-                    ? Outcome::kClean
-                    : Outcome::kChanged;
+    if (r->num_nodes() != kSnapNodes || r->app() != "CG" ||
+        r->session() != "sess-7") {
+      return Outcome::kWrong;
+    }
+    Outcome o = Outcome::kClean;
     for (unsigned n = 0; n < kSnapNodes; ++n) {
       daemon::NodeSnapshot got;
       const daemon::SnapReadStatus st = r->read_node_status(n, got, 4);
@@ -305,6 +305,24 @@ TEST(ReaderFuzz, Snapshot) {
     if (!r->read_metrics(metrics, 4)) return Outcome::kTyped;
     return metrics == kSnapMetrics ? o : Outcome::kWrong;
   });
+  fs::remove_all(dir);
+}
+
+// A flipped bit in the app name (header byte 48) once opened the file
+// under another name; the header seal turns it into a typed error.
+TEST(ReaderFuzz, SnapshotNameFlipIsATypedError) {
+  const fs::path dir = test_dir();
+  const fs::path path = dir / "counters.bgpsnap";
+  {
+    daemon::SnapshotWriter w(path, "CG", "sess-7", kSnapNodes,
+                             kSnapMetricsBytes);
+    publish_sample_snapshot(w);
+  }
+  std::vector<std::byte> bytes = file_bytes(path);
+  ASSERT_EQ(bytes[48], std::byte{'C'});
+  bytes[48] ^= std::byte{0x01};  // "CG" would read as "BG"
+  write_file(path, bytes);
+  EXPECT_THROW((void)daemon::SnapshotReader::open_file(path), BinIoError);
   fs::remove_all(dir);
 }
 

@@ -1,8 +1,8 @@
-// The node's periodic counter reader, trace::NodeTracer: interrupt pacing
-// on the cycle counter, coalescing of multi-boundary increments, the
-// Time-Base polled fallback for modes without a cycle counter, the modeled
-// per-sample overhead hand-off to the runtime, and records reaching the
-// trace file without waiting for a pulse.
+// trace::NodeTracer on the node's pacer: interrupt pacing on the cycle
+// counter, coalescing of multi-boundary increments, the Time-Base polled
+// fallback for modes without a cycle counter, the modeled per-sample
+// overhead handed to the runtime at the next pulse, and records reaching
+// the trace file without waiting for a pulse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,7 +83,7 @@ TEST(Sampler, InterruptDrivenSamplesAtEachBoundary) {
   // Mode 0: the core-0 cycle counter is in the programmed set.
   NodeTracer t(node, config_in(dir.path), "t", 0);
   ASSERT_EQ(t.writer().meta().pacer_event, kCycle);
-  t.start();
+  node.pacer().start();
 
   node.upc().signal(kFma, 10);
   node.upc().signal(kCycle, 999);
@@ -111,7 +111,7 @@ TEST(Sampler, OneLongIncrementCoalescesIntoASpannedRecord) {
   sys::Node node(0);
   node.upc().start();
   NodeTracer t(node, config_in(dir.path), "t", 0);
-  t.start();
+  node.pacer().start();
 
   node.upc().signal(kFma, 100);
   node.upc().signal(kCycle, 5'300);  // one bundle crosses five boundaries
@@ -141,15 +141,15 @@ TEST(Sampler, TimebasePolledFallbackForModesWithoutACycleCounter) {
   node.upc().start();
   NodeTracer t(node, config_in(dir.path), "t", 1);
   ASSERT_EQ(t.writer().meta().pacer_event, kPacerTimebase);
-  t.start();
+  node.pacer().start();
   EXPECT_FALSE(node.upc().config(kCycleCounter).interrupt_enable);
 
   node.upc().signal(kL3, 40);
-  EXPECT_EQ(t.pulse(), 0u);  // Time Base has not moved: nothing due
+  EXPECT_EQ(node.pacer().pulse(), 0u);  // Time Base has not moved: nothing due
 
   node.core(0).advance(2'500);  // Time Base = max core clock
   node.upc().signal(kL3, 2);
-  EXPECT_EQ(t.pulse(), 64u);  // one sample's bill
+  EXPECT_EQ(node.pacer().pulse(), 64u);  // one sample's bill
   EXPECT_EQ(t.samples(), 1u);
 
   const std::vector<IntervalRecord> recs = read_all(t.seal());
@@ -164,9 +164,10 @@ TEST(Sampler, PollIsIdleWhileTheUnitIsStopped) {
   sys::Node node(0);
   node.upc().set_mode(1);
   NodeTracer t(node, config_in(dir.path), "t", 1);
-  t.start();
+  node.pacer().start();
   node.core(0).advance(5'000);
-  EXPECT_EQ(t.pulse(), 0u);  // counters are not running: nothing to sample
+  // The counters are not running: nothing to sample.
+  EXPECT_EQ(node.pacer().pulse(), 0u);
   EXPECT_EQ(t.samples(), 0u);
   EXPECT_TRUE(read_all(t.seal()).empty());
 }
@@ -176,7 +177,7 @@ TEST(Sampler, DisarmTakesAFinalSampleAndDropsThePartialTail) {
   sys::Node node(0);
   node.upc().start();
   NodeTracer t(node, config_in(dir.path), "t", 0);
-  t.start();
+  node.pacer().start();
   node.upc().signal(kCycle, 2'400);  // 2 boundaries + a 400-cycle tail
   EXPECT_EQ(t.samples(), 1u);
   const fs::path sealed = t.seal();
@@ -189,7 +190,7 @@ TEST(Sampler, DisarmTakesAFinalSampleAndDropsThePartialTail) {
   // Sealing also disarms the hardware threshold, and a sealed tracer does
   // not re-arm: further counting is silent.
   EXPECT_FALSE(node.upc().config(kCycleCounter).interrupt_enable);
-  t.start();
+  node.pacer().start();
   node.upc().signal(kCycle, 10'000);
   EXPECT_EQ(t.samples(), 1u);
   EXPECT_EQ(t.seal(), sealed);  // idempotent
@@ -200,7 +201,7 @@ TEST(Sampler, DisarmTakesAFinalSampleAndDropsThePartialTail) {
   polled.upc().set_mode(1);
   polled.upc().start();
   NodeTracer tp(polled, config_in(dir.path), "t", 1);
-  tp.start();
+  polled.pacer().start();
   polled.core(0).advance(1'500);
   const std::vector<IntervalRecord> last = read_all(tp.seal());
   ASSERT_EQ(last.size(), 1u);
@@ -213,19 +214,19 @@ TEST(Sampler, ArmIsIdempotentAndOverheadIsHandedOffOnce) {
   sys::Node node(0);
   node.upc().start();
   NodeTracer t(node, config_in(dir.path), "t", 0);
-  t.start();
-  t.start();  // no double listener, no baseline reset
+  node.pacer().start();
+  node.pacer().start();  // no double listener, no baseline reset
 
   node.upc().signal(kCycle, 1'000);
   EXPECT_EQ(t.samples(), 1u);
   EXPECT_EQ(t.overhead_cycles(), 64u);
-  EXPECT_EQ(t.pulse(), 64u);
-  EXPECT_EQ(t.pulse(), 0u);  // handed off
+  EXPECT_EQ(node.pacer().pulse(), 64u);
+  EXPECT_EQ(node.pacer().pulse(), 0u);  // handed off
 
   node.upc().signal(kCycle, 2'000);
   EXPECT_EQ(t.samples(), 2u);
   EXPECT_EQ(t.overhead_cycles(), 128u);  // lifetime total keeps growing
-  EXPECT_EQ(t.pulse(), 64u);
+  EXPECT_EQ(node.pacer().pulse(), 64u);
 }
 
 // The writer's 64-record chunk is the only buffer between the interrupt
@@ -236,7 +237,7 @@ TEST(NodeTracer, RecordsReachTheFileWithoutAPulse) {
   sys::Node node(0);
   node.upc().start();
   NodeTracer t(node, config_in(dir.path), "t", 0);
-  t.start();
+  node.pacer().start();
   for (unsigned i = 0; i < 130; ++i) node.upc().signal(kCycle, kInterval);
   EXPECT_EQ(t.samples(), 130u);
   EXPECT_EQ(t.writer().intervals_written(), 128u);  // two chunks of 64

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include "cli.hpp"
 #include "common/strfmt.hpp"
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
   std::filesystem::path dump_dir = "bgpc_dumps";
   cli::ObsOutputs obs_out;
   std::filesystem::path snapshot_file;
-  daemon::PublisherConfig snap_cfg;
+  std::optional<cycles_t> snapshot_period;
 
   cli::FlagSet fs("bgpc_run", "BENCH");
   cli::add_run_flags(fs, spec, obs_out);
@@ -58,12 +59,19 @@ int main(int argc, char** argv) {
                 "publish live counter snapshots to this mmap-able file "
                 "(attach with bgpc_mine/bgpc_obs --attach)",
                 &snapshot_file);
-  fs.duration_cycles_value(
-      "snapshot-period", "DUR",
-      "snapshot publication period as simulated time with a unit suffix "
-      "(default 500us; needs --snapshot-file)",
-      &snap_cfg.period_cycles);
+  fs.value("snapshot-period", "DUR",
+           "snapshot publication period as simulated time with a unit "
+           "suffix (default 500us; needs --snapshot-file)",
+           [&](const char* v) {
+             snapshot_period = cli::duration_to_cycles(
+                 cli::parse_duration_ns("--snapshot-period", v));
+           });
   if (const auto rc = cli::parse_run_command(fs, argc, argv, spec)) return *rc;
+  if (snapshot_period && snapshot_file.empty()) {
+    std::fprintf(stderr, "bgpc_run: --snapshot-period needs --snapshot-file\n");
+    fs.print_usage(stderr);
+    return 2;
+  }
 
   nas::Run run(spec, dump_dir);
   rt::Machine& machine = run.machine();
@@ -100,11 +108,10 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<daemon::SnapshotPublisher> publisher;
   if (!snapshot_file.empty()) {
+    daemon::PublisherConfig snap_cfg;
+    if (snapshot_period) snap_cfg.period_cycles = *snapshot_period;
     publisher = std::make_unique<daemon::SnapshotPublisher>(
-        machine, snapshot_file, app, app, snap_cfg);
-    if (session.flight_recorder() != nullptr) {
-      publisher->set_metrics_source(&session.flight_recorder()->metrics());
-    }
+        session, snapshot_file, app, snap_cfg);
     std::printf("publishing snapshots to %s every %llu cycles\n",
                 snapshot_file.string().c_str(),
                 static_cast<unsigned long long>(snap_cfg.period_cycles));
