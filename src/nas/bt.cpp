@@ -1,13 +1,14 @@
 // BT — block tri-diagonal solver with 5x5 blocks, the heaviest of the NAS
 // pseudo-applications. ADI passes solve block-tridiagonal line systems
-// along x, y and z (z through the same pencil transpose SP uses); the block
-// Thomas algorithm — 5x5 Gaussian elimination with partial pivoting for the
-// diagonal solves, dense 5x5 multiplies for the couplings — is implemented
-// from scratch and verified by the residual of sampled line systems.
+// along x, y and z: the one ADI sweep (nas/solvers.hpp, shared with SP)
+// solves one block line of all five variables through every pencil. The
+// block Thomas algorithm — 5x5 Gaussian elimination with partial pivoting
+// for the diagonal solves, dense 5x5 multiplies for the couplings — is
+// implemented from scratch and verified by the residual of every line
+// system.
 //
 // Paper characteristics reproduced: dense 5x5 arithmetic makes BT strongly
 // FMA-dominated (Fig 6) with mid-pack optimization gains (Fig 10).
-#include <array>
 #include <cmath>
 #include <vector>
 
@@ -25,12 +26,7 @@ using isa::LsOp;
 
 constexpr unsigned kB = kBlock;  // 5 conserved variables
 
-struct BtSize {
-  u64 nx, ny, nz_local;
-  unsigned iterations;
-};
-
-BtSize size_of(ProblemClass cls) {
+AdiGrid size_of(ProblemClass cls) {
   switch (cls) {
     case ProblemClass::kS: return {8, 8, 4, 2};
     case ProblemClass::kW: return {24, 24, 8, 2};
@@ -76,6 +72,11 @@ double bt_solve(u64 n, u64 seed, std::vector<double>& x) {
   return block_tridiag_solve(n, seed, bt_blocks, x);
 }
 
+/// One block line of all five variables through every pencil.
+constexpr AdiMethod kAdi{kB, bt_solve, block_solve_loop,
+                         {"bt_xsolve", "bt_ysolve", "bt_zsolve"},
+                         {7, 11, 13}};
+
 class BtKernel final : public Kernel {
  public:
   explicit BtKernel(ProblemClass cls) : Kernel(cls) {}
@@ -84,132 +85,22 @@ class BtKernel final : public Kernel {
     return Benchmark::kBT;
   }
 
-  void run(rt::RankCtx& ctx) override {
-    const BtSize sz = size_of(class_);
-    const unsigned p = ctx.size();
-    const unsigned r = ctx.rank();
-    const u64 plane = sz.nx * sz.ny;
-    const u64 cells = plane * sz.nz_local;
-    const u64 nz = sz.nz_local * p;
-
-    auto u = ctx.alloc<double>(cells * kB);
-    for (u64 i = 0; i < cells * kB; ++i) {
+  void run(rt::RankCtx& ctx) const override {
+    const AdiGrid g = size_of(class_);
+    const u64 n = g.nx * g.ny * g.nz_local * kB;
+    auto u = ctx.alloc<double>(n);
+    for (u64 i = 0; i < n; ++i) {
       u[i] = 1.0 + 0.002 * std::cos(0.21 * static_cast<double>(
-                                               i + r * cells * kB));
+                                               i + ctx.rank() * n));
     }
     ctx.touch(rt::MemRange{u.addr(), u.bytes(), true}, 3.0);
 
-    auto idx = [&](u64 i, u64 j, u64 k) {
-      return ((k * sz.ny + j) * sz.nx + i) * kB;
-    };
-
-    double worst = 0.0;
-    for (unsigned it = 0; it < sz.iterations; ++it) {
-      // ---- x lines ---------------------------------------------------------
-      std::vector<double> line(sz.nx * kB);
-      for (u64 k = 0; k < sz.nz_local; ++k) {
-        for (u64 j = 0; j < sz.ny; ++j) {
-          for (u64 i = 0; i < sz.nx; ++i) {
-            for (unsigned c = 0; c < kB; ++c) {
-              line[i * kB + c] = u[idx(i, j, k) + c];
-            }
-          }
-          worst = std::max(worst,
-                           bt_solve(sz.nx, 7 * (j + k), line));
-          for (u64 i = 0; i < sz.nx; ++i) {
-            for (unsigned c = 0; c < kB; ++c) {
-              u[idx(i, j, k) + c] = line[i * kB + c];
-            }
-          }
-        }
-      }
-      ctx.loop(block_solve_loop("bt_xsolve", cells),
-               {rt::MemRange{u.addr(), u.bytes(), false},
-                rt::MemRange{u.addr(), u.bytes(), true}});
-
-      // ---- y lines ---------------------------------------------------------
-      std::vector<double> yline(sz.ny * kB);
-      for (u64 k = 0; k < sz.nz_local; ++k) {
-        for (u64 i = 0; i < sz.nx; ++i) {
-          for (u64 j = 0; j < sz.ny; ++j) {
-            for (unsigned c = 0; c < kB; ++c) {
-              yline[j * kB + c] = u[idx(i, j, k) + c];
-            }
-          }
-          worst = std::max(worst,
-                           bt_solve(sz.ny, 11 * (i + k), yline));
-          for (u64 j = 0; j < sz.ny; ++j) {
-            for (unsigned c = 0; c < kB; ++c) {
-              u[idx(i, j, k) + c] = yline[j * kB + c];
-            }
-          }
-        }
-      }
-      ctx.loop(block_solve_loop("bt_ysolve", cells),
-               {rt::MemRange{u.addr(), u.bytes(), false},
-                rt::MemRange{u.addr(), u.bytes(), true}});
-
-      // ---- z lines via pencil transpose -------------------------------------
-      std::vector<std::vector<double>> out(p), in;
-      for (unsigned d = 0; d < p; ++d) {
-        const Block cols = block_of(plane, p, d);
-        out[d].reserve(cols.size() * sz.nz_local * kB);
-        for (u64 col = cols.begin; col < cols.end; ++col) {
-          for (u64 k = 0; k < sz.nz_local; ++k) {
-            for (unsigned c = 0; c < kB; ++c) {
-              out[d].push_back(u[(k * plane + col) * kB + c]);
-            }
-          }
-        }
-      }
-      ctx.touch(rt::MemRange{u.addr(), u.bytes(), false}, 2.0);
-      alltoallv_values(ctx, out, in);
-
-      const Block mine = block_of(plane, p, r);
-      std::vector<double> zline(nz * kB);
-      for (u64 lc = 0; lc < mine.size(); ++lc) {
-        for (unsigned s = 0; s < p; ++s) {
-          const double* seg = in[s].data() + lc * sz.nz_local * kB;
-          for (u64 k = 0; k < sz.nz_local; ++k) {
-            for (unsigned c = 0; c < kB; ++c) {
-              zline[(s * sz.nz_local + k) * kB + c] = seg[k * kB + c];
-            }
-          }
-        }
-        worst = std::max(
-            worst, bt_solve(nz, 13 * (mine.begin + lc), zline));
-        for (unsigned s = 0; s < p; ++s) {
-          double* seg = in[s].data() + lc * sz.nz_local * kB;
-          for (u64 k = 0; k < sz.nz_local; ++k) {
-            for (unsigned c = 0; c < kB; ++c) {
-              seg[k * kB + c] = zline[(s * sz.nz_local + k) * kB + c];
-            }
-          }
-        }
-      }
-      ctx.loop(block_solve_loop("bt_zsolve", mine.size() * nz), {});
-
-      std::vector<std::vector<double>> back;
-      alltoallv_values(ctx, in, back);
-      for (unsigned s = 0; s < p; ++s) {
-        const Block cols = block_of(plane, p, s);
-        u64 w = 0;
-        for (u64 col = cols.begin; col < cols.end; ++col) {
-          for (u64 k = 0; k < sz.nz_local; ++k) {
-            for (unsigned c = 0; c < kB; ++c) {
-              u[(k * plane + col) * kB + c] = back[s][w++];
-            }
-          }
-        }
-      }
-      ctx.touch(rt::MemRange{u.addr(), u.bytes(), true}, 2.0);
-    }
-
+    const double worst = adi_sweeps(ctx, kAdi, g, u);
     const double global_worst = ctx.allreduce_max(worst);
     if (ctx.rank() == 0) {
       record(std::isfinite(global_worst) && global_worst < 1e-8,
              strfmt("max block-line residual %.3e over %u ADI sweeps",
-                    global_worst, sz.iterations));
+                    global_worst, g.iterations));
     }
   }
 };

@@ -110,7 +110,7 @@ class CgKernel final : public Kernel {
     return Benchmark::kCG;
   }
 
-  void run(rt::RankCtx& ctx) override {
+  void run(rt::RankCtx& ctx) const override {
     const CgSize sz = size_of(class_);
     const Stencil op{sz.nx, sz.ny, sz.nz_local, ctx.rank() > 0,
                      ctx.rank() + 1 < ctx.size()};
@@ -198,7 +198,7 @@ class CgKernel final : public Kernel {
 
   /// Exchange halo planes of `v` (extended layout) with the z-neighbours.
   void halo_exchange(rt::RankCtx& ctx, const Stencil& op,
-                     rt::SimArray<double>& v) {
+                     rt::SimArray<double>& v) const {
     const u64 plane = op.plane();
     const u64 rows = op.rows();
     if (!op.has_down && !op.has_up) return;
@@ -222,7 +222,7 @@ class CgKernel final : public Kernel {
 
   /// q = A * v (v in extended layout).
   void matvec(rt::RankCtx& ctx, const Stencil& op, const Csr& csr,
-              rt::SimArray<double>& v, rt::SimArray<double>& q) {
+              rt::SimArray<double>& v, rt::SimArray<double>& q) const {
     halo_exchange(ctx, op, v);
     u64 row = 0;
     for (u64 k = 0; k < op.nz_local; ++k) {
@@ -262,7 +262,7 @@ class CgKernel final : public Kernel {
   }
 
   [[nodiscard]] double dot(rt::RankCtx& ctx, rt::SimArray<double>& a,
-                           rt::SimArray<double>& b, u64 n) {
+                           rt::SimArray<double>& b, u64 n) const {
     double acc = 0;
     for (u64 i = 0; i < n; ++i) acc += a[i] * b[i];
     ctx.loop(axpy_loop(n, true), {rt::MemRange{a.addr(), n * 8, false},
@@ -272,7 +272,7 @@ class CgKernel final : public Kernel {
 
   /// <Au, w> must equal <u, Aw> for symmetric A.
   [[nodiscard]] double symmetry_check(rt::RankCtx& ctx, const Stencil& op,
-                                      const Csr& csr) {
+                                      const Csr& csr) const {
     const u64 plane = op.plane();
     const u64 rows = op.rows();
     const unsigned r = ctx.rank();

@@ -79,7 +79,7 @@ class EpKernel final : public Kernel {
     return Benchmark::kEP;
   }
 
-  void run(rt::RankCtx& ctx) override {
+  void run(rt::RankCtx& ctx) const override {
     const u64 pairs = pairs_per_rank(class_);
     constexpr u64 kBatch = 2048;
     auto xs = ctx.alloc<double>(kBatch);

@@ -1,9 +1,10 @@
-// FT — 3D FFT benchmark. The complex grid is slab-partitioned along z;
-// x-direction FFTs run on contiguous lines, y-direction FFTs are done as
-// row-vectorized butterfly sweeps across whole planes (the layout-friendly
-// formulation real FFT codes use), and the z-direction is reached through
-// an all-to-all transpose. The radix-2 Cooley-Tukey kernels are implemented
-// from scratch on std::complex<double>.
+// FT — 3D FFT benchmark. The complex grid is slab-partitioned along z, and
+// one radix-2 Cooley-Tukey FFT (from scratch, on std::complex<double>)
+// transforms every axis: it runs over n rows of contiguous elements, so an
+// x line is a row of one element, the y pass a row-vectorized butterfly
+// sweep across whole planes (the layout-friendly formulation real FFT codes
+// use), and the z pass the same sweep over the y-slab layout that one
+// all-to-all transpose reaches.
 //
 // Verification: a forward+inverse round trip must reproduce the original
 // data, and Parseval's identity must hold between the two domains.
@@ -12,6 +13,7 @@
 // the double-hummer, so FT is dominated by SIMD add-sub/FMA with -qarch440d
 // (Figs 6 and 7) and shows the largest optimization gains (Fig 9). Its
 // all-to-all plus blocked access also drive the >4x VNM DDR growth (Fig 12).
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
@@ -62,14 +64,16 @@ LoopDesc butterfly_loop(std::string_view name_, u64 butterflies) {
   return d;
 }
 
-/// In-place radix-2 DIT FFT of one contiguous line.
-void fft_line(cplx* a, u64 n, bool inverse) {
-  // Bit-reversal permutation.
+/// In-place radix-2 DIT FFT along the row index of `n` rows of `row`
+/// contiguous elements: butterflies combine whole rows, so an x line is
+/// `row == 1` and the y and z passes are row-vectorized sweeps.
+void fft_rows(cplx* a, u64 n, u64 row, bool inverse) {
+  // Bit-reversal permutation of the rows.
   for (u64 i = 1, j = 0; i < n; ++i) {
     u64 bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
+    if (i < j) std::swap_ranges(a + i * row, a + (i + 1) * row, a + j * row);
   }
   for (u64 len = 2; len <= n; len <<= 1) {
     const double ang = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
@@ -77,18 +81,109 @@ void fft_line(cplx* a, u64 n, bool inverse) {
     for (u64 i = 0; i < n; i += len) {
       cplx w(1.0, 0.0);
       for (u64 k = 0; k < len / 2; ++k) {
-        const cplx u = a[i + k];
-        const cplx v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
+        cplx* ru = a + (i + k) * row;
+        cplx* rv = a + (i + k + len / 2) * row;
+        for (u64 x = 0; x < row; ++x) {
+          const cplx u = ru[x];
+          const cplx v = rv[x] * w;
+          ru[x] = u + v;
+          rv[x] = u - v;
+        }
         w *= wl;
       }
     }
   }
   if (inverse) {
     const double inv = 1.0 / static_cast<double>(n);
-    for (u64 i = 0; i < n; ++i) a[i] *= inv;
+    for (u64 i = 0; i < n * row; ++i) a[i] *= inv;
   }
+}
+
+/// One FFT pass: transform every block of `n` rows of `row` elements in
+/// `a` and bill the butterflies as one bundle under `name`.
+void fft_pass(rt::RankCtx& ctx, std::string_view name, rt::SimArray<cplx>& a,
+              u64 n, u64 row, bool inverse) {
+  const u64 blocks = a.size() / (n * row);
+  for (u64 b = 0; b < blocks; ++b) {
+    fft_rows(&a[b * n * row], n, row, inverse);
+  }
+  const u64 butterflies =
+      blocks * (n / 2) * static_cast<u64>(std::bit_width(n) - 1) * row;
+  ctx.loop(butterfly_loop(name, butterflies),
+           {rt::MemRange{a.addr(), a.bytes(), false},
+            rt::MemRange{a.addr(), a.bytes(), true}});
+}
+
+[[nodiscard]] double norm_sq(rt::RankCtx& ctx, const rt::SimArray<cplx>& a) {
+  LoopDesc d;
+  d.name = "ft_checksum";
+  d.trip = a.size();
+  d.body.fp_at(FpOp::kFma) = 2;
+  d.body.ls_at(LsOp::kLoadDouble) = 2;
+  d.body.int_at(IntOp::kAlu) = 2;
+  d.body.int_at(IntOp::kBranch) = 1;
+  d.vectorizable = 0.9;
+  d.reduction = true;
+  ctx.loop(d, {rt::MemRange{a.addr(), a.bytes(), false}});
+  double s = 0;
+  for (const cplx& v : a) s += std::norm(v);
+  return ctx.allreduce_sum(s);
+}
+
+/// Transpose between z-slabs (nx, ny, nz_local) and y-slabs (nx, ny/P, nz):
+/// y block d of every local plane goes to rank d, and back. Both layouts
+/// hold rows of nx elements; `forward` picks which one the rows are packed
+/// from and which one they are unpacked into.
+void transpose(rt::RankCtx& ctx, const FtSize& sz,
+               const rt::SimArray<cplx>& from, rt::SimArray<cplx>& to,
+               bool forward) {
+  const unsigned p = ctx.size();
+  const u64 yb = sz.ny / p;    // y rows per rank
+  const u64 zb = sz.nz_local;  // z planes per rank
+  const u64 chunk_elems = sz.nx * yb * zb;
+  // Offset of row (k, y) of rank d's block: in the z-slab layout d picks
+  // the y block of local plane k, in the y-slab layout the z block.
+  auto row_at = [&](bool zslab, u64 d, u64 k, u64 y) {
+    return (zslab ? k * sz.ny + d * yb + y : (d * zb + k) * yb + y) * sz.nx;
+  };
+  std::vector<cplx> sbuf(chunk_elems * p), rbuf(chunk_elems * p);
+
+  cplx* out = sbuf.data();
+  for (unsigned d = 0; d < p; ++d) {
+    for (u64 k = 0; k < zb; ++k) {
+      for (u64 y = 0; y < yb; ++y) {
+        out = std::copy_n(&from[row_at(forward, d, k, y)], sz.nx, out);
+      }
+    }
+  }
+  ctx.touch(rt::MemRange{from.addr(), from.bytes(), false}, 2.0);
+
+  ctx.alltoall(std::as_bytes(std::span(sbuf)),
+               std::as_writable_bytes(std::span(rbuf)),
+               chunk_elems * sizeof(cplx));
+
+  const cplx* in = rbuf.data();
+  for (unsigned s = 0; s < p; ++s) {
+    for (u64 k = 0; k < zb; ++k) {
+      for (u64 y = 0; y < yb; ++y) {
+        std::copy_n(in, sz.nx, &to[row_at(!forward, s, k, y)]);
+        in += sz.nx;
+      }
+    }
+  }
+  ctx.touch(rt::MemRange{to.addr(), to.bytes(), true}, 2.0);
+}
+
+/// x lines, y rows of each plane, then z rows of the y-slab layout
+/// [x, ylocal, z] reached through the transpose.
+void fft3d(rt::RankCtx& ctx, const FtSize& sz, rt::SimArray<cplx>& data,
+           rt::SimArray<cplx>& zbuf, bool inverse) {
+  fft_pass(ctx, "ft_fft_x", data, sz.nx, 1, inverse);
+  fft_pass(ctx, "ft_fft_y", data, sz.ny, sz.nx, inverse);
+  transpose(ctx, sz, data, zbuf, /*forward=*/true);
+  fft_pass(ctx, "ft_fft_z", zbuf, sz.nz_local * ctx.size(),
+           sz.nx * (sz.ny / ctx.size()), inverse);
+  transpose(ctx, sz, zbuf, data, /*forward=*/false);
 }
 
 class FtKernel final : public Kernel {
@@ -99,25 +194,25 @@ class FtKernel final : public Kernel {
     return Benchmark::kFT;
   }
 
-  void run(rt::RankCtx& ctx) override {
+  void run(rt::RankCtx& ctx) const override {
     FtSize sz = size_of(class_);
-    p_ = ctx.size();
-    if (!std::has_single_bit(static_cast<u64>(p_))) {
+    const unsigned p = ctx.size();
+    if (!std::has_single_bit(p)) {
       // The transpose needs P | ny and P | nz; NPB FT has the same
       // power-of-two constraint. Degrade gracefully.
       if (ctx.rank() == 0) {
         record(false,
-               strfmt("FT requires a power-of-two rank count; got %u", p_));
+               strfmt("FT requires a power-of-two rank count; got %u", p));
       }
       return;
     }
     // Large partitions: widen the plane so every rank owns a y-block,
     // shrinking the local z extent to keep the per-rank footprint constant.
-    while (sz.ny < p_) {
+    while (sz.ny < p) {
       sz.ny *= 2;
       if (sz.nz_local > 1) sz.nz_local /= 2;
     }
-    const u64 nz = sz.nz_local * p_;  // global z (power of two)
+    const u64 nz = sz.nz_local * p;  // global z (power of two)
     const u64 local = sz.nx * sz.ny * sz.nz_local;
 
     auto data = ctx.alloc<cplx>(local);
@@ -133,12 +228,12 @@ class FtKernel final : public Kernel {
     }
     ctx.touch(rt::MemRange{data.addr(), data.bytes(), true}, 3.0);
 
-    const double sum_sq_time = norm_sq(ctx, data, local);
+    const double sum_sq_time = norm_sq(ctx, data);
 
-    fft3d(ctx, sz, nz, data, zbuf, /*inverse=*/false);
-    const double sum_sq_freq = norm_sq(ctx, data, local);
+    fft3d(ctx, sz, data, zbuf, /*inverse=*/false);
+    const double sum_sq_freq = norm_sq(ctx, data);
 
-    fft3d(ctx, sz, nz, data, zbuf, /*inverse=*/true);
+    fft3d(ctx, sz, data, zbuf, /*inverse=*/true);
 
     // Round-trip error and Parseval check.
     double err = 0;
@@ -156,217 +251,6 @@ class FtKernel final : public Kernel {
       record(err < 1e-9 && parseval < 1e-9,
              strfmt("roundtrip err=%.2e parseval=%.2e", err, parseval));
     }
-  }
-
- private:
-  unsigned p_ = 1;
-
-  [[nodiscard]] static double norm_sq_local(const rt::SimArray<cplx>& a,
-                                            u64 n) {
-    double s = 0;
-    for (u64 i = 0; i < n; ++i) s += std::norm(a[i]);
-    return s;
-  }
-
-  [[nodiscard]] double norm_sq(rt::RankCtx& ctx, rt::SimArray<cplx>& a,
-                               u64 n) {
-    LoopDesc d;
-    d.name = "ft_checksum";
-    d.trip = n;
-    d.body.fp_at(FpOp::kFma) = 2;
-    d.body.ls_at(LsOp::kLoadDouble) = 2;
-    d.body.int_at(IntOp::kAlu) = 2;
-    d.body.int_at(IntOp::kBranch) = 1;
-    d.vectorizable = 0.9;
-    d.reduction = true;
-    ctx.loop(d, {rt::MemRange{a.addr(), n * sizeof(cplx), false}});
-    return ctx.allreduce_sum(norm_sq_local(a, n));
-  }
-
-  /// FFT all x-lines (contiguous) of the z-slab array.
-  void fft_x(rt::RankCtx& ctx, const FtSize& sz, rt::SimArray<cplx>& a,
-             u64 planes, bool inverse) {
-    const u64 lines = sz.ny * planes;
-    for (u64 l = 0; l < lines; ++l) {
-      fft_line(&a[l * sz.nx], sz.nx, inverse);
-    }
-    const u64 butterflies =
-        lines * (sz.nx / 2) * static_cast<u64>(std::bit_width(sz.nx) - 1);
-    ctx.loop(butterfly_loop("ft_fft_x", butterflies),
-             {rt::MemRange{a.addr(), a.bytes(), false},
-              rt::MemRange{a.addr(), a.bytes(), true}});
-  }
-
-  /// FFT along y as row-vectorized butterflies over each plane.
-  void fft_y(rt::RankCtx& ctx, const FtSize& sz, rt::SimArray<cplx>& a,
-             u64 planes, bool inverse) {
-    const u64 stride = sz.nx;
-    for (u64 pl = 0; pl < planes; ++pl) {
-      cplx* base = &a[pl * sz.nx * sz.ny];
-      // Bit-reverse rows.
-      for (u64 i = 1, j = 0; i < sz.ny; ++i) {
-        u64 bit = sz.ny >> 1;
-        for (; j & bit; bit >>= 1) j ^= bit;
-        j ^= bit;
-        if (i < j) {
-          for (u64 x = 0; x < sz.nx; ++x) {
-            std::swap(base[i * stride + x], base[j * stride + x]);
-          }
-        }
-      }
-      for (u64 len = 2; len <= sz.ny; len <<= 1) {
-        const double ang =
-            (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
-        const cplx wl(std::cos(ang), std::sin(ang));
-        for (u64 i = 0; i < sz.ny; i += len) {
-          cplx w(1.0, 0.0);
-          for (u64 k = 0; k < len / 2; ++k) {
-            cplx* row_u = base + (i + k) * stride;
-            cplx* row_v = base + (i + k + len / 2) * stride;
-            for (u64 x = 0; x < sz.nx; ++x) {
-              const cplx u = row_u[x];
-              const cplx v = row_v[x] * w;
-              row_u[x] = u + v;
-              row_v[x] = u - v;
-            }
-            w *= wl;
-          }
-        }
-      }
-      if (inverse) {
-        const double inv = 1.0 / static_cast<double>(sz.ny);
-        for (u64 i = 0; i < sz.nx * sz.ny; ++i) base[i] *= inv;
-      }
-    }
-    const u64 butterflies = planes * (sz.ny / 2) *
-                            static_cast<u64>(std::bit_width(sz.ny) - 1) *
-                            sz.nx;
-    ctx.loop(butterfly_loop("ft_fft_y", butterflies),
-             {rt::MemRange{a.addr(), a.bytes(), false},
-              rt::MemRange{a.addr(), a.bytes(), true}});
-  }
-
-  /// Transpose between z-slabs (nx,ny,nz_local) and y-slabs
-  /// (nx, ny/P, nz): block (y-range r) of every local plane goes to rank r.
-  void transpose(rt::RankCtx& ctx, const FtSize& sz, u64 nz,
-                 rt::SimArray<cplx>& from, rt::SimArray<cplx>& to,
-                 bool forward) {
-    const u64 yb = sz.ny / p_;         // y rows per destination
-    const u64 zb = nz / p_;            // z planes per source (nz_local)
-    const u64 chunk_elems = sz.nx * yb * zb;
-    std::vector<cplx> sbuf(chunk_elems * p_), rbuf(chunk_elems * p_);
-
-    if (forward) {
-      // from: z-slab [x, y, zlocal] -> send y-block d of every plane to d.
-      for (unsigned d = 0; d < p_; ++d) {
-        cplx* out = &sbuf[d * chunk_elems];
-        u64 w = 0;
-        for (u64 k = 0; k < zb; ++k) {
-          for (u64 y = 0; y < yb; ++y) {
-            const cplx* src = &from[(k * sz.ny + d * yb + y) * sz.nx];
-            for (u64 x = 0; x < sz.nx; ++x) out[w++] = src[x];
-          }
-        }
-      }
-    } else {
-      // from: y-slab [x, ylocal, z] -> send z-block d back to rank d.
-      for (unsigned d = 0; d < p_; ++d) {
-        cplx* out = &sbuf[d * chunk_elems];
-        u64 w = 0;
-        for (u64 k = 0; k < zb; ++k) {     // destination's local z index
-          for (u64 y = 0; y < yb; ++y) {
-            const cplx* src = &from[((d * zb + k) * yb + y) * sz.nx];
-            for (u64 x = 0; x < sz.nx; ++x) out[w++] = src[x];
-          }
-        }
-      }
-    }
-    ctx.touch(rt::MemRange{from.addr(), from.bytes(), false}, 2.0);
-
-    ctx.alltoall(std::as_bytes(std::span(sbuf)),
-                 std::as_writable_bytes(std::span(rbuf)),
-                 chunk_elems * sizeof(cplx));
-
-    if (forward) {
-      // Assemble y-slab layout [x, ylocal(yb), z(nz)]: source rank s owns
-      // z block s.
-      for (unsigned s = 0; s < p_; ++s) {
-        const cplx* in = &rbuf[s * chunk_elems];
-        u64 w = 0;
-        for (u64 k = 0; k < zb; ++k) {
-          for (u64 y = 0; y < yb; ++y) {
-            cplx* dst = &to[((s * zb + k) * yb + y) * sz.nx];
-            for (u64 x = 0; x < sz.nx; ++x) dst[x] = in[w++];
-          }
-        }
-      }
-    } else {
-      for (unsigned s = 0; s < p_; ++s) {
-        const cplx* in = &rbuf[s * chunk_elems];
-        u64 w = 0;
-        for (u64 k = 0; k < zb; ++k) {
-          for (u64 y = 0; y < yb; ++y) {
-            cplx* dst = &to[(k * sz.ny + s * yb + y) * sz.nx];
-            for (u64 x = 0; x < sz.nx; ++x) dst[x] = in[w++];
-          }
-        }
-      }
-    }
-    ctx.touch(rt::MemRange{to.addr(), to.bytes(), true}, 2.0);
-  }
-
-  /// FFT along z on the y-slab layout [x, ylocal, z]: rows are (x,ylocal)
-  /// planes indexed by z — reuse the row-vectorized formulation.
-  void fft_z(rt::RankCtx& ctx, const FtSize& sz, u64 nz,
-             rt::SimArray<cplx>& a, bool inverse) {
-    const u64 row = sz.nx * (sz.ny / p_);  // elements per z "row"
-    // Bit-reverse z rows.
-    for (u64 i = 1, j = 0; i < nz; ++i) {
-      u64 bit = nz >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      if (i < j) {
-        for (u64 x = 0; x < row; ++x) std::swap(a[i * row + x], a[j * row + x]);
-      }
-    }
-    for (u64 len = 2; len <= nz; len <<= 1) {
-      const double ang =
-          (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
-      const cplx wl(std::cos(ang), std::sin(ang));
-      for (u64 i = 0; i < nz; i += len) {
-        cplx w(1.0, 0.0);
-        for (u64 k = 0; k < len / 2; ++k) {
-          cplx* ru = &a[(i + k) * row];
-          cplx* rv = &a[(i + k + len / 2) * row];
-          for (u64 x = 0; x < row; ++x) {
-            const cplx u = ru[x];
-            const cplx v = rv[x] * w;
-            ru[x] = u + v;
-            rv[x] = u - v;
-          }
-          w *= wl;
-        }
-      }
-    }
-    if (inverse) {
-      const double inv = 1.0 / static_cast<double>(nz);
-      for (u64 i = 0; i < nz * row; ++i) a[i] *= inv;
-    }
-    const u64 butterflies =
-        (nz / 2) * static_cast<u64>(std::bit_width(nz) - 1) * row;
-    ctx.loop(butterfly_loop("ft_fft_z", butterflies),
-             {rt::MemRange{a.addr(), a.bytes(), false},
-              rt::MemRange{a.addr(), a.bytes(), true}});
-  }
-
-  void fft3d(rt::RankCtx& ctx, const FtSize& sz, u64 nz,
-             rt::SimArray<cplx>& data, rt::SimArray<cplx>& zbuf,
-             bool inverse) {
-    fft_x(ctx, sz, data, sz.nz_local, inverse);
-    fft_y(ctx, sz, data, sz.nz_local, inverse);
-    transpose(ctx, sz, nz, data, zbuf, /*forward=*/true);
-    fft_z(ctx, sz, nz, zbuf, inverse);
-    transpose(ctx, sz, nz, zbuf, data, /*forward=*/false);
   }
 };
 

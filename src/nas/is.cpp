@@ -91,7 +91,7 @@ class IsKernel final : public Kernel {
     return Benchmark::kIS;
   }
 
-  void run(rt::RankCtx& ctx) override {
+  void run(rt::RankCtx& ctx) const override {
     const IsSize sz = size_of(class_);
     const unsigned p = ctx.size();
     const u64 max_key = u64{1} << sz.key_log2;

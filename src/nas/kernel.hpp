@@ -48,9 +48,11 @@ class Kernel {
   [[nodiscard]] virtual Benchmark id() const noexcept = 0;
   [[nodiscard]] ProblemClass problem_class() const noexcept { return class_; }
 
-  /// The rank program. Called once per rank inside Machine::run; rank 0
-  /// records the verification result.
-  virtual void run(rt::RankCtx& ctx) = 0;
+  /// The rank program. Called once per rank inside Machine::run, on one
+  /// kernel object that every rank shares (and, with parallel workers,
+  /// from several threads at once): per-rank state lives on the rank's
+  /// stack. Rank 0 records the verification result.
+  virtual void run(rt::RankCtx& ctx) const = 0;
 
   [[nodiscard]] const KernelResult& result() const noexcept { return result_; }
 
@@ -59,14 +61,14 @@ class Kernel {
 
   /// Record the global verification outcome (call from rank 0 only, the
   /// single writer; read after Machine::run returns).
-  void record(bool ok, std::string detail) {
+  void record(bool ok, std::string detail) const {
     result_ = KernelResult{ok, std::move(detail)};
   }
 
   ProblemClass class_;
 
  private:
-  KernelResult result_;
+  mutable KernelResult result_;
 };
 
 /// Kernel factory.

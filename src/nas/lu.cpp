@@ -74,7 +74,7 @@ class LuKernel final : public Kernel {
     return Benchmark::kLU;
   }
 
-  void run(rt::RankCtx& ctx) override {
+  void run(rt::RankCtx& ctx) const override {
     const LuSize sz = size_of(class_);
     const unsigned p = ctx.size();
     const unsigned r = ctx.rank();
@@ -189,7 +189,8 @@ class LuKernel final : public Kernel {
   /// || b - A v || with A = diag*I - sum(6 neighbours) (halo-exchanged).
   double residual_norm(rt::RankCtx& ctx, const LuSize& sz, unsigned p,
                        unsigned r, rt::SimArray<double>& v,
-                       rt::SimArray<double>& b, rt::SimArray<double>& res) {
+                       rt::SimArray<double>& b,
+                       rt::SimArray<double>& res) const {
     const u64 plane = sz.nx * sz.ny;
     auto at = [&](u64 i, u64 j, u64 kext) {
       return (kext * sz.ny + j) * sz.nx + i;

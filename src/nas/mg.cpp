@@ -78,7 +78,7 @@ class MgKernel final : public Kernel {
     return Benchmark::kMG;
   }
 
-  void run(rt::RankCtx& ctx) override {
+  void run(rt::RankCtx& ctx) const override {
     const MgSize sz = size_of(class_);
     const unsigned p = ctx.size();
     const unsigned r = ctx.rank();
@@ -139,7 +139,7 @@ class MgKernel final : public Kernel {
   // The problem is fully periodic (like NPB MG): x/y wrap locally, z wraps
   // around the rank ring, so the discretization is identical on every level
   // and rediscretized coarse-grid correction is exact up to interpolation.
-  void halo(rt::RankCtx& ctx, Level& lv, rt::SimArray<double>& v) {
+  void halo(rt::RankCtx& ctx, Level& lv, rt::SimArray<double>& v) const {
     const u64 plane = lv.plane();
     const unsigned p = ctx.size();
     const unsigned r = ctx.rank();
@@ -168,7 +168,7 @@ class MgKernel final : public Kernel {
 
   /// Apply A = 6I - sum(neighbours) into `out` (interior only).
   void apply(rt::RankCtx& ctx, Level& lv, rt::SimArray<double>& v,
-             rt::SimArray<double>& out) {
+             rt::SimArray<double>& out) const {
     halo(ctx, lv, v);
     for (u64 k = 1; k <= lv.nz; ++k) {
       for (u64 j = 0; j < lv.ny; ++j) {
@@ -195,7 +195,7 @@ class MgKernel final : public Kernel {
   }
 
   /// Weighted Jacobi: u += w * (rhs - A u) / diag.
-  void smooth(rt::RankCtx& ctx, Level& lv, unsigned sweeps) {
+  void smooth(rt::RankCtx& ctx, Level& lv, unsigned sweeps) const {
     constexpr double w = 0.8 / 6.0;
     for (unsigned s = 0; s < sweeps; ++s) {
       apply(ctx, lv, lv.u, lv.res);
@@ -209,7 +209,7 @@ class MgKernel final : public Kernel {
     }
   }
 
-  [[nodiscard]] double residual_norm(rt::RankCtx& ctx, Level& lv) {
+  [[nodiscard]] double residual_norm(rt::RankCtx& ctx, Level& lv) const {
     apply(ctx, lv, lv.u, lv.res);
     double acc = 0;
     for (u64 idx = lv.plane(); idx < lv.plane() * (lv.nz + 1); ++idx) {
@@ -220,7 +220,7 @@ class MgKernel final : public Kernel {
   }
 
   void vcycle(rt::RankCtx& ctx, std::vector<Level>& levels, std::size_t l,
-              const MgSize& sz) {
+              const MgSize& sz) const {
     Level& lv = levels[l];
     if (l + 1 == levels.size()) {
       smooth(ctx, lv, 24);  // coarsest: just relax hard

@@ -1,6 +1,9 @@
 #include "nas/solvers.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "nas/kernel.hpp"
 
 namespace bgp::nas {
 
@@ -177,6 +180,98 @@ double block_tridiag_solve(u64 n, u64 seed, BlockRowFn blocks,
     for (unsigned c = 0; c < kBlock; ++c) x[i * kBlock + c] = sol[i][c];
   }
   return resid;
+}
+
+namespace {
+
+/// Solve the kBlock / width lines through one pencil of n positions in
+/// place, where `at(t)` points at position t's kBlock values; returns the
+/// worst residual.
+template <typename At>
+double solve_pencil(const AdiMethod& m, u64 n, u64 seed, At at,
+                    std::vector<double>& line) {
+  const unsigned w = m.width;
+  double worst = 0.0;
+  for (unsigned l = 0; l < kBlock / w; ++l) {
+    for (u64 t = 0; t < n; ++t) std::copy_n(at(t) + l * w, w, &line[t * w]);
+    worst = std::max(worst, m.solve(n, seed + l, line));
+    for (u64 t = 0; t < n; ++t) std::copy_n(&line[t * w], w, at(t) + l * w);
+  }
+  return worst;
+}
+
+}  // namespace
+
+double adi_sweeps(rt::RankCtx& ctx, const AdiMethod& m, const AdiGrid& g,
+                  rt::SimArray<double>& u) {
+  const unsigned p = ctx.size();
+  const u64 plane = g.nx * g.ny;
+  const u64 nz = g.nz_local * p;
+  const u64 lines = kBlock / m.width;  // lines through each pencil
+  const Block mine = block_of(plane, p, ctx.rank());  // my z-line columns
+  const rt::MemRange read{u.addr(), u.bytes(), false};
+  const rt::MemRange write{u.addr(), u.bytes(), true};
+  const u64 len[2] = {g.nx, g.ny};  // x and y line lengths
+  const u64 stride[2] = {1, g.nx};  // cell strides along x and y
+  double worst = 0.0;
+  for (unsigned it = 0; it < g.iterations; ++it) {
+    // x lines, then y lines: rank-local.
+    for (unsigned ax = 0; ax < 2; ++ax) {
+      std::vector<double> line(len[ax] * m.width);
+      for (u64 k = 0; k < g.nz_local; ++k) {
+        for (u64 a = 0; a < len[1 - ax]; ++a) {
+          const u64 first = k * plane + a * stride[1 - ax];
+          auto at = [&](u64 t) {
+            return &u[(first + t * stride[ax]) * kBlock];
+          };
+          const u64 seed = m.seed_mult[ax] * (a + k);
+          worst = std::max(worst, solve_pencil(m, len[ax], seed, at, line));
+        }
+      }
+      ctx.loop(m.bundle(m.names[ax], plane * g.nz_local * lines),
+               {read, write});
+    }
+
+    // z lines: send each rank the z-segments of the columns it owns, solve
+    // the full-z lines of mine, send them back.
+    std::vector<std::vector<double>> out(p), in, back;
+    for (unsigned d = 0; d < p; ++d) {
+      const Block cols = block_of(plane, p, d);
+      out[d].reserve(cols.size() * g.nz_local * kBlock);
+      for (u64 col = cols.begin; col < cols.end; ++col) {
+        for (u64 k = 0; k < g.nz_local; ++k) {
+          const double* cell = &u[(k * plane + col) * kBlock];
+          out[d].insert(out[d].end(), cell, cell + kBlock);
+        }
+      }
+    }
+    ctx.touch(read, 2.0);
+    alltoallv_values(ctx, out, in);
+    std::vector<double> line(nz * m.width);
+    for (u64 lc = 0; lc < mine.size(); ++lc) {
+      // Position t is plane t % nz_local of the segment from rank
+      // t / nz_local.
+      auto at = [&](u64 t) {
+        return &in[t / g.nz_local][(lc * g.nz_local + t % g.nz_local) *
+                                   kBlock];
+      };
+      const u64 seed = m.seed_mult[2] * (mine.begin + lc);
+      worst = std::max(worst, solve_pencil(m, nz, seed, at, line));
+    }
+    ctx.loop(m.bundle(m.names[2], mine.size() * nz * lines), {});
+    alltoallv_values(ctx, in, back);
+    for (unsigned s = 0; s < p; ++s) {
+      const Block cols = block_of(plane, p, s);
+      const double* v = back[s].data();
+      for (u64 col = cols.begin; col < cols.end; ++col) {
+        for (u64 k = 0; k < g.nz_local; ++k, v += kBlock) {
+          std::copy_n(v, kBlock, &u[(k * plane + col) * kBlock]);
+        }
+      }
+    }
+    ctx.touch(write, 2.0);
+  }
+  return worst;
 }
 
 }  // namespace bgp::nas

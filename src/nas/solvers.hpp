@@ -1,13 +1,17 @@
 // The dense/banded linear-algebra kernels the SP and BT benchmarks are
 // built on, exposed for direct testing: a penta-diagonal (5-band) Gaussian
 // elimination and a block-tridiagonal Thomas solver over 5x5 blocks with
-// partially-pivoted dense block solves.
+// partially-pivoted dense block solves; and the one ADI sweep that applies
+// either along x, y and z.
 #pragma once
 
 #include <array>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
+#include "isa/loop.hpp"
+#include "runtime/rankctx.hpp"
 
 namespace bgp::nas {
 
@@ -57,5 +61,33 @@ using BlockRowFn = void (*)(u64 cell, u64 seed, Mat5& a, Mat5& b, Mat5& c);
 /// residual of the original block system.
 double block_tridiag_solve(u64 n, u64 seed, BlockRowFn blocks,
                            std::vector<double>& x);
+
+// ---- the ADI sweep (SP and BT) ---------------------------------------------
+
+/// One rank's share of an ADI field: nx x ny x nz_local cells of kBlock
+/// values each, stored [z][y][x][value], swept `iterations` times.
+struct AdiGrid {
+  u64 nx, ny, nz_local;
+  unsigned iterations;
+};
+
+/// What distinguishes one ADI benchmark's sweep: constants of its kernel.
+struct AdiMethod {
+  /// Values per line position: 1 solves kBlock scalar lines through each
+  /// pencil (one per value), kBlock solves one block line.
+  unsigned width;
+  /// Solves one line of n positions in place; returns its residual.
+  double (*solve)(u64 n, u64 seed, std::vector<double>& x);
+  /// The op bundle billed for `cells` line positions along one axis.
+  isa::LoopDesc (*bundle)(std::string_view name, u64 cells);
+  std::array<std::string_view, 3> names;  ///< bundle names for x, y, z
+  std::array<u64, 3> seed_mult;           ///< line seed multiplier per axis
+};
+
+/// Run `g.iterations` ADI sweeps over `u`: x and y lines are rank-local,
+/// z lines are reached through an all-to-all pencil transpose. Returns the
+/// worst line residual this rank saw.
+double adi_sweeps(rt::RankCtx& ctx, const AdiMethod& m, const AdiGrid& g,
+                  rt::SimArray<double>& u);
 
 }  // namespace bgp::nas

@@ -1,10 +1,10 @@
 // SP — scalar penta-diagonal solver. ADI-style passes factor the implicit
 // operator into independent penta-diagonal line systems along x, y and z
-// (after diagonalization NPB SP solves scalar penta systems per component).
-// x and y lines are rank-local; z lines are reached through an all-to-all
-// pencil transpose. The 5-band Gaussian elimination (two sub-diagonals
-// forward, two super-diagonals back) is implemented for real and verified
-// by computing the residual of sampled line systems.
+// (after diagonalization NPB SP solves scalar penta systems per component):
+// the one ADI sweep (nas/solvers.hpp, shared with BT) solves five scalar
+// lines, one per component, through every pencil. The 5-band Gaussian
+// elimination (two sub-diagonals forward, two super-diagonals back) is
+// implemented for real and verified by the residual of every line system.
 //
 // Paper characteristics reproduced: FMA-dominated with a visible divide
 // component (the eliminations), moderate SIMD gains (Fig 10), and the
@@ -24,13 +24,7 @@ using isa::IntOp;
 using isa::LoopDesc;
 using isa::LsOp;
 
-struct SpSize {
-  u64 nx, ny, nz_local;
-  unsigned iterations;
-  unsigned components = 5;
-};
-
-SpSize size_of(ProblemClass cls) {
+AdiGrid size_of(ProblemClass cls) {
   switch (cls) {
     case ProblemClass::kS: return {12, 12, 4, 2};
     case ProblemClass::kW: return {32, 32, 8, 3};
@@ -71,6 +65,11 @@ double sp_solve(u64 n, u64 seed, std::vector<double>& x) {
   return penta_solve(n, seed, sp_bands, x);
 }
 
+/// Five scalar penta lines through every pencil.
+constexpr AdiMethod kAdi{1, sp_solve, solve_loop,
+                         {"sp_xsolve", "sp_ysolve", "sp_zsolve"},
+                         {17, 23, 31}};
+
 class SpKernel final : public Kernel {
  public:
   explicit SpKernel(ProblemClass cls) : Kernel(cls) {}
@@ -79,141 +78,23 @@ class SpKernel final : public Kernel {
     return Benchmark::kSP;
   }
 
-  void run(rt::RankCtx& ctx) override {
-    const SpSize sz = size_of(class_);
-    const unsigned p = ctx.size();
-    const unsigned r = ctx.rank();
-    const u64 plane = sz.nx * sz.ny;
-    const u64 cells = plane * sz.nz_local;
-    const u64 nz = sz.nz_local * p;
-    const unsigned nc = sz.components;
-
-    auto u = ctx.alloc<double>(cells * nc);
-    // Initial field.
-    for (u64 i = 0; i < cells * nc; ++i) {
+  void run(rt::RankCtx& ctx) const override {
+    const AdiGrid g = size_of(class_);
+    const u64 n = g.nx * g.ny * g.nz_local * kBlock;
+    auto u = ctx.alloc<double>(n);
+    for (u64 i = 0; i < n; ++i) {
       u[i] = 1.0 + 0.001 * std::sin(0.37 * static_cast<double>(
-                                               i + r * cells * nc));
+                                               i + ctx.rank() * n));
     }
     ctx.touch(rt::MemRange{u.addr(), u.bytes(), true}, 3.0);
 
-    double worst = 0.0;
-    auto idx = [&](u64 i, u64 j, u64 k, unsigned c) {
-      return ((k * sz.ny + j) * sz.nx + i) * nc + c;
-    };
-
-    for (unsigned it = 0; it < sz.iterations; ++it) {
-      // ---- x lines (contiguous within a row, component-strided) ----------
-      std::vector<double> line(sz.nx);
-      for (u64 k = 0; k < sz.nz_local; ++k) {
-        for (u64 j = 0; j < sz.ny; ++j) {
-          for (unsigned c = 0; c < nc; ++c) {
-            for (u64 i = 0; i < sz.nx; ++i) line[i] = u[idx(i, j, k, c)];
-            worst = std::max(worst,
-                             sp_solve(sz.nx, 17 * (j + k) + c, line));
-            for (u64 i = 0; i < sz.nx; ++i) u[idx(i, j, k, c)] = line[i];
-          }
-        }
-      }
-      ctx.loop(solve_loop("sp_xsolve", cells * nc),
-               {rt::MemRange{u.addr(), u.bytes(), false},
-                rt::MemRange{u.addr(), u.bytes(), true}});
-
-      // ---- y lines -------------------------------------------------------
-      std::vector<double> yline(sz.ny);
-      for (u64 k = 0; k < sz.nz_local; ++k) {
-        for (u64 i = 0; i < sz.nx; ++i) {
-          for (unsigned c = 0; c < nc; ++c) {
-            for (u64 j = 0; j < sz.ny; ++j) yline[j] = u[idx(i, j, k, c)];
-            worst = std::max(worst,
-                             sp_solve(sz.ny, 23 * (i + k) + c, yline));
-            for (u64 j = 0; j < sz.ny; ++j) u[idx(i, j, k, c)] = yline[j];
-          }
-        }
-      }
-      ctx.loop(solve_loop("sp_ysolve", cells * nc),
-               {rt::MemRange{u.addr(), u.bytes(), false},
-                rt::MemRange{u.addr(), u.bytes(), true}});
-
-      // ---- z lines via pencil transpose -----------------------------------
-      worst = std::max(worst, z_solve(ctx, sz, p, r, nz, u));
-    }
-
+    const double worst = adi_sweeps(ctx, kAdi, g, u);
     const double global_worst = ctx.allreduce_max(worst);
     if (ctx.rank() == 0) {
       record(std::isfinite(global_worst) && global_worst < 1e-9,
              strfmt("max line residual %.3e over %u ADI sweeps", global_worst,
-                    sz.iterations));
+                    g.iterations));
     }
-  }
-
- private:
-  /// Transpose z-pencils, solve along z, transpose back. Returns the worst
-  /// line residual seen locally.
-  double z_solve(rt::RankCtx& ctx, const SpSize& sz, unsigned p, unsigned r,
-                 u64 nz, rt::SimArray<double>& u) {
-    const u64 plane = sz.nx * sz.ny;
-    const unsigned nc = sz.components;
-    auto idx = [&](u64 col, u64 k, unsigned c) {
-      return (k * plane + col) * nc + c;
-    };
-
-    // Send each destination the z-segments of the columns it owns.
-    std::vector<std::vector<double>> out(p), in;
-    for (unsigned d = 0; d < p; ++d) {
-      const Block cols = block_of(plane, p, d);
-      out[d].reserve(cols.size() * sz.nz_local * nc);
-      for (u64 col = cols.begin; col < cols.end; ++col) {
-        for (u64 k = 0; k < sz.nz_local; ++k) {
-          for (unsigned c = 0; c < nc; ++c) {
-            out[d].push_back(u[idx(col, k, c)]);
-          }
-        }
-      }
-    }
-    ctx.touch(rt::MemRange{u.addr(), u.bytes(), false}, 2.0);
-    alltoallv_values(ctx, out, in);
-
-    // Assemble full-z lines for my column block and solve.
-    const Block mine = block_of(plane, p, r);
-    double worst = 0.0;
-    std::vector<double> line(nz);
-    for (u64 lc = 0; lc < mine.size(); ++lc) {
-      for (unsigned c = 0; c < nc; ++c) {
-        for (unsigned s = 0; s < p; ++s) {
-          const double* seg =
-              in[s].data() + (lc * sz.nz_local + 0) * nc + c;
-          for (u64 k = 0; k < sz.nz_local; ++k) {
-            line[s * sz.nz_local + k] = seg[k * nc];
-          }
-        }
-        worst = std::max(
-            worst, sp_solve(nz, 31 * (mine.begin + lc) + c, line));
-        for (unsigned s = 0; s < p; ++s) {
-          double* seg = in[s].data() + (lc * sz.nz_local + 0) * nc + c;
-          for (u64 k = 0; k < sz.nz_local; ++k) {
-            seg[k * nc] = line[s * sz.nz_local + k];
-          }
-        }
-      }
-    }
-    ctx.loop(solve_loop("sp_zsolve", mine.size() * nz * nc), {});
-
-    // Transpose back.
-    std::vector<std::vector<double>> back;
-    alltoallv_values(ctx, in, back);
-    for (unsigned s = 0; s < p; ++s) {
-      const Block cols = block_of(plane, p, s);
-      u64 w = 0;
-      for (u64 col = cols.begin; col < cols.end; ++col) {
-        for (u64 k = 0; k < sz.nz_local; ++k) {
-          for (unsigned c = 0; c < nc; ++c) {
-            u[idx(col, k, c)] = back[s][w++];
-          }
-        }
-      }
-    }
-    ctx.touch(rt::MemRange{u.addr(), u.bytes(), true}, 2.0);
-    return worst;
   }
 };
 

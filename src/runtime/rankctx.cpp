@@ -89,7 +89,7 @@ void RankCtx::loop(const isa::LoopDesc& desc,
   const opt::CompiledLoop& cl = machine_.compile_cached(desc);
   core().execute_block(cl.ops, cl.core_events[core().id()]);
   for (const MemRange& r : ranges) {
-    touch_no_yield(r, cl.mem_overlap);
+    touch_no_yield(core_id(), r, cl.mem_overlap);
   }
   yield();
 }
@@ -143,23 +143,11 @@ void RankCtx::parallel_loop(const isa::LoopDesc& desc,
     // *shared* node caches from its own core.
     for (const MemRange& r : ranges) {
       const u64 chunk = r.bytes / nthreads;
-      const MemRange sub{r.addr + t * chunk,
-                         t + 1 == nthreads ? r.bytes - t * chunk : chunk,
-                         r.write};
-      if (sub.bytes == 0) continue;
-      const auto res =
-          sub.write
-              ? node_ref.memory().write(base_core + t, sub.addr, sub.bytes,
-                                        core.now())
-              : node_ref.memory().read(base_core + t, sub.addr, sub.bytes,
-                                       core.now());
-      const auto& l1 = node_ref.memory().params().l1d;
-      const u64 lines = sub.bytes / l1.line_bytes + 2;
-      const cycles_t baseline = lines * l1.hit_latency;
-      if (res.latency > baseline && cl.mem_overlap > 0.0) {
-        core.stall(static_cast<cycles_t>(std::llround(
-            static_cast<double>(res.latency - baseline) / cl.mem_overlap)));
-      }
+      touch_no_yield(base_core + t,
+                     MemRange{r.addr + t * chunk,
+                              t + 1 == nthreads ? r.bytes - t * chunk : chunk,
+                              r.write},
+                     cl.mem_overlap);
     }
     join_time = std::max(join_time, core.now());
   }
@@ -171,12 +159,13 @@ void RankCtx::parallel_loop(const isa::LoopDesc& desc,
   yield();
 }
 
-void RankCtx::touch_no_yield(const MemRange& r, double overlap) {
+void RankCtx::touch_no_yield(unsigned cid, const MemRange& r,
+                             double overlap) {
   if (r.bytes == 0) return;
   auto& memory = node().memory();
-  const auto res = r.write
-                       ? memory.write(core_id(), r.addr, r.bytes, core().now())
-                       : memory.read(core_id(), r.addr, r.bytes, core().now());
+  cpu::Core& c = node().core(cid);
+  const auto res = r.write ? memory.write(cid, r.addr, r.bytes, c.now())
+                           : memory.read(cid, r.addr, r.bytes, c.now());
   // The L1-hit portion of the walk is already covered by LSU occupancy in
   // the compute model; only the excess is an exposed stall, discounted by
   // the loop's memory-level parallelism.
@@ -184,14 +173,14 @@ void RankCtx::touch_no_yield(const MemRange& r, double overlap) {
   const u64 lines = r.bytes / l1.line_bytes + 2;
   const cycles_t baseline = lines * l1.hit_latency;
   if (res.latency > baseline && overlap > 0.0) {
-    core().stall(static_cast<cycles_t>(
+    c.stall(static_cast<cycles_t>(
         std::llround(static_cast<double>(res.latency - baseline) / overlap)));
   }
 }
 
 void RankCtx::touch(const MemRange& range, double overlap) {
   machine_.check_fault(rank_);
-  touch_no_yield(range, overlap);
+  touch_no_yield(core_id(), range, overlap);
   yield();
 }
 

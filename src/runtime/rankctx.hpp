@@ -159,8 +159,10 @@ class RankCtx {
   /// Pulse the node's pacer and charge the modeled bill it hands over to
   /// this rank's core.
   void pulse_node();
-  /// touch() without the cooperative yield (for use inside loop()/send()).
-  void touch_no_yield(const MemRange& range, double overlap);
+  /// touch() without the cooperative yield, walked from core `cid` of the
+  /// node and charged to it: the one cache walk of loop(), touch() and
+  /// each parallel_loop() slice.
+  void touch_no_yield(unsigned cid, const MemRange& range, double overlap);
   /// Emit a per-rank-slot system event.
   void sys_event(isa::SysEvent e, u64 count = 1);
   /// Wait until `t` (if in the future), attributing it to MPI wait.

@@ -5,11 +5,12 @@
 // byte-compares all artifacts: counter dumps (.bgpc), sealed and partial
 // trace files (.bgpt*), and span files (.bgps, compared with
 // host-nanosecond fields zeroed, the one wall-clock channel in the
-// formats). The matrix covers {SMP, DUAL, VNM} x {no fault, kill-2, FT
-// kill-3} with tracing and the flight recorder both attached, plus a
-// 256-rank stress cell on eight workers. Each cell also pins a golden
-// digest of every artifact plus Machine::elapsed() (golden.hpp), so a
-// change to any simulated byte fails here even when both runs agree on it.
+// formats). The matrix runs CG on {SMP, DUAL, VNM} x {no fault, kill-2, FT
+// kill-3} and every other kernel on one plain VNM cell, with tracing and
+// the flight recorder both attached, plus a 256-rank CG stress cell on
+// eight workers. Each cell also pins a golden digest of every artifact
+// plus Machine::elapsed() (golden.hpp), so a change to any simulated byte
+// fails here even when both runs agree on it.
 //
 // With BGPC_SCHED_ARTIFACT_DIR set, both runs' artifact directories are
 // kept there (<test>_j1, <test>_j<N>) for triage instead of deleted.
@@ -37,6 +38,7 @@ namespace {
 namespace fs = std::filesystem;
 
 struct MatrixCell {
+  nas::Benchmark bench = nas::Benchmark::kCG;
   sys::OpMode mode = sys::OpMode::kVnm;
   unsigned nodes = 4;
   unsigned deaths = 0;
@@ -119,7 +121,7 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
   machine.set_ft_params(ftp);
 
   pc::Options opts;
-  opts.app_name = "CG";
+  opts.app_name = nas::name(cell.bench);
   opts.dump_dir = dir;
   opts.trace.enabled = true;
   opts.trace.trace_dir = dir;
@@ -127,7 +129,7 @@ RunArtifacts run_cell(const MatrixCell& cell, rt::SchedMode sched) {
   pc::Session session(machine, opts);
   session.link_with_mpi();
 
-  auto kernel = nas::make_kernel(nas::Benchmark::kCG, nas::ProblemClass::kS);
+  auto kernel = nas::make_kernel(cell.bench, nas::ProblemClass::kS);
   if (cell.ft) {
     machine.run([&](rt::RankCtx& ctx) {
       ft::run_guarded(ctx, [&](rt::RankCtx& c) {
@@ -243,6 +245,32 @@ TEST(SchedDeterminism, VnmFtKill3) {
   expect_identical({.mode = sys::OpMode::kVnm, .nodes = 8, .deaths = 3,
                     .ft = true},
                    0x4a68d6e03809f777);
+}
+
+// Every other kernel, plain VNM on four workers: the CG cells above are the
+// only ones whose ranks otherwise share a kernel object across threads, so
+// without these a kernel that keeps per-rank state in that object races
+// unseen by the TSan lane.
+TEST(SchedDeterminism, EpVnmPlain) {
+  expect_identical({.bench = nas::Benchmark::kEP}, 0x3f2607fd7d52835d);
+}
+TEST(SchedDeterminism, MgVnmPlain) {
+  expect_identical({.bench = nas::Benchmark::kMG}, 0x169f4029ae748296);
+}
+TEST(SchedDeterminism, FtVnmPlain) {
+  expect_identical({.bench = nas::Benchmark::kFT}, 0x2dfa5fca855cfc43);
+}
+TEST(SchedDeterminism, IsVnmPlain) {
+  expect_identical({.bench = nas::Benchmark::kIS}, 0x94a0d36256ccf46b);
+}
+TEST(SchedDeterminism, LuVnmPlain) {
+  expect_identical({.bench = nas::Benchmark::kLU}, 0x7a195a5d42019df3);
+}
+TEST(SchedDeterminism, SpVnmPlain) {
+  expect_identical({.bench = nas::Benchmark::kSP}, 0x7a2e5661659d38a6);
+}
+TEST(SchedDeterminism, BtVnmPlain) {
+  expect_identical({.bench = nas::Benchmark::kBT}, 0x6a4b328cd3b59c68);
 }
 
 /// 256 ranks (64 VNM nodes) on eight workers: the stress cell where

@@ -86,35 +86,84 @@ TEST(Kernels, DualModeWorks) {
   EXPECT_TRUE(res.verified) << res.detail;
 }
 
+/// One configuration and the verification line recorded for it.
+struct PinnedResult {
+  ProblemClass cls;
+  unsigned nodes;
+  sys::OpMode mode;
+  const char* detail;
+  unsigned ranks_override = 0;
+};
+
+void expect_pinned(Benchmark b, std::initializer_list<PinnedResult> cases) {
+  for (const PinnedResult& c : cases) {
+    const auto res = run_plain(b, c.nodes, c.mode, c.ranks_override, c.cls);
+    EXPECT_TRUE(res.verified) << res.detail;
+    EXPECT_EQ(res.detail, c.detail)
+        << name(b) << " class " << name(c.cls) << ", " << c.nodes
+        << " node(s), " << sys::to_string(c.mode) << ", ranks override "
+        << c.ranks_override;
+  }
+}
+
 TEST(Kernels, CgResultIsPinned) {
   // The golden digests pin CG's simulated addresses and gather order, not
   // the values its operator produces. These verification lines (residual
   // reduction and symmetry error) were recorded with the operator stored
   // as CSR arrays; a computed operator must reproduce them, boundary
   // entries and rank-edge halo couplings included.
-  struct Case {
-    ProblemClass cls;
-    unsigned nodes;
-    sys::OpMode mode;
-    const char* detail;
-  };
-  const Case cases[] = {
-      {ProblemClass::kS, 1, sys::OpMode::kSmp1,
-       "residual reduced to 3.091e-01 of initial, sym_err=1.0e-14"},
-      {ProblemClass::kS, 1, sys::OpMode::kVnm,
-       "residual reduced to 2.911e-01 of initial, sym_err=2.6e-15"},
-      {ProblemClass::kS, 2, sys::OpMode::kVnm,
-       "residual reduced to 2.930e-01 of initial, sym_err=3.6e-14"},
-      {ProblemClass::kW, 1, sys::OpMode::kVnm,
-       "residual reduced to 1.916e-01 of initial, sym_err=9.2e-13"},
-  };
-  for (const Case& c : cases) {
-    const auto res = run_plain(Benchmark::kCG, c.nodes, c.mode, 0, c.cls);
-    EXPECT_TRUE(res.verified) << res.detail;
-    EXPECT_EQ(res.detail, c.detail)
-        << "class " << name(c.cls) << ", " << c.nodes << " node(s), "
-        << sys::to_string(c.mode);
-  }
+  expect_pinned(
+      Benchmark::kCG,
+      {{ProblemClass::kS, 1, sys::OpMode::kSmp1,
+        "residual reduced to 3.091e-01 of initial, sym_err=1.0e-14"},
+       {ProblemClass::kS, 1, sys::OpMode::kVnm,
+        "residual reduced to 2.911e-01 of initial, sym_err=2.6e-15"},
+       {ProblemClass::kS, 2, sys::OpMode::kVnm,
+        "residual reduced to 2.930e-01 of initial, sym_err=3.6e-14"},
+       {ProblemClass::kW, 1, sys::OpMode::kVnm,
+        "residual reduced to 1.916e-01 of initial, sym_err=9.2e-13"}});
+}
+
+// As for CG, the golden digests pin FT's, SP's and BT's counters but not
+// the values their numerics compute: these lines pin those on several rank
+// layouts (for SP and BT, the uneven split over 3 ranks among them).
+TEST(Kernels, FtResultIsPinned) {
+  expect_pinned(
+      Benchmark::kFT,
+      {{ProblemClass::kS, 1, sys::OpMode::kSmp1,
+        "roundtrip err=3.55e-16 parseval=4.96e-16"},
+       {ProblemClass::kS, 1, sys::OpMode::kVnm,
+        "roundtrip err=4.97e-16 parseval=9.87e-16"},
+       {ProblemClass::kS, 4, sys::OpMode::kVnm,
+        "roundtrip err=7.11e-16 parseval=3.34e-16"},
+       {ProblemClass::kW, 1, sys::OpMode::kVnm,
+        "roundtrip err=2.05e-15 parseval=8.34e-16"}});
+}
+
+TEST(Kernels, SpResultIsPinned) {
+  expect_pinned(
+      Benchmark::kSP,
+      {{ProblemClass::kS, 1, sys::OpMode::kSmp1,
+        "max line residual 6.661e-16 over 2 ADI sweeps"},
+       {ProblemClass::kS, 1, sys::OpMode::kVnm,
+        "max line residual 8.882e-16 over 2 ADI sweeps"},
+       {ProblemClass::kS, 1, sys::OpMode::kVnm,
+        "max line residual 8.882e-16 over 2 ADI sweeps", 3},
+       {ProblemClass::kW, 1, sys::OpMode::kVnm,
+        "max line residual 8.882e-16 over 3 ADI sweeps"}});
+}
+
+TEST(Kernels, BtResultIsPinned) {
+  expect_pinned(
+      Benchmark::kBT,
+      {{ProblemClass::kS, 1, sys::OpMode::kSmp1,
+        "max block-line residual 7.772e-16 over 2 ADI sweeps"},
+       {ProblemClass::kS, 1, sys::OpMode::kVnm,
+        "max block-line residual 8.882e-16 over 2 ADI sweeps"},
+       {ProblemClass::kS, 1, sys::OpMode::kVnm,
+        "max block-line residual 8.882e-16 over 2 ADI sweeps", 3},
+       {ProblemClass::kW, 1, sys::OpMode::kVnm,
+        "max block-line residual 1.110e-15 over 2 ADI sweeps"}});
 }
 
 TEST(Kernels, BlockDecompositionCoversEverythingOnce) {

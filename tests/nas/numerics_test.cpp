@@ -32,7 +32,7 @@ std::vector<cplx> dft(const std::vector<cplx>& x) {
   return out;
 }
 
-// The FT kernel keeps fft_line internal; exercise the same math through a
+// The FT kernel keeps its FFT internal; exercise the same math through a
 // one-rank FT run *and* validate the underlying radix-2 idea against a DFT
 // using an independent local implementation with identical structure.
 void fft_radix2(std::vector<cplx>& a, bool inverse) {
