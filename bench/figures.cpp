@@ -340,7 +340,6 @@ std::vector<nas::RunSpec> prefetch_runs(const HarnessArgs& args) {
   return sweep(args, {Benchmark::kCG, Benchmark::kMG, Benchmark::kFT,
                       Benchmark::kLU},
                kPrefetchDepths.size(), [](nas::RunSpec& s, std::size_t i) {
-                 s.machine.boot.prefetch.enabled = kPrefetchDepths[i] > 0;
                  s.machine.boot.prefetch.depth = kPrefetchDepths[i];
                });
 }

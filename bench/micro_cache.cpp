@@ -21,7 +21,7 @@ upc::UpcUnit running_upc() {
 
 void BM_L1Hit(benchmark::State& state) {
   upc::UpcUnit upc = running_upc();
-  MemoryHierarchy h{HierarchyParams{}, &upc};
+  MemoryHierarchy h{HierarchyParams{}, upc};
   h.read(0, 0x1000, 32, 0);
   cycles_t acc = 0;
   for (auto _ : state) {
@@ -33,9 +33,9 @@ BENCHMARK(BM_L1Hit);
 
 void BM_ColdMissChain(benchmark::State& state) {
   HierarchyParams p;
-  p.prefetch.enabled = false;
+  p.prefetch.depth = 0;
   upc::UpcUnit upc = running_upc();
-  MemoryHierarchy h{p, &upc};
+  MemoryHierarchy h{p, upc};
   addr_t a = 0;
   cycles_t acc = 0;
   for (auto _ : state) {
@@ -48,7 +48,7 @@ BENCHMARK(BM_ColdMissChain);
 
 void BM_StreamWithPrefetch(benchmark::State& state) {
   upc::UpcUnit upc = running_upc();
-  MemoryHierarchy h{HierarchyParams{}, &upc};
+  MemoryHierarchy h{HierarchyParams{}, upc};
   addr_t a = 0;
   cycles_t now = 0;
   for (auto _ : state) {
@@ -61,7 +61,7 @@ BENCHMARK(BM_StreamWithPrefetch);
 
 void BM_StoreWriteThrough(benchmark::State& state) {
   upc::UpcUnit upc = running_upc();
-  MemoryHierarchy h{HierarchyParams{}, &upc};
+  MemoryHierarchy h{HierarchyParams{}, upc};
   addr_t a = 0;
   cycles_t acc = 0;
   for (auto _ : state) {
@@ -75,7 +75,7 @@ BENCHMARK(BM_StoreWriteThrough);
 void BM_DdrContention(benchmark::State& state) {
   DdrParams p;
   upc::UpcUnit upc = running_upc();
-  DdrSystem ddr(p, &upc);
+  DdrSystem ddr(p, upc);
   addr_t a = 0;
   cycles_t acc = 0;
   for (auto _ : state) {
@@ -88,7 +88,7 @@ BENCHMARK(BM_DdrContention);
 
 void BM_SnoopWrite(benchmark::State& state) {
   upc::UpcUnit upc = running_upc();
-  SnoopFilter f(16384, &upc);
+  SnoopFilter f(16384, upc);
   f.record_fill(1, 7);
   addr_t line = 0;
   for (auto _ : state) {

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
     cfg.cls = nas::ProblemClass::kW;
     cfg.machine.num_nodes = nodes;
     cfg.machine.mode = sys::OpMode::kVnm;
-    cfg.machine.boot.prefetch.enabled = depth > 0;
     cfg.machine.boot.prefetch.depth = depth;
     const auto out = nas::run_benchmark(cfg);
     std::printf("%-14s %14s %14.2f\n",

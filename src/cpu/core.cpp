@@ -7,16 +7,11 @@ namespace bgp::cpu {
 
 namespace ev = isa::ev;
 
-Core::Core(unsigned id, const CoreParams& params, upc::UpcUnit* upc) noexcept
+Core::Core(unsigned id, const CoreParams& params, upc::UpcUnit& upc) noexcept
     : id_(id), params_(params), upc_(upc) {}
 
-void Core::tick(cycles_t cycles) {
-  now_ += cycles;
-  report(ev::cycle_count(id_), cycles);
-}
-
 cycles_t Core::read_timebase() noexcept {
-  report(ev::system(isa::SysEvent::kTimebaseReads, id_), 1);
+  upc_.signal(ev::system(isa::SysEvent::kTimebaseReads, id_));
   return now_;
 }
 
@@ -54,38 +49,20 @@ cycles_t Core::bundle_cycles(const isa::OpMix& mix, const CoreParams& params) {
 cycles_t Core::execute_block(const isa::OpMix& mix,
                              std::span<const isa::EventCount> prebased) {
   const cycles_t cycles = bundle_cycles(mix, params_);
-  stats_.instructions += mix.total_instructions();
-  stats_.flops += mix.total_flops();
-  stats_.compute_cycles += cycles;
-
-  // The vector already carries this core's ids and the tick's CYCLE_COUNT
-  // (the compile cache rebased and appended them once).
-  if (upc_ != nullptr) {
-    for (const isa::EventCount& e : prebased) upc_->signal(e.id, e.count);
-  }
+  // The vector already carries this core's ids and the bundle's
+  // CYCLE_COUNT (the compile cache rebased and appended them once).
+  for (const isa::EventCount& e : prebased) upc_.signal(e.id, e.count);
   now_ += cycles;
   return cycles;
 }
 
-void Core::stall(cycles_t cycles) {
-  stats_.memory_stall_cycles += cycles;
-  tick(cycles);
-}
-
-void Core::wait(cycles_t cycles) {
-  stats_.wait_cycles += cycles;
-  tick(cycles);
-}
-
 void Core::advance(cycles_t cycles) {
-  stats_.compute_cycles += cycles;
-  tick(cycles);
+  now_ += cycles;
+  upc_.signal(ev::cycle_count(id_), cycles);
 }
 
 void Core::sync_to(cycles_t t) {
-  if (t > now_) {
-    wait(t - now_);
-  }
+  if (t > now_) advance(t - now_);
 }
 
 }  // namespace bgp::cpu

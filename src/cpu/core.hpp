@@ -32,25 +32,11 @@ struct CoreParams {
   cycles_t call_cost = 8;
 };
 
-/// Per-core execution statistics (independent of UPC wiring).
-struct CoreStats {
-  u64 instructions = 0;
-  u64 flops = 0;
-  cycles_t compute_cycles = 0;
-  cycles_t memory_stall_cycles = 0;
-  cycles_t wait_cycles = 0;  ///< time blocked in communication
-
-  [[nodiscard]] cycles_t total_cycles() const noexcept {
-    return compute_cycles + memory_stall_cycles + wait_cycles;
-  }
-};
-
 /// One PPC450 core. The runtime guarantees single-threaded access.
 class Core {
  public:
-  /// Events count into `upc`, the node's UPC unit (none when null).
-  Core(unsigned id, const CoreParams& params,
-       upc::UpcUnit* upc = nullptr) noexcept;
+  /// Events count into `upc`, the node's UPC unit.
+  Core(unsigned id, const CoreParams& params, upc::UpcUnit& upc) noexcept;
 
   [[nodiscard]] unsigned id() const noexcept { return id_; }
 
@@ -70,39 +56,25 @@ class Core {
   cycles_t execute_block(const isa::OpMix& mix,
                          std::span<const isa::EventCount> prebased);
 
-  /// Charge exposed memory-stall cycles (from the hierarchy walk, already
-  /// divided by the loop's overlap factor).
-  void stall(cycles_t cycles);
-
-  /// Charge blocked-in-communication cycles.
-  void wait(cycles_t cycles);
-
-  /// Charge raw cycles with no instruction activity (runtime overheads,
-  /// e.g. the interface library's 196-cycle instrumentation cost).
+  /// Charge cycles with no instruction activity: exposed memory stalls,
+  /// time blocked in communication and runtime overheads (e.g. the
+  /// interface library's 196-cycle instrumentation cost). The clock and
+  /// CYCLE_COUNT advance together.
   void advance(cycles_t cycles);
 
   /// Jump the core's clock forward to `t` (collective synchronization);
-  /// no-op if `t` is in the past. The skipped time counts as wait.
+  /// no-op if `t` is in the past.
   void sync_to(cycles_t t);
-
-  [[nodiscard]] const CoreStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const CoreParams& params() const noexcept { return params_; }
 
   /// Pure function: compute cycles the bundle occupies, given the params.
   [[nodiscard]] static cycles_t bundle_cycles(const isa::OpMix& mix,
                                               const CoreParams& params);
 
  private:
-  void tick(cycles_t cycles);  // advance clock + CYCLE_COUNT event
-  void report(isa::EventId id, u64 n) const {
-    if (upc_ != nullptr) upc_->signal(id, n);
-  }
-
   unsigned id_;
   CoreParams params_;
-  upc::UpcUnit* upc_;
+  upc::UpcUnit& upc_;
   cycles_t now_ = 0;
-  CoreStats stats_;
 };
 
 }  // namespace bgp::cpu

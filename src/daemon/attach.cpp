@@ -19,11 +19,9 @@ AttachView attach_read(const SnapshotReader& reader) {
         if (snap.state != SnapState::kFinal) view.final_only = false;
         break;
       case SnapReadStatus::kBusy:
-        view.unreadable.push_back(node);
         view.busy.push_back(node);
         break;
       case SnapReadStatus::kCorrupt:
-        view.unreadable.push_back(node);
         view.corrupt.push_back(node);
         break;
     }

@@ -20,15 +20,11 @@ struct AttachView {
   std::string session;
   /// Nodes whose snapshot was readable and non-idle, in node order.
   std::vector<NodeSnapshot> nodes;
-  /// Nodes skipped because their seqlock never stabilized (publisher mid
-  /// write through every retry) or the slot CRC failed. Union of `busy`
-  /// and `corrupt`, kept for compatibility.
-  std::vector<unsigned> unreadable;
-  /// Subset of unreadable: seqlock never stabilized. On a live file this
-  /// is a racing writer (retry helps); on a dead writer's file it means
-  /// the writer crashed mid-publish and the slot is stale forever.
+  /// Nodes skipped because their seqlock never stabilized. On a live file
+  /// this is a racing writer (retry helps); on a dead writer's file it
+  /// means the writer crashed mid-publish and the slot is stale forever.
   std::vector<unsigned> busy;
-  /// Subset of unreadable: stable sequence, CRC mismatch (bit rot).
+  /// Nodes skipped because their slot failed its CRC (stable sequence).
   std::vector<unsigned> corrupt;
   /// The publisher's rendered metrics exposition ("" when none published).
   std::string metrics_text;
@@ -58,7 +54,7 @@ struct AttachRetry {
 /// is gone or wedged: throws std::runtime_error with a clear
 /// "writer gone / snapshot stale" message instead of spinning forever.
 /// Corrupt (CRC-failing) nodes never throw — they stay listed in
-/// `corrupt`/`unreadable` and the caller mines what is readable.
+/// `corrupt` and the caller mines what is readable.
 [[nodiscard]] AttachView attach_file_retry(const std::filesystem::path& path,
                                            const AttachRetry& retry = {});
 

@@ -67,9 +67,7 @@ JobSpec JobSpec::from_json(const json::Value& v) {
         if (mib > ~u64{0} / MiB) throw json::JsonError("'l3' is out of range");
         mc.boot.l3_size_bytes = mib * MiB;
       } else if (key == "prefetch") {
-        const unsigned depth = get_unsigned(val, key.c_str());
-        mc.boot.prefetch.enabled = depth > 0;
-        mc.boot.prefetch.depth = depth;
+        mc.boot.prefetch.depth = get_unsigned(val, key.c_str());
       } else if (key == "opt") {
         mc.opt = opt::OptConfig::parse(val.as_string());
       } else if (key == "sched") {
@@ -139,9 +137,8 @@ json::Value JobSpec::to_json() const {
   if (mc.boot.l3_size_bytes != dflt.boot.l3_size_bytes) {
     v.set("l3", json::Value(mc.boot.l3_size_bytes / MiB));
   }
-  const unsigned depth = mc.boot.prefetch.enabled ? mc.boot.prefetch.depth : 0;
-  if (depth != dflt.boot.prefetch.depth) {
-    v.set("prefetch", json::Value(u64{depth}));
+  if (mc.boot.prefetch != dflt.boot.prefetch) {
+    v.set("prefetch", json::Value(u64{mc.boot.prefetch.depth}));
   }
   if (mc.opt != dflt.opt) v.set("opt", json::Value(mc.opt.name()));
   v.set("sched", json::Value(mc.sched == rt::SchedMode::kParallel

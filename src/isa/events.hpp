@@ -72,6 +72,7 @@ enum class L1dEvent : u8 {
 };
 inline constexpr unsigned kNumL1dEvents = 7;
 
+/// No model signals these (instruction fetch is not modelled): they read 0.
 enum class L1iEvent : u8 { kAccess = 0, kMiss };
 inline constexpr unsigned kNumL1iEvents = 2;
 

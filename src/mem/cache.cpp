@@ -18,11 +18,11 @@ constexpr u64 zero_bytes(u64 v) noexcept {
 }  // namespace
 
 Cache::Cache(std::string name, const CacheParams& params, MemLevel* next,
-             upc::UpcUnit* upc, const CacheEventIds& events)
-    : MemLevel(upc),
-      name_(std::move(name)),
+             upc::UpcUnit& upc, const CacheEventIds& events)
+    : name_(std::move(name)),
       params_(params),
       next_(next),
+      upc_(upc),
       events_(events),
       sets_(params.num_sets()),
       line_shift_(static_cast<u32>(std::countr_zero(params.line_bytes))),
@@ -62,11 +62,9 @@ void Cache::fill(u32 set, addr_t line, bool dirty, unsigned core,
   const std::size_t slot = std::size_t{set} * params_.assoc + w;
   const u64 bit = u64{1} << w;
   if (tags_[slot] != kNoTag) {
-    ++stats_.evictions;
-    report(events_.evict, 1);
+    upc_.signal(events_.evict);
     if (dirty_[set] & bit) {
-      ++stats_.writebacks;
-      report(events_.writeback, 1);
+      upc_.signal(events_.writeback);
       // Tags store the full line number, so the victim's address is exact.
       if (next_ != nullptr) {
         next_->access(tags_[slot] << line_shift_, AccessType::kWrite, core,
@@ -77,15 +75,12 @@ void Cache::fill(u32 set, addr_t line, bool dirty, unsigned core,
   tags_[slot] = line;
   dirty_[set] = dirty ? dirty_[set] | bit : dirty_[set] & ~bit;
   touch(set, w);
-  ++stats_.line_fills;
-  report(events_.line_fill, 1);
+  upc_.signal(events_.line_fill);
 }
 
 AccessResult Cache::read_miss(addr_t line, unsigned core, cycles_t now) {
-  ++stats_.read_access;
-  report(events_.read_access, 1);
-  ++stats_.read_miss;
-  report(events_.read_miss, 1);
+  upc_.signal(events_.read_access);
+  upc_.signal(events_.read_miss);
   if (next_ == nullptr) {
     // No backing level configured (L3-disabled bypass handles this above
     // the cache, so reaching here is a wiring bug).
@@ -106,13 +101,12 @@ AccessResult Cache::access(addr_t addr, AccessType type, unsigned core,
     return {params_.hit_latency, params_.level_tag, /*hit=*/true};
   }
 
-  ++stats_.write_access;
-  report(events_.write_access, 1);
+  upc_.signal(events_.write_access);
   const u32 set = set_of(line);
   const int w = find(set, line);
   if (w >= 0) {
     touch(set, static_cast<u32>(w));
-    report(events_.write_hit, 1);
+    upc_.signal(events_.write_hit);
     if (params_.write_through) {
       // Write-through: the write also goes below, but the store itself
       // retires at L1 speed (the store queue hides the downstream time).
@@ -124,8 +118,7 @@ AccessResult Cache::access(addr_t addr, AccessType type, unsigned core,
     return {params_.hit_latency, params_.level_tag, /*hit=*/true};
   }
 
-  ++stats_.write_miss;
-  report(events_.write_miss, 1);
+  upc_.signal(events_.write_miss);
   if (next_ == nullptr) {
     throw std::logic_error(name_ + ": miss with no next level");
   }
@@ -147,8 +140,7 @@ void Cache::flush(unsigned core, cycles_t now) {
     for (u32 w = 0; w < params_.assoc; ++w) {
       const addr_t tag = tags_[std::size_t{set} * params_.assoc + w];
       if (tag != kNoTag && (dirty_[set] >> w & 1) && next_ != nullptr) {
-        ++stats_.writebacks;
-        report(events_.writeback, 1);
+        upc_.signal(events_.writeback);
         next_->access(tag << line_shift_, AccessType::kWrite, core, now);
       }
     }

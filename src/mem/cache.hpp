@@ -21,25 +21,15 @@ struct AccessResult {
   bool hit = false;
 };
 
-/// Interface to "whatever is below" a cache level. Every level counts its
-/// events straight into the node's UPC unit (none when unwired).
+/// Interface to "whatever is below" a cache level.
 class MemLevel {
  public:
-  explicit MemLevel(upc::UpcUnit* upc = nullptr) noexcept : upc_(upc) {}
   virtual ~MemLevel() = default;
 
   /// Access one line-aligned block. `core` identifies the requesting core,
   /// `now` is the requester's current cycle time (used by queueing models).
   virtual AccessResult access(addr_t line_addr, AccessType type,
                               unsigned core, cycles_t now) = 0;
-
- protected:
-  /// Count `n` occurrences of `id` when the level is wired.
-  void report(isa::EventId id, u64 n) const {
-    if (upc_ != nullptr) upc_->signal(id, n);
-  }
-
-  upc::UpcUnit* upc_;
 };
 
 /// Static cache geometry and policy.
@@ -75,36 +65,16 @@ struct CacheEventIds {
   isa::EventId writeback = isa::kNoEvent;
 };
 
-/// Aggregate statistics (kept independently of UPC wiring so unit tests and
-/// the ablation benches can interrogate a cache directly).
-struct CacheStats {
-  u64 read_access = 0;
-  u64 read_miss = 0;
-  u64 write_access = 0;
-  u64 write_miss = 0;
-  u64 line_fills = 0;
-  u64 evictions = 0;
-  u64 writebacks = 0;
-
-  [[nodiscard]] u64 accesses() const noexcept {
-    return read_access + write_access;
-  }
-  [[nodiscard]] u64 misses() const noexcept { return read_miss + write_miss; }
-  [[nodiscard]] double miss_rate() const noexcept {
-    const u64 a = accesses();
-    return a ? static_cast<double>(misses()) / static_cast<double>(a) : 0.0;
-  }
-};
-
 /// Set-associative LRU cache.
 class Cache final : public MemLevel {
  public:
   /// `next` must outlive the cache and services misses (and write-through /
   /// writeback traffic). It may be null only for caches that never miss
-  /// (not the usual case; tests use a Backstop). Line sizes must be powers
-  /// of two and associativity at most 64; the set count may be anything.
+  /// (not the usual case; tests use a Backstop). Events count into `upc`,
+  /// the node's UPC unit. Line sizes must be powers of two and
+  /// associativity at most 64; the set count may be anything.
   Cache(std::string name, const CacheParams& params, MemLevel* next,
-        upc::UpcUnit* upc = nullptr, const CacheEventIds& events = {});
+        upc::UpcUnit& upc, const CacheEventIds& events = {});
 
   AccessResult access(addr_t addr, AccessType type, unsigned core,
                       cycles_t now) override;
@@ -139,9 +109,8 @@ class Cache final : public MemLevel {
     return true;
   }
   void count_read_hits(u64 n) {
-    stats_.read_access += n;
-    report(events_.read_access, n);
-    report(events_.read_hit, n);
+    upc_.signal(events_.read_access, n);
+    upc_.signal(events_.read_hit, n);
   }
   /// The rest of a read that read_hit() found missing: count it, fetch the
   /// line from below and fill it.
@@ -150,7 +119,6 @@ class Cache final : public MemLevel {
   /// Drop every line, writing back dirty ones.
   void flush(unsigned core, cycles_t now);
 
-  [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const CacheParams& params() const noexcept { return params_; }
   [[nodiscard]] u64 resident_lines() const noexcept;
 
@@ -197,6 +165,7 @@ class Cache final : public MemLevel {
   std::string name_;
   CacheParams params_;
   MemLevel* next_;
+  upc::UpcUnit& upc_;
   CacheEventIds events_;
   u32 sets_;
   u32 line_shift_;
@@ -212,7 +181,6 @@ class Cache final : public MemLevel {
   /// rank_words_ words per set.
   std::vector<u64> ranks_;
   std::vector<u64> dirty_;  // one bit per way, per set
-  CacheStats stats_;
 };
 
 /// Terminal MemLevel with fixed latency; unit-test backstop standing in for

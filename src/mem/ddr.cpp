@@ -13,21 +13,15 @@ AccessResult DdrController::access(addr_t, AccessType type, unsigned,
                                   u64{params_.max_queue_services} * service_);
   busy_until_ = start + service_;
 
-  stats_.busy_cycles += service_;
-  stats_.queue_stall_cycles += queue_wait;
-  report(events_.busy_cycles, service_);
-  report(events_.queue_stall_cycles, queue_wait);
+  upc_.signal(events_.busy_cycles, service_);
+  upc_.signal(events_.queue_stall_cycles, queue_wait);
 
   if (type == AccessType::kRead) {
-    ++stats_.read_reqs;
-    stats_.bytes_read += params_.line_bytes;
-    report(events_.read_req, 1);
-    report(events_.bytes_read_16b, params_.line_bytes / 16);
+    upc_.signal(events_.read_req);
+    upc_.signal(events_.bytes_read_16b, params_.line_bytes / 16);
   } else {
-    ++stats_.write_reqs;
-    stats_.bytes_written += params_.line_bytes;
-    report(events_.write_req, 1);
-    report(events_.bytes_written_16b, params_.line_bytes / 16);
+    upc_.signal(events_.write_req);
+    upc_.signal(events_.bytes_written_16b, params_.line_bytes / 16);
   }
 
   const cycles_t latency =
@@ -38,9 +32,8 @@ AccessResult DdrController::access(addr_t, AccessType type, unsigned,
   return {latency, /*serviced_by=*/4};
 }
 
-DdrSystem::DdrSystem(const DdrParams& params, upc::UpcUnit* upc)
-    : MemLevel(upc),
-      line_shift_(static_cast<u32>(std::countr_zero(params.line_bytes))) {
+DdrSystem::DdrSystem(const DdrParams& params, upc::UpcUnit& upc)
+    : line_shift_(static_cast<u32>(std::countr_zero(params.line_bytes))) {
   for (unsigned i = 0; i < isa::kNumDdrControllers; ++i) {
     DdrController::EventIds ids{
         .read_req = isa::ev::ddr(i, isa::DdrEvent::kReadReq),
@@ -52,20 +45,6 @@ DdrSystem::DdrSystem(const DdrParams& params, upc::UpcUnit* upc)
     };
     ctrls_[i] = std::make_unique<DdrController>(params, upc, ids);
   }
-}
-
-DdrStats DdrSystem::total() const noexcept {
-  DdrStats t;
-  for (const auto& c : ctrls_) {
-    const DdrStats& s = c->stats();
-    t.read_reqs += s.read_reqs;
-    t.write_reqs += s.write_reqs;
-    t.bytes_read += s.bytes_read;
-    t.bytes_written += s.bytes_written;
-    t.busy_cycles += s.busy_cycles;
-    t.queue_stall_cycles += s.queue_stall_cycles;
-  }
-  return t;
 }
 
 }  // namespace bgp::mem

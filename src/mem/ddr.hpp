@@ -28,18 +28,6 @@ struct DdrParams {
   u32 max_queue_services = 64;
 };
 
-struct DdrStats {
-  u64 read_reqs = 0;
-  u64 write_reqs = 0;
-  u64 bytes_read = 0;
-  u64 bytes_written = 0;
-  u64 busy_cycles = 0;
-  u64 queue_stall_cycles = 0;
-
-  [[nodiscard]] u64 requests() const noexcept { return read_reqs + write_reqs; }
-  [[nodiscard]] u64 bytes() const noexcept { return bytes_read + bytes_written; }
-};
-
 /// UPC event wiring for a DdrController.
 struct DdrEventIds {
   isa::EventId read_req = isa::kNoEvent;
@@ -55,10 +43,11 @@ class DdrController final : public MemLevel {
  public:
   using EventIds = DdrEventIds;
 
-  DdrController(const DdrParams& params, upc::UpcUnit* upc = nullptr,
-                const EventIds& events = {}) noexcept
-      : MemLevel(upc),
-        params_(params),
+  /// Events count into `upc`, the node's UPC unit.
+  DdrController(const DdrParams& params, upc::UpcUnit& upc,
+                const EventIds& events) noexcept
+      : params_(params),
+        upc_(upc),
         events_(events),
         service_(static_cast<cycles_t>(
             std::llround(params.line_bytes / params.bytes_per_cycle))) {}
@@ -66,32 +55,25 @@ class DdrController final : public MemLevel {
   AccessResult access(addr_t addr, AccessType type, unsigned core,
                       cycles_t now) override;
 
-  [[nodiscard]] const DdrStats& stats() const noexcept { return stats_; }
-
  private:
   DdrParams params_;
+  upc::UpcUnit& upc_;
   EventIds events_;
   cycles_t service_;  ///< cycles to stream one line
   cycles_t busy_until_ = 0;
-  DdrStats stats_;
 };
 
-/// The pair of controllers, interleaved by line address.
+/// The pair of controllers, interleaved by line address; controller i
+/// counts into the DDR<i> event lines of `upc`.
 class DdrSystem final : public MemLevel {
  public:
-  explicit DdrSystem(const DdrParams& params, upc::UpcUnit* upc = nullptr);
+  DdrSystem(const DdrParams& params, upc::UpcUnit& upc);
 
   AccessResult access(addr_t addr, AccessType type, unsigned core,
                       cycles_t now) override {
     const auto ctrl = static_cast<std::size_t>(addr >> line_shift_);
     return ctrls_[ctrl % ctrls_.size()]->access(addr, type, core, now);
   }
-
-  [[nodiscard]] const DdrController& controller(unsigned i) const {
-    return *ctrls_.at(i);
-  }
-  /// Combined statistics over both controllers.
-  [[nodiscard]] DdrStats total() const noexcept;
 
  private:
   u32 line_shift_;

@@ -21,13 +21,6 @@ CacheEventIds l1d_events(unsigned core) {
   };
 }
 
-CacheEventIds l1i_events(unsigned core) {
-  return CacheEventIds{
-      .read_access = ev::l1i(core, isa::L1iEvent::kAccess),
-      .read_miss = ev::l1i(core, isa::L1iEvent::kMiss),
-  };
-}
-
 L2Unit::EventIds l2_events(unsigned core) {
   return L2Unit::EventIds{
       .read_access = ev::l2(core, isa::L2Event::kReadAccess),
@@ -67,7 +60,7 @@ SnoopFilter::EventIds snoop_events() {
 }  // namespace
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
-                                 upc::UpcUnit* upc)
+                                 upc::UpcUnit& upc)
     : params_(params) {
   if (!params_.l1d.write_through || params_.l1d.write_allocate) {
     throw std::invalid_argument(
@@ -96,8 +89,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
                                      l2_events(c));
     pc.l1d = std::make_unique<Cache>(strfmt("core%u.L1D", c), params_.l1d,
                                      pc.l2.get(), upc, l1d_events(c));
-    pc.l1i = std::make_unique<Cache>(strfmt("core%u.L1I", c), params_.l1i,
-                                     pc.l2.get(), upc, l1i_events(c));
   }
 }
 
@@ -152,11 +143,6 @@ AccessResult MemoryHierarchy::write(unsigned core, addr_t addr, u64 bytes,
     now += r.latency;
   }
   return total;
-}
-
-AccessResult MemoryHierarchy::ifetch(unsigned core, addr_t addr,
-                                     cycles_t now) {
-  return cores_.at(core).l1i->access(addr, AccessType::kRead, core, now);
 }
 
 }  // namespace bgp::mem

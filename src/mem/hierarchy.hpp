@@ -1,5 +1,5 @@
 // Assembles one Blue Gene/P node's on-chip memory system (paper Fig 2):
-// four cores each with private L1 I/D caches and a private prefetching L2,
+// four cores each with a private L1 data cache and a private prefetching L2,
 // a large shared L3 whose size is boot-configurable (0–8 MB; Fig 11 sweeps
 // it), a snoop filter, and two line-interleaved DDR controllers.
 #pragma once
@@ -16,13 +16,9 @@
 namespace bgp::mem {
 
 struct HierarchyParams {
-  /// Private 32 KB, 32 B-line, highly associative L1s at 3-cycle latency.
-  CacheParams l1i{.size_bytes = 32 * KiB,
-                  .line_bytes = 32,
-                  .assoc = 16,
-                  .hit_latency = 3,
-                  .write_through = true,
-                  .write_allocate = false};
+  /// Private 32 KB, 32 B-line, highly associative L1D at 3-cycle latency.
+  /// Instruction fetch is not modelled (the compiled op bundles carry no
+  /// code addresses), so there is no L1I.
   CacheParams l1d{.size_bytes = 32 * KiB,
                   .line_bytes = 32,
                   .assoc = 16,
@@ -51,11 +47,10 @@ struct HierarchyParams {
 /// one rank executes at a time, so no internal locking.
 class MemoryHierarchy {
  public:
-  /// Every level counts its events into `upc`, the node's UPC unit (none
-  /// when null). Throws std::invalid_argument unless `l1d` is write-through
-  /// and no-write-allocate (the PPC450 policy; the store walk assumes it).
-  explicit MemoryHierarchy(const HierarchyParams& params,
-                           upc::UpcUnit* upc = nullptr);
+  /// Every level counts its events into `upc`, the node's UPC unit.
+  /// Throws std::invalid_argument unless `l1d` is write-through and
+  /// no-write-allocate (the PPC450 policy; the store walk assumes it).
+  MemoryHierarchy(const HierarchyParams& params, upc::UpcUnit& upc);
 
   /// Data read of `bytes` starting at `addr` by `core`; walks L1 lines and
   /// returns the summed latency (callers model overlap/MLP on top).
@@ -64,30 +59,18 @@ class MemoryHierarchy {
   /// Data write (store) path.
   AccessResult write(unsigned core, addr_t addr, u64 bytes, cycles_t now);
 
-  /// Instruction fetch of one L1I line.
-  AccessResult ifetch(unsigned core, addr_t addr, cycles_t now);
-
-  // -- component access for statistics and tests ------------------------
+  // -- component access for tests -----------------------------------------
   [[nodiscard]] const Cache& l1d(unsigned core) const {
     return *cores_.at(core).l1d;
   }
-  [[nodiscard]] const Cache& l1i(unsigned core) const {
-    return *cores_.at(core).l1i;
-  }
-  [[nodiscard]] const L2Unit& l2(unsigned core) const {
-    return *cores_.at(core).l2;
-  }
   [[nodiscard]] bool has_l3() const noexcept { return l3_ != nullptr; }
   [[nodiscard]] const Cache& l3() const { return *l3_; }
-  [[nodiscard]] const DdrSystem& ddr() const noexcept { return *ddr_; }
-  [[nodiscard]] const SnoopFilter& snoop() const noexcept { return *snoop_; }
   [[nodiscard]] const HierarchyParams& params() const noexcept {
     return params_;
   }
 
  private:
   struct PerCore {
-    std::unique_ptr<Cache> l1i;
     std::unique_ptr<Cache> l1d;
     std::unique_ptr<L2Unit> l2;
   };

@@ -52,10 +52,9 @@ void PendingPrefetches::grow() {
 }
 
 L2Unit::L2Unit(std::string name, const CacheParams& cache_params,
-               const PrefetchParams& pf, MemLevel* next, upc::UpcUnit* upc,
+               const PrefetchParams& pf, MemLevel* next, upc::UpcUnit& upc,
                const EventIds& events)
-    : MemLevel(upc),
-      cache_(std::move(name), cache_params, next, upc,
+    : cache_(std::move(name), cache_params, next, upc,
              CacheEventIds{
                  .read_access = events.read_access,
                  .read_hit = events.read_hit,
@@ -65,8 +64,8 @@ L2Unit::L2Unit(std::string name, const CacheParams& cache_params,
              }),
       pf_(pf),
       next_(next),
-      events_(events),
-      streams_(pf.streams) {
+      upc_(upc),
+      events_(events) {
   miss_history_.fill(kNoLine);
 }
 
@@ -85,8 +84,7 @@ void L2Unit::run_ahead(addr_t line, unsigned core, cycles_t now) {
     // otherwise accumulate forever.
     if (pending_.size() > 8192) pending_.clear();
     pending_.put(pf_line, now + fill.latency);
-    ++pf_stats_.issued;
-    report(events_.prefetch_issued, 1);
+    upc_.signal(events_.prefetch_issued);
   }
 }
 
@@ -104,19 +102,18 @@ AccessResult L2Unit::access(addr_t addr, AccessType type, unsigned core,
   AccessResult r = cache_.access(addr, type, core, now);
   if (r.hit) {
     if (was_prefetched) {
-      ++pf_stats_.hits;
-      report(events_.prefetch_hit, 1);
+      upc_.signal(events_.prefetch_hit);
       // In-flight fill: the demand pays the remaining latency.
       if (prefetch_ready > now) r.latency += prefetch_ready - now;
       // A confirmed prefetch hit keeps the stream running ahead.
-      if (pf_.enabled) run_ahead(line, core, now);
+      run_ahead(line, core, now);
     }
     r.serviced_by = 2;
     return r;
   }
 
   // Demand miss: update the stream table.
-  if (pf_.enabled) {
+  if (pf_.depth > 0) {
     bool matched = false;
     for (auto& s : streams_) {
       if (s.valid && s.next_line == line) {
@@ -140,8 +137,7 @@ AccessResult L2Unit::access(addr_t addr, AccessType type, unsigned core,
             if (s.last_use < slot->last_use) slot = &s;
           }
           *slot = Stream{line + 1, ++use_tick_, true};
-          ++pf_stats_.streams_detected;
-          report(events_.stream_detected, 1);
+          upc_.signal(events_.stream_detected);
           matched = true;
           break;
         }

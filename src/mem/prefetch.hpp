@@ -14,19 +14,11 @@
 namespace bgp::mem {
 
 struct PrefetchParams {
-  bool enabled = true;
-  /// Concurrent sequential streams tracked.
-  unsigned streams = 8;
-  /// Lines fetched ahead of a confirmed stream.
+  /// Lines fetched ahead of a confirmed stream; 0 turns the prefetcher
+  /// off, stream detection included.
   unsigned depth = 2;
 
   bool operator==(const PrefetchParams&) const = default;
-};
-
-struct PrefetchStats {
-  u64 issued = 0;        ///< prefetch fills brought into the L2
-  u64 hits = 0;          ///< demand accesses served by a prefetched line
-  u64 streams_detected = 0;
 };
 
 /// UPC event wiring for an L2Unit.
@@ -76,19 +68,16 @@ class L2Unit final : public MemLevel {
  public:
   using EventIds = L2EventIds;
 
+  /// Concurrent sequential streams tracked.
+  static constexpr unsigned kStreams = 8;
+
+  /// Events count into `upc`, the node's UPC unit.
   L2Unit(std::string name, const CacheParams& cache_params,
-         const PrefetchParams& pf, MemLevel* next,
-         upc::UpcUnit* upc = nullptr, const EventIds& events = {});
+         const PrefetchParams& pf, MemLevel* next, upc::UpcUnit& upc,
+         const EventIds& events);
 
   AccessResult access(addr_t addr, AccessType type, unsigned core,
                       cycles_t now) override;
-
-  [[nodiscard]] const CacheStats& cache_stats() const noexcept {
-    return cache_.stats();
-  }
-  [[nodiscard]] const PrefetchStats& prefetch_stats() const noexcept {
-    return pf_stats_;
-  }
 
  private:
   struct Stream {
@@ -103,8 +92,9 @@ class L2Unit final : public MemLevel {
   Cache cache_;
   PrefetchParams pf_;
   MemLevel* next_;
+  upc::UpcUnit& upc_;
   EventIds events_;
-  std::vector<Stream> streams_;
+  std::array<Stream, kStreams> streams_{};
   static constexpr addr_t kNoLine = ~addr_t{0};
   /// Recent demand-miss lines; a miss adjacent to any of them establishes a
   /// stream (so interleaved streams, e.g. x[i] and y[i] of a dot product,
@@ -112,7 +102,6 @@ class L2Unit final : public MemLevel {
   std::array<addr_t, 8> miss_history_;
   unsigned miss_history_pos_ = 0;
   u64 use_tick_ = 0;
-  PrefetchStats pf_stats_;
   /// A demand before a pending line's fill completes pays the residue;
   /// this is why deeper prefetch hides more latency.
   PendingPrefetches pending_;

@@ -15,21 +15,18 @@ void SnoopFilter::record_fill(unsigned core, addr_t line) noexcept {
 }
 
 unsigned SnoopFilter::on_write(unsigned core, addr_t line) {
-  ++stats_.requests;
-  report(events_.requests, 1);
+  upc_.signal(events_.requests);
 
   Entry& e = slot(line);
   const u8 self = static_cast<u8>(1u << core);
   if (!e.valid || e.line != line || (e.sharers & ~self) == 0) {
-    ++stats_.filter_hits;
-    report(events_.filter_hits, 1);
+    upc_.signal(events_.filter_hits);
     return 0;
   }
   const unsigned others =
       static_cast<unsigned>(std::popcount(static_cast<unsigned>(e.sharers & ~self)));
-  stats_.invalidates_sent += others;
-  report(events_.invalidates_sent, others);
-  report(events_.invalidates_received, others);
+  upc_.signal(events_.invalidates_sent, others);
+  upc_.signal(events_.invalidates_received, others);
   e.sharers = self;
   return others;
 }

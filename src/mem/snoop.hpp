@@ -12,12 +12,6 @@
 
 namespace bgp::mem {
 
-struct SnoopStats {
-  u64 requests = 0;          ///< store-side lookups
-  u64 filter_hits = 0;       ///< lookups filtered (no other sharer)
-  u64 invalidates_sent = 0;  ///< sharer copies invalidated
-};
-
 /// UPC event wiring for the snoop filter.
 struct SnoopEventIds {
   isa::EventId requests = isa::kNoEvent;
@@ -31,10 +25,9 @@ class SnoopFilter {
   using EventIds = SnoopEventIds;
 
   /// The table has `table_entries` rounded up to a power of two; events
-  /// count into `upc` when it is set.
-  explicit SnoopFilter(std::size_t table_entries = 16384,
-                       upc::UpcUnit* upc = nullptr,
-                       const EventIds& events = {})
+  /// count into `upc`, the node's UPC unit.
+  SnoopFilter(std::size_t table_entries, upc::UpcUnit& upc,
+              const EventIds& events = {})
       : upc_(upc), events_(events), table_(std::bit_ceil(table_entries)) {}
 
   /// Record that `core` now holds a copy of `line` (L1 fill path).
@@ -43,8 +36,6 @@ class SnoopFilter {
   /// A store by `core` to `line`: returns the number of *other* cores whose
   /// copies had to be invalidated.
   unsigned on_write(unsigned core, addr_t line);
-
-  [[nodiscard]] const SnoopStats& stats() const noexcept { return stats_; }
 
  private:
   struct Entry {
@@ -57,14 +48,9 @@ class SnoopFilter {
     return table_[static_cast<std::size_t>(line) & (table_.size() - 1)];
   }
 
-  void report(isa::EventId id, u64 n) const {
-    if (upc_ != nullptr) upc_->signal(id, n);
-  }
-
-  upc::UpcUnit* upc_;
+  upc::UpcUnit& upc_;
   EventIds events_;
   std::vector<Entry> table_;
-  SnoopStats stats_;
 };
 
 }  // namespace bgp::mem

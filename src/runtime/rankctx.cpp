@@ -46,13 +46,13 @@ void RankCtx::pulse_node() {
 }
 
 void RankCtx::sys_event(isa::SysEvent e, u64 count) {
-  node().upc().signal(isa::ev::system(e, placement_.local_proc), count);
+  node().upc().signal(isa::ev::system(e, placement_.core), count);
 }
 
 void RankCtx::wait_until(cycles_t t) {
   const cycles_t now_c = core().now();
   if (t > now_c) {
-    core().wait(t - now_c);
+    core().advance(t - now_c);
     sys_event(isa::SysEvent::kMpiWaitCycles, t - now_c);
   }
 }
@@ -173,7 +173,7 @@ void RankCtx::touch_no_yield(unsigned cid, const MemRange& r,
   const u64 lines = r.bytes / l1.line_bytes + 2;
   const cycles_t baseline = lines * l1.hit_latency;
   if (res.latency > baseline && overlap > 0.0) {
-    c.stall(static_cast<cycles_t>(
+    c.advance(static_cast<cycles_t>(
         std::llround(static_cast<double>(res.latency - baseline) / overlap)));
   }
 }

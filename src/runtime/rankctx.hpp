@@ -101,7 +101,7 @@ class RankCtx {
       if (res.latency > l1_hit) stall += res.latency - l1_hit;
     }
     // Gathers expose most of their latency (little MLP).
-    core().stall(static_cast<cycles_t>(static_cast<double>(stall) / 1.2));
+    core().advance(static_cast<cycles_t>(static_cast<double>(stall) / 1.2));
     yield();
   }
   /// The same over a list of indices.
@@ -163,7 +163,8 @@ class RankCtx {
   /// node and charged to it: the one cache walk of loop(), touch() and
   /// each parallel_loop() slice.
   void touch_no_yield(unsigned cid, const MemRange& range, double overlap);
-  /// Emit a per-rank-slot system event.
+  /// Emit a per-rank-slot system event: the slot is the rank's core, as
+  /// for the interface library's own events.
   void sys_event(isa::SysEvent e, u64 count = 1);
   /// Wait until `t` (if in the future), attributing it to MPI wait.
   void wait_until(cycles_t t);

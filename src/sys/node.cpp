@@ -11,9 +11,9 @@ Node::Node(unsigned id, const BootOptions& boot)
   mem::HierarchyParams hp;
   hp.l3_size_bytes = boot.l3_size_bytes;
   hp.prefetch = boot.prefetch;
-  mem_ = std::make_unique<mem::MemoryHierarchy>(hp, &upc_);
+  mem_ = std::make_unique<mem::MemoryHierarchy>(hp, upc_);
   for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {
-    cores_[c] = std::make_unique<cpu::Core>(c, cpu::CoreParams{}, &upc_);
+    cores_[c] = std::make_unique<cpu::Core>(c, cpu::CoreParams{}, upc_);
   }
 }
 

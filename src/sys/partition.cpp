@@ -31,9 +31,7 @@ Placement Partition::placement(unsigned rank) const {
     throw std::out_of_range(
         strfmt("rank %u out of range (%u ranks)", rank, num_ranks()));
   }
-  const unsigned node = rank / ppn;
-  const unsigned proc = rank % ppn;
-  return Placement{node, first_core_of_process(mode_, proc), proc};
+  return Placement{rank / ppn, first_core_of_process(mode_, rank % ppn)};
 }
 
 }  // namespace bgp::sys

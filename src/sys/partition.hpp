@@ -17,7 +17,6 @@ namespace bgp::sys {
 struct Placement {
   unsigned node = 0;
   unsigned core = 0;  ///< first core of the owning process
-  unsigned local_proc = 0;  ///< process index within the node
 };
 
 class Partition {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 
 #include "common/binio.hpp"
@@ -119,6 +120,49 @@ TEST(Session, VnmRanksShareTheNodeUnit) {
     const auto counter =
         isa::event_counter(isa::ev::fpu_op(core, isa::FpOp::kFma));
     EXPECT_EQ(rec.deltas[counter], 200u * (core + 1)) << core;
+  }
+}
+
+// Counter mode 3 gives each core a 16-event slot. A Dual node runs
+// process 1 on core 2, so rank 1's MPI events land in slot 2 beside its
+// UPC-call events, and slot 1 stays empty.
+TEST(Session, Mode3SlotOfADualRankIsItsCore) {
+  rt::Machine m(cfg(1, sys::OpMode::kDual));
+  Options o = mem_only();
+  o.mode_even_cards = 3;
+  o.mode_odd_cards = 3;
+  Session s(m, o);
+  m.run([&](rt::RankCtx& ctx) {
+    s.BGP_Initialize(ctx);
+    std::array<u64, 4> buf{};
+    if (ctx.rank() == 1) {
+      s.BGP_Start(ctx, 1);
+      ctx.send_values<u64>(0, buf);
+      s.BGP_Stop(ctx, 1);
+    } else {
+      ctx.recv_values<u64>(1, buf);
+    }
+    s.BGP_Finalize(ctx);
+  });
+  using isa::SysEvent;
+  namespace ev = isa::ev;
+  const upc::UpcUnit& upc = m.partition().node(0).upc();
+  EXPECT_EQ(upc.line_count(ev::system(SysEvent::kMpiSends, 2)), 1u);
+  EXPECT_EQ(upc.line_count(ev::system(SysEvent::kUpcStartCalls, 2)), 1u);
+  EXPECT_EQ(upc.line_count(ev::system(SysEvent::kUpcStopCalls, 2)), 1u);
+  EXPECT_EQ(upc.line_count(ev::system(SysEvent::kMpiRecvs, 0)), 1u);
+  // The set bracketed rank 1's send and its stop call.
+  ASSERT_EQ(s.monitor(0).programmed_mode(), 3);
+  const auto& rec = s.monitor(0).set_record(1);
+  const auto counter = [](SysEvent e, unsigned slot) {
+    return isa::event_counter(ev::system(e, slot));
+  };
+  EXPECT_EQ(rec.deltas[counter(SysEvent::kMpiSends, 2)], 1u);
+  EXPECT_EQ(rec.deltas[counter(SysEvent::kUpcStopCalls, 2)], 1u);
+  for (unsigned e = 0; e < isa::kNumSysEvents; ++e) {
+    const auto id = ev::system(static_cast<SysEvent>(e), 1);
+    EXPECT_EQ(upc.line_count(id), 0u) << "slot 1 event " << e;
+    EXPECT_EQ(rec.deltas[isa::event_counter(id)], 0u) << "slot 1 event " << e;
   }
 }
 

@@ -11,7 +11,8 @@ using isa::LsOp;
 using isa::OpMix;
 
 TEST(Core, EmptyBundleCostsNothing) {
-  Core c(0, CoreParams{});
+  upc::UpcUnit upc;
+  Core c(0, CoreParams{}, upc);
   EXPECT_EQ(c.execute_block(OpMix{}, {}), 0u);
   EXPECT_EQ(c.now(), 0u);
 }
@@ -76,19 +77,36 @@ TEST(Core, BranchMispredictionPenalty) {
 }
 
 TEST(Core, ExecuteAccumulatesStatsAndTime) {
-  Core c(1, CoreParams{});
+  // A block counts the event vector the compile cache built for it: the
+  // instruction lines, weighted by flops per op, give the core's flops.
+  // Every charged cycle, the block's and advance()'s, moves the clock and
+  // CYCLE_COUNT together.
+  upc::UpcUnit upc;
+  Core c(1, CoreParams{}, upc);
   OpMix m;
   m.fp_at(FpOp::kSimdFma) = 10;
   m.ls_at(LsOp::kLoadQuad) = 5;
-  c.execute_block(m, {});
-  EXPECT_EQ(c.stats().instructions, 15u);
-  EXPECT_EQ(c.stats().flops, 40u);
-  EXPECT_EQ(c.now(), c.stats().compute_cycles);
-  c.stall(100);
-  c.wait(50);
-  EXPECT_EQ(c.stats().memory_stall_cycles, 100u);
-  EXPECT_EQ(c.stats().wait_cycles, 50u);
-  EXPECT_EQ(c.now(), c.stats().total_cycles());
+  const cycles_t cycles = Core::bundle_cycles(m, CoreParams{});
+  const isa::EventCount block[] = {
+      {isa::ev::fpu_op(1, FpOp::kSimdFma), 10},
+      {isa::ev::ls_op(1, LsOp::kLoadQuad), 5},
+      {isa::ev::instr_completed(1), 15},
+      {isa::ev::cycle_count(1), cycles},
+  };
+  EXPECT_EQ(c.execute_block(m, block), cycles);
+  EXPECT_EQ(upc.line_count(isa::ev::instr_completed(1)),
+            m.total_instructions());
+  u64 flops = 0;
+  for (std::size_t i = 0; i < isa::kNumFpOps; ++i) {
+    const auto op = static_cast<FpOp>(i);
+    flops += upc.line_count(isa::ev::fpu_op(1, op)) * isa::flops_per_op(op);
+  }
+  EXPECT_EQ(flops, 40u);
+  EXPECT_EQ(c.now(), cycles);
+  c.advance(100);  // an exposed memory stall
+  c.advance(50);   // time blocked in communication
+  EXPECT_EQ(c.now(), cycles + 150);
+  EXPECT_EQ(upc.line_count(isa::ev::cycle_count(1)), c.now());
 }
 
 TEST(Core, SignalsFpuAndCycleEvents) {
@@ -96,7 +114,7 @@ TEST(Core, SignalsFpuAndCycleEvents) {
   // counts into the UPC unit as-is, and the core charges the bundle's
   // cycles.
   upc::UpcUnit upc;
-  Core c(2, CoreParams{}, &upc);
+  Core c(2, CoreParams{}, upc);
   OpMix m;
   m.fp_at(FpOp::kSimdAddSub) = 7;
   m.int_at(IntOp::kAlu) = 3;
@@ -115,18 +133,20 @@ TEST(Core, SignalsFpuAndCycleEvents) {
 }
 
 TEST(Core, SyncToOnlyMovesForward) {
-  Core c(0, CoreParams{});
+  upc::UpcUnit upc;
+  Core c(0, CoreParams{}, upc);
   c.advance(100);
   c.sync_to(50);  // no-op
   EXPECT_EQ(c.now(), 100u);
-  c.sync_to(250);
+  EXPECT_EQ(upc.line_count(isa::ev::cycle_count(0)), 100u);
+  c.sync_to(250);  // the 150 skipped cycles count as cycles
   EXPECT_EQ(c.now(), 250u);
-  EXPECT_EQ(c.stats().wait_cycles, 150u);
+  EXPECT_EQ(upc.line_count(isa::ev::cycle_count(0)), 250u);
 }
 
 TEST(Core, TimebaseMatchesClockAndCountsReads) {
   upc::UpcUnit upc;
-  Core c(0, CoreParams{}, &upc);
+  Core c(0, CoreParams{}, upc);
   c.advance(123);
   EXPECT_EQ(c.read_timebase(), 123u);
   EXPECT_EQ(upc.line_count(isa::ev::system(isa::SysEvent::kTimebaseReads, 0)),

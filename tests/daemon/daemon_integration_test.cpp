@@ -266,7 +266,8 @@ TEST(DaemonIntegration, FourSessionsKillAttachScrapeDrain) {
   // Final snapshots readable for everyone.
   for (const char* name : {"victim", "attachee", "quick1", "quick2"}) {
     AttachView view = attach_file(dir / name / "counters.bgpsnap");
-    EXPECT_TRUE(view.unreadable.empty());
+    EXPECT_TRUE(view.busy.empty());
+    EXPECT_TRUE(view.corrupt.empty());
     EXPECT_TRUE(view.final_only) << name;
   }
 

@@ -134,7 +134,6 @@ TEST(JobSpec, RoundTripsThroughJson) {
 
   // The off forms: L3 and prefetch disabled.
   mc.boot.l3_size_bytes = 0;
-  mc.boot.prefetch.enabled = false;
   mc.boot.prefetch.depth = 0;
   EXPECT_EQ(JobSpec::from_json(spec.to_json()).machine, spec.machine);
 }

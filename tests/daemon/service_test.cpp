@@ -4,7 +4,7 @@
 // session's artifacts are byte-identical to the built bgpc_run binary run
 // with the matching flags and snapshot configuration, on one scheduler
 // worker and on two. bgpc_trace and bgpc_run are held to the same
-// identity.
+// identity, and the attach tools name a corrupt snapshot slot.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -22,8 +22,9 @@
 #include "daemon/service.hpp"
 #include "daemon/snapfile.hpp"
 
-#if !defined(BGPC_RUN_BINARY) || !defined(BGPC_TRACE_BINARY)
-#error "service_test needs -DBGPC_RUN_BINARY=... and -DBGPC_TRACE_BINARY=..."
+#if !defined(BGPC_RUN_BINARY) || !defined(BGPC_TRACE_BINARY) || \
+    !defined(BGPC_OBS_BINARY) || !defined(BGPC_MINE_BINARY)
+#error "service_test needs -DBGPC_{RUN,TRACE,OBS,MINE}_BINARY=..."
 #endif
 
 namespace fs = std::filesystem;
@@ -265,6 +266,56 @@ TEST(BgpcRunFlags, SnapshotPeriodWithoutASnapshotFileIsAUsageError) {
       << out;
   EXPECT_NE(out.find("usage: bgpc_run"), std::string::npos) << out;
   EXPECT_TRUE(fs::is_empty(dir));  // nothing ran
+}
+
+// A finished snapshot file with one node's active slot corrupted: both
+// attach tools name that node CORRUPT, still read the other node, and
+// exit 1.
+TEST(AttachTools, CorruptSlotIsNamedAndFailsBothTools) {
+  const fs::path dir = test_dir("run");
+  const std::string snap = (dir / "counters.bgpsnap").string();
+  int code = -1;
+  std::string out = run_tool(BGPC_RUN_BINARY,
+                             "EP --class=S --nodes=2 --snapshot-file=" + snap +
+                                 " --dumps=" + dir.string(),
+                             &code);
+  ASSERT_EQ(code, 0) << out;
+  out = run_tool(BGPC_OBS_BINARY, "--attach=" + snap, &code);
+  ASSERT_EQ(code, 0) << out;
+
+  {  // Flip a counter bit in node 1's active slot (docs/formats.md).
+    std::fstream f(snap, std::ios::in | std::ios::out | std::ios::binary);
+    const auto word = [&f](u64 at) {
+      u64 v = 0;
+      f.seekg(static_cast<std::streamoff>(at));
+      f.read(reinterpret_cast<char*>(&v), sizeof v);
+      return v;
+    };
+    const u64 block = word(16) + word(24);  // node blocks, one block bytes
+    constexpr u64 kSlotBytes = (5 + isa::kCountersPerUnit + 1) * 8;
+    const u64 at = block + 16 + word(block + 8) * kSlotBytes + 5 * 8;
+    char byte = 0;
+    f.seekg(static_cast<std::streamoff>(at));
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 1);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.write(&byte, 1);
+    ASSERT_TRUE(f.good());
+  }
+
+  out = run_tool(BGPC_OBS_BINARY, "--attach=" + snap, &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("node   0 card"), std::string::npos) << out;
+  EXPECT_NE(out.find("node   1 CORRUPT (slot CRC mismatch)"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("BUSY"), std::string::npos) << out;
+
+  out = run_tool(BGPC_MINE_BINARY, "--attach=" + snap, &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("nodes: 1 readable (0 counting, 1 final), 0 busy, "
+                     "1 corrupt"),
+            std::string::npos)
+      << out;
 }
 
 TEST(Service, RejectionsAreStructuredAndLeaveRunningSessionsAlone) {

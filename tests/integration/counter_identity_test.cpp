@@ -235,7 +235,7 @@ RunResult run_microkernel(u8 mode, const pc::Options& base) {
   mc.num_nodes = 2;  // one card: both nodes count `mode`
   mc.mode = sys::OpMode::kSmp1;
   mc.opt = opt::OptConfig::parse("-O");
-  mc.boot.prefetch.enabled = false;
+  mc.boot.prefetch.depth = 0;
   rt::Machine machine(mc);
 
   pc::Options opts = base;

@@ -5,9 +5,34 @@
 namespace bgp::mem {
 namespace {
 
+namespace ev = isa::ev;
+using isa::DdrEvent;
+
+/// A controller that counts into controller 0's event lines of its own
+/// UPC unit; n(e) is the count it reported on event `e`.
+struct Counted {
+  explicit Counted(const DdrParams& p)
+      : ctrl(p, upc,
+             DdrController::EventIds{
+                 .read_req = ev::ddr(0, DdrEvent::kReadReq),
+                 .write_req = ev::ddr(0, DdrEvent::kWriteReq),
+                 .bytes_read_16b = ev::ddr(0, DdrEvent::kBytesRead16B),
+                 .bytes_written_16b = ev::ddr(0, DdrEvent::kBytesWritten16B),
+                 .busy_cycles = ev::ddr(0, DdrEvent::kBusyCycles),
+                 .queue_stall_cycles = ev::ddr(0, DdrEvent::kQueueStallCycles),
+             }) {}
+  [[nodiscard]] u64 n(DdrEvent e) const {
+    return upc.line_count(ev::ddr(0, e));
+  }
+
+  upc::UpcUnit upc;
+  DdrController ctrl;
+};
+
 TEST(Ddr, UncontendedReadLatency) {
   DdrParams p;  // base 104, 8 B/cycle, 128 B lines -> service 16
-  DdrController ctrl(p);
+  Counted t(p);
+  DdrController& ctrl = t.ctrl;
   const auto r = ctrl.access(0, AccessType::kRead, 0, 1000);
   EXPECT_EQ(r.latency, 104u + 16u);
   EXPECT_EQ(r.serviced_by, 4);
@@ -15,17 +40,19 @@ TEST(Ddr, UncontendedReadLatency) {
 
 TEST(Ddr, BackToBackRequestsQueue) {
   DdrParams p;
-  DdrController ctrl(p);
+  Counted t(p);
+  DdrController& ctrl = t.ctrl;
   ctrl.access(0, AccessType::kRead, 0, 1000);
   // Second request at the same instant waits for the first to drain.
   const auto r2 = ctrl.access(128, AccessType::kRead, 1, 1000);
   EXPECT_EQ(r2.latency, 16u + 104u + 16u);
-  EXPECT_EQ(ctrl.stats().queue_stall_cycles, 16u);
+  EXPECT_EQ(t.n(DdrEvent::kQueueStallCycles), 16u);
 }
 
 TEST(Ddr, IdleGapDrainsQueue) {
   DdrParams p;
-  DdrController ctrl(p);
+  Counted t(p);
+  DdrController& ctrl = t.ctrl;
   ctrl.access(0, AccessType::kRead, 0, 0);
   const auto r2 = ctrl.access(128, AccessType::kRead, 0, 10000);
   EXPECT_EQ(r2.latency, 104u + 16u);  // no queueing after the gap
@@ -33,20 +60,23 @@ TEST(Ddr, IdleGapDrainsQueue) {
 
 TEST(Ddr, TrafficAccounting) {
   DdrParams p;
-  DdrController ctrl(p);
+  Counted t(p);
+  DdrController& ctrl = t.ctrl;
   for (int i = 0; i < 10; ++i) ctrl.access(i * 128, AccessType::kRead, 0, 0);
   for (int i = 0; i < 4; ++i) ctrl.access(i * 128, AccessType::kWrite, 0, 0);
-  EXPECT_EQ(ctrl.stats().read_reqs, 10u);
-  EXPECT_EQ(ctrl.stats().write_reqs, 4u);
-  EXPECT_EQ(ctrl.stats().bytes_read, 1280u);
-  EXPECT_EQ(ctrl.stats().bytes_written, 512u);
-  EXPECT_EQ(ctrl.stats().busy_cycles, 14u * 16u);
+  EXPECT_EQ(t.n(DdrEvent::kReadReq), 10u);
+  EXPECT_EQ(t.n(DdrEvent::kWriteReq), 4u);
+  // The byte lines tick once per 16 B.
+  EXPECT_EQ(t.n(DdrEvent::kBytesRead16B) * 16, 1280u);
+  EXPECT_EQ(t.n(DdrEvent::kBytesWritten16B) * 16, 512u);
+  EXPECT_EQ(t.n(DdrEvent::kBusyCycles), 14u * 16u);
 }
 
 TEST(Ddr, QueueDelayIsCapped) {
   DdrParams p;
   p.max_queue_services = 4;
-  DdrController ctrl(p);
+  Counted t(p);
+  DdrController& ctrl = t.ctrl;
   for (int i = 0; i < 100; ++i) ctrl.access(0, AccessType::kRead, 0, 0);
   // Worst observed queue wait must be bounded by 4 services.
   const auto r = ctrl.access(0, AccessType::kRead, 0, 0);
@@ -55,31 +85,37 @@ TEST(Ddr, QueueDelayIsCapped) {
 
 TEST(Ddr, PostedWritesAreCheapForRequester) {
   DdrParams p;
-  DdrController ctrl(p);
+  Counted t(p);
+  DdrController& ctrl = t.ctrl;
   const auto w = ctrl.access(0, AccessType::kWrite, 0, 0);
   EXPECT_LE(w.latency, 16u);
 }
 
 TEST(DdrSystem, InterleavesAcrossControllers) {
   DdrParams p;
-  DdrSystem sys(p);
+  upc::UpcUnit upc;
+  DdrSystem sys(p, upc);
   // Consecutive lines alternate controllers.
   for (int i = 0; i < 8; ++i) sys.access(i * 128, AccessType::kRead, 0, 0);
-  EXPECT_EQ(sys.controller(0).stats().read_reqs, 4u);
-  EXPECT_EQ(sys.controller(1).stats().read_reqs, 4u);
-  EXPECT_EQ(sys.total().read_reqs, 8u);
-  EXPECT_EQ(sys.total().bytes_read, 8u * 128u);
+  const auto both = [&upc](DdrEvent e) {
+    return upc.line_count(ev::ddr(0, e)) + upc.line_count(ev::ddr(1, e));
+  };
+  EXPECT_EQ(upc.line_count(ev::ddr(0, DdrEvent::kReadReq)), 4u);
+  EXPECT_EQ(upc.line_count(ev::ddr(1, DdrEvent::kReadReq)), 4u);
+  EXPECT_EQ(both(DdrEvent::kReadReq), 8u);
+  EXPECT_EQ(both(DdrEvent::kBytesRead16B) * 16, 8u * 128u);
 }
 
 TEST(DdrSystem, InterleavingHalvesQueueing) {
   DdrParams p;
-  DdrSystem single_stream(p);
+  upc::UpcUnit upc;
+  DdrSystem single_stream(p, upc);
   cycles_t same_ctrl = 0, alternating = 0;
   for (int i = 0; i < 16; ++i) {
     // Same controller: lines 0, 2, 4... (even line index -> controller 0).
     same_ctrl += single_stream.access(i * 256, AccessType::kRead, 0, 0).latency;
   }
-  DdrSystem both(p);
+  DdrSystem both(p, upc);
   for (int i = 0; i < 16; ++i) {
     alternating += both.access(i * 128, AccessType::kRead, 0, 0).latency;
   }
@@ -89,14 +125,13 @@ TEST(DdrSystem, InterleavingHalvesQueueing) {
 TEST(DdrSystem, EmitsUpcEventsWhenWired) {
   upc::UpcUnit upc;
   DdrParams p;
-  DdrSystem sys(p, &upc);
+  DdrSystem sys(p, upc);
   sys.access(0, AccessType::kRead, 0, 0);    // controller 0
   sys.access(128, AccessType::kWrite, 0, 0); // controller 1
-  using isa::DdrEvent;
-  EXPECT_EQ(upc.line_count(isa::ev::ddr(0, DdrEvent::kReadReq)), 1u);
-  EXPECT_EQ(upc.line_count(isa::ev::ddr(0, DdrEvent::kBytesRead16B)), 8u);
-  EXPECT_EQ(upc.line_count(isa::ev::ddr(1, DdrEvent::kWriteReq)), 1u);
-  EXPECT_EQ(upc.line_count(isa::ev::ddr(1, DdrEvent::kBytesWritten16B)), 8u);
+  EXPECT_EQ(upc.line_count(ev::ddr(0, DdrEvent::kReadReq)), 1u);
+  EXPECT_EQ(upc.line_count(ev::ddr(0, DdrEvent::kBytesRead16B)), 8u);
+  EXPECT_EQ(upc.line_count(ev::ddr(1, DdrEvent::kWriteReq)), 1u);
+  EXPECT_EQ(upc.line_count(ev::ddr(1, DdrEvent::kBytesWritten16B)), 8u);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ u64 ddr_bytes(const Recorder& r, isa::DdrEvent e) {
 
 HierarchyParams no_prefetch() {
   HierarchyParams p;
-  p.prefetch.enabled = false;
+  p.prefetch.depth = 0;
   return p;
 }
 
@@ -49,7 +49,7 @@ constexpr u64 kL1Lines = 32 * KiB / 32;
 
 TEST(HierarchyOracle, ColdStreamReadMatchesLineArithmetic) {
   Recorder rec;
-  MemoryHierarchy h(no_prefetch(), &rec.unit);
+  MemoryHierarchy h(no_prefetch(), rec.unit);
   cycles_t now = 0;
   for (addr_t a = kBase; a < kBase + kN; a += 256) {
     now += h.read(0, a, 256, now).latency;
@@ -85,7 +85,7 @@ TEST(HierarchyOracle, BlockRereadMissesOnlyOnTheFirstPass) {
   constexpr u64 kBlock = 16 * KiB;
   constexpr u64 kPasses = 7;
   Recorder rec;
-  MemoryHierarchy h(no_prefetch(), &rec.unit);
+  MemoryHierarchy h(no_prefetch(), rec.unit);
   for (u64 p = 0; p < kPasses; ++p) h.read(1, kBase, kBlock, 0);
   EXPECT_EQ(rec[ev::l1d(1, L1dEvent::kReadAccess)], 512 * kPasses);
   EXPECT_EQ(rec[ev::l1d(1, L1dEvent::kReadMiss)], 512u);
@@ -98,7 +98,7 @@ TEST(HierarchyOracle, WithoutL3EveryL2MissGoesToDdr) {
   HierarchyParams p = no_prefetch();
   p.l3_size_bytes = 0;
   Recorder rec;
-  MemoryHierarchy h(p, &rec.unit);
+  MemoryHierarchy h(p, rec.unit);
   h.read(2, kBase, kN, 0);
   for (unsigned e = 0; e < isa::kNumL3Events; ++e) {
     EXPECT_EQ(rec[ev::l3(L3Event(e))], 0u) << "L3 event " << e;
@@ -109,7 +109,7 @@ TEST(HierarchyOracle, WithoutL3EveryL2MissGoesToDdr) {
 
 TEST(HierarchyOracle, StoreStreamWritesThroughToL3) {
   Recorder rec;
-  MemoryHierarchy h(no_prefetch(), &rec.unit);
+  MemoryHierarchy h(no_prefetch(), rec.unit);
   for (addr_t a = kBase; a < kBase + kN; a += 64) h.write(3, a, 64, 0);
   // Write-through, no-allocate L1 and L2: every 32 B store reaches the
   // L3 and neither private level ever holds the line.
@@ -132,7 +132,7 @@ TEST(HierarchyOracle, StoreStreamWritesThroughToL3) {
 
 TEST(HierarchyOracle, PrefetchesAreL3Reads) {
   Recorder rec;
-  MemoryHierarchy h(HierarchyParams{}, &rec.unit);
+  MemoryHierarchy h(HierarchyParams{}, rec.unit);
   // Four cores stream disjoint regions, interleaved line by line.
   for (addr_t off = 0; off < kN; off += 128) {
     for (unsigned c = 0; c < isa::kCoresPerNode; ++c) {
@@ -156,7 +156,7 @@ TEST(HierarchyOracle, PrefetchesAreL3Reads) {
 void mixed_traffic(upc::UpcUnit& unit) {
   HierarchyParams p;
   p.l3_size_bytes = 512 * KiB;
-  MemoryHierarchy h(p, &unit);
+  MemoryHierarchy h(p, unit);
   std::mt19937_64 rng(14);
   cycles_t now = 0;
   for (int i = 0; i < 40000; ++i) {

@@ -112,7 +112,9 @@ TEST(Machine, RecvBlocksUntilSendAndTimeAdvances) {
       // The receiver must have waited for the sender's compute + transfer.
       EXPECT_GT(ctx.now(), t0 + 100000);
       EXPECT_EQ(buf[17], 3.25);
-      EXPECT_GT(ctx.core().stats().wait_cycles, 0u);
+      EXPECT_GT(ctx.node().upc().line_count(isa::ev::system(
+                    isa::SysEvent::kMpiWaitCycles, ctx.core_id())),
+                0u);
     }
   });
 }

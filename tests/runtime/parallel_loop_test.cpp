@@ -18,6 +18,16 @@ isa::LoopDesc fma_loop(u64 trip) {
   return d;
 }
 
+/// Core `c`'s flops: its FP-op lines weighted by flops per op.
+u64 flops(const sys::Node& node, unsigned c) {
+  u64 f = 0;
+  for (std::size_t i = 0; i < isa::kNumFpOps; ++i) {
+    const auto op = static_cast<isa::FpOp>(i);
+    f += node.upc().line_count(isa::ev::fpu_op(c, op)) * isa::flops_per_op(op);
+  }
+  return f;
+}
+
 MachineConfig smp4(unsigned nodes = 1) {
   MachineConfig cfg;
   cfg.num_nodes = nodes;
@@ -52,8 +62,7 @@ TEST(ParallelLoop, SplitsWorkAcrossAllFourCores) {
   // Every core executed ~1/4 of the FMAs.
   auto& node = m.partition().node(0);
   for (unsigned c = 0; c < 4; ++c) {
-    EXPECT_NEAR(static_cast<double>(node.core(c).stats().flops),
-                100000.0, 64.0)
+    EXPECT_NEAR(static_cast<double>(flops(node, c)), 100000.0, 64.0)
         << "core " << c;  // 2 FMA/iter * 2 flops * trip/4
   }
 }
@@ -85,7 +94,8 @@ TEST(ParallelLoop, MemoryRangesAreSliced) {
   auto& node = m.partition().node(0);
   const u64 total_lines = 512 * 1024 / 32;
   for (unsigned c = 0; c < 4; ++c) {
-    const u64 reads = node.memory().l1d(c).stats().read_access;
+    const u64 reads = node.upc().line_count(
+        isa::ev::l1d(c, isa::L1dEvent::kReadAccess));
     EXPECT_NEAR(static_cast<double>(reads),
                 static_cast<double>(total_lines) / 4.0,
                 static_cast<double>(total_lines) / 16.0)
@@ -129,7 +139,7 @@ TEST(ParallelLoop, DualModeTeamsDoNotOverlap) {
   // roughly equal work, none is idle.
   auto& node = m.partition().node(0);
   for (unsigned c = 0; c < 4; ++c) {
-    EXPECT_GT(node.core(c).stats().flops, 0u) << "core " << c;
+    EXPECT_GT(flops(node, c), 0u) << "core " << c;
   }
 }
 

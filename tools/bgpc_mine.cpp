@@ -58,9 +58,9 @@ int attach_mine(const std::filesystem::path& snap, unsigned set, bool quiet,
                 view.final_only ? "run finished (final snapshot)"
                                 : "LIVE mid-run snapshot");
     std::printf("  nodes: %zu readable (%zu counting, %zu final), %zu "
-                "unreadable\n",
-                view.nodes.size(), counting, final_count,
-                view.unreadable.size());
+                "busy, %zu corrupt\n",
+                view.nodes.size(), counting, final_count, view.busy.size(),
+                view.corrupt.size());
     cycles_t newest = 0;
     for (const daemon::NodeSnapshot& n : view.nodes) {
       newest = std::max(newest, n.published_cycle);
@@ -75,7 +75,7 @@ int attach_mine(const std::filesystem::path& snap, unsigned set, bool quiet,
     std::printf("  L3 read miss ratio:          %.2f%%\n",
                 100.0 * rec.l3_read_miss_ratio);
   }
-  return view.unreadable.empty() ? 0 : 1;
+  return view.busy.empty() && view.corrupt.empty() ? 0 : 1;
 }
 
 }  // namespace

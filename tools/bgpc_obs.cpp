@@ -46,14 +46,18 @@ int attach_view(const std::filesystem::path& snap, bool quiet,
                 n.card_id, n.mode, state,
                 static_cast<unsigned long long>(n.published_cycle));
   }
-  for (const unsigned n : view.unreadable) {
-    std::printf("  node %3u UNREADABLE (writer churn or corruption)\n", n);
+  for (const unsigned n : view.busy) {
+    std::printf("  node %3u BUSY (seqlock never settled: writer mid-publish "
+                "or gone)\n", n);
+  }
+  for (const unsigned n : view.corrupt) {
+    std::printf("  node %3u CORRUPT (slot CRC mismatch)\n", n);
   }
   if (!quiet && !view.metrics_text.empty()) {
     std::printf("\npublished metrics exposition:\n%s",
                 view.metrics_text.c_str());
   }
-  return view.unreadable.empty() ? 0 : 1;
+  return view.busy.empty() && view.corrupt.empty() ? 0 : 1;
 }
 
 void print_profile(const std::vector<obs::ProfileRow>& rows, unsigned top) {

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
               mc.boot.l3_size_bytes
                   ? human_bytes((double)mc.boot.l3_size_bytes).c_str()
                   : "off",
-              mc.boot.prefetch.enabled
+              mc.boot.prefetch.depth
                   ? strfmt("depth %u", mc.boot.prefetch.depth).c_str()
                   : "off",
               mc.opt.name().c_str(),

@@ -413,9 +413,7 @@ inline void add_run_flags(FlagSet& fs, nas::RunSpec& spec, ObsOutputs& obs) {
            });
   fs.value("prefetch", "D", "L2 prefetch depth, 0 disables (default 2)",
            [&mc](const char* v) {
-             const unsigned d = parse_unsigned("--prefetch", v);
-             mc.boot.prefetch.enabled = d > 0;
-             mc.boot.prefetch.depth = d;
+             mc.boot.prefetch.depth = parse_unsigned("--prefetch", v);
            });
   fs.value("opt", "FLAGS", "compiler options, e.g. \"-O5 -qarch440d\"",
            [&mc](const char* v) { mc.opt = opt::OptConfig::parse(v); });
