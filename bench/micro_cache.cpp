@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the cache simulator's hot paths:
-// L1 hits, full-hierarchy misses, prefetcher-covered streams and the DDR
-// queueing model. These are the per-access costs that bound end-to-end
-// simulation speed. The hierarchies count into a running UPC unit, as on a
-// node.
+// L1 hits, full-hierarchy misses, prefetcher-covered streams, long reads
+// and stores over a warm hierarchy and the DDR queueing model. These are
+// the per-access costs that bound end-to-end simulation speed. The
+// hierarchies count into a running UPC unit, as on a node.
 #include <benchmark/benchmark.h>
 
 #include "mem/hierarchy.hpp"
@@ -71,6 +71,35 @@ void BM_StoreWriteThrough(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_StoreWriteThrough);
+
+/// Bytes in four L1D capacities: 4,096 L1 lines.
+constexpr u64 kLongWalk = 4 * 32 * KiB;
+
+void BM_LongReadWarm(benchmark::State& state) {
+  upc::UpcUnit upc = running_upc();
+  MemoryHierarchy h{HierarchyParams{}, upc};
+  h.read(0, 0, kLongWalk, 0);  // the L3 now holds the range
+  cycles_t acc = 0;
+  for (auto _ : state) {
+    acc += h.read(0, 0, kLongWalk, 0).latency;
+  }
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(state.iterations() * (kLongWalk / 32));  // lines
+}
+BENCHMARK(BM_LongReadWarm);
+
+void BM_LongStoreWarm(benchmark::State& state) {
+  upc::UpcUnit upc = running_upc();
+  MemoryHierarchy h{HierarchyParams{}, upc};
+  h.write(0, 0, kLongWalk, 0);  // the L3 now holds the range, dirty
+  cycles_t acc = 0;
+  for (auto _ : state) {
+    acc += h.write(0, 0, kLongWalk, 0).latency;
+  }
+  benchmark::DoNotOptimize(acc);
+  state.SetItemsProcessed(state.iterations() * (kLongWalk / 32));  // lines
+}
+BENCHMARK(BM_LongStoreWarm);
 
 void BM_DdrContention(benchmark::State& state) {
   DdrParams p;

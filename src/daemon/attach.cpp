@@ -1,8 +1,7 @@
 #include "daemon/attach.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
-#include "common/strfmt.hpp"
 #include "daemon/backoff.hpp"
 
 namespace bgp::daemon {
@@ -26,6 +25,7 @@ AttachView attach_read(const SnapshotReader& reader) {
         break;
     }
   }
+  if (view.nodes.empty()) view.final_only = false;  // no node shows an end
   (void)reader.read_metrics(view.metrics_text);
   return view;
 }
@@ -44,14 +44,10 @@ AttachView attach_file_retry(const std::filesystem::path& path,
     // Re-open each attempt: the writer may have grown/replaced the file.
     const SnapshotReader reader = SnapshotReader::open_file(path);
     view = attach_read(reader);
-    if (view.busy.empty()) return view;
+    if (view.busy.empty()) break;
     if (attempt + 1 < attempts) backoff.sleep(attempt);
   }
-  throw std::runtime_error(strfmt(
-      "node %u of %s is seqlock-busy after %u attach attempts — the "
-      "writer is gone or the snapshot is stale (daemon crashed "
-      "mid-publish?); a fresh run must recreate the file",
-      view.busy.front(), path.c_str(), attempts));
+  return view;
 }
 
 pc::NodeDump to_node_dump(const NodeSnapshot& snap, const std::string& app) {

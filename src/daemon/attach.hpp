@@ -28,7 +28,8 @@ struct AttachView {
   std::vector<unsigned> corrupt;
   /// The publisher's rendered metrics exposition ("" when none published).
   std::string metrics_text;
-  /// True when every readable node was kFinal (the run is over).
+  /// True when at least one node was readable and every readable node was
+  /// kFinal (the run is over).
   bool final_only = true;
 };
 
@@ -50,11 +51,10 @@ struct AttachRetry {
 };
 
 /// attach_file that retries while nodes are seqlock-busy (a live writer
-/// publishing). If nodes are still busy after the final attempt the writer
-/// is gone or wedged: throws std::runtime_error with a clear
-/// "writer gone / snapshot stale" message instead of spinning forever.
-/// Corrupt (CRC-failing) nodes never throw — they stay listed in
-/// `corrupt` and the caller mines what is readable.
+/// publishing). Nodes still busy after the final attempt belong to a writer
+/// that is gone or wedged: the last view read is returned with them listed
+/// in `busy`, as corrupt (CRC-failing) nodes stay listed in `corrupt`, so
+/// the caller still sees every readable node and decides how to fail.
 [[nodiscard]] AttachView attach_file_retry(const std::filesystem::path& path,
                                            const AttachRetry& retry = {});
 

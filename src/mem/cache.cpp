@@ -78,7 +78,8 @@ void Cache::fill(u32 set, addr_t line, bool dirty, unsigned core,
   upc_.signal(events_.line_fill);
 }
 
-AccessResult Cache::read_miss(addr_t line, unsigned core, cycles_t now) {
+AccessResult Cache::read_miss(addr_t line, unsigned core, cycles_t now,
+                              bool keep) {
   upc_.signal(events_.read_access);
   upc_.signal(events_.read_miss);
   if (next_ == nullptr) {
@@ -88,7 +89,12 @@ AccessResult Cache::read_miss(addr_t line, unsigned core, cycles_t now) {
   }
   const AccessResult below =
       next_->access(line << line_shift_, AccessType::kRead, core, now);
-  fill(set_of(line), line, /*dirty=*/false, core, now);
+  if (keep) {
+    fill(set_of(line), line, /*dirty=*/false, core, now);
+  } else {
+    upc_.signal(events_.evict);
+    upc_.signal(events_.line_fill);
+  }
   return {params_.hit_latency + below.latency, below.serviced_by};
 }
 

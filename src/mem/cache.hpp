@@ -96,6 +96,10 @@ class Cache final : public MemLevel {
   [[nodiscard]] addr_t line_of(addr_t addr) const noexcept {
     return addr >> line_shift_;
   }
+  /// True if line numbers `a` and `b` map to the same set.
+  [[nodiscard]] bool same_set(addr_t a, addr_t b) const noexcept {
+    return set_of(a) == set_of(b);
+  }
 
   /// One tag search for a read of line number `line`. A hit makes the line
   /// most recently used and returns true; the walk counts its hits and
@@ -113,8 +117,11 @@ class Cache final : public MemLevel {
     upc_.signal(events_.read_hit, n);
   }
   /// The rest of a read that read_hit() found missing: count it, fetch the
-  /// line from below and fill it.
-  AccessResult read_miss(addr_t line, unsigned core, cycles_t now);
+  /// line from below and fill it. With `keep` false the caller knows the
+  /// set is full of clean lines and a later line of its walk evicts this
+  /// one: the fill and its eviction are counted, the set is left alone.
+  AccessResult read_miss(addr_t line, unsigned core, cycles_t now,
+                         bool keep = true);
 
   /// Drop every line, writing back dirty ones.
   void flush(unsigned core, cycles_t now);

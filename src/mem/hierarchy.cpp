@@ -1,5 +1,6 @@
 #include "mem/hierarchy.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/strfmt.hpp"
@@ -94,20 +95,34 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams& params,
 
 // ---- cache walk -------------------------------------------------------------
 // The hot loop of the whole simulator: every simulated load/store lands
-// here. Each level searches its tags once per access (the L1 read hit
-// check is inline, and Cache::read_miss carries on without searching
+// here. Each level searches its tags at most once per access (the L1 read
+// hit check is inline, and Cache::read_miss carries on without searching
 // again), and every level, the snoop filter included, counts its events
 // straight into the node's UPC unit. L1 read hits are counted in bulk just
-// before the next miss and at the end of the walk (docs/perf.md).
+// before the next miss and at the end of the walk. A read searches only
+// its first C lines, C being the L1's capacity in lines: by then every set
+// holds only lines of this walk, so each later line misses, and of those
+// only the last C are filled, as a later line evicts every other one
+// (docs/perf.md).
 
 AccessResult MemoryHierarchy::read(unsigned core, addr_t addr, u64 bytes,
                                    cycles_t now) {
   Cache& l1 = *cores_.at(core).l1d;
   const cycles_t l1_lat = params_.l1d.hit_latency;
+  const addr_t capacity = params_.l1d.size_bytes / params_.l1d.line_bytes;
   AccessResult total{0, 1};
+  const auto miss = [&](addr_t line, bool keep) {
+    const AccessResult r = l1.read_miss(line, core, now, keep);
+    snoop_->record_fill(core, line);
+    total.latency += r.latency;
+    total.serviced_by = std::max(total.serviced_by, r.serviced_by);
+    now += r.latency;
+  };
+  addr_t line = l1.line_of(addr);
   const addr_t last = l1.line_of(addr + (bytes == 0 ? 0 : bytes - 1));
+  const addr_t searched = std::min(last, line + capacity - 1);
   u64 hits = 0;
-  for (addr_t line = l1.line_of(addr); line <= last; ++line) {
+  for (; line <= searched; ++line) {
     if (l1.read_hit(line)) {
       ++hits;
       total.latency += l1_lat;
@@ -116,13 +131,10 @@ AccessResult MemoryHierarchy::read(unsigned core, addr_t addr, u64 bytes,
     }
     l1.count_read_hits(hits);
     hits = 0;
-    const AccessResult r = l1.read_miss(line, core, now);
-    snoop_->record_fill(core, line);
-    total.latency += r.latency;
-    total.serviced_by = std::max(total.serviced_by, r.serviced_by);
-    now += r.latency;
+    miss(line, /*keep=*/true);
   }
   l1.count_read_hits(hits);
+  for (; line <= last; ++line) miss(line, /*keep=*/last - line < capacity);
   return total;
 }
 

@@ -80,6 +80,8 @@ void L2Unit::run_ahead(addr_t line, unsigned core, cycles_t now) {
     const AccessResult fill =
         next_->access(pf_addr, AccessType::kRead, core, now);
     cache_.install(pf_addr, core, now);
+    // The fill leads its set now; the last read's line may not.
+    if (cache_.same_set(pf_line, last_read_)) last_read_ = kNoLine;
     // Bound the tracking table: lines evicted before being demanded would
     // otherwise accumulate forever.
     if (pending_.size() > 8192) pending_.clear();
@@ -90,13 +92,27 @@ void L2Unit::run_ahead(addr_t line, unsigned core, cycles_t now) {
 
 AccessResult L2Unit::access(addr_t addr, AccessType type, unsigned core,
                             cycles_t now) {
+  const addr_t line = cache_.line_of(addr);
   // Writes pass through (the L2 is write-through toward the L3, which is
-  // the point of coherence on the chip).
+  // the point of coherence on the chip). A hit re-ranks its set, so the
+  // last read's line may no longer lead it.
   if (type == AccessType::kWrite) {
+    if (line != last_read_ && cache_.same_set(line, last_read_)) {
+      last_read_ = kNoLine;
+    }
     return cache_.access(addr, type, core, now);
   }
 
-  const addr_t line = cache_.line_of(addr);
+  // A repeat of the previous demand read is a plain hit on its set's most
+  // recently used line, which needs no search and no re-ranking: that read
+  // left the line there and took it out of the pending table, run_ahead
+  // never queues the line it runs ahead of, and a fill or store into the
+  // set since would have cleared last_read_.
+  if (line == last_read_) {
+    cache_.count_read_hits(1);
+    return {cache_.params().hit_latency, 2, /*hit=*/true};
+  }
+  last_read_ = line;
   cycles_t prefetch_ready = 0;
   const bool was_prefetched = pending_.take(line, prefetch_ready);
   AccessResult r = cache_.access(addr, type, core, now);

@@ -101,6 +101,10 @@ class L2Unit final : public MemLevel {
   /// are both detected).
   std::array<addr_t, 8> miss_history_;
   unsigned miss_history_pos_ = 0;
+  /// The line of the previous demand read while it is still its set's most
+  /// recently used line; kNoLine once a prefetch fill or a store into that
+  /// set may have re-ranked it.
+  addr_t last_read_ = kNoLine;
   u64 use_tick_ = 0;
   /// A demand before a pending line's fill completes pays the residue;
   /// this is why deeper prefetch hides more latency.

@@ -4,7 +4,8 @@
 // session's artifacts are byte-identical to the built bgpc_run binary run
 // with the matching flags and snapshot configuration, on one scheduler
 // worker and on two. bgpc_trace and bgpc_run are held to the same
-// identity, and the attach tools name a corrupt snapshot slot.
+// identity, the attach tools name a corrupt or wedged snapshot slot, and
+// the miner does not print memory metrics no node measured.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -21,6 +22,7 @@
 
 #include "daemon/service.hpp"
 #include "daemon/snapfile.hpp"
+#include "fault/fault.hpp"
 
 #if !defined(BGPC_RUN_BINARY) || !defined(BGPC_TRACE_BINARY) || \
     !defined(BGPC_OBS_BINARY) || !defined(BGPC_MINE_BINARY)
@@ -316,6 +318,96 @@ TEST(AttachTools, CorruptSlotIsNamedAndFailsBothTools) {
                      "1 corrupt"),
             std::string::npos)
       << out;
+}
+
+// Writes a snapshot file of `nodes` nodes, each published once at cycle
+// 100, whose writer then died mid-publish of node 0: node 0's seqlock
+// stays odd.
+void write_wedged_snapshot(const fs::path& snap, unsigned nodes) {
+  std::vector<fault::DaemonFaultEvent> plan(1);
+  plan[0].kind = fault::DaemonFaultKind::kSnapshotTorn;
+  plan[0].after = nodes;
+  fault::DaemonFaultInjector faults(std::move(plan));
+  SnapshotWriter w(snap, "ep", "wedged", nodes, kSnapMetricsCapacity, &faults);
+  const std::array<u64, isa::kCountersPerUnit> counters{};
+  for (unsigned n = 0; n < nodes; ++n) {
+    w.publish_node(n, n, 0, 0, SnapState::kCounting, 100, counters);
+  }
+  w.publish_node(0, 0, 0, 0, SnapState::kCounting, 200, counters);  // torn
+}
+
+// A dead writer left node 0's seqlock odd: after their last attempt both
+// attach tools still show node 1, name node 0 busy and exit 1. With node 0
+// the only node, nothing is readable, and neither tool labels the file
+// final or prints a metric.
+TEST(AttachTools, WedgedNodeIsNamedBusyBesideTheReadableOnes) {
+  const fs::path snap = test_dir("run") / "counters.bgpsnap";
+  write_wedged_snapshot(snap, 2);
+  std::string args = "--attach=" + snap.string() + " --attach-retries=2";
+  int code = -1;
+  std::string out = run_tool(BGPC_OBS_BINARY, args, &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("node   1 card"), std::string::npos) << out;
+  EXPECT_NE(out.find("node   0 BUSY"), std::string::npos) << out;
+
+  out = run_tool(BGPC_MINE_BINARY, args, &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("nodes: 1 readable (1 counting, 0 final), 1 busy, "
+                     "0 corrupt"),
+            std::string::npos)
+      << out;
+
+  const fs::path lone = test_dir("lone") / "counters.bgpsnap";
+  write_wedged_snapshot(lone, 1);
+  args = "--attach=" + lone.string() + " --attach-retries=2";
+  out = run_tool(BGPC_OBS_BINARY, args, &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("app ep — no readable node\n"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("node   0 BUSY"), std::string::npos) << out;
+
+  out = run_tool(BGPC_MINE_BINARY, args, &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("app ep — no readable node\n"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("nodes: 0 readable (0 counting, 0 final), 1 busy, "
+                     "0 corrupt"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("exec cycles"), std::string::npos) << out;
+  EXPECT_EQ(out.find("MFLOPS"), std::string::npos) << out;
+}
+
+// Two nodes sit on node card 0, which counts mode 0 only, so no node
+// measured the memory metrics: both miner modes say so instead of printing
+// zeros, and both print the node count of each mode.
+TEST(MineTools, MemoryMetricsNoNodeCountedAreNotMeasured) {
+  const fs::path dir = test_dir("run");
+  const std::string snap = (dir / "counters.bgpsnap").string();
+  int code = -1;
+  std::string out = run_tool(BGPC_RUN_BINARY,
+                             "EP --class=S --nodes=2 --mode=smp4 "
+                             "--snapshot-file=" + snap +
+                                 " --dumps=" + dir.string(),
+                             &code);
+  ASSERT_EQ(code, 0) << out;
+  const std::string none = "not measured (no node counted mode 1)";
+  for (const std::string& args : {dir.string() + " EP", "--attach=" + snap}) {
+    out = run_tool(BGPC_MINE_BINARY, args, &code);
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_NE(out.find("mode-0 nodes (per-core events): 2\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("mode-1 nodes (memory events):   0\n"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("L3<->DDR traffic/node:       " + none),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("L3 read miss ratio:          " + none),
+              std::string::npos)
+        << out;
+  }
 }
 
 TEST(Service, RejectionsAreStructuredAndLeaveRunningSessionsAlone) {

@@ -28,6 +28,29 @@ using namespace bgp;
 
 namespace {
 
+/// The node count of each counter mode.
+void print_mode_counts(const post::Aggregate& agg) {
+  std::printf("  mode-0 nodes (per-core events): %zu\n",
+              agg.dumps_in_mode(0).size());
+  std::printf("  mode-1 nodes (memory events):   %zu\n",
+              agg.dumps_in_mode(1).size());
+}
+
+/// The memory metrics, which only nodes that counted mode 1 measure.
+void print_memory_metrics(const post::Aggregate& agg,
+                          const post::AppRecord& rec) {
+  if (agg.dumps_in_mode(1).empty()) {
+    constexpr const char* kNone = "not measured (no node counted mode 1)";
+    std::printf("  L3<->DDR traffic/node:       %s\n", kNone);
+    std::printf("  L3 read miss ratio:          %s\n", kNone);
+    return;
+  }
+  std::printf("  L3<->DDR traffic/node:       %s\n",
+              human_bytes(rec.ddr_traffic_bytes).c_str());
+  std::printf("  L3 read miss ratio:          %.2f%%\n",
+              100.0 * rec.l3_read_miss_ratio);
+}
+
 /// --attach: mine a live (or final) snapshot file instead of a dump
 /// directory. The snapshot's raw counters reconstruct as one open set-0
 /// pair per node, so the standard aggregate/record pipeline applies
@@ -55,12 +78,15 @@ int attach_mine(const std::filesystem::path& snap, unsigned set, bool quiet,
     std::printf("attached to %s: session %s, app %s — %s\n",
                 snap.string().c_str(), view.session.c_str(),
                 view.app.c_str(),
-                view.final_only ? "run finished (final snapshot)"
-                                : "LIVE mid-run snapshot");
+                view.nodes.empty()  ? "no readable node"
+                : view.final_only ? "run finished (final snapshot)"
+                                  : "LIVE mid-run snapshot");
     std::printf("  nodes: %zu readable (%zu counting, %zu final), %zu "
                 "busy, %zu corrupt\n",
                 view.nodes.size(), counting, final_count, view.busy.size(),
                 view.corrupt.size());
+    if (view.nodes.empty()) return 1;  // no metric was measured
+    print_mode_counts(agg);
     cycles_t newest = 0;
     for (const daemon::NodeSnapshot& n : view.nodes) {
       newest = std::max(newest, n.published_cycle);
@@ -70,10 +96,7 @@ int attach_mine(const std::filesystem::path& snap, unsigned set, bool quiet,
                 1e3 * static_cast<double>(newest) / kCoreClockHz);
     std::printf("  exec cycles (mean node max): %.0f\n", rec.exec_cycles);
     std::printf("  MFLOPS/node so far:          %.2f\n", rec.mflops_per_node);
-    std::printf("  L3<->DDR traffic/node:       %s\n",
-                human_bytes(rec.ddr_traffic_bytes).c_str());
-    std::printf("  L3 read miss ratio:          %.2f%%\n",
-                100.0 * rec.l3_read_miss_ratio);
+    print_memory_metrics(agg, rec);
   }
   return view.busy.empty() && view.corrupt.empty() ? 0 : 1;
 }
@@ -181,18 +204,12 @@ int main(int argc, char** argv) {
         std::printf("    %s\n", ft::describe(e).c_str());
       }
     }
-    std::printf("  mode-0 nodes (per-core events): %zu\n",
-                agg.dumps_in_mode(0).size());
-    std::printf("  mode-1 nodes (memory events):   %zu\n",
-                agg.dumps_in_mode(1).size());
+    print_mode_counts(agg);
     std::printf("  exec cycles (mean node max): %.0f (%.3f ms at 850 MHz)\n",
                 rec.exec_cycles,
                 1e3 * rec.exec_cycles / kCoreClockHz);
     std::printf("  MFLOPS/node:                 %.2f\n", rec.mflops_per_node);
-    std::printf("  L3<->DDR traffic/node:       %s\n",
-                human_bytes(rec.ddr_traffic_bytes).c_str());
-    std::printf("  L3 read miss ratio:          %.2f%%\n",
-                100.0 * rec.l3_read_miss_ratio);
+    print_memory_metrics(agg, rec);
     std::printf("  dynamic FP mix:");
     for (unsigned i = 0; i < isa::kNumFpOps; ++i) {
       const auto op = static_cast<isa::FpOp>(i);

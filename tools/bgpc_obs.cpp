@@ -36,7 +36,9 @@ int attach_view(const std::filesystem::path& snap, bool quiet,
   }
   std::printf("%s: session %s, app %s — %s\n", snap.string().c_str(),
               view.session.c_str(), view.app.c_str(),
-              view.final_only ? "final" : "LIVE");
+              view.nodes.empty()  ? "no readable node"
+              : view.final_only ? "final"
+                                : "LIVE");
   for (const daemon::NodeSnapshot& n : view.nodes) {
     const char* state = n.state == daemon::SnapState::kIdle ? "idle"
                         : n.state == daemon::SnapState::kCounting
